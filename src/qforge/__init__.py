@@ -32,7 +32,6 @@ from .qseries import (
 from .relations import (
     ShiftVector,
     ThreeTermRelation,
-    eval_rational_function,
     qr_derive,
     qr_lookup,
     relation_residual,
@@ -53,7 +52,7 @@ __all__ = [
     "SeriesValue", "ShiftVector", "ThreeTermRelation",
     "apply_generator", "canonical_representative", "check_family", "closed_form_eval",
     "conjecture_check", "cyclo_normalize", "default_precision", "default_registry",
-    "eval_rational_function", "field_div", "format_scalar", "from_lambda",
+    "field_div", "format_scalar", "from_lambda",
     "load_registry", "orbit_enumerate", "parse_scalar", "phi21_exact", "phi21_numeric",
     "product_R", "qpoch_finite", "qpoch_infinite", "qr_derive", "qr_lookup",
     "relation_residual", "set_default_precision", "shift_params", "solution_families",

@@ -32,12 +32,6 @@ USAGE_EXIT = 2
 
 
 @dataclass
-class CommandRequest:
-    command: str
-    options: dict
-
-
-@dataclass
 class ReportDocument:
     command: str
     options: dict
@@ -259,12 +253,12 @@ _RUNNERS = {
 }
 
 
-def execute(req: CommandRequest) -> tuple[ReportDocument, int]:
-    """Dispatch a parsed request; exit code 0 iff every case passes."""
-    runner = _RUNNERS.get(req.command)
+def execute(command: str, options: dict) -> tuple[ReportDocument, int]:
+    """Run one command on its parsed options; exit code 0 iff every case passes."""
+    runner = _RUNNERS.get(command)
     if runner is None:
-        raise ValueError(f"unknown command {req.command!r}")
-    report = runner(req.options)
+        raise ValueError(f"unknown command {command!r}")
+    report = runner(options)
     return report, report.exit_code()
 
 
@@ -335,7 +329,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     opts = {k: v for k, v in vars(ns).items() if k not in ("command", "format", "output")}
     try:
-        report, code = execute(CommandRequest(ns.command, opts))
+        report, code = execute(ns.command, opts)
     except (QForgeError, ValueError, KeyError) as exc:
         print(f"qforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_EXIT

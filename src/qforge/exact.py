@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DivisionByZero
 
@@ -101,12 +100,6 @@ def _reduce_mod_phi(coeffs: list[Fraction], order: int) -> tuple[Fraction, ...]:
     return tuple(rem[:deg])
 
 
-@lru_cache(maxsize=None)
-def _embedding_power(order: int, target: int) -> int:
-    assert target % order == 0
-    return target // order
-
-
 class ExactScalar:
     """Element of Q(zeta_order); order 1 is a plain rational.
 
@@ -158,7 +151,7 @@ class ExactScalar:
             return self
         if target % self.order != 0:
             raise ValueError("target order must be a multiple")
-        k = _embedding_power(self.order, target)
+        k = target // self.order
         raw = [Fraction(0)] * (len(self.coeffs) * k + 1)
         for i, c in enumerate(self.coeffs):
             raw[i * k] += c

@@ -109,22 +109,25 @@ def family_root_of_unity(order: int) -> ParamFamily:
     )
 
 
-def solution_families(shift) -> list[ParamFamily]:
-    """Registered and pattern-matched families for a shift vector.
+# pattern name -> (shift predicate on k, l, m, n; family constructor of the
+# shift), in the order solution_families lists the matching families
+PATTERNS = {
+    "lln_even": (lambda k, l, m, n: k == l >= 0 and m == 0 and n > 0 and n % 2 == 0,
+                 lambda s: family_qbinom2()),
+    "sum_zero": (lambda k, l, m, n: k + l - m + n == 0,
+                 lambda s: family_qgauss()),
+    "kll": (lambda k, l, m, n: l > 0 and l % 2 == 0 and m == l - k and n == -k,
+            lambda s: family_qkummer()),
+    "oll_root": (lambda k, l, m, n: k == 0 and n == 0 and m == l and l >= 2,
+                 lambda s: family_root_of_unity(s.l)),
+}
 
-    Patterns: (l,l,0,n) with n positive even -> (a,-a,-q,x);
+
+def solution_families(shift) -> list[ParamFamily]:
+    """The families of every PATTERNS entry the shift vector matches, in
+    table order: (l,l,0,n) with n positive even -> (a,-a,-q,x);
     k+l-m+n = 0 -> (a,b,c,c/(ab)); (k,l,l-k,-k) with l positive even ->
     (a,b,bq/a,-q/a); (0,l,l,0) with l >= 2 -> (zeta_l q, b, zeta_l b, 1).
     """
     s = ShiftVector.coerce(shift)
-    k, l, m, n = s.as_tuple()
-    out: list[ParamFamily] = []
-    if k == l and l >= 0 and m == 0 and n > 0 and n % 2 == 0:
-        out.append(family_qbinom2())
-    if k + l - m + n == 0:
-        out.append(family_qgauss())
-    if l > 0 and l % 2 == 0 and m == l - k and n == -k:
-        out.append(family_qkummer())
-    if k == 0 and n == 0 and m == l and l >= 2:
-        out.append(family_root_of_unity(l))
-    return out
+    return [make(s) for matches, make in PATTERNS.values() if matches(*s.as_tuple())]

@@ -4,7 +4,6 @@ for the root-of-unity summation, and conjecture-pattern checks."""
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import random
 from dataclasses import dataclass, field
@@ -19,11 +18,12 @@ from .errors import (
     ConstraintViolated,
     DegenerateFamily,
     DegenerateParameter,
+    NotInTable,
     SamplingExhausted,
     ZeroDenominator,
 )
 from .exact import ExactScalar, format_scalar
-from .families import PARAM_KEYS, ParamFamily, solution_families
+from .families import PARAM_KEYS, PATTERNS, ParamFamily
 from .poly import RationalFunction
 from .qseries import Phi21Params, detect_termination, phi21_exact, phi21_numeric, qpoch_finite
 from .relations import (
@@ -52,7 +52,8 @@ class IdentityRecord:
 
 
 def build_default_registry() -> dict:
-    """The nine shipped identity records as a JSON-able document."""
+    """The nine built-in identity records, as a document in the JSON
+    format that `load_registry(path)` reads."""
     a, b, c, x, M, N, w = (cf.sym(s) for s in "abcxMNw")
     q1 = cf.qpow(1)
 
@@ -209,9 +210,9 @@ def _parse_registry(doc: dict) -> dict[str, IdentityRecord]:
 
 
 def load_registry(path: str | None = None) -> dict[str, IdentityRecord]:
+    """The registry in the JSON file at `path`; the built-in one if None."""
     if path is None:
-        data = importlib.resources.files("qforge").joinpath("registry.json").read_text()
-        return _parse_registry(json.loads(data))
+        return _parse_registry(build_default_registry())
     with open(path) as fh:
         return _parse_registry(json.load(fh))
 
@@ -386,7 +387,7 @@ def _relation_for(shift: ShiftVector, relation: ThreeTermRelation | None,
     if not derive:
         try:
             return qr_lookup(shift)
-        except Exception:
+        except NotInTable:
             pass
     return qr_derive(shift)
 
@@ -420,17 +421,15 @@ def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
 
 def _eval_qn(f: RationalFunction, fam: ParamFamily, shift: ShiftVector, n: int, point: dict):
     """Evaluate f at the family's parameters shifted to iteration step n."""
-    vals = fam.param_values(point)
-    qv = point["q"]
-    e = n - 1
-    exps = dict(zip(PARAM_KEYS, shift.as_tuple()))
-    eval_pt = {k: vals[k] * _qpow_val(qv, exps[k] * e) for k in PARAM_KEYS}
-    eval_pt["q"] = qv
-    return f.eval(eval_pt)
+    return f.eval(_step_point(fam.param_values(point), shift, point["q"], n - 1))
 
 
-def _qpow_val(q, e: int):
-    return q**e
+def _step_point(vals: dict, shift: ShiftVector, q, e: int) -> dict:
+    """The parameter values moved e steps along the shift
+    (a -> a*q^(k*e), ...), together with q itself."""
+    pt = {key: vals[key] * q ** (s * e) for key, s in zip(PARAM_KEYS, shift.as_tuple())}
+    pt["q"] = q
+    return pt
 
 
 def _is_zero_scalar(v) -> bool:
@@ -508,10 +507,9 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
     run = PipelineRun(shift, fam.name, n_max, point, mode)
     vals = fam.param_values(point)
     qv = point["q"]
-    exps = dict(zip(PARAM_KEYS, shift.as_tuple()))
 
     def phi_at(step_exp: int):
-        pk = {k: vals[k] * _qpow_val(qv, exps[k] * step_exp) for k in PARAM_KEYS}
+        pk = _step_point(vals, shift, qv, step_exp)
         p = Phi21Params(pk["a"], pk["b"], pk["c"], qv, pk["x"])
         if mode == "exact":
             return phi21_exact(p).value
@@ -520,9 +518,7 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
     lhs = phi_at(0)
     prod = ExactScalar.from_rational(1) if mode == "exact" else ApproxScalar.coerce(1, prec)
     for i in range(1, n_max + 1):
-        eval_pt = {k: vals[k] * _qpow_val(qv, exps[k] * (i - 1)) for k in PARAM_KEYS}
-        eval_pt["q"] = qv
-        r_i = rel.R.eval(eval_pt)
+        r_i = rel.R.eval(_step_point(vals, shift, qv, i - 1))
         prod = prod * r_i
         shifted = phi_at(i)
         telescoped = shifted / prod
@@ -619,14 +615,6 @@ class ConjectureReport:
         }
 
 
-PATTERNS = {
-    "lln_even": lambda k, l, m, n: k == l >= 0 and m == 0 and n > 0 and n % 2 == 0,
-    "sum_zero": lambda k, l, m, n: k + l - m + n == 0,
-    "kll": lambda k, l, m, n: l > 0 and l % 2 == 0 and m == l - k and n == -k,
-    "oll_root": lambda k, l, m, n: k == 0 and n == 0 and m == l and l >= 2,
-}
-
-
 def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAULT_SEED,
                      n_max: int = 4, tol: float = 1e-10) -> ConjectureReport:
     """Instance-level evidence for a conjectured solution-family pattern:
@@ -635,7 +623,8 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; choose from {sorted(PATTERNS)}")
     shift = ShiftVector.coerce(instance)
-    if not PATTERNS[pattern](*shift.as_tuple()):
+    matches, make_family = PATTERNS[pattern]
+    if not matches(*shift.as_tuple()):
         raise ValueError(f"instance {shift} does not match pattern {pattern!r}")
     report = ConjectureReport(pattern, shift)
     rng = random.Random(seed)
@@ -658,13 +647,11 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
     if rel is None:
         return report
 
-    fams = [f for f in solution_families(shift) if _pattern_family_match(pattern, f)]
+    fam = make_family(shift)
 
     def family_step():
-        if not fams:
-            return False, "no family registered for this pattern"
-        ok = all(check_family(shift, f, n_max=n_max, trials=trials, seed=seed, relation=rel) for f in fams)
-        return ok, f"checked {[f.name for f in fams]} with N_max={n_max}, trials={trials}"
+        ok = check_family(shift, fam, n_max=n_max, trials=trials, seed=seed, relation=rel)
+        return ok, f"checked {[fam.name]} with N_max={n_max}, trials={trials}"
 
     run_step("family_check", family_step)
 
@@ -693,7 +680,6 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
         ident = "qbinom2" if pattern == "lln_even" else "qgauss"
 
         def telescope_step():
-            fam = fams[0]
             point = _sample_series_point(fam, shift, rng, n_tele=3)
             run = telescoped_check(shift, fam, 3, point, tol=tol, mode="numeric", relation=rel)
             if all(_scalar_text_is_one(st.telescoped) for st in run.steps):
@@ -704,7 +690,6 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
 
     if pattern == "kll":
         def telescope_exact_step():
-            fam = fams[0]
             q0 = Fraction(1, 2)
             n_tel = 3
             point = {"a": Fraction(3), "b": q0 ** (-shift.l * n_tel), "q": q0}
@@ -749,19 +734,10 @@ def _sample_series_point(fam: ParamFamily, shift: ShiftVector, rng: random.Rando
     raise SamplingExhausted("no admissible series point found")
 
 
-def _pattern_family_match(pattern: str, fam: ParamFamily) -> bool:
-    return {
-        "lln_even": fam.name.startswith("(a, -a"),
-        "sum_zero": fam.name.startswith("(a, b, c"),
-        "kll": fam.name.startswith("(a, b, bq/a"),
-        "oll_root": fam.name.startswith("(z"),
-    }[pattern]
-
-
 def _scalar_text_is_one(text: str) -> bool:
     if text == "1":
         return True
     try:
         return abs(float(mpmath.mpf(text)) - 1.0) < 1e-15
-    except Exception:
+    except ValueError:
         return False

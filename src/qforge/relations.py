@@ -468,11 +468,6 @@ def _series_verify(rel: ThreeTermRelation, order: int, rng: random.Random, point
 # -- evaluation & numeric residuals ------------------------------------------------
 
 
-def eval_rational_function(f: RationalFunction, point: dict):
-    """Exact evaluation; raises ZeroDenominator at degenerate points."""
-    return f.eval(point)
-
-
 def relation_residual(rel: ThreeTermRelation, point: dict, tol: float,
                       prec: int | None = None) -> mpmath.mpf:
     """|phi_shifted - Q*phi_up - R*phi_base| with each series evaluated

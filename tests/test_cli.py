@@ -1,6 +1,7 @@
 import json
 
 from qforge.cli import ReportDocument, build_parser, main
+from qforge.forge import build_default_registry, default_registry, load_registry
 
 
 def run_cli(capsys, *argv):
@@ -115,3 +116,25 @@ def test_parser_builds():
 def test_tol_must_be_positive(capsys):
     assert main(["verify", "--identity", "sv1", "--grid", "M=0..0,N=0..0",
                  "--q", "1/2", "--tol", "-1"]) == 2
+
+
+def test_registry_file_matches_builtin(tmp_path, capsys):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(build_default_registry()))
+    assert load_registry(str(path)) == default_registry()
+    args = ["verify", "--identity", "sv1", "--grid", "M=0..2,N=0..2", "--q", "1/2"]
+    code, builtin = run_cli(capsys, *args)
+    code_file, from_file = run_cli(capsys, *args, "--registry", str(path))
+    assert code == code_file == 0
+    assert json.loads(from_file)["cases"] == json.loads(builtin)["cases"]
+
+
+def test_registry_file_with_unknown_node_exits_2(tmp_path, capsys):
+    doc = build_default_registry()
+    sv1 = next(rec for rec in doc["identities"] if rec["id"] == "sv1")
+    sv1["rhs"] = {"kind": "bogus"}
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--identity", "sv1", "--grid", "M=0..0,N=0..0",
+                 "--registry", str(path)]) == 2
+    assert "bad expression node" in capsys.readouterr().err

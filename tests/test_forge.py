@@ -3,11 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from qforge import forge
 from qforge.errors import ConstraintViolated, DegenerateParameter
 from qforge.exact import ExactScalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
 from qforge.forge import (
-    build_default_registry,
     check_family,
     conjecture_check,
     default_registry,
@@ -23,13 +23,6 @@ from qforge.relations import qr_derive
 Q12 = F(1, 2)
 Z3 = ExactScalar.zeta(3)
 Z4 = ExactScalar.zeta(4)
-
-
-def test_shipped_registry_matches_builder():
-    import importlib.resources
-
-    shipped = json.loads(importlib.resources.files("qforge").joinpath("registry.json").read_text())
-    assert shipped == build_default_registry()
 
 
 def test_registry_loads_and_validates():
@@ -86,6 +79,16 @@ def test_registry_completeness():
         assert fams, shift
         for fam in fams:
             assert check_family(shift, fam, n_max=4, trials=20), (shift, fam.name)
+
+
+def test_check_family_propagates_lookup_bugs(monkeypatch):
+    # only a shift missing from the table may fall back to derivation
+    def broken(shift):
+        raise RuntimeError("bug in the table lookup")
+
+    monkeypatch.setattr(forge, "qr_lookup", broken)
+    with pytest.raises(RuntimeError):
+        check_family((0, 1, 1, 0), family_qgauss(), n_max=1, trials=2)
 
 
 def test_check_family_rejects_generic():
@@ -197,9 +200,9 @@ def test_degenerate_family_paths():
 
 
 def test_eval_rational_function_examples():
-    from qforge.relations import eval_rational_function, qr_lookup
+    from qforge.relations import qr_lookup
 
-    assert eval_rational_function(RF.const(1), {}) == 1
+    assert RF.const(1).eval({}) == 1
     rel = qr_lookup((0, 1, 1, 0))
     pt = {"a": F(2), "b": F(3), "c": F(5), "x": F(7), "q": F(11)}
-    assert eval_rational_function(rel.Q, pt) == F(37, 3)
+    assert rel.Q.eval(pt) == F(37, 3)
