@@ -5,6 +5,16 @@ certified propagation yield certified outputs.  When any input carries a
 heuristic bound the result keeps the same arithmetic bound but is flagged
 uncertified.  Default mantissa is 113 bits, overridable per value or via
 set_default_precision (the CLI wires QFORGE_PRECISION into this).
+
+A value is a midpoint and a radius (the ball layout of Arb): `val` is an
+mpmath mpf or mpc, `err` an mpf.  The operators update both with
+mpmath's libmp kernels (mpf_add, mpc_mul, mpc_div, mpc_abs, ...) called
+at an explicit precision with round-to-nearest, which is what the mpf
+and mpc operators run inside mpmath.workprec(prec).  The bits of `val`
+and `err` are therefore those of the formulas written with mpf/mpc
+operators under workprec, without switching mpmath's global context on
+every operation.  The rounding allowance |v| * 2**(2-prec) of a result
+is an exponent shift of |v|, exact like the multiplication it replaces.
 """
 
 from __future__ import annotations
@@ -12,10 +22,37 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpc_abs,
+    mpc_add,
+    mpc_add_mpf,
+    mpc_div,
+    mpc_div_mpf,
+    mpc_mpf_div,
+    mpc_mul,
+    mpc_mul_mpf,
+    mpc_neg,
+    mpc_sub,
+    mpc_sub_mpf,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_le,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    mpf_sub,
+)
 
 from .errors import DivisionByZero
 
 _DEFAULT_PREC = 113
+_RND = "n"  # round to nearest, mpmath's default rounding
+_MPF = mpmath.mpf
+_MPC = mpmath.mpc
+_new = object.__new__
 
 
 def set_default_precision(bits: int) -> None:
@@ -41,6 +78,45 @@ def _to_mpc(v, prec: int):
         if to_c is not None:
             return to_c(prec)
     raise TypeError(f"cannot convert {type(v).__name__} to ApproxScalar")
+
+
+# -- raw libmp values: an mpf is a 4-tuple, an mpc a pair of them -------------
+def _raw(v):
+    return v._mpf_ if type(v) is _MPF else v._mpc_
+
+
+def _wrap(r):
+    if len(r) == 2:
+        v = _new(_MPC)
+        v._mpc_ = r
+    else:
+        v = _new(_MPF)
+        v._mpf_ = r
+    return v
+
+
+def _abs(r, prec):
+    # a real value has at most prec bits, so its exact |r| is |r| at prec
+    return mpc_abs(r, prec, _RND) if len(r) == 2 else mpf_abs(r)
+
+
+def _rounding(r, prec):
+    """|r| * 2**(2-prec): the allowance for rounding a result to prec bits."""
+    return mpf_shift(_abs(r, prec), 2 - prec)
+
+
+# The kernel the mpf/mpc operator calls for each pair of operand kinds,
+# indexed by (x is complex) + 2 * (y is complex).  The parts of a value
+# have at most prec bits (the constructor rounds them to prec), so
+# negating y is exact and one mpf_sub/mpc_sub gives the bits of x + (-y).
+_ADD = (mpf_add, mpc_add_mpf, lambda x, y, prec, rnd: mpc_add_mpf(y, x, prec, rnd), mpc_add)
+_SUB = (mpf_sub, mpc_sub_mpf, lambda x, y, prec, rnd: mpc_sub((x, fzero), y, prec, rnd), mpc_sub)
+_MUL = (mpf_mul, mpc_mul_mpf, lambda x, y, prec, rnd: mpc_mul_mpf(y, x, prec, rnd), mpc_mul)
+_DIV = (mpf_div, mpc_div_mpf, mpc_mpf_div, mpc_div)
+
+
+def _kernel(table, xr, yr, prec):
+    return table[(len(xr) == 2) + 2 * (len(yr) == 2)](xr, yr, prec, _RND)
 
 
 class ApproxScalar:
@@ -73,6 +149,8 @@ class ApproxScalar:
             return v
         # exact inputs carry only the representation rounding error
         prec = _DEFAULT_PREC if prec is None else prec
+        if type(v) is int and v == 1:
+            return _one(prec)
         val = _to_mpc(v, prec)
         rnd = abs(val) * mpmath.mpf(2) ** (2 - prec)
         return ApproxScalar(val, rnd, True, prec)
@@ -94,74 +172,116 @@ class ApproxScalar:
         return f"ApproxScalar({self.val}, err={mpmath.nstr(self.err, 3)}, {tag})"
 
     # -- arithmetic ---------------------------------------------------------
-    def _binary(self, other, op):
-        o = ApproxScalar.coerce(other, self.prec)
-        prec = max(self.prec, o.prec)
-        with mpmath.workprec(prec):
-            return op(self, o, prec)
-
-    def _rounding(self, v, prec):
-        return abs(v) * mpmath.mpf(2) ** (2 - prec)
-
     def __add__(self, other):
-        def op(x, y, prec):
-            v = x.val + y.val
-            e = x.err + y.err + self._rounding(v, prec)
-            return ApproxScalar(v, e, x.certified and y.certified, prec)
-
-        return self._binary(other, op)
+        return _sum(self, ApproxScalar.coerce(other, self.prec), _ADD)
 
     __radd__ = __add__
 
     def __neg__(self):
-        with mpmath.workprec(self.prec):
-            return ApproxScalar(-self.val, self.err, self.certified, self.prec)
+        r = _raw(self.val)
+        v = mpc_neg(r, self.prec, _RND) if len(r) == 2 else mpf_neg(r, self.prec, _RND)
+        return _make(v, self.err._mpf_, self.certified, self.prec)
 
     def __sub__(self, other):
-        return self.__add__(-ApproxScalar.coerce(other, self.prec))
+        return _sum(self, ApproxScalar.coerce(other, self.prec), _SUB)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return _sum(ApproxScalar.coerce(other, self.prec), self, _SUB)
 
     def __mul__(self, other):
-        def op(x, y, prec):
-            v = x.val * y.val
-            e = abs(x.val) * y.err + abs(y.val) * x.err + x.err * y.err
-            e += self._rounding(v, prec)
-            return ApproxScalar(v, e, x.certified and y.certified, prec)
-
-        return self._binary(other, op)
+        return _product(self, ApproxScalar.coerce(other, self.prec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        def op(x, y, prec):
-            ay = abs(y.val)
-            if ay == 0 or ay <= y.err:
-                raise DivisionByZero("divisor not bounded away from zero")
-            v = x.val / y.val
-            e = (x.err + abs(v) * y.err) / (ay - y.err)
-            e += self._rounding(v, prec)
-            return ApproxScalar(v, e, x.certified and y.certified, prec)
-
-        return self._binary(other, op)
+        return _quotient(self, ApproxScalar.coerce(other, self.prec))
 
     def __rtruediv__(self, other):
-        return ApproxScalar.coerce(other, self.prec).__truediv__(self)
+        return _quotient(ApproxScalar.coerce(other, self.prec), self)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
-            return ApproxScalar.coerce(1, self.prec) / (self ** (-e))
-        out = ApproxScalar.coerce(1, self.prec)
+            return _quotient(_one(self.prec), self ** (-e))
+        out = _one(self.prec)
         base = self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = _product(out, base)
             e >>= 1
+            if e:
+                base = _product(base, base)
         return out
 
     def to_complex(self, prec: int | None = None):
         return self.val
+
+
+def _make(v, e, certified, prec) -> ApproxScalar:
+    """An ApproxScalar from raw libmp values already rounded to prec."""
+    if e[0]:  # the sign bit: err < 0
+        raise ValueError("err must be non-negative")
+    out = _new(ApproxScalar)
+    _set_val(out, _wrap(v))
+    err = _new(_MPF)
+    err._mpf_ = e
+    _set_err(out, err)
+    _set_certified(out, certified)
+    _set_prec(out, prec)
+    return out
+
+
+_set_val = ApproxScalar.val.__set__
+_set_err = ApproxScalar.err.__set__
+_set_certified = ApproxScalar.certified.__set__
+_set_prec = ApproxScalar.prec.__set__
+
+_ONES: dict[int, ApproxScalar] = {}
+
+
+def _one(prec: int) -> ApproxScalar:
+    """coerce(1, prec): 1 with err 2**(2-prec), built once per precision."""
+    one = _ONES.get(prec)
+    if one is None:
+        one = _ONES[prec] = _make(fone, mpf_shift(fone, 2 - prec), True, prec)
+    return one
+
+
+def _sum(x, y, table) -> ApproxScalar:
+    """x + y (table _ADD) or x - y (table _SUB)."""
+    prec = x.prec if x.prec >= y.prec else y.prec
+    v = _kernel(table, _raw(x.val), _raw(y.val), prec)
+    # ex + ey + rounding
+    e = mpf_add(x.err._mpf_, y.err._mpf_, prec, _RND)
+    e = mpf_add(e, _rounding(v, prec), prec, _RND)
+    return _make(v, e, x.certified and y.certified, prec)
+
+
+def _product(x, y) -> ApproxScalar:
+    prec = x.prec if x.prec >= y.prec else y.prec
+    xr, yr = _raw(x.val), _raw(y.val)
+    xe, ye = x.err._mpf_, y.err._mpf_
+    v = _kernel(_MUL, xr, yr, prec)
+    # |x| ey + |y| ex + ex ey + rounding
+    e = mpf_add(mpf_mul(_abs(xr, prec), ye, prec, _RND),
+                mpf_mul(_abs(yr, prec), xe, prec, _RND), prec, _RND)
+    e = mpf_add(e, mpf_mul(xe, ye, prec, _RND), prec, _RND)
+    e = mpf_add(e, _rounding(v, prec), prec, _RND)
+    return _make(v, e, x.certified and y.certified, prec)
+
+
+def _quotient(x, y) -> ApproxScalar:
+    prec = x.prec if x.prec >= y.prec else y.prec
+    xr, yr = _raw(x.val), _raw(y.val)
+    ye = y.err._mpf_
+    ay = _abs(yr, prec)
+    if ay == fzero or mpf_le(ay, ye):
+        raise DivisionByZero("divisor not bounded away from zero")
+    v = _kernel(_DIV, xr, yr, prec)
+    # (ex + |v| ey) / (|y| - ey) + rounding
+    av = _abs(v, prec)
+    e = mpf_add(x.err._mpf_, mpf_mul(av, ye, prec, _RND), prec, _RND)
+    e = mpf_div(e, mpf_sub(ay, ye, prec, _RND), prec, _RND)
+    e = mpf_add(e, mpf_shift(av, 2 - prec), prec, _RND)
+    return _make(v, e, x.certified and y.certified, prec)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .approx import set_default_precision
-from .errors import ConstraintViolated, QForgeError
+from .errors import ConstraintViolated, QForgeError, UnboundSymbol
 from .exact import parse_scalar
 from .families import solution_families
 from .forge import (
@@ -112,6 +112,9 @@ def _run_verify(opts: dict) -> ReportDocument:
     if identity not in registry:
         raise ValueError(f"unknown identity {identity!r}")
     record = registry[identity]
+    if opts.get("mode") and opts["mode"] != record.mode:
+        raise ValueError(f"--mode {opts['mode']} disagrees with the registry: "
+                         f"identity {identity!r} is verified in {record.mode} mode")
     seed = opts.get("seed", DEFAULT_SEED)
     rng = random.Random(seed)
     tol = opts.get("tol", 1e-12)
@@ -213,6 +216,11 @@ def _run_pipeline(opts: dict) -> ReportDocument:
     point = {}
     for k, v in point_scalars.items():
         point[k] = v.as_rational() if v.is_rational() else v
+    needed = [s for s in fam.free_symbols if s not in fam.fixed_bindings] + ["q"]
+    missing = [s for s in needed if s not in point]
+    if missing:
+        raise UnboundSymbol(f"--point leaves {missing} unbound: family {fam.name} "
+                            f"(--family-index {idx}) of shift {shift} needs {needed}")
     run = telescoped_check(
         shift, fam, opts.get("n_max", 5), point,
         tol=opts.get("tol", 1e-12), mode=opts.get("mode", "numeric"),
@@ -281,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="SYM=VALUE",
                    help="fix a symbol to an exact scalar (repeatable)")
     p.add_argument("--points", type=int, help="random points per cell for unbound symbols")
-    p.add_argument("--mode", choices=("exact", "numeric"), help="informational; the registry fixes the mode")
+    p.add_argument("--mode", choices=("exact", "numeric"),
+                   help="the identity's registry mode; a different mode is a usage error")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--registry", help="path to an identity registry JSON file")

@@ -29,6 +29,14 @@ class NotInTable(QForgeError, KeyError):
     """Shift vector has no transcribed (Q, R) pair."""
 
 
+class UnreachableTolerance(QForgeError):
+    """The tolerance is below the rounding error of the working precision."""
+
+
+class UnboundSymbol(QForgeError):
+    """A concrete point leaves a symbol that the evaluation needs unbound."""
+
+
 class BudgetExceeded(QForgeError):
     """Derived relation exceeded the requested x-degree budget."""
 

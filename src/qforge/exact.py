@@ -267,9 +267,25 @@ class ExactScalar:
         return NotImplemented
 
     def __hash__(self):
+        # equal values in different fields must hash equal, so hash the
+        # representative in the smallest field that holds the value
+        low = self._minimal_field()
+        if low.order == 1:
+            return hash(low.coeffs[0])
+        return hash((low.order, low.coeffs))
+
+    def _minimal_field(self) -> "ExactScalar":
+        """The same value in Q(zeta_d) for the least d that holds it (d
+        divides the order, since Q(zeta_n) meets Q(zeta_d) in
+        Q(zeta_gcd(n, d)))."""
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return ExactScalar(1, self.coeffs[:1])
+        for d in range(3, self.order):
+            if self.order % d == 0:
+                coeffs = _preimage(self, d)
+                if coeffs is not None:
+                    return ExactScalar(d, coeffs)
+        return self
 
     # -- text format -----------------------------------------------------
     def __repr__(self):
@@ -289,6 +305,36 @@ class ExactScalar:
             for c in reversed(self.coeffs):
                 acc = acc * z + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
             return +acc
+
+
+def _preimage(v: ExactScalar, d: int):
+    """Coefficients c with sum c_j zeta_d^j = v, or None when v is not in
+    Q(zeta_d); solved by Gauss-Jordan elimination over Q on the images of
+    the basis 1, zeta_d, ..., zeta_d^(phi(d)-1) in Q(zeta_order)."""
+    cols = [ExactScalar(d, [0] * j + [1]).embed(v.order).coeffs for j in range(euler_phi(d))]
+    # one row per coordinate of Q(zeta_order): [image coefficients | v]
+    rows = [[col[i] for col in cols] + [v.coeffs[i]] for i in range(len(v.coeffs))]
+    n = len(cols)
+    pivots = []
+    for j in range(n):
+        piv = next((r for r in range(len(pivots), len(rows)) if rows[r][j] != 0), None)
+        if piv is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = 1 / rows[k][j]
+        rows[k] = [c * inv for c in rows[k]]
+        for r in range(len(rows)):
+            if r != k and rows[r][j] != 0:
+                f = rows[r][j]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+        pivots.append(j)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None
+    out = [Fraction(0)] * n
+    for k, j in enumerate(pivots):
+        out[j] = rows[k][-1]
+    return out
 
 
 def cyclo_normalize(coeffs, order: int) -> ExactScalar:

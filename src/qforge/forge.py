@@ -20,6 +20,7 @@ from .errors import (
     DegenerateParameter,
     NotInTable,
     SamplingExhausted,
+    UnreachableTolerance,
     ZeroDenominator,
 )
 from .exact import ExactScalar, format_scalar
@@ -278,12 +279,12 @@ def _as_int_or_none(v):
 def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> None:
     """Exact check that the terminating series has no vanishing
     denominator factor within its summation range."""
-    params = {k: closed_form_eval(record.lhs[k], bindings, "exact", 0) for k in PARAM_KEYS}
-    q = ExactScalar.coerce(bindings["q"])
-    r = detect_termination(params["a"], params["b"], q)
+    p = _lhs_params(record, bindings, "exact")
+    q = p.q
+    r = detect_termination(p.a, p.b, q)
     if r is None:
         raise ConstraintViolated("series does not terminate")
-    cq = params["c"]
+    cq = p.c
     qq = ExactScalar.from_rational(1)
     for i in range(1, r + 1):
         qq = qq * q
@@ -292,6 +293,16 @@ def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> None:
                 f"denominator factor vanishes at i={i} within the summation range"
             )
         cq = cq * q
+
+
+def _lhs_params(record: IdentityRecord, bindings: dict, mode: str, tol: float = 0,
+                prec: int | None = None) -> Phi21Params:
+    """The parameters of the record's left-hand 2phi1 at the bindings, as
+    ExactScalars (mode "exact") or ApproxScalars (mode "numeric")."""
+    v = {k: closed_form_eval(record.lhs[k], bindings, mode, tol, prec) for k in PARAM_KEYS}
+    q = bindings["q"]
+    q = ExactScalar.coerce(q) if mode == "exact" else ApproxScalar.coerce(q, prec)
+    return Phi21Params(v["a"], v["b"], v["c"], q, v["x"])
 
 
 # -- verify ------------------------------------------------------------------------------
@@ -339,10 +350,9 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
     record = registry[identity_id]
     check_constraints(record, bindings)
     mode = record.mode
+    exact = _lhs_params(record, bindings, "exact")
     if mode == "exact":
-        params = {k: closed_form_eval(record.lhs[k], bindings, "exact", 0) for k in PARAM_KEYS}
-        series = phi21_exact(Phi21Params(params["a"], params["b"], params["c"],
-                                         ExactScalar.coerce(bindings["q"]), params["x"]))
+        series = phi21_exact(exact)
         rhs = closed_form_eval(record.rhs, bindings, "exact", 0)
         ok = (series.value - rhs).is_zero()
         return VerifyCase(
@@ -356,18 +366,22 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
     # slowly converging points (|x| near 1) need a tighter summation
     # tolerance than tol/8; the propagated error bounds tell us how much
     for _ in range(4):
-        params = {k: closed_form_eval(record.lhs[k], bindings, "numeric", inner, prec)
-                  for k in PARAM_KEYS}
-        series = phi21_numeric(
-            Phi21Params(params["a"], params["b"], params["c"],
-                        ApproxScalar.coerce(bindings["q"], prec), params["x"]),
-            inner, prec,
-        )
+        series = phi21_numeric(_lhs_params(record, bindings, "numeric", inner, prec),
+                               inner, prec, exact=exact)
         rhs = closed_form_eval(record.rhs, bindings, "numeric", inner, prec)
         diff = abs((series.value - rhs).val)
         budget = diff + series.value.err + rhs.err
         if budget <= tol:
             break
+        # each side's err holds at least 2**(2-prec) times its magnitude
+        # (the rounding of its last operation), whatever the summation tol;
+        # half of that leaves room for the values moving between rounds
+        floor = (series.value.magnitude() + rhs.magnitude()) * mpmath.mpf(2) ** (1 - prec)
+        if tol < floor:
+            raise UnreachableTolerance(
+                f"tol {tol:g} is below the rounding error {mpmath.nstr(floor, 3)} "
+                f"of {prec}-bit arithmetic at this point"
+            )
         inner = inner * mpmath.mpf(tol) / (4 * budget)
     ok = bool(budget <= tol)
     return VerifyCase(

@@ -167,19 +167,23 @@ def phi21_exact(p: Phi21Params, bound: int = TERMINATION_BOUND) -> SeriesValue:
 
 
 def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
-                  bound: int = TERMINATION_BOUND) -> SeriesValue:
+                  bound: int = TERMINATION_BOUND, exact: Phi21Params | None = None) -> SeriesValue:
     """Adaptive truncated 2phi1 for |q| < 1.
 
     Stops once three consecutive terms are below tol relative to the
     running partial sum; reports certified=True only when a geometric
     tail certificate holds at the stopping index.
+
+    A terminating series is summed to its last term.  Termination is
+    decided exactly, by detect_termination on the exact a, b and q: those
+    of `exact` (the exact parameters p's values approximate) when given,
+    else p's own.  An approximate a or b never counts as terminating.
     """
     prec = default_precision() if prec is None else prec
+    term_limit = _exact_termination(exact or p, bound)
     p = p.as_numeric(prec)
     if p.q.magnitude() >= 1:
         raise InvalidDomain("phi21_numeric requires |q| < 1")
-    eps = mpmath.mpf(2) ** (-(prec // 2))
-    term_limit = _numeric_termination(p, bound, eps)
     if term_limit is None and p.x.magnitude() >= 1:
         raise InvalidDomain("phi21_numeric requires |x| < 1 for non-terminating series")
 
@@ -223,17 +227,23 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
             prev_mag = mag
 
 
-def _numeric_termination(p: Phi21Params, bound: int, eps):
-    best = None
-    for v in (p.a, p.b):
-        acc = v
-        for r in range(bound + 1):
-            if abs(acc.val - 1) <= eps:
-                if best is None or r < best:
-                    best = r
-                break
-            acc = acc * p.q
-    return best
+def _exact_or_none(v):
+    """v as a Fraction (rationals multiply fastest so) or an ExactScalar;
+    None for an approximate value."""
+    if isinstance(v, ExactScalar):
+        return v.as_rational() if v.is_rational() else v
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v)
+    return None
+
+
+def _exact_termination(p: Phi21Params, bound: int):
+    q = _exact_or_none(p.q)
+    ab = [v for v in map(_exact_or_none, (p.a, p.b)) if v is not None]
+    if q is None or not ab:
+        return None
+    # with one exact parameter, checking it twice checks it alone
+    return detect_termination(ab[0], ab[-1], q, bound)
 
 
 def _certify_tail(p: Phi21Params, total, last_term, i, tol, prec) -> SeriesValue:

@@ -1,0 +1,248 @@
+"""ApproxScalar's libmp operators against the workprec formulas they replace.
+
+The reference below is the arithmetic as written with mpf/mpc operators
+inside mpmath.workprec, one context switch per operation.  Every operator
+must give the same bits of `val` and `err`, the same `certified` and
+`prec`, raise where the reference raises, and leave mpmath's global
+precision and rounding as they were.
+"""
+
+import operator
+from fractions import Fraction as F
+
+import mpmath
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from qforge.approx import ApproxScalar
+from qforge.errors import DivisionByZero
+from qforge.exact import ExactScalar
+
+PRECS = (113, 128, 192)
+
+
+# -- reference: mpf/mpc operators under workprec ------------------------------
+def ref_to_mpc(v, prec):
+    with mpmath.workprec(prec):
+        if isinstance(v, F):
+            return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+        if isinstance(v, int):
+            return mpmath.mpf(v)
+        if isinstance(v, (mpmath.mpf, mpmath.mpc)):
+            return mpmath.mpc(v) if isinstance(v, mpmath.mpc) else mpmath.mpf(v)
+        return v.to_complex(prec)
+
+
+def ref_make(value, err, certified, prec):
+    val = ref_to_mpc(value, prec)
+    with mpmath.workprec(prec):
+        e = mpmath.mpf(err)
+    assert not e < 0
+    out = object.__new__(ApproxScalar)
+    for name, v in (("val", val), ("err", e), ("certified", bool(certified)), ("prec", prec)):
+        object.__setattr__(out, name, v)
+    return out
+
+
+def ref_coerce(v, prec):
+    if isinstance(v, ApproxScalar):
+        return v
+    val = ref_to_mpc(v, prec)
+    return ref_make(val, abs(val) * mpmath.mpf(2) ** (2 - prec), True, prec)
+
+
+def ref_rounding(v, prec):
+    return abs(v) * mpmath.mpf(2) ** (2 - prec)
+
+
+def ref_binary(x, other, op):
+    o = ref_coerce(other, x.prec)
+    prec = max(x.prec, o.prec)
+    with mpmath.workprec(prec):
+        return op(x, o, prec)
+
+
+def ref_add(x, other):
+    def op(x, y, prec):
+        v = x.val + y.val
+        e = x.err + y.err + ref_rounding(v, prec)
+        return ref_make(v, e, x.certified and y.certified, prec)
+    return ref_binary(x, other, op)
+
+
+def ref_neg(x):
+    with mpmath.workprec(x.prec):
+        return ref_make(-x.val, x.err, x.certified, x.prec)
+
+
+def ref_sub(x, other):
+    return ref_add(x, ref_neg(ref_coerce(other, x.prec)))
+
+
+def ref_rsub(x, other):
+    return ref_add(ref_neg(x), other)
+
+
+def ref_mul(x, other):
+    def op(x, y, prec):
+        v = x.val * y.val
+        e = abs(x.val) * y.err + abs(y.val) * x.err + x.err * y.err
+        e += ref_rounding(v, prec)
+        return ref_make(v, e, x.certified and y.certified, prec)
+    return ref_binary(x, other, op)
+
+
+def ref_div(x, other):
+    def op(x, y, prec):
+        ay = abs(y.val)
+        if ay == 0 or ay <= y.err:
+            raise DivisionByZero("divisor not bounded away from zero")
+        v = x.val / y.val
+        e = (x.err + abs(v) * y.err) / (ay - y.err)
+        e += ref_rounding(v, prec)
+        return ref_make(v, e, x.certified and y.certified, prec)
+    return ref_binary(x, other, op)
+
+
+def ref_rdiv(x, other):
+    return ref_div(ref_coerce(other, x.prec), x)
+
+
+def ref_pow(x, e):
+    if e < 0:
+        return ref_div(ref_coerce(1, x.prec), ref_pow(x, -e))
+    out = ref_coerce(1, x.prec)
+    base = x
+    while e:
+        if e & 1:
+            out = ref_mul(out, base)
+        base = ref_mul(base, base)
+        e >>= 1
+    return out
+
+
+# -- operands -------------------------------------------------------------------
+def _mpf(v: F):
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+rationals = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=64),
+    # numerators and denominators wider than 192 bits round on conversion
+    st.builds(F, st.integers(-2**300, 2**300), st.integers(1, 2**260)),
+    st.sampled_from([F(0), F(1), F(-1), F(1, 3)]),
+)
+errs = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 1000), st.sampled_from([10**6, 10**30, 10**40])))
+
+
+@st.composite
+def approx(draw):
+    """Real and complex ApproxScalars: from rationals and exact scalars
+    through coerce, or from the public constructor with an explicit err,
+    including mpc parts computed 16 bits wider than prec (as
+    ExactScalar.to_complex hands them over), which it rounds to prec."""
+    prec = draw(st.sampled_from(PRECS))
+    kind = draw(st.sampled_from(("coerce", "real", "complex", "cyclo")))
+    if kind == "coerce":
+        return ApproxScalar.coerce(draw(rationals), prec)
+    if kind == "cyclo":
+        order = draw(st.sampled_from((3, 4, 6)))
+        coeffs = [draw(rationals.filter(lambda v: abs(v) < 2**40)) for _ in range(2)]
+        return ApproxScalar.coerce(ExactScalar(order, coeffs), prec)
+    err, certified = draw(errs), draw(st.booleans())
+    if kind == "real":
+        return ApproxScalar(_mpf(draw(rationals)), _mpf(err), certified, prec)
+    re_, im_ = draw(rationals), draw(rationals)
+    with mpmath.workprec(prec + 16):
+        value = mpmath.mpc(_mpf(re_), _mpf(im_))
+    return ApproxScalar(value, _mpf(err), certified, prec)
+
+
+exact_others = st.one_of(rationals, st.integers(-50, 50))
+others = st.one_of(approx(), exact_others)
+
+
+def assert_same(got, want):
+    for v in (got.val, want.val):
+        assert type(v) in (mpmath.mpf, mpmath.mpc)
+    assert type(got.val) is type(want.val)
+    raw = (lambda v: v._mpf_) if type(want.val) is mpmath.mpf else (lambda v: v._mpc_)
+    assert raw(got.val) == raw(want.val)
+    assert type(got.err) is mpmath.mpf
+    assert got.err._mpf_ == want.err._mpf_
+    assert got.certified is want.certified
+    assert got.prec == want.prec
+
+
+def context():
+    """mpmath's global precision and rounding mode (mpmath 1.3 keeps the
+    rounding only in _prec_rounding)."""
+    return tuple(mpmath.mp._prec_rounding)
+
+
+def check(fast, ref, *args):
+    before = context()
+    try:
+        want = ref(*args)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            fast(*args)
+        assert context() == before
+        return
+    got = fast(*args)
+    assert context() == before
+    assert_same(got, want)
+
+
+SETTINGS = dict(max_examples=1000, deadline=None, database=None)
+
+
+
+@seed(20261018)
+@settings(**SETTINGS)
+@given(approx(), others, exact_others, st.integers(-6, 9))
+def test_operators_bits_match_workprec(x, y, z, e):
+    """Each case runs every operator: forward ones with an ApproxScalar,
+    int or Fraction on the right, reflected ones with an int or Fraction
+    on the left (an ApproxScalar there runs its own forward operator)."""
+    check(operator.add, ref_add, x, y)
+    check(operator.sub, ref_sub, x, y)
+    check(operator.mul, ref_mul, x, y)
+    check(operator.truediv, ref_div, x, y)
+    check(lambda a, b: b + a, ref_add, x, z)
+    check(lambda a, b: b - a, ref_rsub, x, z)
+    check(lambda a, b: b * a, ref_mul, x, z)
+    check(lambda a, b: b / a, ref_rdiv, x, z)
+    check(operator.neg, ref_neg, x)
+    check(operator.pow, ref_pow, x, e)
+
+
+@seed(20261018)
+@settings(**SETTINGS)
+@given(approx())
+def test_zero_results_and_zero_divisors(x):
+    """x - x and 0 * x give zero values; dividing by them, or by a value
+    whose err covers it, raises DivisionByZero, as in the reference."""
+    check(operator.sub, ref_sub, x, x)
+    check(operator.mul, ref_mul, x, 0)
+    diff = x - x
+    check(operator.truediv, ref_div, x, diff)
+    check(operator.truediv, ref_div, x, 0)
+    check(operator.truediv, ref_div, x, ApproxScalar(1, 1, True, x.prec))
+    check(lambda a, b: b / a, ref_rdiv, diff, 1)
+    check(operator.pow, ref_pow, diff, -1)
+
+
+def test_coerce_one_is_the_formula():
+    for prec in PRECS:
+        assert_same(ApproxScalar.coerce(1, prec), ref_coerce(1, prec))
+
+
+def test_global_context_untouched_inside_workprec():
+    """Operators use their own precision, whatever the caller's context."""
+    x = ApproxScalar.coerce(F(1, 3), 113)
+    with mpmath.workprec(300):
+        got = (x * x - 1) / x
+        assert mpmath.mp.prec == 300
+    assert_same(got, ref_div(ref_sub(ref_mul(x, x), 1), x))

@@ -64,10 +64,37 @@ def test_conjecture(capsys):
 
 
 def test_exit_code_on_failure(capsys):
-    # perturbed tolerance far below reachable accuracy forces failures
+    # a tolerance far below reachable accuracy makes every case an error
     code, out = run_cli(capsys, "verify", "--identity", "qbinom",
                         "--points", "2", "--q", "1/2", "--tol", "1e-60")
     assert code == 1
+
+
+def test_unreachable_tolerance_is_an_error_case(capsys):
+    code, out = run_cli(capsys, "verify", "--identity", "qbinom",
+                        "--points", "2", "--q", "1/2", "--tol", "1e-60")
+    assert code == 1
+    cases = json.loads(out)["cases"]
+    assert [c["status"] for c in cases] == ["error", "error"]
+    assert all(c["detail"].startswith("UnreachableTolerance: tol 1e-60") for c in cases)
+
+
+def test_verify_mode_must_match_registry(capsys):
+    assert main(["verify", "--identity", "sv1", "--grid", "M=0..0,N=0..0", "--mode", "numeric"]) == 2
+    err = capsys.readouterr().err
+    assert "--mode numeric" in err and "exact mode" in err
+    assert main(["verify", "--identity", "qbinom", "--points", "1", "--mode", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert "--mode exact" in err and "numeric mode" in err
+
+
+def test_pipeline_names_family_of_unbound_point(capsys):
+    code = main(["pipeline", "--shift", "0,3,3,0", "--point", "b=8", "--point", "q=1/2",
+                 "--mode", "exact"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "UnboundSymbol" in err and "['a', 'c']" in err
+    assert "(a, b, c, c/(ab))" in err and "--family-index 0" in err
 
 
 def test_usage_error_exit_2(capsys):

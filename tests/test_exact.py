@@ -153,3 +153,18 @@ def test_pow_and_lcm_orders():
     v = ExactScalar.zeta(6)
     assert v == 1 + ExactScalar.zeta(3)  # zeta_6 = 1 + zeta_3
     assert math.lcm(3, 4) == (Z3 + Z4).order
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 6])
+def test_hash_is_invariant_under_embed(order):
+    rng = random.Random(order)
+    for _ in range(10):
+        x = ExactScalar(order, [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(euler_phi(order))])
+        for target in (order * 2, order * 3, 12):
+            if target % order == 0:
+                y = x.embed(target)
+                assert x == y and hash(x) == hash(y)
+                assert len({x, y}) == 1
+    z3 = ExactScalar.zeta(3)
+    assert len({z3, z3.embed(6), z3.embed(12)}) == 1
+    assert hash(ExactScalar.zeta(6)) == hash(1 + z3)  # zeta_6 = 1 + zeta_3

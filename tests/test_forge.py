@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from qforge import forge
-from qforge.errors import ConstraintViolated, DegenerateParameter
+from qforge.errors import ConstraintViolated, DegenerateParameter, UnreachableTolerance
 from qforge.exact import ExactScalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
 from qforge.forge import (
@@ -206,3 +206,9 @@ def test_eval_rational_function_examples():
     rel = qr_lookup((0, 1, 1, 0))
     pt = {"a": F(2), "b": F(3), "c": F(5), "x": F(7), "q": F(11)}
     assert rel.Q.eval(pt) == F(37, 3)
+
+
+def test_verify_unreachable_tolerance_is_a_typed_error():
+    # 1e-60 is far below the 2**-111 rounding of 113-bit values near 1
+    with pytest.raises(UnreachableTolerance, match=r"tol 1e-60 .* 113-bit"):
+        verify_identity("qbinom", {"a": F(62, 81), "x": F(1, 51), "q": Q12}, tol=1e-60, prec=113)

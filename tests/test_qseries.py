@@ -196,3 +196,34 @@ def test_phi21_numeric_exact_agreement():
             # inside the propagated rounding bound
             assert delta <= 10 * tol * (1 + abs(ref))
             assert delta <= numeric.value.err + mpmath.mpf(10) * tol
+
+
+def _mp(v: F):
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def test_phi21_numeric_near_terminating_a_is_not_falsely_certified():
+    # a q^2 = 1 + 1e-18 is not 1: the series does not terminate, and a
+    # certified bound must hold against mpmath.qhyper
+    a, b, c, q = 4 * (1 + F(1, 10**18)), F(3, 10), F(1, 5), F(1, 2)
+    r = phi21_numeric(Phi21Params(a, b, c, q, q), 1e-20)
+    assert not r.terminated
+    with mpmath.workprec(300):
+        ref = mpmath.qhyper([_mp(a), _mp(b)], [_mp(c)], _mp(q), _mp(q))
+        assert not r.certified or abs(r.value.val - ref) <= r.value.err
+
+
+def test_phi21_numeric_terminates_exactly():
+    # a q^2 = 1 exactly: three terms, whatever the tolerance
+    r = phi21_numeric(Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q), 1e-12)
+    assert r.terminated and r.terms_used == 3
+    exact = phi21_exact(Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q)).value
+    with mpmath.workprec(150):
+        assert abs(r.value.val - exact.to_complex(130)) <= r.value.err
+    # the same a as an ApproxScalar never counts as terminating ...
+    approx_a = ApproxScalar.coerce(4)
+    assert not phi21_numeric(Phi21Params(approx_a, F(3, 10), F(1, 5), Q, Q), 1e-12).terminated
+    # ... unless the exact parameters it stands for are given
+    exact_p = Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q)
+    assert phi21_numeric(Phi21Params(approx_a, F(3, 10), F(1, 5), Q, Q), 1e-12,
+                         exact=exact_p).terminated
