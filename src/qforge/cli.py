@@ -125,16 +125,20 @@ def _run_verify(opts: dict) -> ReportDocument:
     qs = [parse_scalar(t) for t in (opts.get("q") or "1/2").split(",")]
     n_points = opts.get("points") or 0
 
+    free_rest = [s for s in record.free if s not in grid and s not in fixed]
+    if free_rest and not n_points:
+        raise UnboundSymbol(f"identity {identity!r} leaves {free_rest} unbound: "
+                            f"bind them with --grid or --set, or sample them with --points")
+
     report = ReportDocument("verify", _echo_options(opts), seed)
     grid_syms = sorted(grid)
     cells = list(itertools.product(*(grid[s] for s in grid_syms))) or [()]
-    free_rest = [s for s in record.free if s not in grid and s not in fixed]
     for qv in qs:
         for cell in cells:
             base = dict(fixed)
             base.update({s: v for s, v in zip(grid_syms, cell)})
             base["q"] = qv.as_rational() if qv.is_rational() else qv
-            if free_rest and n_points:
+            if free_rest:
                 for _ in range(n_points):
                     bindings = _sample_bindings(record, base, free_rest, rng)
                     report.cases.append(_verify_one(identity, bindings, tol, registry))
@@ -150,7 +154,7 @@ def _sample_bindings(record, base: dict, free_rest, rng, limit: int = 500) -> di
             bindings[s] = rand_fraction_wide(rng)
         try:
             check_constraints(record, bindings)
-        except (ConstraintViolated, KeyError):
+        except ConstraintViolated:
             continue
         return bindings
     raise ConstraintViolated(f"no admissible bindings found for {record.id}")
@@ -339,7 +343,7 @@ def main(argv=None) -> int:
     opts = {k: v for k, v in vars(ns).items() if k not in ("command", "format", "output")}
     try:
         report, code = execute(ns.command, opts)
-    except (QForgeError, ValueError, KeyError) as exc:
+    except (QForgeError, ValueError) as exc:
         print(f"qforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_EXIT
     if ns.format == "json":

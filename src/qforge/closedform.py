@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .approx import ApproxScalar, default_precision
-from .errors import DivisionByZero, InvalidDomain, ZeroDenominator
+from .errors import DivisionByZero, InvalidDomain, UnboundSymbol, ZeroDenominator
 from .exact import ExactScalar, format_scalar, parse_scalar
 from .qseries import qpoch_finite, qpoch_infinite
 
@@ -137,7 +137,7 @@ def _eval_rat(tree: dict, bindings: dict) -> Fraction:
     if kind == "lit":
         return parse_scalar(tree["value"]).as_rational()
     if kind == "sym":
-        v = bindings[tree["name"]]
+        v = _binding(bindings, tree["name"])
         if isinstance(v, ExactScalar):
             return v.as_rational()
         return Fraction(v)
@@ -165,9 +165,14 @@ def closed_form_eval(tree: dict, bindings: dict, mode: str = "exact",
     prec = default_precision() if prec is None else prec
     n_inf = _count_inf(tree)
     inf_tol = tol / (8 * max(1, n_inf))
-    if "q" not in bindings:
-        raise KeyError("bindings must include q")
+    _binding(bindings, "q")
     return _eval(tree, bindings, mode, inf_tol, prec)
+
+
+def _binding(bindings: dict, name: str):
+    if name not in bindings:
+        raise UnboundSymbol(f"unbound symbol {name!r}")
+    return bindings[name]
 
 
 def _count_inf(tree: dict) -> int:
@@ -194,10 +199,7 @@ def _eval(tree: dict, bindings: dict, mode: str, inf_tol: float, prec: int):
     if kind == "lit":
         return _coerce_mode(parse_scalar(tree["value"]), mode, prec)
     if kind == "sym":
-        name = tree["name"]
-        if name not in bindings:
-            raise KeyError(f"unbound symbol {name!r}")
-        return _coerce_mode(bindings[name], mode, prec)
+        return _coerce_mode(_binding(bindings, tree["name"]), mode, prec)
     if kind == "qpow":
         e = eval_int(tree["exp"], bindings)
         q = _coerce_mode(bindings["q"], mode, prec)

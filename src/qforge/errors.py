@@ -33,8 +33,10 @@ class UnreachableTolerance(QForgeError):
     """The tolerance is below the rounding error of the working precision."""
 
 
-class UnboundSymbol(QForgeError):
+class UnboundSymbol(QForgeError, KeyError):
     """A concrete point leaves a symbol that the evaluation needs unbound."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
 class BudgetExceeded(QForgeError):

@@ -88,6 +88,7 @@ def build_default_registry() -> dict:
                 {"type": "nonzero", "expr": a},
                 {"type": "nonzero", "expr": b},
                 {"type": "abs_lt", "expr": cf.div(c, cf.mul(a, b)), "bound": "1"},
+                {"type": "lhs_defined"},
             ],
         ),
         rec(
@@ -109,6 +110,7 @@ def build_default_registry() -> dict:
             [
                 {"type": "nonzero", "expr": a},
                 {"type": "abs_lt", "expr": cf.div(q1, a), "bound": "1"},
+                {"type": "lhs_defined"},
             ],
         ),
         rec(
@@ -277,10 +279,18 @@ def _as_int_or_none(v):
 
 
 def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> None:
-    """Exact check that the terminating series has no vanishing
-    denominator factor within its summation range."""
+    """Exact check that no denominator factor of the lhs series vanishes:
+    (c;q)_i and (q;q)_i within the summation range of a terminating record,
+    c*q^j = 1 for a non-terminating one, whose rhs divides by (c;q)_inf."""
     p = _lhs_params(record, bindings, "exact")
     q = p.q
+    if record.mode == "numeric":
+        # rational values as Fractions, which multiply about ten times faster
+        c, q = (v.as_rational() if v.is_rational() else v for v in (p.c, q))
+        j = detect_termination(c, c, q)
+        if j is not None:
+            raise ConstraintViolated(f"denominator factor 1 - c*q^{j} vanishes")
+        return
     r = detect_termination(p.a, p.b, q)
     if r is None:
         raise ConstraintViolated("series does not terminate")

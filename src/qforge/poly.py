@@ -10,6 +10,7 @@ to keep intermediate results small.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -125,8 +126,6 @@ class MultiPoly:
         """Positive rational content (gcd of numerators / lcm of denominators)."""
         if self.is_zero():
             return Fraction(1)
-        import math
-
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
@@ -449,17 +448,9 @@ class RationalFunction:
         """Divide out the multivariate gcd (sympy sparse rings)."""
         if self.num.is_zero():
             return RationalFunction(MultiPoly.const(0, self.vars), MultiPoly.const(1, self.vars))
-        num, den = self.num, self.den
-        if den.is_const():
-            return RationalFunction(num * (1 / den.const_value()), MultiPoly.const(1, num.vars))
-        sn, sd = num._to_sym(), den._to_sym()
-        g = sn.gcd(sd)
-        if not g.is_one:
-            sn = sn.quo(g)
-            sd = sd.quo(g)
-            num = MultiPoly._from_sym(sn, num.vars)
-            den = MultiPoly._from_sym(sd, den.vars)
-        return RationalFunction(num, den)
+        if self.den.is_const():
+            return RationalFunction(self.num * (1 / self.den.const_value()), MultiPoly.const(1, self.vars))
+        return RationalFunction(*cancel_common([self.num, self.den]))
 
     # -- evaluation / substitution ---------------------------------------------------------------
     def eval(self, point: dict):
@@ -497,16 +488,7 @@ def _scalar_is_zero(v) -> bool:
 def _normalize_pair(num: MultiPoly, den: MultiPoly):
     if num.is_zero():
         return num, MultiPoly.const(1, den.vars)
-    # strip common monomial factor
-    strip = None
-    for p in (num, den):
-        mins = None
-        for exps in p.terms:
-            mins = exps if mins is None else tuple(map(min, mins, exps))
-        strip = mins if strip is None else tuple(map(min, strip, mins))
-    if strip and any(strip):
-        num = MultiPoly(num.vars, {tuple(e - s for e, s in zip(exps, strip)): c for exps, c in num.terms.items()})
-        den = MultiPoly(den.vars, {tuple(e - s for e, s in zip(exps, strip)): c for exps, c in den.terms.items()})
+    num, den = _strip_monomial([num, den])
     # scale so den is primitive with positive leading coefficient
     scale = den.content()
     if den.leading()[1] < 0:
@@ -516,3 +498,56 @@ def _normalize_pair(num: MultiPoly, den: MultiPoly):
         num = num * inv
         den = den * inv
     return num, den
+
+
+def _strip_monomial(polys: list[MultiPoly]) -> list[MultiPoly]:
+    """Divide same-variable polynomials by the largest monomial dividing
+    every nonzero one."""
+    strip = None
+    for p in polys:
+        for exps in p.terms:
+            strip = exps if strip is None else tuple(map(min, strip, exps))
+    if not strip or not any(strip):
+        return polys
+    return [
+        MultiPoly(p.vars, {tuple(e - s for e, s in zip(exps, strip)): c for exps, c in p.terms.items()})
+        for p in polys
+    ]
+
+
+def cancel_common(polys: list[MultiPoly]) -> list[MultiPoly]:
+    """Strip common monomial factors, rational content, and the common
+    multivariate gcd from a list of polynomials."""
+    names = tuple(sorted({v for p in polys for v in p.vars}))
+    polys = _strip_monomial([p.extend(names) for p in polys])
+    nonzero = [p for p in polys if not p.is_zero()]
+    if not nonzero:
+        return polys
+    num_gcd, den_lcm = 0, 1
+    for p in nonzero:
+        cont = p.content()
+        num_gcd = math.gcd(num_gcd, cont.numerator)
+        den_lcm = den_lcm * cont.denominator // math.gcd(den_lcm, cont.denominator)
+    scale = Fraction(den_lcm, num_gcd)
+    if scale != 1:
+        polys = [p * scale for p in polys]
+    syms = [None if p.is_zero() else p._to_sym() for p in polys]
+    g = None
+    for s in syms:
+        if s is not None:
+            g = s if g is None else g.gcd(s)
+            if g.is_one:
+                return polys
+    return [p if s is None else MultiPoly._from_sym(s.quo(g), names) for p, s in zip(polys, syms)]
+
+
+def over_common_denominator(fns: list[RationalFunction]) -> tuple[MultiPoly, list[MultiPoly]]:
+    """(D, [N_i]) with D the least common multiple of the denominators and
+    fns[i] = N_i / D, all in the union of the functions' variables."""
+    names = tuple(sorted({v for f in fns for v in f.vars}))
+    dens = [f.den.extend(names)._to_sym() for f in fns]
+    lcm = dens[0]
+    for d in dens[1:]:
+        lcm = lcm * d.quo(lcm.gcd(d))
+    nums = [f.num.extend(names) * MultiPoly._from_sym(lcm.quo(d), names) for f, d in zip(fns, dens)]
+    return MultiPoly._from_sym(lcm, names), nums

@@ -3,17 +3,19 @@ derivation engine for arbitrary shift vectors.
 
 The derivation walks the parameter lattice one contiguous step at a time,
 tracking the representation of the walked series in the fixed basis
-(phi(x), phi(xq)) as a pair of rational functions.  Each step uses one of
-the elementary contiguous relations
+(phi(x), phi(xq)) as a pair of rational functions.  Four of the eight
+moves come directly from the elementary contiguous relations
 
     (1-A) phi(Aq,B;C;y)  = phi(y) - A phi(yq)                 (a up)
     (1-B) phi(A,Bq;C;y)  = phi(y) - B phi(yq)                 (b up)
     (q-C) phi(A,B;C/q;y) = q phi(y) - C phi(yq)               (c down)
     (C - ABqy) phi(yq^2) = ((C+q)-(A+B)qy) phi(yq) - q(1-y) phi(y)
 
-(all provable by matching series coefficients); downward a/b steps and the
-upward c step solve the corresponding 2x2 linear system built from the
-same relations at the stepped parameters.  The (Q, R) pair of the
+(all provable by matching series coefficients; the last one is the x up
+move).  Each opposite move is the inverse of the direct 2x2 matrix built
+at the target parameters.  One step function computes every move over any
+field: rational functions for the derivation, plain Fractions or
+cyclotomic scalars at concrete points.  The (Q, R) pair of the
 normal-form relation is recovered at the end via
 phi(xq) = phi - x(1-a)(1-b)/(1-c) * phi(aq,bq;cq;x), and is verified both
 by exact series matching at random rational points and by the numeric
@@ -35,7 +37,7 @@ from .errors import (
     VerificationFailed,
     ZeroDenominator,
 )
-from .poly import MultiPoly, RationalFunction
+from .poly import MultiPoly, RationalFunction, cancel_common, over_common_denominator
 from .qseries import Phi21Params, phi21_numeric
 
 DEFAULT_DEGREE_BUDGET = 8
@@ -147,191 +149,63 @@ def qr_lookup(shift) -> ThreeTermRelation:
 
 
 # -- the contiguous-step ladder ----------------------------------------------------
+#
+# _r2, _direct and contiguous_step work over any field: qr_derive runs them
+# on RationalFunctions, and they run as well on Fractions or ExactScalars.
+
+_AXES = "abcx"
 
 
-class _Ladder:
-    """Tracks (phi_cur(y), phi_cur(yq)) in the basis (phi(x), phi(xq)).
-
-    The two representation rows share one polynomial denominator; every
-    step multiplies the state by a small 2x2 matrix of rational functions
-    and cancels the common gcd once, so intermediate sizes stay close to
-    the true (Q, R) of the intermediate shifts.
-    """
-
-    def __init__(self):
-        one = MultiPoly.const(1)
-        zero = MultiPoly.const(0)
-        self.v = [[one, zero], [zero, one]]
-        self.den = one
-        self.off = [0, 0, 0, 0]  # current q-power offsets of (a, b, c, x)
-
-    # current parameter values as (monomial) rational functions
-    def _cur(self):
-        a, b, c, q, x = _rf_vars()
-        ka, lb, mc, nx = self.off
-        return a * q**ka, b * q**lb, c * q**mc, x * q**nx, q
-
-    def _r2_coeffs(self):
-        """(g0, g1) with phi_cur(yq^2) = g0*row0 + g1*row1 (q-difference eq)."""
-        A, B, C, y, q = self._cur()
-        den = C - A * B * q * y
-        return -(q * (1 - y)) / den, ((C + q) - (A + B) * q * y) / den
-
-    def _apply(self, beta):
-        """State := beta @ state for a 2x2 matrix of rational functions."""
-        entries = [e.cancel() for e in (beta[0][0], beta[0][1], beta[1][0], beta[1][1])]
-        names = set()
-        for e in entries:
-            names |= set(e.num.vars) | set(e.den.vars)
-        names = tuple(sorted(names))
-        dens = [e.den.extend(names)._to_sym() for e in entries]
-        d_move_s = dens[0]
-        for d in dens[1:]:
-            d_move_s = d_move_s * d.quo(d_move_s.gcd(d))
-        d_move = MultiPoly._from_sym(d_move_s, names)
-        nums = [
-            e.num.extend(names) * MultiPoly._from_sym(d_move_s.quo(d), names)
-            for e, d in zip(entries, dens)
-        ]
-        b00, b01, b10, b11 = nums
-        new_v = [
-            [b00 * self.v[0][0] + b01 * self.v[1][0], b00 * self.v[0][1] + b01 * self.v[1][1]],
-            [b10 * self.v[0][0] + b11 * self.v[1][0], b10 * self.v[0][1] + b11 * self.v[1][1]],
-        ]
-        new_den = self.den * d_move
-        flat = _cancel_common([new_v[0][0], new_v[0][1], new_v[1][0], new_v[1][1], new_den])
-        self.v = [[flat[0], flat[1]], [flat[2], flat[3]]]
-        self.den = flat[4]
-
-    def rows(self):
-        den = RationalFunction.from_poly(self.den)
-        return (
-            (RationalFunction.from_poly(self.v[0][0]) / den, RationalFunction.from_poly(self.v[0][1]) / den),
-            (RationalFunction.from_poly(self.v[1][0]) / den, RationalFunction.from_poly(self.v[1][1]) / den),
-        )
-
-    def _beta_direct_up(self, t, g0, g1):
-        """Rows for (1-t)*new0 = r0 - t*r1, (1-t)*new1 = r1 - t*r2."""
-        inv = 1 / (1 - t)
-        return [[inv, -t * inv], [-t * g0 * inv, (1 - t * g1) * inv]]
-
-    def _beta_solve(self, t, h0, h1):
-        """Inverse of [[1, -t], [-t*h0, 1 - t*h1]] scaled by (1-t)."""
-        det = (1 - t * h1) - t * t * h0
-        s = (1 - t) / det
-        return [[(1 - t * h1) * s, t * s], [t * h0 * s, s]]
-
-    def step_a(self, up: bool):
-        A, B, C, y, q = self._cur()
-        if up:
-            g0, g1 = self._r2_coeffs()
-            self._apply(self._beta_direct_up(A, g0, g1))
-            self.off[0] += 1
-        else:
-            t = A / q
-            den = C - t * B * q * y
-            h0 = -(q * (1 - y)) / den
-            h1 = ((C + q) - (t + B) * q * y) / den
-            self._apply(self._beta_solve(t, h0, h1))
-            self.off[0] -= 1
-
-    def step_b(self, up: bool):
-        A, B, C, y, q = self._cur()
-        if up:
-            g0, g1 = self._r2_coeffs()
-            self._apply(self._beta_direct_up(B, g0, g1))
-            self.off[1] += 1
-        else:
-            t = B / q
-            den = C - A * t * q * y
-            h0 = -(q * (1 - y)) / den
-            h1 = ((C + q) - (A + t) * q * y) / den
-            self._apply(self._beta_solve(t, h0, h1))
-            self.off[1] -= 1
-
-    def step_c(self, up: bool):
-        A, B, C, y, q = self._cur()
-        if up:
-            tgt = C * q
-            den = tgt - A * B * q * y
-            h0 = -(q * (1 - y)) / den
-            h1 = ((tgt + q) - (A + B) * q * y) / den
-            self._apply(self._beta_solve(C, h0, h1))
-            self.off[2] += 1
-        else:
-            g0, g1 = self._r2_coeffs()
-            inv = 1 / (q - C)
-            beta = [[q * inv, -C * inv], [-C * g0 * inv, (q - C * g1) * inv]]
-            self._apply(beta)
-            self.off[2] -= 1
-
-    def step_x(self, up: bool):
-        A, B, C, y, q = self._cur()
-        zero = RationalFunction.const(0)
-        one = RationalFunction.const(1)
-        if up:
-            g0, g1 = self._r2_coeffs()
-            self._apply([[zero, one], [g0, g1]])
-            self.off[3] += 1
-        else:
-            cf0 = ((C + q) - (A + B) * y) / (q - y)
-            cf1 = -(C - A * B * y) / (q - y)
-            self._apply([[cf0, cf1], [one, zero]])
-            self.off[3] -= 1
+def _r2(A, B, C, y, q):
+    """(g0, g1) with phi(yq^2) = g0*phi(y) + g1*phi(yq) at (A, B; C)."""
+    den = C - A * B * q * y
+    return -(q * (1 - y)) / den, ((C + q) - (A + B) * q * y) / den
 
 
-def _cancel_common(polys: list[MultiPoly]) -> list[MultiPoly]:
-    """Strip rational content, common monomial factors, and the common
-    multivariate gcd from a list of polynomials."""
-    names = set()
-    for p in polys:
-        names |= set(p.vars)
-    names = tuple(sorted(names))
-    polys = [p.extend(names) for p in polys]
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        return polys
-    # common monomial factor
-    strip = None
-    for p in nonzero:
-        mins = None
-        for exps in p.terms:
-            mins = exps if mins is None else tuple(map(min, mins, exps))
-        strip = mins if strip is None else tuple(map(min, strip, mins))
-    if strip and any(strip):
-        polys = [
-            MultiPoly(names, {tuple(e - s for e, s in zip(exps, strip)): cf for exps, cf in p.terms.items()})
-            for p in polys
-        ]
-        nonzero = [p for p in polys if not p.is_zero()]
-    # rational content
-    import math
+def _direct(axis, p, q):
+    """The matrix taking (phi(y), phi(yq)) at p = (A, B, C, y) to the same
+    pair one step along `axis` in the direction a contiguous relation
+    gives directly: a, b or x up, or c down."""
+    A, B, C, y = p
+    g0, g1 = _r2(A, B, C, y, q)
+    if axis == "x":
+        return ((0, 1), (g0, g1))
+    t = C / q if axis == "c" else p[_AXES.index(axis)]
+    s = 1 / (1 - t)
+    return ((s, -t * s), (-t * g0 * s, (1 - t * g1) * s))
 
-    num_gcd, den_lcm = 0, 1
-    for p in nonzero:
-        cont = p.content()
-        num_gcd = math.gcd(num_gcd, cont.numerator)
-        den_lcm = den_lcm * cont.denominator // math.gcd(den_lcm, cont.denominator)
-    scale = Fraction(den_lcm, num_gcd) if num_gcd else Fraction(1)
-    if scale != 1:
-        polys = [p * scale for p in polys]
-        nonzero = [p for p in polys if not p.is_zero()]
-    # multivariate gcd
-    syms = [p._to_sym() for p in nonzero]
-    g = syms[0]
-    for s in syms[1:]:
-        if g.is_one:
-            break
-        g = g.gcd(s)
-    if not g.is_one:
-        out = []
-        for p in polys:
-            if p.is_zero():
-                out.append(p)
-            else:
-                out.append(MultiPoly._from_sym(p._to_sym().quo(g), names))
-        polys = out
-    return polys
+
+def contiguous_step(axis: str, up: bool, p, q):
+    """(M, p') for one step of parameter `axis` ("a", "b", "c" or "x")
+    up (times q) or down (over q) from p = (A, B, C, y):
+    (phi(y), phi(yq)) at p' equals M times (phi(y), phi(yq)) at p.
+
+    The opposite of a direct move is the inverse of the direct matrix
+    built at the target p'."""
+    i = _AXES.index(axis)
+    moved = list(p)
+    moved[i] = p[i] * q if up else p[i] / q
+    moved = tuple(moved)
+    if up == (axis != "c"):
+        return _direct(axis, p, q), moved
+    (m00, m01), (m10, m11) = _direct(axis, moved, q)
+    det = m00 * m11 - m01 * m10
+    return ((m11 / det, -m01 / det), (-m10 / det, m00 / det)), moved
+
+
+def _apply(m, v, den):
+    """(m @ v, den * D) for the 2x2 representation v over the polynomial
+    denominator den, D the least common denominator of m's entries, with
+    common factors cancelled so the sizes stay close to the true (Q, R)
+    of the intermediate shifts."""
+    d, (b00, b01, b10, b11) = over_common_denominator(
+        [RationalFunction.const(e).cancel() for row in m for e in row])
+    flat = cancel_common([
+        b00 * v[0][0] + b01 * v[1][0], b00 * v[0][1] + b01 * v[1][1],
+        b10 * v[0][0] + b11 * v[1][0], b10 * v[0][1] + b11 * v[1][1],
+        den * d,
+    ])
+    return [flat[0:2], flat[2:4]], flat[4]
 
 
 def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
@@ -346,12 +220,16 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
     a, b, c, q, x = _rf_vars()
     if shift.as_tuple() == (0, 0, 0, 0):
         return ThreeTermRelation(shift, RationalFunction.const(0), RationalFunction.const(1))
-    lad = _Ladder()
-    for count, step in ((shift.k, lad.step_a), (shift.l, lad.step_b),
-                        (shift.m, lad.step_c), (shift.n, lad.step_x)):
+    # (phi(y), phi(yq)) at the walked parameters p, in the basis
+    # (phi(x), phi(xq)): the rows of v over the shared denominator den
+    one, zero = MultiPoly.const(1), MultiPoly.const(0)
+    v, den = [[one, zero], [zero, one]], one
+    p = (a, b, c, x)
+    for axis, count in zip(_AXES, shift.as_tuple()):
         for _ in range(abs(count)):
-            step(count > 0)
-    rep0, rep1 = lad.rows()[0]
+            m, p = contiguous_step(axis, count > 0, p, q)
+            v, den = _apply(m, v, den)
+    rep0, rep1 = (RationalFunction(e, den) for e in v[0])
     Q = (-rep1 * x * (1 - a) * (1 - b) / (1 - c)).cancel()
     R = (rep0 + rep1).cancel()
     rel = ThreeTermRelation(shift, Q, R)
@@ -369,25 +247,9 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
     return rel
 
 
-def _cleared_polys(rel: ThreeTermRelation):
-    """(P0, P1, P2) with P0 the least common denominator of Q and R."""
-    names = set()
-    for p in (rel.Q.num, rel.Q.den, rel.R.num, rel.R.den):
-        names |= set(p.vars)
-    names = tuple(sorted(names))
-    dq, dr = rel.Q.den.extend(names), rel.R.den.extend(names)
-    sq, sr = dq._to_sym(), dr._to_sym()
-    g = sq.gcd(sr)
-    cof_q = MultiPoly._from_sym(sr.quo(g), names)
-    cof_r = MultiPoly._from_sym(sq.quo(g), names)
-    p0 = dq * cof_q
-    p1 = rel.Q.num.extend(names) * cof_q
-    p2 = rel.R.num.extend(names) * cof_r
-    return p0, p1, p2
-
-
 def _cleared_x_degree(rel: ThreeTermRelation) -> int:
-    return max(p.degree_in("x") for p in _cleared_polys(rel))
+    p0, nums = over_common_denominator([rel.Q, rel.R])
+    return max(p.degree_in("x") for p in (p0, *nums))
 
 
 def _series_coeffs(a0: Fraction, b0: Fraction, c0: Fraction, q0: Fraction, order: int):
@@ -427,7 +289,8 @@ def _series_verify(rel: ThreeTermRelation, order: int, rng: random.Random, point
     """Exact check that P0*phi_shifted - P1*phi_up - P2*phi_base has zero
     series coefficients through x^(order-1) at random rational points."""
     s = rel.shift
-    pp0, pp1, pp2 = _cleared_polys(rel)
+    # P0 = lcm of the denominators of Q and R, P1 = P0*Q, P2 = P0*R
+    pp0, (pp1, pp2) = over_common_denominator([rel.Q, rel.R])
     p0, p1, p2 = _x_coeff_polys(pp0), _x_coeff_polys(pp1), _x_coeff_polys(pp2)
     done = 0
     attempts = 0
@@ -502,18 +365,17 @@ def rand_fraction_wide(rng: random.Random, max_den: int = 97) -> Fraction:
 
 
 def sample_relation_point(rng: random.Random, shift: ShiftVector) -> dict:
-    """Admissible random point: coordinates in (0, 1/2), x scaled so the
-    shifted argument x*q^n stays inside the unit disk, degenerate loci
-    (a=1, b=1, c=1, x=0, c=abx) avoided."""
-    while True:
-        q0 = rand_fraction(rng)
-        a0, b0, c0 = (rand_fraction(rng) for _ in range(3))
-        x0 = rand_fraction(rng)
-        if shift.n < 0:
-            x0 = x0 * q0 ** (-shift.n)
-        if x0 == 0 or c0 == a0 * b0 * x0:
-            continue
-        return {"a": a0, "b": b0, "c": c0, "q": q0, "x": x0}
+    """Random point: coordinates in (0, 1/2), x scaled so the shifted
+    argument x*q^n stays inside the unit disk.  Raises ZeroDenominator on
+    the degenerate locus c = abx (a, b, c, x are never 0 or 1)."""
+    q0 = rand_fraction(rng)
+    a0, b0, c0 = (rand_fraction(rng) for _ in range(3))
+    x0 = rand_fraction(rng)
+    if shift.n < 0:
+        x0 = x0 * q0 ** (-shift.n)
+    if c0 == a0 * b0 * x0:
+        raise ZeroDenominator("sampled point lies on the locus c = abx")
+    return {"a": a0, "b": b0, "c": c0, "q": q0, "x": x0}
 
 
 def verify_relation(rel: ThreeTermRelation, n_points: int = 20, tol: float = 1e-10,
@@ -526,8 +388,8 @@ def verify_relation(rel: ThreeTermRelation, n_points: int = 20, tol: float = 1e-
         attempts += 1
         if attempts > 50 * n_points:
             raise VerificationFailed("could not sample admissible residual points")
-        point = sample_relation_point(rng, rel.shift)
         try:
+            point = sample_relation_point(rng, rel.shift)
             res = relation_residual(rel, point, tol / 100, prec=prec)
         except (ZeroDenominator, ZeroDivisionError):
             continue

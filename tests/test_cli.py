@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qforge.cli import ReportDocument, build_parser, main
 from qforge.forge import build_default_registry, default_registry, load_registry
 
@@ -95,6 +97,24 @@ def test_pipeline_names_family_of_unbound_point(capsys):
     err = capsys.readouterr().err
     assert "UnboundSymbol" in err and "['a', 'c']" in err
     assert "(a, b, c, c/(ab))" in err and "--family-index 0" in err
+
+
+@pytest.mark.parametrize("identity,seed", [("qgauss", 1), ("qgauss", 4), ("qgauss", 7), ("qkummer", 1)])
+def test_verify_points_avoid_vanishing_c_factor(capsys, identity, seed):
+    # each seed used to draw a point with c*q^j = 1 (a ZeroDenominator case)
+    code, out = run_cli(capsys, "verify", "--identity", identity, "--points", "25",
+                        "--q", "1/2", "--seed", str(seed))
+    assert code == 0
+    assert json.loads(out)["summary"]["passed"] == 25
+
+
+def test_verify_unbound_free_symbol_exits_2(capsys):
+    assert main(["verify", "--identity", "sv4", "--grid", "N=0..2"]) == 2
+    err = capsys.readouterr().err
+    assert "UnboundSymbol" in err and "['w']" in err
+    assert main(["verify", "--identity", "qgauss", "--q", "1/2"]) == 2
+    err = capsys.readouterr().err
+    assert "UnboundSymbol" in err and "['a', 'b', 'c']" in err
 
 
 def test_usage_error_exit_2(capsys):

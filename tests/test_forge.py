@@ -57,6 +57,14 @@ def test_verify_constraint_violations():
         verify_identity("qbinom", {"a": F(1, 3), "x": F(3, 2), "q": Q12})
 
 
+def test_non_terminating_lhs_defined_rejects_unit_c_q_power():
+    # c*q^j = 1 zeroes (c;q)_i for i > j and the rhs divisor (c;q)_inf
+    with pytest.raises(ConstraintViolated, match="1 - c\\*q\\^1 vanishes"):
+        verify_identity("qgauss", {"a": F(82, 23), "b": F(71, 75), "c": F(2), "q": Q12})
+    with pytest.raises(ConstraintViolated, match="1 - c\\*q\\^0 vanishes"):
+        verify_identity("qkummer", {"a": F(3, 2), "b": F(3), "q": Q12})
+
+
 def test_verify_qkummer_numeric():
     case = verify_identity("qkummer", {"a": F(3), "b": F(1, 5), "q": Q12}, tol=1e-12)
     assert case.status == "pass" and case.abs_err <= 1e-12

@@ -1,16 +1,24 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from qforge.errors import BudgetExceeded, NotInTable
+import qforge
+from qforge.errors import BudgetExceeded, NotInTable, ZeroDenominator
+from qforge.exact import ExactScalar
 from qforge.poly import RationalFunction as RF
+from qforge.qseries import Phi21Params, phi21_exact
 from qforge.relations import (
     TABLE_SHIFTS,
     ShiftVector,
     ThreeTermRelation,
+    contiguous_step,
     qr_derive,
     qr_lookup,
+    rand_fraction,
     relation_residual,
     sample_relation_point,
     verify_relation,
@@ -126,3 +134,67 @@ def test_shift_vector_parse():
     assert str(s) == "1,2,1,-1"
     with pytest.raises(ValueError):
         ShiftVector.parse("1,2,3")
+
+
+def _phi_pair(p, q):
+    A, B, C, y = p
+    return tuple(phi21_exact(Phi21Params(A, B, C, q, z)).value for z in (y, y * q))
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(zeta_3)"])
+@pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+@pytest.mark.parametrize("axis", "abcx")
+def test_contiguous_step_moves_exact_series_pair(axis, up, field):
+    # b = q^-r with r >= 2 keeps the series terminating after any one move;
+    # a/q in (1, 3/2), c/q in (3/2, 2) and y < q keep the points off every
+    # (c;q)_i = 0 and off the loci where a move is singular: a = 1 (a up),
+    # c = q (c down), c = a (a down, c up), y = q (x down)
+    rng = random.Random(f"{axis}{up}{field}")
+    z = ExactScalar.zeta(3) if field == "Q(zeta_3)" else 1
+    for _ in range(20):
+        q = rand_fraction(rng)
+        a = q * (1 + rand_fraction(rng)) * z
+        c = q * (F(3, 2) + rand_fraction(rng)) * z
+        p = (a, q ** -rng.randint(2, 6), c, q * rand_fraction(rng))
+        m, moved = contiguous_step(axis, up, p, q)
+        assert all(isinstance(e, (int, F, ExactScalar)) for row in m for e in row)
+        r0, r1 = _phi_pair(p, q)
+        assert _phi_pair(moved, q) == (m[0][0] * r0 + m[0][1] * r1, m[1][0] * r0 + m[1][1] * r1)
+
+
+class _ScriptedRng:
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randint(self, lo, hi):
+        return next(self.values)
+
+
+def test_sample_relation_point_draws_once():
+    # q = 1/4, a = b = x = 1/3 and c = 1/27 = abx: one draw, then the error
+    rng = _ScriptedRng([4, 1, 3, 1, 3, 1, 27, 1, 3, 1])
+    with pytest.raises(ZeroDenominator):
+        sample_relation_point(rng, ShiftVector(0, 1, 1, 0))
+
+
+def test_evaluating_loaded_relations_never_imports_sympy():
+    code = """
+import sys
+from fractions import Fraction as F
+from qforge.families import solution_families
+from qforge.forge import check_family, telescoped_check
+from qforge.relations import ThreeTermRelation, qr_lookup
+
+shift = (1, 2, 1, -1)
+rel = ThreeTermRelation.from_json(qr_lookup(shift).to_json())
+fam = solution_families(shift)[0]
+assert check_family(shift, fam, relation=rel)
+run = telescoped_check(shift, fam, 3, {"a": F(3), "b": F(64), "q": F(1, 2)},
+                       mode="exact", relation=rel)
+assert run.passed
+print("sympy" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(qforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
