@@ -156,14 +156,6 @@ class ApproxScalar:
         return ApproxScalar(val, rnd, True, prec)
 
     # -- views ------------------------------------------------------------
-    @property
-    def re(self):
-        return mpmath.mpc(self.val).real
-
-    @property
-    def im(self):
-        return mpmath.mpc(self.val).imag
-
     def magnitude(self):
         return abs(self.val)
 

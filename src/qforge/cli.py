@@ -98,9 +98,8 @@ def _parse_assignments(items) -> dict:
 
 
 def _case_from_exception(exc: Exception, bindings_text: dict) -> dict:
-    status = "error"
     return {
-        "status": status,
+        "status": "error",
         "bindings": bindings_text,
         "detail": f"{type(exc).__name__}: {exc}",
     }
@@ -163,7 +162,7 @@ def _sample_bindings(record, base: dict, free_rest, rng, limit: int = 500) -> di
 def _verify_one(identity: str, bindings: dict, tol: float, registry) -> dict:
     from .forge import _scalar_text
 
-    text = {k: _scalar_text(v) if not isinstance(v, int) else str(v) for k, v in bindings.items()}
+    text = {k: _scalar_text(v) for k, v in bindings.items()}
     try:
         case = verify_identity(identity, bindings, tol, registry)
         return case.to_json()

@@ -183,8 +183,6 @@ def _count_inf(tree: dict) -> int:
         return _count_inf(tree["left"]) + _count_inf(tree["right"])
     if kind == "pow":
         return _count_inf(tree["base"])
-    if kind == "qpow":
-        return 0
     return 0
 
 

@@ -261,7 +261,10 @@ class ExactScalar:
 
     # -- comparison / hashing -------------------------------------------
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
+        if isinstance(other, (int, Fraction)):
+            # the reduced representation is unique: a rational r is (r, 0, ..., 0)
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        if isinstance(other, ExactScalar):
             x, y = ExactScalar._align(self, other)
             return x.coeffs == y.coeffs
         return NotImplemented

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .errors import DegenerateFamily
 from .exact import ExactScalar
 from .poly import RationalFunction
+from .qseries import Phi21Params
 from .relations import ShiftVector
 
 PARAM_KEYS = ("a", "b", "c", "x")
@@ -49,21 +50,16 @@ class ParamFamily:
         full.update(point)
         return {k: self.assignment[k].eval(full) for k in PARAM_KEYS}
 
-    def describe(self) -> str:
-        body = ", ".join(f"{k}={self.assignment[k]!r}" for k in PARAM_KEYS)
-        return f"{self.name}: {body}"
-
 
 def shift_params(fam: ParamFamily, shift, step: int) -> ParamFamily:
     """Compose a family with (a,b,c,x) -> (a*q^(k(step-1)), ...)."""
     shift = ShiftVector.coerce(shift)
     if step < 1:
         raise ValueError("step must be a positive integer")
-    q = RationalFunction.var("q")
-    e = step - 1
-    exps = dict(zip(PARAM_KEYS, shift.as_tuple()))
-    assignment = {k: self_v * q ** (exps[k] * e) for k, self_v in fam.assignment.items()}
-    return ParamFamily(fam.name, fam.free_symbols, assignment, fam.fixed_bindings)
+    p = Phi21Params(q=RationalFunction.var("q"), **fam.assignment)
+    p = p.shifted(shift.as_tuple(), step - 1)
+    return ParamFamily(fam.name, fam.free_symbols, {k: getattr(p, k) for k in PARAM_KEYS},
+                       fam.fixed_bindings)
 
 
 def _rf(sym: str) -> RationalFunction:

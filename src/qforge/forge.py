@@ -19,6 +19,7 @@ from .errors import (
     DegenerateFamily,
     DegenerateParameter,
     NotInTable,
+    NotTerminating,
     SamplingExhausted,
     UnreachableTolerance,
     ZeroDenominator,
@@ -280,29 +281,23 @@ def _as_int_or_none(v):
 
 def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> None:
     """Exact check that no denominator factor of the lhs series vanishes:
-    (c;q)_i and (q;q)_i within the summation range of a terminating record,
-    c*q^j = 1 for a non-terminating one, whose rhs divides by (c;q)_inf."""
+    (c;q)_i and (q;q)_i within the summation range of a terminating record
+    (phi21_exact's check), c*q^j = 1 for a non-terminating one, whose rhs
+    divides by (c;q)_inf."""
     p = _lhs_params(record, bindings, "exact")
-    q = p.q
     if record.mode == "numeric":
         # rational values as Fractions, which multiply about ten times faster
-        c, q = (v.as_rational() if v.is_rational() else v for v in (p.c, q))
+        c, q = (v.as_rational() if v.is_rational() else v for v in (p.c, p.q))
         j = detect_termination(c, c, q)
         if j is not None:
             raise ConstraintViolated(f"denominator factor 1 - c*q^{j} vanishes")
         return
-    r = detect_termination(p.a, p.b, q)
-    if r is None:
-        raise ConstraintViolated("series does not terminate")
-    cq = p.c
-    qq = ExactScalar.from_rational(1)
-    for i in range(1, r + 1):
-        qq = qq * q
-        if (1 - qq).is_zero() or (1 - cq).is_zero():
-            raise ConstraintViolated(
-                f"denominator factor vanishes at i={i} within the summation range"
-            )
-        cq = cq * q
+    try:
+        phi21_exact(p)
+    except NotTerminating as exc:
+        raise ConstraintViolated("series does not terminate") from exc
+    except ZeroDenominator as exc:
+        raise ConstraintViolated(str(exc)) from exc
 
 
 def _lhs_params(record: IdentityRecord, bindings: dict, mode: str, tol: float = 0,
@@ -404,16 +399,13 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
 # -- family checking -------------------------------------------------------------------------
 
 
-def _relation_for(shift: ShiftVector, relation: ThreeTermRelation | None,
-                  derive: bool) -> ThreeTermRelation:
+def _relation_for(shift: ShiftVector, relation: ThreeTermRelation | None) -> ThreeTermRelation:
     if relation is not None:
         return relation
-    if not derive:
-        try:
-            return qr_lookup(shift)
-        except NotInTable:
-            pass
-    return qr_derive(shift)
+    try:
+        return qr_lookup(shift)
+    except NotInTable:
+        return qr_derive(shift)
 
 
 def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
@@ -421,7 +413,7 @@ def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
     """True iff Q^(N) vanishes exactly at `trials` random rational
     bindings for every N = 1..n_max."""
     shift = ShiftVector.coerce(shift)
-    rel = _relation_for(shift, relation, derive=False)
+    rel = _relation_for(shift, relation)
     rng = random.Random(seed)
     sample_syms = [s for s in fam.free_symbols if s not in fam.fixed_bindings]
     for n in range(1, n_max + 1):
@@ -434,32 +426,20 @@ def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
             point = {s: rand_fraction(rng) for s in sample_syms}
             point["q"] = rand_fraction(rng)
             try:
-                value = _eval_qn(rel.Q, fam, shift, n, point)
+                # Q^(n): Q at the family's parameters moved n - 1 steps
+                p = _family_params(fam, point).shifted(shift.as_tuple(), n - 1)
+                value = rel.Q.eval(vars(p))
             except (ZeroDenominator, ZeroDivisionError):
                 continue
-            if not _is_zero_scalar(value):
+            if value != 0:
                 return False
             done += 1
     return True
 
 
-def _eval_qn(f: RationalFunction, fam: ParamFamily, shift: ShiftVector, n: int, point: dict):
-    """Evaluate f at the family's parameters shifted to iteration step n."""
-    return f.eval(_step_point(fam.param_values(point), shift, point["q"], n - 1))
-
-
-def _step_point(vals: dict, shift: ShiftVector, q, e: int) -> dict:
-    """The parameter values moved e steps along the shift
-    (a -> a*q^(k*e), ...), together with q itself."""
-    pt = {key: vals[key] * q ** (s * e) for key, s in zip(PARAM_KEYS, shift.as_tuple())}
-    pt["q"] = q
-    return pt
-
-
-def _is_zero_scalar(v) -> bool:
-    if isinstance(v, ExactScalar):
-        return v.is_zero()
-    return v == 0
+def _family_params(fam: ParamFamily, point: dict) -> Phi21Params:
+    """The family's 2phi1 parameters at the point (which binds q)."""
+    return Phi21Params(q=point["q"], **fam.param_values(point))
 
 
 # -- telescoping ---------------------------------------------------------------------------------
@@ -470,14 +450,12 @@ def product_R(shift, fam: ParamFamily, n: int,
     """prod_{i=1}^{n} R^(i) as a rational function of the family's free
     symbols and q; the empty product is 1."""
     shift = ShiftVector.coerce(shift)
-    rel = _relation_for(shift, relation, derive=False)
-    q = RationalFunction.var("q")
-    exps = dict(zip(PARAM_KEYS, shift.as_tuple()))
+    rel = _relation_for(shift, relation)
+    base = Phi21Params(q=RationalFunction.var("q"), **fam.assignment)
     out = RationalFunction.const(1)
     for i in range(1, n + 1):
-        mapping = {k: fam.assignment[k] * q ** (exps[k] * (i - 1)) for k in PARAM_KEYS}
         try:
-            out = (out * rel.R.subs(mapping)).cancel()
+            out = (out * rel.R.subs(vars(base.shifted(shift.as_tuple(), i - 1)))).cancel()
         except ZeroDenominator as exc:
             raise DegenerateFamily(f"R^({i}) undefined for family {fam.name}") from exc
     return out
@@ -485,16 +463,20 @@ def product_R(shift, fam: ParamFamily, n: int,
 
 @dataclass
 class PipelineStep:
+    """One step N of a telescoping run; lhs, product and telescoped are
+    scalars (ExactScalar in exact mode, ApproxScalar numerically)."""
+
     N: int
-    lhs: str
-    product: str
-    telescoped: str
+    lhs: object
+    product: object
+    telescoped: object
     residual: float
     ok: bool
 
     def to_json(self) -> dict:
-        return {"N": self.N, "lhs": self.lhs, "product": self.product,
-                "telescoped": self.telescoped, "residual": self.residual, "ok": self.ok}
+        return {"N": self.N, "lhs": _scalar_text(self.lhs), "product": _scalar_text(self.product),
+                "telescoped": _scalar_text(self.telescoped), "residual": self.residual,
+                "ok": self.ok}
 
 
 @dataclass
@@ -527,14 +509,13 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
     N <= n_max; exact equality in exact mode, residual <= tol numerically.
     """
     shift = ShiftVector.coerce(shift)
-    rel = _relation_for(shift, relation, derive=False)
+    rel = _relation_for(shift, relation)
     run = PipelineRun(shift, fam.name, n_max, point, mode)
-    vals = fam.param_values(point)
-    qv = point["q"]
+    base = _family_params(fam, point)
+    s = shift.as_tuple()
 
-    def phi_at(step_exp: int):
-        pk = _step_point(vals, shift, qv, step_exp)
-        p = Phi21Params(pk["a"], pk["b"], pk["c"], qv, pk["x"])
+    def phi_at(steps: int):
+        p = base.shifted(s, steps)
         if mode == "exact":
             return phi21_exact(p).value
         return phi21_numeric(p, tol / 10, prec).value
@@ -542,7 +523,7 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
     lhs = phi_at(0)
     prod = ExactScalar.from_rational(1) if mode == "exact" else ApproxScalar.coerce(1, prec)
     for i in range(1, n_max + 1):
-        r_i = rel.R.eval(_step_point(vals, shift, qv, i - 1))
+        r_i = rel.R.eval(vars(base.shifted(s, i - 1)))
         prod = prod * r_i
         shifted = phi_at(i)
         telescoped = shifted / prod
@@ -553,9 +534,7 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
             delta = lhs - telescoped
             residual = float(abs(delta.val))
             ok = residual + delta.err <= tol
-        run.steps.append(PipelineStep(
-            i, _scalar_text(lhs), _scalar_text(prod), _scalar_text(telescoped), residual, ok,
-        ))
+        run.steps.append(PipelineStep(i, lhs, prod, telescoped, residual, ok))
     return run
 
 
@@ -691,7 +670,7 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
                     raise SamplingExhausted("degenerate locus points")
                 pt = {s: rand_fraction(rng) for s in ("a", "b", "c", "q")}
                 try:
-                    if not _is_zero_scalar(qx.eval(pt)):
+                    if qx.eval(pt) != 0:
                         return False, f"Q nonzero on locus at {pt}"
                 except (ZeroDenominator, ZeroDivisionError):
                     continue
@@ -706,7 +685,7 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
         def telescope_step():
             point = _sample_series_point(fam, shift, rng, n_tele=3)
             run = telescoped_check(shift, fam, 3, point, tol=tol, mode="numeric", relation=rel)
-            if all(_scalar_text_is_one(st.telescoped) for st in run.steps):
+            if all(_is_one(st.telescoped) for st in run.steps):
                 report.trivial = True
             return run.passed, f"telescoped at {ident}-type point, N<=3"
 
@@ -746,22 +725,20 @@ def _sample_series_point(fam: ParamFamily, shift: ShiftVector, rng: random.Rando
         point = {s: rand_fraction(rng) for s in sample_syms}
         point["q"] = rand_fraction(rng)
         try:
-            vals = fam.param_values(point)
+            p = _family_params(fam, point)
         except (ZeroDenominator, ZeroDivisionError):
             continue
-        x = vals["x"]
-        if not isinstance(x, Fraction):
+        if not isinstance(p.x, Fraction):
             continue
-        q0 = point["q"]
-        if all(abs(x * q0 ** (shift.n * i)) < Fraction(9, 10) for i in range(n_tele + 1)):
+        if all(abs(p.shifted(shift.as_tuple(), i).x) < Fraction(9, 10)
+               for i in range(n_tele + 1)):
             return point
     raise SamplingExhausted("no admissible series point found")
 
 
-def _scalar_text_is_one(text: str) -> bool:
-    if text == "1":
-        return True
-    try:
-        return abs(float(mpmath.mpf(text)) - 1.0) < 1e-15
-    except ValueError:
-        return False
+def _is_one(v) -> bool:
+    """Whether a telescoped value is 1: exactly, or for a real ApproxScalar
+    to within 1e-15 as a float."""
+    if isinstance(v, ApproxScalar):
+        return isinstance(v.val, mpmath.mpf) and abs(float(v.val) - 1.0) < 1e-15
+    return v == 1

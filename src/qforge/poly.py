@@ -112,9 +112,6 @@ class MultiPoly:
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading(self):
         """(exponents, coefficient) under descending lexicographic order."""
         if self.is_zero():
@@ -455,7 +452,7 @@ class RationalFunction:
     # -- evaluation / substitution ---------------------------------------------------------------
     def eval(self, point: dict):
         den = self.den.eval(point)
-        if _scalar_is_zero(den):
+        if den == 0:
             raise ZeroDenominator("denominator vanishes at evaluation point")
         return self.num.eval(point) / den
 
@@ -476,13 +473,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
-
-
-def _scalar_is_zero(v) -> bool:
-    z = getattr(v, "is_zero", None)
-    if z is not None:
-        return z() if callable(z) else bool(z)
-    return v == 0
 
 
 def _normalize_pair(num: MultiPoly, den: MultiPoly):

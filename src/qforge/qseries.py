@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 import mpmath
 
@@ -23,6 +24,7 @@ from .errors import (
 from .exact import ExactScalar
 
 TERMINATION_BOUND = 64
+_MAX_TERMS = 20000  # terms of a non-terminating numeric series
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,14 @@ class Phi21Params:
 
     def as_numeric(self, prec: int | None = None) -> "Phi21Params":
         return Phi21Params(*(ApproxScalar.coerce(v, prec) for v in (self.a, self.b, self.c, self.q, self.x)))
+
+    def shifted(self, shift, steps: int = 1) -> "Phi21Params":
+        """The parameters moved `steps` times along shift = (k, l, m, n):
+        (a q^(k steps), b q^(l steps); c q^(m steps); q, x q^(n steps)),
+        in the ring the parameters live in."""
+        k, l, m, n = (s * steps for s in shift)
+        q = self.q
+        return Phi21Params(self.a * q**k, self.b * q**l, self.c * q**m, q, self.x * q**n)
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ def detect_termination(a, b, q, bound: int = TERMINATION_BOUND):
     for v in (a, b):
         acc = v
         for r in range(bound + 1):
-            if _eq_one(acc):
+            if acc == 1:
                 if best is None or r < best:
                     best = r
                 break
@@ -128,41 +138,54 @@ def detect_termination(a, b, q, bound: int = TERMINATION_BOUND):
     return best
 
 
-def _eq_one(v) -> bool:
-    if isinstance(v, ExactScalar):
-        return v.is_one()
-    return v == 1
+def _terms(p: Phi21Params, one):
+    """The terms t_1, t_2, ... of 2phi1 at p (t_0 = one), each from the last:
+
+        t_i = t_(i-1) (1 - a q^(i-1)) (1 - b q^(i-1)) x / ((1 - q^i) (1 - c q^(i-1)))
+
+    in the ring of p and `one`.  Raises ZeroDenominator before the first
+    term whose denominator factor vanishes (for an ApproxScalar: is not
+    bounded away from zero)."""
+    term = one
+    aq, bq, cq, qq = p.a, p.b, p.c, one
+    for i in count(1):
+        qq = qq * p.q  # q^i
+        den1 = one - qq
+        den2 = one - cq
+        if _vanishes(den1) or _vanishes(den2):
+            raise ZeroDenominator(
+                f"denominator factor vanishes at i={i} within the summation range"
+            )
+        term = term * (one - aq) * (one - bq) / (den1 * den2) * p.x
+        yield term
+        aq = aq * p.q
+        bq = bq * p.q
+        cq = cq * p.q
+
+
+def _vanishes(v) -> bool:
+    """v == 0; for an ApproxScalar, 0 within its error bound."""
+    if isinstance(v, ApproxScalar):
+        return v.magnitude() <= v.err
+    return v == 0
 
 
 def phi21_exact(p: Phi21Params, bound: int = TERMINATION_BOUND) -> SeriesValue:
     """Exact evaluation of a terminating 2phi1 (standard or exceptional case).
 
-    Sums i = 0..r with incremental term updates; every denominator factor
-    (1 - c*q^(i-1)) and (1 - q^i) is asserted nonzero before division, so
-    the exceptional case c = q^(-s) with r < s is covered and anything
-    else raises ZeroDenominator.
+    r is decided exactly (rational a, b, q compared as Fractions).  Sums
+    the terms i = 0..r; every denominator factor (1 - c*q^(i-1)) and
+    (1 - q^i) is asserted nonzero before division, so the exceptional case
+    c = q^(-s) with r < s is covered and anything else raises
+    ZeroDenominator.
     """
     p = p.as_exact()
-    r = detect_termination(p.a, p.b, p.q, bound)
+    r = _exact_termination(p, bound)
     if r is None:
         raise NotTerminating(f"no terminating exponent r <= {bound} detected")
-    one = ExactScalar.from_rational(1)
-    term = one
-    total = one
-    aq, bq, cq, qq = p.a, p.b, p.c, one
-    for i in range(1, r + 1):
-        qq = qq * p.q  # q^i
-        den1 = one - qq
-        den2 = one - cq
-        if den1.is_zero() or den2.is_zero():
-            raise ZeroDenominator(
-                f"(c;q) or (q;q) factor vanishes at i={i} inside the summation range"
-            )
-        term = term * (one - aq) * (one - bq) / (den1 * den2) * p.x
+    total = one = ExactScalar.from_rational(1)
+    for term in islice(_terms(p, one), r):
         total = total + term
-        aq = aq * p.q
-        bq = bq * p.q
-        cq = cq * p.q
     return SeriesValue(total, r + 1, True, True)
 
 
@@ -187,44 +210,29 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     if term_limit is None and p.x.magnitude() >= 1:
         raise InvalidDomain("phi21_numeric requires |x| < 1 for non-terminating series")
 
-    one = ApproxScalar.coerce(1, prec)
-    total = one
-    term = one
-    aq, bq, cq = p.a, p.b, p.c
-    qq = one
+    total = one = ApproxScalar.coerce(1, prec)
+    terms = _terms(p, one)
+    if term_limit is not None:
+        for term in islice(terms, term_limit):
+            total = total + term
+        return SeriesValue(total, term_limit + 1, True, total.certified)
     small_streak = 0
     growth_streak = 0
-    prev_mag = term.magnitude()
-    i = 0
-    max_terms = term_limit + 1 if term_limit is not None else 20000
-    while True:
-        i += 1
-        if term_limit is not None and i > term_limit:
-            return SeriesValue(total, i, True, total.certified)
-        if i >= max_terms:
-            raise NoConvergence(f"no convergence after {i} terms")
-        qq = qq * p.q
-        den1 = one - qq
-        den2 = one - cq
-        if den2.magnitude() <= den2.err or den1.magnitude() <= den1.err:
-            raise ZeroDenominator(f"denominator factor numerically zero at i={i}")
-        term = term * (one - aq) * (one - bq) / (den1 * den2) * p.x
+    prev_mag = one.magnitude()
+    for i, term in enumerate(islice(terms, _MAX_TERMS - 1), 1):
         total = total + term
-        aq = aq * p.q
-        bq = bq * p.q
-        cq = cq * p.q
         mag = term.magnitude()
-        if term_limit is None:
-            if mag < tol * (total.magnitude() + 1):
-                small_streak += 1
-                if small_streak >= 3:
-                    return _certify_tail(p, total, term, i, tol, prec)
-            else:
-                small_streak = 0
-            growth_streak = growth_streak + 1 if mag > prev_mag else 0
-            if growth_streak >= 32:
-                raise NoConvergence("term growth for 32 consecutive terms")
-            prev_mag = mag
+        if mag < tol * (total.magnitude() + 1):
+            small_streak += 1
+            if small_streak >= 3:
+                return _certify_tail(p, total, term, i, tol, prec)
+        else:
+            small_streak = 0
+        growth_streak = growth_streak + 1 if mag > prev_mag else 0
+        if growth_streak >= 32:
+            raise NoConvergence("term growth for 32 consecutive terms")
+        prev_mag = mag
+    raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
 
 
 def _exact_or_none(v):

@@ -19,7 +19,11 @@ cyclotomic scalars at concrete points.  The (Q, R) pair of the
 normal-form relation is recovered at the end via
 phi(xq) = phi - x(1-a)(1-b)/(1-c) * phi(aq,bq;cq;x), and is verified both
 by exact series matching at random rational points and by the numeric
-residual invariant.
+residual invariant.  Both checks move the parameters with
+Phi21Params.shifted and sum the series with the term recurrence of
+qseries: over Fractions at x = 1 (so the terms are the coefficients in
+x, and at x = q^n those of phi(xq^n)) for the series match, through
+phi21_numeric for the residual.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 
@@ -38,10 +43,11 @@ from .errors import (
     ZeroDenominator,
 )
 from .poly import MultiPoly, RationalFunction, cancel_common, over_common_denominator
-from .qseries import Phi21Params, phi21_numeric
+from .qseries import Phi21Params, _terms, phi21_numeric
 
 DEFAULT_DEGREE_BUDGET = 8
 DEFAULT_SEED = 20250808
+_UP = (1, 1, 1, 0)  # phi(aq, bq; cq; q, x), the second basis series
 
 
 @dataclass(frozen=True)
@@ -252,23 +258,11 @@ def _cleared_x_degree(rel: ThreeTermRelation) -> int:
     return max(p.degree_in("x") for p in (p0, *nums))
 
 
-def _series_coeffs(a0: Fraction, b0: Fraction, c0: Fraction, q0: Fraction, order: int):
-    """Coefficients of phi(a0,b0;c0;q0,x) in x up to x^(order-1), exact."""
-    out = [Fraction(1)]
-    term = Fraction(1)
-    aq, bq, cq = a0, b0, c0
-    qq = Fraction(1)
-    for i in range(1, order):
-        qq *= q0
-        den = (1 - qq) * (1 - cq)
-        if den == 0:
-            raise ZeroDenominator("degenerate series point")
-        term = term * (1 - aq) * (1 - bq) / den
-        out.append(term)
-        aq *= q0
-        bq *= q0
-        cq *= q0
-    return out
+def _series_coeffs(p: Phi21Params, order: int) -> list[Fraction]:
+    """The terms t_0 .. t_(order-1) of phi at p, exact; at x = 1 these are
+    the coefficients of phi in x (at x = q^n, those of phi(xq^n) in x)."""
+    one = Fraction(1)
+    return [one, *islice(_terms(p, one), order - 1)]
 
 
 def _x_coeff_polys(p: MultiPoly) -> dict[int, MultiPoly]:
@@ -298,24 +292,20 @@ def _series_verify(rel: ThreeTermRelation, order: int, rng: random.Random, point
         attempts += 1
         if attempts > 50 * points:
             raise VerificationFailed("could not sample admissible verification points")
-        a0, b0, c0 = (rand_fraction(rng) for _ in range(3))
-        q0 = rand_fraction(rng)
+        # a, b, c, q drawn in that order; x = 1 gives the coefficients in x
+        pt = Phi21Params(*(rand_fraction(rng) for _ in range(4)), Fraction(1))
         try:
-            base = _series_coeffs(a0, b0, c0, q0, order)
-            up = _series_coeffs(a0 * q0, b0 * q0, c0 * q0, q0, order)
-            sh = _series_coeffs(a0 * q0**s.k, b0 * q0**s.l, c0 * q0**s.m, q0, order)
-            pt = {"a": a0, "b": b0, "c": c0, "q": q0}
-            ev0 = {e: p.eval(pt) for e, p in p0.items()}
-            ev1 = {e: p.eval(pt) for e, p in p1.items()}
-            ev2 = {e: p.eval(pt) for e, p in p2.items()}
+            base = _series_coeffs(pt, order)
+            up = _series_coeffs(pt.shifted(_UP), order)
+            sh = _series_coeffs(pt.shifted(s.as_tuple()), order)
+            ev0, ev1, ev2 = ({e: p.eval(vars(pt)) for e, p in ps.items()} for ps in (p0, p1, p2))
         except (ZeroDenominator, ZeroDivisionError):
             continue
-        qxn = [q0 ** (s.n * i) for i in range(order)]
         for t in range(order):
             acc = Fraction(0)
             for j, v in ev0.items():
                 if j <= t:
-                    acc += v * sh[t - j] * qxn[t - j]
+                    acc += v * sh[t - j]
             for j, v in ev1.items():
                 if j <= t:
                     acc -= v * up[t - j]
@@ -335,19 +325,13 @@ def relation_residual(rel: ThreeTermRelation, point: dict, tol: float,
                       prec: int | None = None) -> mpmath.mpf:
     """|phi_shifted - Q*phi_up - R*phi_base| with each series evaluated
     numerically at tolerance tol/10."""
-    s = rel.shift
-    a0, b0, c0 = point["a"], point["b"], point["c"]
-    q0, x0 = point["q"], point["x"]
-    exact_pt = {"a": a0, "b": b0, "c": c0, "q": q0, "x": x0}
-    qv = ApproxScalar.coerce(rel.Q.eval(exact_pt), prec)
-    rv = ApproxScalar.coerce(rel.R.eval(exact_pt), prec)
+    p = Phi21Params(point["a"], point["b"], point["c"], point["q"], point["x"])
+    qv = ApproxScalar.coerce(rel.Q.eval(vars(p)), prec)
+    rv = ApproxScalar.coerce(rel.R.eval(vars(p)), prec)
     inner = tol / 10
-    base = phi21_numeric(Phi21Params(a0, b0, c0, q0, x0), inner, prec)
-    up = phi21_numeric(Phi21Params(a0 * q0, b0 * q0, c0 * q0, q0, x0), inner, prec)
-    shifted = phi21_numeric(
-        Phi21Params(a0 * q0**s.k, b0 * q0**s.l, c0 * q0**s.m, q0, x0 * q0**s.n),
-        inner, prec,
-    )
+    base = phi21_numeric(p, inner, prec)
+    up = phi21_numeric(p.shifted(_UP), inner, prec)
+    shifted = phi21_numeric(p.shifted(rel.shift.as_tuple()), inner, prec)
     diff = shifted.value - qv * up.value - rv * base.value
     return abs(diff.val)
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .errors import NoRepresentativeFound, UndefinedAction
 from .poly import RationalFunction
+from .qseries import Phi21Params
 from .relations import ShiftVector
 
 WORD_EXPANSION = {
@@ -93,21 +94,16 @@ class FullPoint:
         return (self.a, self.b, self.c, self.x)
 
 
-def _qpow(e: int) -> RationalFunction:
-    q = RationalFunction.var("q")
-    return q**e
-
-
 def apply_generator(g: int, p: FullPoint) -> FullPoint:
     """Apply sigma_g to a full point; sigma_4..sigma_6 act by expansion."""
     if g in WORD_EXPANSION:
         return apply_word_point(WORD_EXPANSION[g], p)
-    k, l, m, n = p.shift.as_tuple()
     a, b, c, x = p.params()
     q = RationalFunction.var("q")
     new_shift = shift_action(g, p.shift)
     if g == 0:
-        return FullPoint(new_shift, a * _qpow(k), b * _qpow(l), c * _qpow(m), x * _qpow(n))
+        s = Phi21Params(a, b, c, q, x).shifted(p.shift.as_tuple())
+        return FullPoint(new_shift, s.a, s.b, s.c, s.x)
     if g == 1:
         if a.is_zero():
             raise UndefinedAction("sigma_1 needs a != 0")

@@ -155,7 +155,7 @@ def test_pow_and_lcm_orders():
     assert math.lcm(3, 4) == (Z3 + Z4).order
 
 
-@pytest.mark.parametrize("order", [1, 3, 4, 6])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
 def test_hash_is_invariant_under_embed(order):
     rng = random.Random(order)
     for _ in range(10):
@@ -165,6 +165,14 @@ def test_hash_is_invariant_under_embed(order):
                 y = x.embed(target)
                 assert x == y and hash(x) == hash(y)
                 assert len({x, y}) == 1
+        # comparisons with a rational (int or Fraction) in Q(zeta_order)
+        r = F(rng.randint(-5, 5), rng.randint(1, 3))
+        v = ExactScalar.from_rational(r).embed(order)
+        assert v == r and r == v and hash(v) == hash(r)
+        assert v != r + 1 and not v == r - F(1, 7)
+        assert (v == int(r)) == (r.denominator == 1)
+        if order > 2:  # zeta_order is not rational
+            assert v + ExactScalar.zeta(order) != r
     z3 = ExactScalar.zeta(3)
     assert len({z3, z3.embed(6), z3.embed(12)}) == 1
     assert hash(ExactScalar.zeta(6)) == hash(1 + z3)  # zeta_6 = 1 + zeta_3

@@ -1,9 +1,11 @@
 import json
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from qforge import forge
+from qforge.approx import ApproxScalar
 from qforge.errors import ConstraintViolated, DegenerateParameter, UnreachableTolerance
 from qforge.exact import ExactScalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
@@ -183,8 +185,30 @@ def test_conjecture_requires_matching_instance():
 
 def test_conjecture_lln_even():
     rep = conjecture_check("lln_even", (2, 2, 0, 2), trials=10)
-    assert rep.passed
+    assert rep.passed and not rep.trivial
     assert {s.name for s in rep.steps} >= {"derive_relation", "family_check", "telescoping"}
+
+
+@pytest.mark.parametrize("value, trivial", [
+    (ApproxScalar(1), True),
+    (ApproxScalar(mpmath.mpf(1) + mpmath.mpf("5e-16")), True),
+    (ApproxScalar(mpmath.mpf(1) + mpmath.mpf("2e-15")), False),
+    (ExactScalar.from_rational(1), True),
+    (ExactScalar.from_rational(F(3, 2)), False),
+])
+def test_conjecture_trivial_reads_telescoped_values(monkeypatch, value, trivial):
+    # the flag is set when every telescoped value is 1 (within 1e-15 numerically)
+    real = forge.telescoped_check
+
+    def with_value(*args, **kwargs):
+        run = real(*args, **kwargs)
+        for step in run.steps:
+            step.telescoped = value
+        return run
+
+    monkeypatch.setattr(forge, "telescoped_check", with_value)
+    rep = conjecture_check("lln_even", (0, 0, 0, 2), trials=2, n_max=1)
+    assert rep.trivial is trivial
 
 
 def test_conjecture_sum_zero():

@@ -7,8 +7,11 @@ import pytest
 from qforge.approx import ApproxScalar
 from qforge.errors import InvalidDomain, NotTerminating, ZeroDenominator
 from qforge.exact import ExactScalar
+from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
+from qforge.poly import RationalFunction as RF
 from qforge.qseries import (
     Phi21Params,
+    _terms,
     detect_termination,
     phi21_exact,
     phi21_numeric,
@@ -17,6 +20,8 @@ from qforge.qseries import (
 )
 
 Q = F(1, 2)
+Z3 = ExactScalar.zeta(3)
+Z4 = ExactScalar.zeta(4)
 
 
 def test_qpoch_finite_oracles():
@@ -227,3 +232,90 @@ def test_phi21_numeric_terminates_exactly():
     exact_p = Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q)
     assert phi21_numeric(Phi21Params(approx_a, F(3, 10), F(1, 5), Q, Q), 1e-12,
                          exact=exact_p).terminated
+
+
+SHIFTS = [(1, 2, 1, -1), (0, 3, 3, 0), (2, 2, 0, 2), (-1, 0, 2, -3)]
+FAMILIES = [family_qbinom2(), family_qgauss(), family_qkummer(), family_root_of_unity(3)]
+
+
+def _rand_point(rng, fam, cyclotomic):
+    """Random bindings of fam's sampled symbols and q; with `cyclotomic`
+    the symbols are r + s*zeta_4, r and s rational and nonzero."""
+    out = {"q": F(rng.randint(1, 9), rng.randint(10, 19))}
+    for sym in fam.free_symbols:
+        if sym not in fam.fixed_bindings:
+            v = F(rng.randint(1, 9), rng.randint(2, 9))
+            out[sym] = v + F(rng.randint(1, 5), rng.randint(2, 7)) * Z4 if cyclotomic else v
+    return out
+
+
+@pytest.mark.parametrize("cyclotomic", [False, True])
+def test_shifted_commutes_with_evaluation(cyclotomic):
+    # shifting the symbolic assignment then evaluating equals shifting
+    # the evaluated point, in Q(q) over Fractions and Q(zeta_4)
+    rng = random.Random(17)
+    for fam in FAMILIES:
+        symbolic = Phi21Params(q=RF.var("q"), **fam.assignment)
+        for shift in SHIFTS:
+            point = _rand_point(rng, fam, cyclotomic)
+            full = {**fam.fixed_bindings, **point}
+            at_point = Phi21Params(q=point["q"], **fam.param_values(point))
+            for steps in range(5):
+                sym, num = symbolic.shifted(shift, steps), at_point.shifted(shift, steps)
+                for key in "abcqx":
+                    assert getattr(sym, key).eval(full) == getattr(num, key)
+
+
+def test_shifted_composes():
+    rng = random.Random(4)
+    a, b, c, q, x = (RF.var(s) for s in "abcqx")
+    points = [
+        Phi21Params(*(F(rng.randint(1, 9), rng.randint(2, 9)) for _ in range(5))),
+        Phi21Params(Z3 + 2, F(1, 3), Z3 * F(2, 5), F(1, 2), 1 - Z3),
+        Phi21Params(a, b, c, q, x),
+    ]
+    for p in points:
+        for shift in SHIFTS:
+            for i in range(-2, 3):
+                for j in range(-2, 3):
+                    assert p.shifted(shift, i).shifted(shift, j) == p.shifted(shift, i + j)
+        assert p.shifted((1, 2, 3, 4), 0) == p
+    assert points[2].shifted((1, 2, 3, -4), 2) == Phi21Params(a * q**2, b * q**4, c * q**6, q, x / q**8)
+
+
+def _closed_term(p, i):
+    return (qpoch_finite(p.a, p.q, i) * qpoch_finite(p.b, p.q, i) * p.x**i
+            / (qpoch_finite(p.q, p.q, i) * qpoch_finite(p.c, p.q, i)))
+
+
+@pytest.mark.parametrize("field", ["Q", "Q(zeta_3)"])
+def test_terms_match_qpochhammer_quotients(field):
+    rng = random.Random(8)
+
+    def rand():
+        v = F(rng.randint(-9, 9), rng.randint(1, 9))
+        return v + F(rng.randint(1, 9), rng.randint(1, 9)) * Z3 if field != "Q" else v
+
+    one = F(1) if field == "Q" else ExactScalar.from_rational(1)
+    for _ in range(20):
+        p = Phi21Params(rand(), rand(), rand(), F(rng.randint(1, 9), rng.randint(10, 19)), rand())
+        terms = _terms(p, one)
+        for i in range(1, 9):
+            assert next(terms) == _closed_term(p, i)
+
+
+def test_terms_raise_at_first_vanishing_denominator():
+    # c = q^-s makes (c;q)_i vanish from i = s + 1; a root of unity q of
+    # order d makes (q;q)_i vanish from i = d
+    cases = [Phi21Params(F(1, 3), F(2, 7), Q**-s, Q, F(1, 5)) for s in range(5)]
+    cases += [Phi21Params(F(1, 3), F(2, 7), F(3, 11), z, F(1, 5)) for z in (Z3, Z4, -Z3)]
+    cases += [Phi21Params(Z3, F(2, 7), Z3**-2, Z3, F(1, 5))]
+    for p in cases:
+        one = ExactScalar.from_rational(1) if isinstance(p.q, ExactScalar) else F(1)
+        first = next(i for i in range(1, 20)
+                     if qpoch_finite(p.q, p.q, i) == 0 or qpoch_finite(p.c, p.q, i) == 0)
+        terms = _terms(p, one)
+        for _ in range(first - 1):
+            next(terms)
+        with pytest.raises(ZeroDenominator, match=f"vanishes at i={first} "):
+            next(terms)
