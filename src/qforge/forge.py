@@ -27,7 +27,14 @@ from .errors import (
 from .exact import ExactScalar, format_scalar
 from .families import PARAM_KEYS, PATTERNS, ParamFamily
 from .poly import RationalFunction
-from .qseries import Phi21Params, detect_termination, phi21_exact, phi21_numeric, qpoch_finite
+from .qseries import (
+    Phi21Params,
+    SeriesValue,
+    detect_termination,
+    phi21_exact,
+    phi21_numeric,
+    qpoch_finite,
+)
 from .relations import (
     DEFAULT_SEED,
     ShiftVector,
@@ -234,8 +241,11 @@ def default_registry() -> dict[str, IdentityRecord]:
 # -- constraints ---------------------------------------------------------------------
 
 
-def check_constraints(record: IdentityRecord, bindings: dict) -> None:
-    """Raises ConstraintViolated with the failed predicate's description."""
+def check_constraints(record: IdentityRecord, bindings: dict) -> SeriesValue | None:
+    """Raises ConstraintViolated with the failed predicate's description.
+    Returns the exact lhs series a terminating record's `lhs_defined`
+    probe summed (None if there was none), for the caller to reuse."""
+    lhs = None
     for con in record.constraints:
         kind = con["type"]
         if kind == "nonneg_int":
@@ -264,9 +274,10 @@ def check_constraints(record: IdentityRecord, bindings: dict) -> None:
             ):
                 raise ConstraintViolated(f"{con['sym']} must be a primitive root of order {order}")
         elif kind == "lhs_defined":
-            _probe_lhs_defined(record, bindings)
+            lhs = _probe_lhs_defined(record, bindings)
         else:
             raise ValueError(f"unknown constraint type {kind!r}")
+    return lhs
 
 
 def _as_int_or_none(v):
@@ -279,11 +290,11 @@ def _as_int_or_none(v):
     return None
 
 
-def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> None:
+def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> SeriesValue | None:
     """Exact check that no denominator factor of the lhs series vanishes:
     (c;q)_i and (q;q)_i within the summation range of a terminating record
-    (phi21_exact's check), c*q^j = 1 for a non-terminating one, whose rhs
-    divides by (c;q)_inf."""
+    (phi21_exact's check, whose sum it returns), c*q^j = 1 for a
+    non-terminating one, whose rhs divides by (c;q)_inf."""
     p = _lhs_params(record, bindings, "exact")
     if record.mode == "numeric":
         # rational values as Fractions, which multiply about ten times faster
@@ -291,9 +302,9 @@ def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> None:
         j = detect_termination(c, c, q)
         if j is not None:
             raise ConstraintViolated(f"denominator factor 1 - c*q^{j} vanishes")
-        return
+        return None
     try:
-        phi21_exact(p)
+        return phi21_exact(p)
     except NotTerminating as exc:
         raise ConstraintViolated("series does not terminate") from exc
     except ZeroDenominator as exc:
@@ -353,11 +364,11 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
     """
     registry = registry or default_registry()
     record = registry[identity_id]
-    check_constraints(record, bindings)
+    probed = check_constraints(record, bindings)
     mode = record.mode
     exact = _lhs_params(record, bindings, "exact")
     if mode == "exact":
-        series = phi21_exact(exact)
+        series = probed if probed is not None else phi21_exact(exact)
         rhs = closed_form_eval(record.rhs, bindings, "exact", 0)
         ok = (series.value - rhs).is_zero()
         return VerifyCase(

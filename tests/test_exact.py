@@ -1,10 +1,11 @@
 import math
+import operator
 import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qforge.errors import DivisionByZero
@@ -176,3 +177,266 @@ def test_hash_is_invariant_under_embed(order):
     z3 = ExactScalar.zeta(3)
     assert len({z3, z3.embed(6), z3.embed(12)}) == 1
     assert hash(ExactScalar.zeta(6)) == hash(1 + z3)  # zeta_6 = 1 + zeta_3
+
+
+def test_constructor_rejects_inexact_coefficients():
+    # a float would be stored as its binary fraction, not the value meant
+    for order, coeffs in ((1, [0.1]), (4, [F(1, 3), 0.5]), (3, [1j, 0]), (6, [F(1), complex(2)])):
+        with pytest.raises(TypeError, match="inexact coefficient"):
+            ExactScalar(order, coeffs)
+    with pytest.raises(TypeError):
+        ExactScalar.from_rational(0.1)
+    with pytest.raises(TypeError):
+        cyclo_normalize([1, 0.5, 2], 4)
+    with pytest.raises(TypeError):
+        ExactScalar.coerce(0.1)
+    with pytest.raises(TypeError):
+        Z4 * 0.5
+    assert ExactScalar(1, [F(1, 10)]) == F(1, 10)
+
+
+# -- reference: the Fraction-coefficient arithmetic the integer form replaced --
+# (schoolbook product reduced by polynomial division, eager embedding into the
+# lcm order, extended Euclid, and the Gauss-Jordan preimage behind the hash)
+def ref_trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_poly_mul(f, g):
+    if not f or not g:
+        return []
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, gj in enumerate(g):
+                out[i + j] += fi * gj
+    return ref_trim(out)
+
+
+def ref_poly_sub(f, g):
+    out = [F(0)] * max(len(f), len(g))
+    for i, c in enumerate(f):
+        out[i] += c
+    for i, c in enumerate(g):
+        out[i] -= c
+    return ref_trim(out)
+
+
+def ref_divmod(f, g):
+    f = ref_trim(list(f))
+    q = [F(0)] * max(0, len(f) - len(g) + 1)
+    inv_lead = 1 / F(g[-1])
+    while len(f) >= len(g):
+        shift = len(f) - len(g)
+        coef = f[-1] * inv_lead
+        q[shift] = coef
+        for i, gi in enumerate(g):
+            f[shift + i] -= coef * gi
+        ref_trim(f)
+    return ref_trim(q), f
+
+
+def ref_reduce(coeffs, order):
+    _, rem = ref_divmod(ref_trim([F(c) for c in coeffs]), list(cyclotomic_poly(order)))
+    deg = euler_phi(order)
+    return (order, tuple((rem + [F(0)] * deg)[:deg]))
+
+
+def ref_coerce(v):
+    return v if isinstance(v, tuple) else (1, (F(v),))
+
+
+def ref_embed(v, target):
+    order, coeffs = v
+    if order == target:
+        return v
+    k = target // order
+    raw = [F(0)] * (len(coeffs) * k + 1)
+    for i, c in enumerate(coeffs):
+        raw[i * k] += c
+    return ref_reduce(raw, target)
+
+
+def ref_align(x, y):
+    x, y = ref_coerce(x), ref_coerce(y)
+    m = math.lcm(x[0], y[0])
+    return ref_embed(x, m), ref_embed(y, m)
+
+
+def ref_add(x, y):
+    x, y = ref_align(x, y)
+    return (x[0], tuple(a + b for a, b in zip(x[1], y[1])))
+
+
+def ref_neg(x):
+    x = ref_coerce(x)
+    return (x[0], tuple(-c for c in x[1]))
+
+
+def ref_sub(x, y):
+    return ref_add(x, ref_neg(y))
+
+
+def ref_mul(x, y):
+    x, y = ref_align(x, y)
+    return ref_reduce(ref_poly_mul(list(x[1]), list(y[1])), x[0])
+
+
+def ref_inverse(x):
+    order, coeffs = ref_coerce(x)
+    if not any(coeffs):
+        raise DivisionByZero("inverse of zero")
+    if order == 1:
+        return (1, (1 / coeffs[0],))
+    r0, r1 = list(cyclotomic_poly(order)), ref_trim(list(coeffs))
+    s0, s1 = [], [F(1)]
+    while True:
+        q, r = ref_divmod(r0, r1)
+        if not r:
+            break
+        s0, s1 = s1, ref_poly_sub(s0, ref_poly_mul(q, s1))
+        r0, r1 = r1, r
+    return ref_reduce([c / r1[0] for c in s1], order)
+
+
+def ref_div(x, y):
+    return ref_mul(x, ref_inverse(y))
+
+
+def ref_pow(x, e):
+    if e < 0:
+        return ref_pow(ref_inverse(x), -e)
+    out, base = (1, (F(1),)), x
+    while e:
+        if e & 1:
+            out = ref_mul(out, base)
+        base = ref_mul(base, base)
+        e >>= 1
+    return out
+
+
+def ref_eq(x, y):
+    x, y = ref_align(x, y)
+    return x[1] == y[1]
+
+
+def ref_preimage(v, d):
+    order, coeffs = v
+    cols = [ref_embed(ref_reduce([0] * j + [1], d), order)[1] for j in range(euler_phi(d))]
+    rows = [[col[i] for col in cols] + [coeffs[i]] for i in range(len(coeffs))]
+    pivots = []
+    for j in range(len(cols)):
+        piv = next((r for r in range(len(pivots), len(rows)) if rows[r][j] != 0), None)
+        if piv is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [c / rows[k][j] for c in rows[k]]
+        for r in range(len(rows)):
+            if r != k and rows[r][j] != 0:
+                f = rows[r][j]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+        pivots.append(j)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None
+    out = [F(0)] * len(cols)
+    for k, j in enumerate(pivots):
+        out[j] = rows[k][-1]
+    return tuple(out)
+
+
+def ref_hash(v):
+    order, coeffs = v
+    if not any(coeffs[1:]):
+        return hash(coeffs[0])
+    for d in range(3, order):
+        if order % d == 0:
+            pre = ref_preimage(v, d)
+            if pre is not None:
+                return hash((d, pre))
+    return hash(v)
+
+
+def ref_str(v):
+    order, coeffs = v
+    text = [str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}" for c in coeffs]
+    return text[0] if order == 1 else f"cyclo({order})[{', '.join(text)}]"
+
+
+# -- operands -------------------------------------------------------------------
+ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+small = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def elements(draw, order):
+    """(ExactScalar, reference) pairs of the given order: zero, a reduced
+    coefficient vector, or a longer polynomial the constructor reduces."""
+    deg = euler_phi(order)
+    kind = draw(st.sampled_from(("zero", "reduced", "reduced", "long")))
+    if kind == "zero":
+        coeffs = [0] * deg
+    elif kind == "reduced":
+        coeffs = draw(st.lists(small, min_size=deg, max_size=deg))
+    else:
+        coeffs = draw(st.lists(small, min_size=deg + 1, max_size=2 * deg + 1))
+    return ExactScalar(order, coeffs), ref_reduce(coeffs, order)
+
+
+rational_operands = st.one_of(st.integers(-20, 20), small, st.sampled_from([0, 1, -1, F(0)]))
+OPS = {"+": (operator.add, ref_add), "-": (operator.sub, ref_sub),
+       "*": (operator.mul, ref_mul), "/": (operator.truediv, ref_div)}
+
+
+@st.composite
+def cases(draw):
+    """An operator with an ExactScalar on at least one side: two elements
+    of the same order or of two orders, or an element and an int or
+    Fraction on either side, or an element to an int power."""
+    op = draw(st.sampled_from(("+", "-", "*", "/", "**")))
+    order = draw(st.sampled_from(ORDERS))
+    x = draw(elements(order))
+    if op == "**":
+        return op, x, draw(st.integers(-3, 4))
+    kind = draw(st.sampled_from(("same", "mixed", "rational_right", "rational_left")))
+    if kind in ("same", "mixed"):
+        other = order if kind == "same" else draw(st.sampled_from(ORDERS))
+        return op, x, draw(elements(other))
+    r = draw(rational_operands)
+    return (op, x, (r, r)) if kind == "rational_right" else (op, (r, r), x)
+
+
+def assert_matches(got, want, operands):
+    order, coeffs = want
+    assert type(got) is ExactScalar
+    assert (got.order, got.coeffs) == (order, coeffs)
+    assert all(type(c) is F for c in got.coeffs)
+    assert str(got) == ref_str(want)
+    assert hash(got) == ref_hash(want)
+    for v, ref in operands:
+        assert (got == v) == ref_eq(want, ref) == (v == got)
+    if not any(coeffs[1:]):
+        assert got == coeffs[0] and coeffs[0] == got and got.is_rational()
+
+
+@seed(20261019)
+@settings(max_examples=1000, deadline=None, database=None)
+@given(cases())
+def test_integer_arithmetic_matches_fraction_reference(case):
+    op, (x, rx), y = case
+    if op == "**":
+        operands = [(x, rx)]
+        call, ref = lambda: x ** y, lambda: ref_pow(rx, y)
+    else:
+        (y, ry), (fast, slow) = y, OPS[op]
+        operands = [(x, rx), (y, ry)]
+        call, ref = lambda: fast(x, y), lambda: slow(rx, ry)
+    try:
+        want = ref()
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            call()
+        return
+    assert_matches(call(), want, operands)

@@ -244,3 +244,23 @@ def test_verify_unreachable_tolerance_is_a_typed_error():
     # 1e-60 is far below the 2**-111 rounding of 113-bit values near 1
     with pytest.raises(UnreachableTolerance, match=r"tol 1e-60 .* 113-bit"):
         verify_identity("qbinom", {"a": F(62, 81), "x": F(1, 51), "q": Q12}, tol=1e-60, prec=113)
+
+
+def test_sv5_verify_sums_its_lhs_once(monkeypatch):
+    # the lhs_defined probe's exact sum is the lhs the exact branch compares
+    calls = []
+    real = forge.phi21_exact
+
+    def counted(p, *args, **kwargs):
+        calls.append(p)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(forge, "phi21_exact", counted)
+    case = verify_identity("sv5", {"a": Z4, "N": 6, "q": Q12})
+    assert len(calls) == 1
+    value = "cyclo(4)[-2859180282/14030278925, -2078251749/14030278925]"
+    assert case.to_json() == {
+        "identity": "sv5", "bindings": {"a": "cyclo(4)[0, 1]", "N": "6", "q": "1/2"},
+        "mode": "exact", "status": "pass", "lhs": value, "rhs": value,
+        "abs_err": 0.0, "terms_used": 7, "detail": None,
+    }
