@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .approx import ApproxScalar, default_precision, set_default_precision
 from .closedform import closed_form_eval
-from .exact import ExactScalar, cyclo_normalize, field_div, format_scalar, parse_scalar
+from .exact import ExactScalar, format_scalar, parse_scalar
 from .families import ParamFamily, shift_params, solution_families
 from .forge import (
     IdentityRecord,
@@ -51,8 +51,8 @@ __all__ = [
     "MultiPoly", "ParamFamily", "Phi21Params", "PipelineRun", "RationalFunction",
     "SeriesValue", "ShiftVector", "ThreeTermRelation",
     "apply_generator", "canonical_representative", "check_family", "closed_form_eval",
-    "conjecture_check", "cyclo_normalize", "default_precision", "default_registry",
-    "field_div", "format_scalar", "from_lambda",
+    "conjecture_check", "default_precision", "default_registry",
+    "format_scalar", "from_lambda",
     "load_registry", "orbit_enumerate", "parse_scalar", "phi21_exact", "phi21_numeric",
     "product_R", "qpoch_finite", "qpoch_infinite", "qr_derive", "qr_lookup",
     "relation_residual", "set_default_precision", "shift_params", "solution_families",

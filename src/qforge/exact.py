@@ -10,13 +10,17 @@ denominator is 1), as FLINT's nf_elem holds a number field element; so no
 operation pays a gcd per coefficient.  `.coeffs` is the same residue as a
 tuple of Fractions.
 
-Within one order a product is an integer schoolbook product of degree at
-most 2 phi(n) - 2, folded back with the order's table of x^k mod Phi_n for
-phi(n) <= k <= 2 phi(n) - 2.  Phi_n is monic with integer coefficients, so
-the rows are integer vectors; each order's table is built once.  A
-rational operand (an int, a Fraction or an order-1 ExactScalar) scales or
-shifts the numerators directly.  Only elements of two different orders
-above 1 embed, into the lcm order, so every binary operation is closed.
+Phi_n is monic with integer coefficients, so each power zeta^e has an
+integer residue; each order's table of them, for 0 <= e < n, is built
+once.  Since zeta^n = 1, row e % n of that table reduces any power: it
+folds back an integer schoolbook product, a constructor input of any
+length, an element embedded into a multiple order, and a Galois conjugate
+sigma_k(zeta) = zeta^k.  The inverse is the product P of the conjugates
+sigma_k(x), k != 1 a unit mod n, over the norm N(x) = x P, a nonzero
+rational.  A rational operand (an int, a Fraction or an order-1
+ExactScalar) scales or shifts the numerators directly.  Only elements of
+two different orders above 1 embed, into the lcm order, so every binary
+operation is closed.
 """
 
 from __future__ import annotations
@@ -24,52 +28,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cache
 
 from .errors import DivisionByZero
-
-_CYCLO_CACHE: dict[int, tuple[Fraction, ...]] = {}
-_FOLD_CACHE: dict[int, tuple] = {}
-
-
-def _poly_trim(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _poly_mul(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    if not f or not g:
-        return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] += fi * gj
-    return _poly_trim(out)
-
-
-def _poly_sub(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_divmod(f: list[Fraction], g: list[Fraction]):
-    """Quotient and remainder of f by g over Q; g must be nonzero."""
-    f = _poly_trim(list(f))
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    inv_lead = 1 / Fraction(g[-1])
-    while len(f) >= len(g):
-        shift = len(f) - len(g)
-        coef = f[-1] * inv_lead
-        q[shift] = coef
-        for i, gi in enumerate(g):
-            f[shift + i] -= coef * gi
-        _poly_trim(f)
-    return _poly_trim(q), f
 
 
 def euler_phi(n: int) -> int:
@@ -87,45 +48,68 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_n, low degree first, computed by dividing
-    x^n - 1 by the product of Phi_d over proper divisors d."""
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
+@cache
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n, low degree first: x^n - 1 divided
+    exactly by the monic Phi_d of each proper divisor d of n."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    xn1 = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    den = [Fraction(1)]
+    f = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_poly(d)))
-    quo, rem = _poly_divmod(xn1, den)
-    assert not rem, "cyclotomic division must be exact"
-    result = tuple(quo)
-    _CYCLO_CACHE[n] = result
-    return result
+            g = cyclotomic_poly(d)
+            quo = [0] * (len(f) - len(g) + 1)
+            for k in reversed(range(len(quo))):
+                c = quo[k] = f[k + len(g) - 1]
+                if c:
+                    for i, gi in enumerate(g, k):
+                        f[i] -= c * gi
+            assert not any(f), "cyclotomic division must be exact"
+            f = quo
+    return tuple(f)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], order: int) -> tuple[Fraction, ...]:
-    phi = list(cyclotomic_poly(order))
-    _, rem = _poly_divmod(_poly_trim(list(coeffs)), phi)
-    deg = euler_phi(order)
-    rem = rem + [Fraction(0)] * (deg - len(rem))
-    return tuple(rem[:deg])
+@cache
+def _power_table(order: int) -> tuple:
+    """Row e is zeta^e mod Phi_order for 0 <= e < order, as the (index,
+    integer coefficient) pairs of its nonzero entries."""
+    phi = cyclotomic_poly(order)
+    row = [1] + [0] * (len(phi) - 2)
+    rows = []
+    for _ in range(order):
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+        # zeta * row, with zeta^phi(order) replaced by zeta^phi(order) - Phi_order
+        top, row = row[-1], [0] + row[:-1]
+        if top:
+            row = [c - top * p for c, p in zip(row, phi)]
+    return tuple(rows)
 
 
-def _fold_table(order: int) -> tuple:
-    """Row k - phi(order) is x^k mod Phi_order for phi(order) <= k <=
-    2 phi(order) - 2, as the (index, integer coefficient) pairs of its
-    nonzero entries."""
-    table = _FOLD_CACHE.get(order)
-    if table is None:
-        deg = euler_phi(order)
-        rows = [_reduce_mod_phi([0] * k + [1], order) for k in range(deg, 2 * deg - 1)]
-        assert all(c.denominator == 1 for row in rows for c in row), "Phi_n is monic over Z"
-        table = tuple(tuple((j, int(c)) for j, c in enumerate(row) if c) for row in rows)
-        _FOLD_CACHE[order] = table
-    return table
+def _fold(raw: list[int], order: int, deg: int) -> list[int]:
+    """The deg = phi(order) numerators of sum(raw[e] zeta^e); folds the
+    list raw in place and returns it."""
+    if len(raw) <= deg:
+        raw += [0] * (deg - len(raw))
+        return raw
+    table = _power_table(order)
+    for e in range(deg, len(raw)):
+        c = raw[e]
+        if c:
+            for j, t in table[e % order]:
+                raw[j] += c * t
+    del raw[deg:]
+    return raw
+
+
+def _mul_nums(f: tuple, g: tuple, order: int) -> list[int]:
+    """The numerators of the product of two integer residues of one order."""
+    deg = len(f)
+    prod = [0] * (2 * deg - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, gj in enumerate(g, i):
+                prod[j] += fi * gj
+    return _fold(prod, order, deg)
 
 
 def _as_fraction(c) -> Fraction:
@@ -160,12 +144,16 @@ class ExactScalar:
         if order < 1:
             raise ValueError("order must be a positive integer")
         coeffs = [_as_fraction(c) for c in coeffs]
-        if len(coeffs) != euler_phi(order):
-            coeffs = _reduce_mod_phi(coeffs, order)
         # over the lcm of lowest-terms denominators the numerators share no factor with it
         den = math.lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        deg = euler_phi(order)
+        if len(nums) != deg:  # folding may leave a common factor
+            nums = _fold(nums, order, deg)
+            g = math.gcd(*nums, den)
+            nums, den = [c // g for c in nums], den // g
         _set_order(self, order)
-        _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set_nums(self, tuple(nums))
         _set_den(self, den)
 
     def __setattr__(self, *_):
@@ -185,13 +173,7 @@ class ExactScalar:
     @staticmethod
     def zeta(order: int) -> "ExactScalar":
         """The primitive root zeta_order itself."""
-        if order == 1:
-            return ExactScalar(1, [Fraction(1)])
-        if order == 2:
-            return ExactScalar(2, [Fraction(-1)])
-        coeffs = [Fraction(0)] * euler_phi(order)
-        coeffs[1] = Fraction(1)
-        return ExactScalar(order, coeffs)
+        return ExactScalar(order, [0, 1])
 
     @staticmethod
     def coerce(v) -> "ExactScalar":
@@ -208,10 +190,9 @@ class ExactScalar:
         if target % self.order != 0:
             raise ValueError("target order must be a multiple")
         k = target // self.order
-        raw = [0] * (len(self.nums) * k + 1)
-        for i, c in enumerate(self.nums):
-            raw[i * k] = c
-        return _make(target, [int(c) for c in _reduce_mod_phi(raw, target)], self.den)
+        raw = [0] * ((len(self.nums) - 1) * k + 1)
+        raw[::k] = self.nums
+        return _make(target, _fold(raw, target, euler_phi(target)), self.den)
 
     @staticmethod
     def _align(x: "ExactScalar", y: "ExactScalar"):
@@ -268,25 +249,26 @@ class ExactScalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm on
-        (numerators, Phi_order); total for every nonzero element since
-        Phi_n is irreducible over Q."""
+        """1/x = P / N(x): P is the product of the Galois conjugates
+        sigma_k(x), zeta -> zeta^k, over the units k != 1 mod the order,
+        and the norm N(x) = x P is a nonzero rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        if len(self.nums) == 1:
-            return _make(self.order, (self.den,), self.nums[0])
-        r0, r1 = list(cyclotomic_poly(self.order)), _poly_trim(list(self.nums))
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            if not r:
-                break
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, r
-        # r1 is the (constant) gcd; divide the Bezout coefficient by it
-        assert len(r1) == 1, "Phi_n irreducible: gcd must be a unit"
-        scale = Fraction(self.den) / r1[0]
-        return ExactScalar(self.order, [c * scale for c in s1])
+        nums, n = self.nums, self.order
+        if len(nums) == 1:
+            return _make(n, (self.den,), nums[0])
+        # on the numerators alone: 1/x = den / X with X = x den
+        prod = None
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                raw = [0] * n
+                for j, c in enumerate(nums):
+                    raw[j * k % n] = c  # distinct exponents, k being a unit
+                conj = _fold(raw, n, len(nums))
+                prod = conj if prod is None else _mul_nums(prod, conj, n)
+        norm = _mul_nums(nums, prod, n)
+        assert norm[0] and not any(norm[1:]), "the norm is a nonzero rational"
+        return _make(n, [c * self.den for c in prod], norm[0])
 
     def __truediv__(self, other):
         r = _ratio(other)
@@ -432,19 +414,7 @@ def _product(x: ExactScalar, y: ExactScalar) -> ExactScalar:
         if x.order == 1:
             return _scale(y, x.nums[0], x.den)
         x, y = ExactScalar._align(x, y)
-    f, g = x.nums, y.nums
-    deg = len(f)
-    prod = [0] * (2 * deg - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g, i):
-                prod[j] += fi * gj
-    out = prod[:deg]
-    for row, c in zip(_fold_table(x.order), prod[deg:]):
-        if c:
-            for j, t in row:
-                out[j] += c * t
-    return _make(x.order, out, x.den * y.den)
+    return _make(x.order, _mul_nums(x.nums, y.nums, x.order), x.den * y.den)
 
 
 def _preimage(v: ExactScalar, d: int):
@@ -476,20 +446,6 @@ def _preimage(v: ExactScalar, d: int):
     for k, j in enumerate(pivots):
         out[j] = rows[k][-1]
     return out
-
-
-def cyclo_normalize(coeffs, order: int) -> ExactScalar:
-    """Reduce a polynomial in zeta_order (low degree first) modulo
-    Phi_order to the unique representative; idempotent."""
-    return ExactScalar(order, coeffs)
-
-
-def field_div(x, y) -> ExactScalar:
-    """Exact quotient x / y; raises DivisionByZero when y = 0."""
-    y = ExactScalar.coerce(y)
-    if y.is_zero():
-        raise DivisionByZero("field_div by zero")
-    return ExactScalar.coerce(x) * y.inverse()
 
 
 # -- textual scalar format ---------------------------------------------------

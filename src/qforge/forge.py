@@ -297,9 +297,7 @@ def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> SeriesValue | 
     non-terminating one, whose rhs divides by (c;q)_inf."""
     p = _lhs_params(record, bindings, "exact")
     if record.mode == "numeric":
-        # rational values as Fractions, which multiply about ten times faster
-        c, q = (v.as_rational() if v.is_rational() else v for v in (p.c, p.q))
-        j = detect_termination(c, c, q)
+        j = detect_termination(p.c, p.c, p.q)
         if j is not None:
             raise ConstraintViolated(f"denominator factor 1 - c*q^{j} vanishes")
         return None

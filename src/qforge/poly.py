@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ZeroDenominator
+from .errors import UnboundSymbol, ZeroDenominator
 
 RELATION_VARS = ("a", "b", "c", "q", "x")
 
@@ -197,14 +197,20 @@ class MultiPoly:
         return p.terms == q.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # == extends both sides to the union of their vars, so hash only
+        # the variables that occur, and a constant as its value
+        if self.is_const():
+            return hash(self.const_value())
+        return hash(frozenset(
+            (tuple((v, e) for v, e in zip(self.vars, exps) if e), c) for exps, c in self.terms.items()
+        ))
 
     # -- evaluation / substitution ------------------------------------------------
     def eval(self, point: dict):
         """Exact (or ApproxScalar) evaluation; `point` must cover all vars."""
         missing = [v for v in self.vars if v not in point and self.degree_in(v) > 0]
         if missing:
-            raise KeyError(f"point does not bind {missing}")
+            raise UnboundSymbol(f"point does not bind {missing}")
         pows: list[dict[int, object]] = [{} for _ in self.vars]
 
         def vpow(i: int, e: int):
@@ -438,7 +444,7 @@ class RationalFunction:
 
     def __hash__(self):
         c = self.cancel()
-        return hash((c.num, c.den))
+        return hash(c.num) if c.den == 1 else hash((c.num, c.den))
 
     # -- reduction --------------------------------------------------------------------------
     def cancel(self) -> "RationalFunction":

@@ -70,26 +70,12 @@ def qpoch_finite(base, q, count: int):
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    out = _one_like(base)
-    qpow = _one_like(q)
+    out = base ** 0
+    qpow = q ** 0
     for _ in range(count):
         out = out * (1 - base * qpow)
         qpow = qpow * q
     return out
-
-
-def _one_like(v):
-    if isinstance(v, ApproxScalar):
-        return ApproxScalar.coerce(1, v.prec)
-    if isinstance(v, ExactScalar):
-        return ExactScalar.from_rational(1)
-    from .poly import MultiPoly, RationalFunction
-
-    if isinstance(v, RationalFunction):
-        return RationalFunction.const(1)
-    if isinstance(v, MultiPoly):
-        return MultiPoly.const(1, v.vars)
-    return Fraction(1)
 
 
 def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
@@ -173,11 +159,10 @@ def _vanishes(v) -> bool:
 def phi21_exact(p: Phi21Params, bound: int = TERMINATION_BOUND) -> SeriesValue:
     """Exact evaluation of a terminating 2phi1 (standard or exceptional case).
 
-    r is decided exactly (rational a, b, q compared as Fractions).  Sums
-    the terms i = 0..r; every denominator factor (1 - c*q^(i-1)) and
-    (1 - q^i) is asserted nonzero before division, so the exceptional case
-    c = q^(-s) with r < s is covered and anything else raises
-    ZeroDenominator.
+    r is decided exactly, on a, b and q as ExactScalars.  Sums the terms
+    i = 0..r; every denominator factor (1 - c*q^(i-1)) and (1 - q^i) is
+    asserted nonzero before division, so the exceptional case c = q^(-s)
+    with r < s is covered and anything else raises ZeroDenominator.
     """
     p = p.as_exact()
     r = _exact_termination(p, bound)
@@ -235,23 +220,13 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
 
 
-def _exact_or_none(v):
-    """v as a Fraction (rationals multiply fastest so) or an ExactScalar;
-    None for an approximate value."""
-    if isinstance(v, ExactScalar):
-        return v.as_rational() if v.is_rational() else v
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    return None
-
-
 def _exact_termination(p: Phi21Params, bound: int):
-    q = _exact_or_none(p.q)
-    ab = [v for v in map(_exact_or_none, (p.a, p.b)) if v is not None]
-    if q is None or not ab:
+    exact = (int, Fraction, ExactScalar)
+    ab = [v for v in (p.a, p.b) if isinstance(v, exact)]
+    if not isinstance(p.q, exact) or not ab:
         return None
     # with one exact parameter, checking it twice checks it alone
-    return detect_termination(ab[0], ab[-1], q, bound)
+    return detect_termination(ab[0], ab[-1], p.q, bound)
 
 
 def _certify_tail(p: Phi21Params, total, last_term, i, tol, prec) -> SeriesValue:

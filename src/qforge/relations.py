@@ -323,17 +323,18 @@ def _series_verify(rel: ThreeTermRelation, order: int, rng: random.Random, point
 
 def relation_residual(rel: ThreeTermRelation, point: dict, tol: float,
                       prec: int | None = None) -> mpmath.mpf:
-    """|phi_shifted - Q*phi_up - R*phi_base| with each series evaluated
-    numerically at tolerance tol/10."""
+    """|phi_shifted - Q*phi_up - R*phi_base| plus the error bound of that
+    difference.  Each series is summed at tol / (10 max(1, |Q|, |R|)), so
+    that Q and R do not scale the series' errors above tol."""
     p = Phi21Params(point["a"], point["b"], point["c"], point["q"], point["x"])
     qv = ApproxScalar.coerce(rel.Q.eval(vars(p)), prec)
     rv = ApproxScalar.coerce(rel.R.eval(vars(p)), prec)
-    inner = tol / 10
+    inner = tol / (10 * max(1, qv.magnitude(), rv.magnitude()))
     base = phi21_numeric(p, inner, prec)
     up = phi21_numeric(p.shifted(_UP), inner, prec)
     shifted = phi21_numeric(p.shifted(rel.shift.as_tuple()), inner, prec)
     diff = shifted.value - qv * up.value - rv * base.value
-    return abs(diff.val)
+    return abs(diff.val) + diff.err
 
 
 def rand_fraction(rng: random.Random, max_den: int = 97) -> Fraction:

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from qforge.errors import DivisionByZero
 from qforge.exact import (
     ExactScalar,
-    cyclo_normalize,
     cyclotomic_poly,
     euler_phi,
-    field_div,
     format_scalar,
     parse_scalar,
 )
@@ -24,21 +22,40 @@ Z4 = ExactScalar.zeta(4)
 
 
 def test_cyclotomic_polynomials():
-    assert cyclotomic_poly(1) == (F(-1), F(1))
-    assert cyclotomic_poly(2) == (F(1), F(1))
-    assert cyclotomic_poly(3) == (F(1), F(1), F(1))
-    assert cyclotomic_poly(4) == (F(1), F(0), F(1))
-    assert cyclotomic_poly(6) == (F(1), F(-1), F(1))
-    assert cyclotomic_poly(12) == (F(1), F(0), F(-1), F(0), F(1))
+    assert cyclotomic_poly(1) == (-1, 1)
+    assert cyclotomic_poly(2) == (1, 1)
+    assert cyclotomic_poly(3) == (1, 1, 1)
+    assert cyclotomic_poly(4) == (1, 0, 1)
+    assert cyclotomic_poly(6) == (1, -1, 1)
+    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+    # the least order with a coefficient outside {-1, 0, 1}
+    assert -2 in cyclotomic_poly(105)
+    assert all(abs(c) <= 1 for n in range(1, 105) for c in cyclotomic_poly(n))
+
+
+def test_cyclotomic_product_over_divisors_is_xn_minus_1():
+    for n in range(1, 111):
+        assert all(type(c) is int for c in cyclotomic_poly(n))
+        assert len(cyclotomic_poly(n)) == euler_phi(n) + 1
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                g = cyclotomic_poly(d)
+                out = [0] * (len(prod) + len(g) - 1)
+                for i, a in enumerate(prod):
+                    for j, b in enumerate(g):
+                        out[i + j] += a * b
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1]
 
 
 def test_normalize_zeta3_relation():
     # 1 + z + z^2 = 0
-    assert cyclo_normalize([1, 1, 1], 3).is_zero()
+    assert ExactScalar(3, [1, 1, 1]).is_zero()
 
 
 def test_normalize_zeta4_square():
-    v = cyclo_normalize([0, 0, 1], 4)
+    v = ExactScalar(4, [0, 0, 1])
     assert v == -1
 
 
@@ -54,13 +71,13 @@ def test_normalize_sv4_value():
 
 
 def test_field_div_examples():
-    w = field_div(1, 1 - Z3)
+    w = ExactScalar.coerce(1) / (1 - Z3)
     assert w == (2 + Z3) / 3
     assert (w * (1 - Z3)).is_one()
     x = ExactScalar(5, [F(1, 3), F(2), F(0), F(-1)])
-    assert field_div(x, ExactScalar.from_rational(1)) == x
+    assert x / ExactScalar.from_rational(1) == x
     with pytest.raises(DivisionByZero):
-        field_div(1, ExactScalar.from_rational(0))
+        ExactScalar.coerce(1) / ExactScalar.from_rational(0)
 
 
 def test_mixed_order_embedding():
@@ -122,8 +139,8 @@ def test_embedding_consistency():
        st.sampled_from([1, 3, 4, 5, 6, 8, 12]))
 @settings(max_examples=200, deadline=None)
 def test_normalize_idempotent(coeffs, order):
-    v = cyclo_normalize(coeffs, order)
-    assert cyclo_normalize(v.coeffs, order) == v
+    v = ExactScalar(order, coeffs)
+    assert ExactScalar(order, v.coeffs) == v
     assert len(v.coeffs) == euler_phi(order)
 
 
@@ -137,14 +154,14 @@ def test_normalize_is_ring_hom(p, q, order):
     for i, pi in enumerate(p):
         for j, qj in enumerate(q):
             prod[i + j] += pi * qj
-    lhs = cyclo_normalize(p, order) * cyclo_normalize(q, order)
-    assert lhs == cyclo_normalize(prod, order)
+    lhs = ExactScalar(order, p) * ExactScalar(order, q)
+    assert lhs == ExactScalar(order, prod)
     s = [0] * max(len(p), len(q))
     for i, pi in enumerate(p):
         s[i] += pi
     for j, qj in enumerate(q):
         s[j] += qj
-    assert cyclo_normalize(p, order) + cyclo_normalize(q, order) == cyclo_normalize(s, order)
+    assert ExactScalar(order, p) + ExactScalar(order, q) == ExactScalar(order, s)
 
 
 def test_pow_and_lcm_orders():
@@ -187,7 +204,7 @@ def test_constructor_rejects_inexact_coefficients():
     with pytest.raises(TypeError):
         ExactScalar.from_rational(0.1)
     with pytest.raises(TypeError):
-        cyclo_normalize([1, 0.5, 2], 4)
+        ExactScalar(4, [1, 0.5, 2])
     with pytest.raises(TypeError):
         ExactScalar.coerce(0.1)
     with pytest.raises(TypeError):
@@ -366,7 +383,7 @@ def ref_str(v):
 
 
 # -- operands -------------------------------------------------------------------
-ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12)
+ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 24, 30)
 small = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qforge.errors import ZeroDenominator
+from qforge.errors import UnboundSymbol, ZeroDenominator
 from qforge.exact import ExactScalar
 from qforge.poly import MultiPoly, RationalFunction as RF
 
@@ -116,3 +116,23 @@ def test_no_zero_coefficients_stored():
 def test_pow_negative_swaps():
     f = (1 - A) / (1 - B)
     assert f**-2 == ((1 - B) * (1 - B)) / ((1 - A) * (1 - A))
+
+
+def test_equal_polynomials_hash_equal():
+    # == extends both sides to the union of their vars; the hash must not see them
+    assert MultiPoly.const(1) == MultiPoly.const(1, ("a",)) == 1
+    assert hash(MultiPoly.const(1)) == hash(MultiPoly.const(1, ("a",))) == hash(1)
+    a = MultiPoly.var("a")
+    assert hash(a.extend(("a", "b", "q"))) == hash(a)
+    assert len({A * B / B, A}) == 1 and hash(A * B / B) == hash(A) == hash(a)
+    assert hash(2 * A * B / (3 * B)) == hash(F(2, 3) * a)
+    assert hash(RF.const(F(3, 2))) == hash(F(3, 2))
+    assert len({(A * A - B * B) / (A - B), A + B}) == 1
+
+
+def test_eval_unbound_symbol_is_typed():
+    p = MultiPoly.from_text("a*b + (1)")
+    with pytest.raises(UnboundSymbol, match=r"point does not bind \['b'\]"):
+        p.eval({"a": F(2)})
+    with pytest.raises(KeyError):  # UnboundSymbol stays a KeyError for old callers
+        (A / B).eval({"a": F(2)})

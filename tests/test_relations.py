@@ -88,6 +88,17 @@ def test_residual_example_and_perturbation_control():
     assert relation_residual(rel2, point, 1e-13) < 1e-12
 
 
+def test_residual_counts_q_times_series_error():
+    # |Q| = 2.1e6 here, so summing each series at tol / 10 left the
+    # residual of an exact relation at about 1e-9, a thousand times tol
+    rel = qr_lookup((0, 1, 1, 0))
+    point = {"a": F(1, 3) + F(1, 10**7), "b": F(1, 5), "c": F(1, 3), "q": F(1, 2), "x": F(1, 4)}
+    assert abs(rel.Q.eval(point)) > 2 * 10**6
+    assert relation_residual(rel, point, 1e-12) < 1e-12
+    bad = ThreeTermRelation(rel.shift, rel.Q, rel.R * (1 + F(1, 10**9)))
+    assert relation_residual(bad, point, 1e-12) > 1e-12
+
+
 def test_verify_relation_runs():
     verify_relation(qr_lookup((0, 2, 2, 0)), n_points=20, tol=1e-10)
 
