@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .approx import ApproxScalar, default_precision
-from .errors import DivisionByZero, InvalidDomain, UnboundSymbol, ZeroDenominator
+from .errors import InvalidDomain, UnboundSymbol, ZeroDenominator
 from .exact import ExactScalar, format_scalar, parse_scalar
 from .qseries import qpoch_finite, qpoch_infinite
 
@@ -219,7 +219,7 @@ def _eval(tree: dict, bindings: dict, mode: str, inf_tol: float, prec: int):
         e = eval_int(tree["exp"], bindings)
         try:
             return base**e
-        except (DivisionByZero, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise ZeroDenominator(str(exc)) from exc
     left = _eval(tree["left"], bindings, mode, inf_tol, prec)
     right = _eval(tree["right"], bindings, mode, inf_tol, prec)
@@ -232,6 +232,6 @@ def _eval(tree: dict, bindings: dict, mode: str, inf_tol: float, prec: int):
     if kind == "div":
         try:
             return left / right
-        except (DivisionByZero, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise ZeroDenominator(str(exc)) from exc
     raise ValueError(f"unknown node kind {kind!r}")

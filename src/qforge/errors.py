@@ -18,7 +18,7 @@ class InvalidDomain(QForgeError):
 
 
 class NotTerminating(QForgeError):
-    """No terminating exponent r <= bound was detected for an exact series."""
+    """No terminating exponent r <= TERMINATION_BOUND was detected for an exact series."""
 
 
 class NoConvergence(QForgeError):

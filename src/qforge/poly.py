@@ -32,7 +32,7 @@ def _sym_ring(var_names: tuple[str, ...]):
 class MultiPoly:
     """Polynomial with rational coefficients in a sorted tuple of symbols."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_nested")
 
     def __init__(self, var_names, terms: dict | None = None):
         var_names = tuple(var_names)
@@ -47,6 +47,7 @@ class MultiPoly:
                 clean[exps] = coeff
         object.__setattr__(self, "vars", var_names)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_nested", None)  # built by the first eval
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
@@ -205,45 +206,18 @@ class MultiPoly:
             (tuple((v, e) for v, e in zip(self.vars, exps) if e), c) for exps, c in self.terms.items()
         ))
 
-    # -- evaluation / substitution ------------------------------------------------
+    # -- evaluation ------------------------------------------------------------------
     def eval(self, point: dict):
-        """Exact (or ApproxScalar) evaluation; `point` must cover all vars."""
-        missing = [v for v in self.vars if v not in point and self.degree_in(v) > 0]
+        """Value at `point` by sparse Horner's rule, in the ring of the point's
+        values (Fraction, ExactScalar, RationalFunction, ...); the one evaluator."""
+        if self._nested is None:
+            used = tuple(v for i, v in enumerate(self.vars) if any(e[i] for e in self.terms))
+            object.__setattr__(self, "_nested", (used, _nest(self.vars, self.terms)))
+        used, nested = self._nested
+        missing = [v for v in used if v not in point]
         if missing:
             raise UnboundSymbol(f"point does not bind {missing}")
-        pows: list[dict[int, object]] = [{} for _ in self.vars]
-
-        def vpow(i: int, e: int):
-            cache = pows[i]
-            if e not in cache:
-                cache[e] = point[self.vars[i]] ** e
-            return cache[e]
-
-        acc = None
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * vpow(i, e)
-            acc = term if acc is None else acc + term
-        return Fraction(0) if acc is None else acc
-
-    def subs(self, mapping: dict) -> "RationalFunction":
-        """Substitute RationalFunctions (or scalars) for symbols."""
-        out = None
-        for exps, coeff in self.terms.items():
-            term = RationalFunction.const(coeff)
-            for v, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                rep = mapping.get(v)
-                if rep is None:
-                    rep = RationalFunction.var(v)
-                elif not isinstance(rep, RationalFunction):
-                    rep = RationalFunction.const(rep)
-                term = term * rep**e
-            out = term if out is None else out + term
-        return RationalFunction.const(0) if out is None else out.cancel()
+        return _horner(nested, point)
 
     # -- sympy bridge ----------------------------------------------------------------
     def _to_sym(self):
@@ -310,6 +284,34 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()})"
+
+
+def _nest(var_names: tuple, terms: dict):
+    """The Horner form of `terms`: a coefficient, or (name, ((e, node), ...))
+    with the terms grouped by the exponent e of the first variable that
+    occurs, descending."""
+    if not var_names:
+        return terms.get((), Fraction(0))
+    groups: dict[int, dict] = {}
+    for exps, coeff in terms.items():
+        groups.setdefault(exps[0], {})[exps[1:]] = coeff
+    if set(groups) <= {0}:
+        return _nest(var_names[1:], groups.get(0, {}))
+    return var_names[0], tuple((e, _nest(var_names[1:], groups[e])) for e in sorted(groups, reverse=True))
+
+
+def _horner(node, point: dict):
+    """A Horner form's value: acc -> acc * v^gap + next group, highest power first."""
+    if not isinstance(node, tuple):
+        return node
+    name, groups = node
+    v = point[name]
+    top, sub = groups[0]
+    acc = _horner(sub, point)
+    for e, sub in groups[1:]:
+        acc = acc * v ** (top - e) + _horner(sub, point)
+        top = e
+    return acc * v**top if top else acc
 
 
 def _fmt_frac(v: Fraction) -> str:
@@ -455,7 +457,7 @@ class RationalFunction:
             return RationalFunction(self.num * (1 / self.den.const_value()), MultiPoly.const(1, self.vars))
         return RationalFunction(*cancel_common([self.num, self.den]))
 
-    # -- evaluation / substitution ---------------------------------------------------------------
+    # -- evaluation ------------------------------------------------------------------------------
     def eval(self, point: dict):
         den = self.den.eval(point)
         if den == 0:
@@ -463,11 +465,11 @@ class RationalFunction:
         return self.num.eval(point) / den
 
     def subs(self, mapping: dict) -> "RationalFunction":
-        num = self.num.subs(mapping)
-        den = self.den.subs(mapping)
-        if den.is_zero():
-            raise ZeroDenominator("substitution makes denominator identically zero")
-        return (num / den).cancel()
+        """Evaluation at RationalFunction (or rational) arguments, where
+        unmapped symbols stand for themselves, then cancel."""
+        point = {v: RationalFunction.var(v) for v in self.vars}
+        point.update(mapping)
+        return RationalFunction.const(self.eval(point)).cancel()
 
     # -- serialization ------------------------------------------------------------------------------
     def to_json(self) -> dict:

@@ -110,12 +110,12 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
                 raise NoConvergence("qpoch_infinite failed to meet tolerance")
 
 
-def detect_termination(a, b, q, bound: int = TERMINATION_BOUND):
-    """Smallest r <= bound with a*q^r = 1 or b*q^r = 1, exactly; None if none."""
+def detect_termination(a, b, q):
+    """Smallest r <= TERMINATION_BOUND with a*q^r = 1 or b*q^r = 1 exactly, else None."""
     best = None
     for v in (a, b):
         acc = v
-        for r in range(bound + 1):
+        for r in range(TERMINATION_BOUND + 1):
             if acc == 1:
                 if best is None or r < best:
                     best = r
@@ -156,7 +156,7 @@ def _vanishes(v) -> bool:
     return v == 0
 
 
-def phi21_exact(p: Phi21Params, bound: int = TERMINATION_BOUND) -> SeriesValue:
+def phi21_exact(p: Phi21Params) -> SeriesValue:
     """Exact evaluation of a terminating 2phi1 (standard or exceptional case).
 
     r is decided exactly, on a, b and q as ExactScalars.  Sums the terms
@@ -165,17 +165,17 @@ def phi21_exact(p: Phi21Params, bound: int = TERMINATION_BOUND) -> SeriesValue:
     with r < s is covered and anything else raises ZeroDenominator.
     """
     p = p.as_exact()
-    r = _exact_termination(p, bound)
+    r = _exact_termination(p)
     if r is None:
-        raise NotTerminating(f"no terminating exponent r <= {bound} detected")
+        raise NotTerminating(f"no terminating exponent r <= {TERMINATION_BOUND} detected")
     total = one = ExactScalar.from_rational(1)
     for term in islice(_terms(p, one), r):
         total = total + term
     return SeriesValue(total, r + 1, True, True)
 
 
-def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
-                  bound: int = TERMINATION_BOUND, exact: Phi21Params | None = None) -> SeriesValue:
+def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None, *,
+                  exact: Phi21Params | None = None) -> SeriesValue:
     """Adaptive truncated 2phi1 for |q| < 1.
 
     Stops once three consecutive terms are below tol relative to the
@@ -188,7 +188,7 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     else p's own.  An approximate a or b never counts as terminating.
     """
     prec = default_precision() if prec is None else prec
-    term_limit = _exact_termination(exact or p, bound)
+    term_limit = _exact_termination(exact or p)
     p = p.as_numeric(prec)
     if p.q.magnitude() >= 1:
         raise InvalidDomain("phi21_numeric requires |q| < 1")
@@ -220,13 +220,13 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
 
 
-def _exact_termination(p: Phi21Params, bound: int):
+def _exact_termination(p: Phi21Params):
     exact = (int, Fraction, ExactScalar)
     ab = [v for v in (p.a, p.b) if isinstance(v, exact)]
     if not isinstance(p.q, exact) or not ab:
         return None
     # with one exact parameter, checking it twice checks it alone
-    return detect_termination(ab[0], ab[-1], p.q, bound)
+    return detect_termination(ab[0], ab[-1], p.q)
 
 
 def _certify_tail(p: Phi21Params, total, last_term, i, tol, prec) -> SeriesValue:

@@ -215,7 +215,7 @@ def _apply(m, v, den):
 
 
 def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
-              seed: int = DEFAULT_SEED, _verify: bool = True) -> ThreeTermRelation:
+              seed: int = DEFAULT_SEED) -> ThreeTermRelation:
     """Derive the unique (Q, R) pair for an arbitrary shift vector.
 
     Raises BudgetExceeded when the cleared-denominator coefficients exceed
@@ -243,13 +243,12 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
     d = _cleared_x_degree(rel)
     if d > degree_budget:
         raise BudgetExceeded(f"cleared x-degree {d} exceeds budget {degree_budget}")
-    if _verify:
-        order = 3 * (d + 1) + 8
-        rng = random.Random(seed)
-        if not _series_verify(rel, order, rng, points=5):
-            if not _series_verify(rel, 2 * order, rng, points=5):
-                raise VerificationFailed(f"series match failed for shift {shift}")
-        verify_relation(rel, n_points=20, tol=1e-10, seed=seed)
+    order = 3 * (d + 1) + 8
+    rng = random.Random(seed)
+    if not _series_verify(rel, order, rng, points=5):
+        if not _series_verify(rel, 2 * order, rng, points=5):
+            raise VerificationFailed(f"series match failed for shift {shift}")
+    verify_relation(rel, n_points=20, tol=1e-10, seed=seed)
     return rel
 
 
@@ -299,7 +298,7 @@ def _series_verify(rel: ThreeTermRelation, order: int, rng: random.Random, point
             up = _series_coeffs(pt.shifted(_UP), order)
             sh = _series_coeffs(pt.shifted(s.as_tuple()), order)
             ev0, ev1, ev2 = ({e: p.eval(vars(pt)) for e, p in ps.items()} for ps in (p0, p1, p2))
-        except (ZeroDenominator, ZeroDivisionError):
+        except ZeroDivisionError:
             continue
         for t in range(order):
             acc = Fraction(0)
@@ -376,7 +375,7 @@ def verify_relation(rel: ThreeTermRelation, n_points: int = 20, tol: float = 1e-
         try:
             point = sample_relation_point(rng, rel.shift)
             res = relation_residual(rel, point, tol / 100, prec=prec)
-        except (ZeroDenominator, ZeroDivisionError):
+        except ZeroDivisionError:
             continue
         if not res < tol:
             raise VerificationFailed(

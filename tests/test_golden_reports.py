@@ -40,6 +40,7 @@ COMMANDS = {
     "pipeline_0330_root_exact": ["pipeline", "--shift", "0,3,3,0", "--family-index", "1",
                                  "--point", "b=512", "--point", "q=1/2", "--n-max", "3",
                                  "--mode", "exact"],
+    "conjecture_sum_zero_1120": ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0"],
 }
 
 

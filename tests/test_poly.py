@@ -2,10 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from qforge.errors import UnboundSymbol, ZeroDenominator
 from qforge.exact import ExactScalar
 from qforge.poly import MultiPoly, RationalFunction as RF
+from qforge.relations import TABLE_SHIFTS, qr_lookup
 
 A, B, C, Q, X = (RF.var(s) for s in "abcqx")
 
@@ -136,3 +139,134 @@ def test_eval_unbound_symbol_is_typed():
         p.eval({"a": F(2)})
     with pytest.raises(KeyError):  # UnboundSymbol stays a KeyError for old callers
         (A / B).eval({"a": F(2)})
+
+
+# -- sparse Horner against the term-by-term evaluator it replaced ----------------------
+
+
+def reference_eval(p: MultiPoly, point: dict):
+    """Term-by-term evaluation with a per-call power cache (the evaluator
+    before sparse Horner)."""
+    missing = [v for v in p.vars if v not in point and p.degree_in(v) > 0]
+    if missing:
+        raise UnboundSymbol(f"point does not bind {missing}")
+    pows: list[dict[int, object]] = [{} for _ in p.vars]
+
+    def vpow(i: int, e: int):
+        cache = pows[i]
+        if e not in cache:
+            cache[e] = point[p.vars[i]] ** e
+        return cache[e]
+
+    acc = None
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for i, e in enumerate(exps):
+            if e:
+                term = term * vpow(i, e)
+        acc = term if acc is None else acc + term
+    return F(0) if acc is None else acc
+
+
+def reference_subs(f: RF, mapping: dict) -> RF:
+    """Term-by-term substitution into numerator and denominator, each
+    cancelled, then the quotient cancelled (the `subs` before sparse Horner)."""
+
+    def poly_subs(p: MultiPoly) -> RF:
+        out = None
+        for exps, coeff in p.terms.items():
+            term = RF.const(coeff)
+            for v, e in zip(p.vars, exps):
+                if not e:
+                    continue
+                rep = mapping.get(v)
+                if rep is None:
+                    rep = RF.var(v)
+                elif not isinstance(rep, RF):
+                    rep = RF.const(rep)
+                term = term * rep**e
+            out = term if out is None else out + term
+        return RF.const(0) if out is None else out.cancel()
+
+    num, den = poly_subs(f.num), poly_subs(f.den)
+    if den.is_zero():
+        raise ZeroDenominator("substitution makes denominator identically zero")
+    return (num / den).cancel()
+
+
+def _rand_rational(rng: random.Random) -> F:
+    return F(rng.randint(-30, 30), rng.randint(1, 30))
+
+
+def _rand_scalar(rng: random.Random, ring: str):
+    if ring == "Q" or rng.random() < 0.2:
+        return _rand_rational(rng) if rng.random() < 0.9 else rng.randint(-3, 3)
+    order = 3 if ring == "Q(zeta_3)" else 4
+    return ExactScalar(order, [_rand_rational(rng) for _ in range(rng.randint(1, 4))])
+
+
+def _rand_rf(rng: random.Random) -> RF:
+    return rng.choice([
+        A, B, C, Q, X, -A, -Q, C / (A * B), B * Q / A, -Q / A,
+        _rand_rational(rng) * rng.choice([A, B, C, Q, X]) + _rand_rational(rng),
+        RF.const(_rand_rational(rng)),
+    ])
+
+
+def assert_evals_match(p: MultiPoly, rng: random.Random):
+    """new eval == reference eval, with the same type and text, at 200
+    points: RationalFunction points (20, or 6 on a polynomial of over 50
+    terms, where the reference is slow) and the rest over Q, Q(zeta_3)
+    and Q(zeta_4)."""
+    n_rf = 20 if len(p.terms) <= 50 else 6
+    rings = ["Q", "Q(zeta_3)", "Q(zeta_4)"]
+    for i in range(200 - n_rf):
+        ring = rings[i % 3]
+        point = {v: _rand_scalar(rng, ring) for v in "abcqx"}
+        got, want = p.eval(point), reference_eval(p, point)
+        assert type(got) is type(want)
+        assert got == want and str(got) == str(want), (p, point)
+    for _ in range(n_rf):
+        point = {v: _rand_rf(rng) for v in "abcqx"}
+        got, want = p.eval(point), reference_eval(p, point)
+        assert type(got) is type(want)
+        # a RationalFunction's text is canonical only once cancelled
+        assert got == want
+        if isinstance(want, RF):
+            got, want = got.cancel(), want.cancel()
+        assert str(got) == str(want), (p, point)
+
+
+@pytest.mark.parametrize("shift", TABLE_SHIFTS)
+def test_horner_eval_matches_term_by_term_on_table_relations(shift):
+    rel = qr_lookup(shift)
+    rng = random.Random(sum(shift) + 8)
+    for p in (rel.Q.num, rel.Q.den, rel.R.num, rel.R.den):
+        assert_evals_match(p, rng)
+
+
+_exponents = st.tuples(*[st.integers(0, 3)] * 5)
+_coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def sparse_polys(draw):
+    names = tuple(sorted(draw(st.sets(st.sampled_from("abcqx")))))
+    terms = draw(st.dictionaries(_exponents, _coeffs, max_size=8))
+    return MultiPoly(names, {exps[:len(names)]: c for exps, c in terms.items()})
+
+
+@seed(20261018)
+@settings(max_examples=50, deadline=None, database=None)
+@given(sparse_polys(), st.integers(0, 2**32))
+def test_horner_eval_matches_term_by_term_on_random_polys(p, point_seed):
+    assert_evals_match(p, random.Random(point_seed))
+
+
+def test_subs_matches_term_by_term_substitution():
+    for shift in TABLE_SHIFTS:
+        rel = qr_lookup(shift)
+        for f in (rel.Q, rel.R):
+            for mapping in ({"x": C / (A * B)}, {"b": -A, "c": -Q}):
+                got, want = f.subs(mapping), reference_subs(f, mapping)
+                assert got == want and str(got) == str(want), (shift, mapping)
