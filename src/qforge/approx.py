@@ -47,6 +47,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DivisionByZero
+from .exact import ExactScalar
 
 _DEFAULT_PREC = 113
 _RND = "n"  # round to nearest, mpmath's default rounding
@@ -67,16 +68,20 @@ def default_precision() -> int:
 
 
 def _to_mpc(v, prec: int):
+    """v rounded to prec bits: an mpf if v is real (a rational
+    ExactScalar included), else an mpc."""
+    if isinstance(v, ExactScalar) and v.is_rational():
+        v = v.as_rational()
     with mpmath.workprec(prec):
         if isinstance(v, Fraction):
             return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-        if isinstance(v, int):
+        if isinstance(v, (int, float, mpmath.mpf)):
             return mpmath.mpf(v)
-        if isinstance(v, (float, complex, mpmath.mpf, mpmath.mpc)):
-            return mpmath.mpc(v) if isinstance(v, (complex, mpmath.mpc)) else mpmath.mpf(v)
+        if isinstance(v, (complex, mpmath.mpc)):
+            return mpmath.mpc(v)
         to_c = getattr(v, "to_complex", None)
         if to_c is not None:
-            return to_c(prec)
+            return +to_c(prec)
     raise TypeError(f"cannot convert {type(v).__name__} to ApproxScalar")
 
 
@@ -151,13 +156,13 @@ class ApproxScalar:
         prec = _DEFAULT_PREC if prec is None else prec
         if type(v) is int and v == 1:
             return _one(prec)
-        val = _to_mpc(v, prec)
-        rnd = abs(val) * mpmath.mpf(2) ** (2 - prec)
-        return ApproxScalar(val, rnd, True, prec)
+        r = _raw(_to_mpc(v, prec))
+        return _make(r, _rounding(r, prec), True, prec)
 
     # -- views ------------------------------------------------------------
     def magnitude(self):
-        return abs(self.val)
+        """|val| at the value's own precision."""
+        return _wrap(_abs(_raw(self.val), self.prec))
 
     def __repr__(self):
         tag = "certified" if self.certified else "heuristic"

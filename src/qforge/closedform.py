@@ -4,11 +4,11 @@ Trees are plain JSON-able dicts with node kinds lit, sym, qpow, qpoch,
 mul, div, add, sub, pow.  A qpow node is q**e with an integer-valued
 exponent expression (e.g. N*(N+1)/2); a qpoch node is (base; q^step)_len
 where len is an integer-valued expression or "inf" (numeric mode only).
+Evaluation is exact (ExactScalar) up to the infinite products, the only
+nodes that round.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .approx import ApproxScalar, default_precision
 from .errors import InvalidDomain, UnboundSymbol, ZeroDenominator
@@ -124,49 +124,35 @@ def free_symbols(tree: dict) -> set[str]:
     return free_symbols(tree["left"]) | free_symbols(tree["right"])
 
 
-# -- integer-valued sub-expressions (exponents, lengths) ------------------------
-def eval_int(tree: dict, bindings: dict) -> int:
-    v = _eval_rat(tree, bindings)
-    if v.denominator != 1:
-        raise InvalidDomain(f"expression is not integer-valued: {v}")
-    return int(v)
-
-
-def _eval_rat(tree: dict, bindings: dict) -> Fraction:
-    kind = tree["kind"]
-    if kind == "lit":
-        return parse_scalar(tree["value"]).as_rational()
-    if kind == "sym":
-        v = _binding(bindings, tree["name"])
-        if isinstance(v, ExactScalar):
-            return v.as_rational()
-        return Fraction(v)
-    if kind == "add":
-        return _eval_rat(tree["left"], bindings) + _eval_rat(tree["right"], bindings)
-    if kind == "sub":
-        return _eval_rat(tree["left"], bindings) - _eval_rat(tree["right"], bindings)
-    if kind == "mul":
-        return _eval_rat(tree["left"], bindings) * _eval_rat(tree["right"], bindings)
-    if kind == "div":
-        return _eval_rat(tree["left"], bindings) / _eval_rat(tree["right"], bindings)
-    if kind == "pow":
-        e = eval_int(tree["exp"], bindings)
-        return _eval_rat(tree["base"], bindings) ** e
-    raise InvalidDomain(f"{kind} node not allowed in an integer expression")
-
-
-# -- full evaluation --------------------------------------------------------------
+# -- evaluation ---------------------------------------------------------------------
 def closed_form_eval(tree: dict, bindings: dict, mode: str = "exact",
                      tol: float = 1e-12, prec: int | None = None):
-    """Bottom-up evaluation; exact mode yields an ExactScalar, numeric
-    mode an ApproxScalar with propagated error bounds."""
+    """Bottom-up evaluation, exact until the first infinite product.
+
+    Every node evaluates to an ExactScalar except a qpoch(..., "inf")
+    node, an ApproxScalar within tol / (8 * the number of infinite
+    factors); the operators promote mixed operands.  `mode` names the
+    result: "exact" an ExactScalar (InvalidDomain if the tree has an
+    infinite factor), "numeric" an ApproxScalar at prec bits."""
     if mode not in ("exact", "numeric"):
         raise ValueError("mode must be 'exact' or 'numeric'")
-    prec = default_precision() if prec is None else prec
-    n_inf = _count_inf(tree)
-    inf_tol = tol / (8 * max(1, n_inf))
     _binding(bindings, "q")
-    return _eval(tree, bindings, mode, inf_tol, prec)
+    n_inf = _count_inf(tree)
+    if mode == "exact" and n_inf:
+        raise InvalidDomain("infinite q-Pochhammer factor requires numeric mode")
+    prec = default_precision() if prec is None else prec
+    v = _eval(tree, bindings, tol / (8 * max(1, n_inf)), prec)
+    return v if mode == "exact" else ApproxScalar.coerce(v, prec)
+
+
+def eval_int(tree: dict, bindings: dict) -> int:
+    """The value of an integer-valued sub-expression (an exponent or a length)."""
+    if _count_inf(tree):
+        raise InvalidDomain("infinite q-Pochhammer factor in an integer expression")
+    v = _eval(tree, bindings, 0, default_precision())
+    if not v.is_rational() or v.den != 1:
+        raise InvalidDomain(f"expression is not integer-valued: {v}")
+    return v.nums[0]
 
 
 def _binding(bindings: dict, name: str):
@@ -186,43 +172,32 @@ def _count_inf(tree: dict) -> int:
     return 0
 
 
-def _coerce_mode(v, mode: str, prec: int):
-    if mode == "exact":
-        return ExactScalar.coerce(v)
-    return ApproxScalar.coerce(v, prec)
-
-
-def _eval(tree: dict, bindings: dict, mode: str, inf_tol: float, prec: int):
+def _eval(tree: dict, bindings: dict, inf_tol: float, prec: int):
     kind = tree["kind"]
     if kind == "lit":
-        return _coerce_mode(parse_scalar(tree["value"]), mode, prec)
+        return parse_scalar(tree["value"])
     if kind == "sym":
-        return _coerce_mode(_binding(bindings, tree["name"]), mode, prec)
+        return ExactScalar.coerce(_binding(bindings, tree["name"]))
     if kind == "qpow":
-        e = eval_int(tree["exp"], bindings)
-        q = _coerce_mode(bindings["q"], mode, prec)
-        return q**e
+        return ExactScalar.coerce(_binding(bindings, "q")) ** eval_int(tree["exp"], bindings)
     if kind == "qpoch":
-        base = _eval(tree["base"], bindings, mode, inf_tol, prec)
-        q = _coerce_mode(bindings["q"], mode, prec)
-        step_q = q ** tree["step"]
+        base = _eval(tree["base"], bindings, inf_tol, prec)
+        step_q = ExactScalar.coerce(_binding(bindings, "q")) ** tree["step"]
         if tree["len"] == "inf":
-            if mode == "exact":
-                raise InvalidDomain("infinite q-Pochhammer factor requires numeric mode")
             return qpoch_infinite(base, step_q, inf_tol, prec).value
         n = eval_int(tree["len"], bindings)
         if n < 0:
             raise InvalidDomain("negative q-Pochhammer length")
         return qpoch_finite(base, step_q, n)
     if kind == "pow":
-        base = _eval(tree["base"], bindings, mode, inf_tol, prec)
+        base = _eval(tree["base"], bindings, inf_tol, prec)
         e = eval_int(tree["exp"], bindings)
         try:
             return base**e
         except ZeroDivisionError as exc:
             raise ZeroDenominator(str(exc)) from exc
-    left = _eval(tree["left"], bindings, mode, inf_tol, prec)
-    right = _eval(tree["right"], bindings, mode, inf_tol, prec)
+    left = _eval(tree["left"], bindings, inf_tol, prec)
+    right = _eval(tree["right"], bindings, inf_tol, prec)
     if kind == "mul":
         return left * right
     if kind == "add":

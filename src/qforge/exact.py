@@ -26,6 +26,7 @@ operation is closed.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import cache
@@ -83,6 +84,17 @@ def _power_table(order: int) -> tuple:
         if top:
             row = [c - top * p for c, p in zip(row, phi)]
     return tuple(rows)
+
+
+@cache
+def _traces(order: int) -> tuple[int, ...]:
+    """Tr(zeta^j) for 0 <= j < phi(order).  The sum of the conjugates
+    zeta^(jk), k a unit mod the order, is rational, so the trace is the
+    sum of the 0th entries of the rows jk % order."""
+    rows = _power_table(order)
+    units = [k for k in range(1, order + 1) if math.gcd(k, order) == 1]
+    return tuple(sum(c for k in units for i, c in rows[j * k % order] if i == 0)
+                 for j in range(len(units)))
 
 
 def _fold(raw: list[int], order: int, deg: int) -> list[int]:
@@ -311,25 +323,17 @@ class ExactScalar:
         return x.nums == y.nums and x.den == y.den
 
     def __hash__(self):
-        # equal values in different fields must hash equal, so hash the
-        # representative in the smallest field that holds the value
-        low = self._minimal_field()
-        if low.order == 1:
-            return hash(Fraction(low.nums[0], low.den))
-        return hash((low.order, low.coeffs))
-
-    def _minimal_field(self) -> "ExactScalar":
-        """The same value in Q(zeta_d) for the least d that holds it (d
-        divides the order, since Q(zeta_n) meets Q(zeta_d) in
-        Q(zeta_gcd(n, d)))."""
-        if self.is_rational():
-            return _raw(1, self.nums[:1], self.den)
-        for d in range(3, self.order):
-            if self.order % d == 0:
-                coeffs = _preimage(self, d)
-                if coeffs is not None:
-                    return ExactScalar(d, coeffs)
-        return self
+        # equal values in different orders must hash equal: a rational
+        # hashes as its Fraction, anything else by Tr(x)/phi(n) and
+        # Tr(x^2)/phi(n), the means of the conjugates of x and of x^2,
+        # which do not depend on the order n of the field holding x
+        nums, den = self.nums, self.den
+        if not any(nums[1:]):
+            return hash(Fraction(nums[0], den))
+        traces, phi = _traces(self.order), len(nums)
+        square = _mul_nums(nums, nums, self.order)
+        return hash((Fraction(sum(map(operator.mul, traces, nums)), phi * den),
+                     Fraction(sum(map(operator.mul, traces, square)), phi * den * den)))
 
     # -- text format -----------------------------------------------------
     def __repr__(self):
@@ -415,37 +419,6 @@ def _product(x: ExactScalar, y: ExactScalar) -> ExactScalar:
             return _scale(y, x.nums[0], x.den)
         x, y = ExactScalar._align(x, y)
     return _make(x.order, _mul_nums(x.nums, y.nums, x.order), x.den * y.den)
-
-
-def _preimage(v: ExactScalar, d: int):
-    """Coefficients c with sum c_j zeta_d^j = v, or None when v is not in
-    Q(zeta_d); solved by Gauss-Jordan elimination over Q on the images of
-    the basis 1, zeta_d, ..., zeta_d^(phi(d)-1) in Q(zeta_order)."""
-    cols = [ExactScalar(d, [0] * j + [1]).embed(v.order).coeffs for j in range(euler_phi(d))]
-    # one row per coordinate of Q(zeta_order): [image coefficients | v]
-    vc = v.coeffs
-    rows = [[col[i] for col in cols] + [vc[i]] for i in range(len(vc))]
-    n = len(cols)
-    pivots = []
-    for j in range(n):
-        piv = next((r for r in range(len(pivots), len(rows)) if rows[r][j] != 0), None)
-        if piv is None:
-            continue
-        k = len(pivots)
-        rows[k], rows[piv] = rows[piv], rows[k]
-        inv = 1 / rows[k][j]
-        rows[k] = [c * inv for c in rows[k]]
-        for r in range(len(rows)):
-            if r != k and rows[r][j] != 0:
-                f = rows[r][j]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
-        pivots.append(j)
-    if any(row[-1] != 0 for row in rows[len(pivots):]):
-        return None
-    out = [Fraction(0)] * n
-    for k, j in enumerate(pivots):
-        out[j] = rows[k][-1]
-    return out
 
 
 # -- textual scalar format ---------------------------------------------------

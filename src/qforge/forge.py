@@ -295,7 +295,7 @@ def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> SeriesValue | 
     (c;q)_i and (q;q)_i within the summation range of a terminating record
     (phi21_exact's check, whose sum it returns), c*q^j = 1 for a
     non-terminating one, whose rhs divides by (c;q)_inf."""
-    p = _lhs_params(record, bindings, "exact")
+    p = _lhs_params(record, bindings)
     if record.mode == "numeric":
         j = detect_termination(p.c, p.c, p.q)
         if j is not None:
@@ -309,14 +309,11 @@ def _probe_lhs_defined(record: IdentityRecord, bindings: dict) -> SeriesValue | 
         raise ConstraintViolated(str(exc)) from exc
 
 
-def _lhs_params(record: IdentityRecord, bindings: dict, mode: str, tol: float = 0,
-                prec: int | None = None) -> Phi21Params:
+def _lhs_params(record: IdentityRecord, bindings: dict) -> Phi21Params:
     """The parameters of the record's left-hand 2phi1 at the bindings, as
-    ExactScalars (mode "exact") or ApproxScalars (mode "numeric")."""
-    v = {k: closed_form_eval(record.lhs[k], bindings, mode, tol, prec) for k in PARAM_KEYS}
-    q = bindings["q"]
-    q = ExactScalar.coerce(q) if mode == "exact" else ApproxScalar.coerce(q, prec)
-    return Phi21Params(v["a"], v["b"], v["c"], q, v["x"])
+    ExactScalars."""
+    v = {k: closed_form_eval(record.lhs[k], bindings) for k in PARAM_KEYS}
+    return Phi21Params(v["a"], v["b"], v["c"], ExactScalar.coerce(bindings["q"]), v["x"])
 
 
 # -- verify ------------------------------------------------------------------------------
@@ -364,9 +361,9 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
     record = registry[identity_id]
     probed = check_constraints(record, bindings)
     mode = record.mode
-    exact = _lhs_params(record, bindings, "exact")
+    lhs = _lhs_params(record, bindings)
     if mode == "exact":
-        series = probed if probed is not None else phi21_exact(exact)
+        series = probed if probed is not None else phi21_exact(lhs)
         rhs = closed_form_eval(record.rhs, bindings, "exact", 0)
         ok = (series.value - rhs).is_zero()
         return VerifyCase(
@@ -380,8 +377,7 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
     # slowly converging points (|x| near 1) need a tighter summation
     # tolerance than tol/8; the propagated error bounds tell us how much
     for _ in range(4):
-        series = phi21_numeric(_lhs_params(record, bindings, "numeric", inner, prec),
-                               inner, prec, exact=exact)
+        series = phi21_numeric(lhs, inner, prec)
         rhs = closed_form_eval(record.rhs, bindings, "numeric", inner, prec)
         diff = abs((series.value - rhs).val)
         budget = diff + series.value.err + rhs.err

@@ -174,8 +174,7 @@ def phi21_exact(p: Phi21Params) -> SeriesValue:
     return SeriesValue(total, r + 1, True, True)
 
 
-def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None, *,
-                  exact: Phi21Params | None = None) -> SeriesValue:
+def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None) -> SeriesValue:
     """Adaptive truncated 2phi1 for |q| < 1.
 
     Stops once three consecutive terms are below tol relative to the
@@ -183,12 +182,12 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None, *,
     tail certificate holds at the stopping index.
 
     A terminating series is summed to its last term.  Termination is
-    decided exactly, by detect_termination on the exact a, b and q: those
-    of `exact` (the exact parameters p's values approximate) when given,
-    else p's own.  An approximate a or b never counts as terminating.
+    decided exactly, by detect_termination on the a, b and q given, before
+    they are rounded to prec bits; an approximate a or b never counts as
+    terminating.
     """
     prec = default_precision() if prec is None else prec
-    term_limit = _exact_termination(exact or p)
+    term_limit = _exact_termination(p)
     p = p.as_numeric(prec)
     if p.q.magnitude() >= 1:
         raise InvalidDomain("phi21_numeric requires |q| < 1")

@@ -244,10 +244,9 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
     if d > degree_budget:
         raise BudgetExceeded(f"cleared x-degree {d} exceeds budget {degree_budget}")
     order = 3 * (d + 1) + 8
-    rng = random.Random(seed)
-    if not _series_verify(rel, order, rng, points=5):
-        if not _series_verify(rel, 2 * order, rng, points=5):
-            raise VerificationFailed(f"series match failed for shift {shift}")
+    # one exactly nonzero coefficient proves the relation wrong: no retry
+    if not _series_verify(rel, order, random.Random(seed), points=5):
+        raise VerificationFailed(f"series match failed for shift {shift}")
     verify_relation(rel, n_points=20, tol=1e-10, seed=seed)
     return rel
 

@@ -24,6 +24,8 @@ PRECS = (113, 128, 192)
 
 # -- reference: mpf/mpc operators under workprec ------------------------------
 def ref_to_mpc(v, prec):
+    if isinstance(v, ExactScalar) and v.is_rational():
+        v = v.as_rational()
     with mpmath.workprec(prec):
         if isinstance(v, F):
             return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
@@ -46,10 +48,12 @@ def ref_make(value, err, certified, prec):
 
 
 def ref_coerce(v, prec):
+    """v rounded to prec bits, with err |v| * 2**(2-prec) computed at prec."""
     if isinstance(v, ApproxScalar):
         return v
-    val = ref_to_mpc(v, prec)
-    return ref_make(val, abs(val) * mpmath.mpf(2) ** (2 - prec), True, prec)
+    val = ref_make(v, 0, True, prec).val
+    with mpmath.workprec(prec):
+        return ref_make(val, ref_rounding(val, prec), True, prec)
 
 
 def ref_rounding(v, prec):

@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import random
@@ -196,6 +197,11 @@ def test_hash_is_invariant_under_embed(order):
     assert hash(ExactScalar.zeta(6)) == hash(1 + z3)  # zeta_6 = 1 + zeta_3
 
 
+def test_hash_separates_traceless_values():
+    # Tr(zeta_4) = 0 = Tr(0), but Tr(zeta_4^2) = -2
+    assert hash(ExactScalar.zeta(4)) != hash(0)
+
+
 def test_constructor_rejects_inexact_coefficients():
     # a float would be stored as its binary fraction, not the value meant
     for order, coeffs in ((1, [0.1]), (4, [F(1, 3), 0.5]), (3, [1j, 0]), (6, [F(1), complex(2)])):
@@ -214,7 +220,7 @@ def test_constructor_rejects_inexact_coefficients():
 
 # -- reference: the Fraction-coefficient arithmetic the integer form replaced --
 # (schoolbook product reduced by polynomial division, eager embedding into the
-# lcm order, extended Euclid, and the Gauss-Jordan preimage behind the hash)
+# lcm order, extended Euclid; the hash from traces summed over the conjugates)
 def ref_trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
@@ -339,41 +345,25 @@ def ref_eq(x, y):
     return x[1] == y[1]
 
 
-def ref_preimage(v, d):
+@functools.cache
+def ref_ramanujan(n, j):
+    """Tr(zeta_n^j), the sum of zeta_n^(jk) over the units k mod n: an
+    integer, so the rounded float sum of the cosines is exact."""
+    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    return round(sum(math.cos(2 * math.pi * j * k / n) for k in units))
+
+
+def ref_mean_conjugate(v):
+    """Tr(v)/phi(order), the mean of the Galois conjugates of v."""
     order, coeffs = v
-    cols = [ref_embed(ref_reduce([0] * j + [1], d), order)[1] for j in range(euler_phi(d))]
-    rows = [[col[i] for col in cols] + [coeffs[i]] for i in range(len(coeffs))]
-    pivots = []
-    for j in range(len(cols)):
-        piv = next((r for r in range(len(pivots), len(rows)) if rows[r][j] != 0), None)
-        if piv is None:
-            continue
-        k = len(pivots)
-        rows[k], rows[piv] = rows[piv], rows[k]
-        rows[k] = [c / rows[k][j] for c in rows[k]]
-        for r in range(len(rows)):
-            if r != k and rows[r][j] != 0:
-                f = rows[r][j]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
-        pivots.append(j)
-    if any(row[-1] != 0 for row in rows[len(pivots):]):
-        return None
-    out = [F(0)] * len(cols)
-    for k, j in enumerate(pivots):
-        out[j] = rows[k][-1]
-    return tuple(out)
+    return sum(c * ref_ramanujan(order, j) for j, c in enumerate(coeffs)) / euler_phi(order)
 
 
 def ref_hash(v):
     order, coeffs = v
     if not any(coeffs[1:]):
         return hash(coeffs[0])
-    for d in range(3, order):
-        if order % d == 0:
-            pre = ref_preimage(v, d)
-            if pre is not None:
-                return hash((d, pre))
-    return hash(v)
+    return hash((ref_mean_conjugate(v), ref_mean_conjugate(ref_mul(v, v))))
 
 
 def ref_str(v):

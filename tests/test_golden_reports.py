@@ -3,14 +3,16 @@
 and tests/golden/exit_codes.json.  A change that must keep reports
 identical keeps this test passing unchanged.
 
-To regenerate the files after an intended report change:
+To regenerate the files after an intended report change, of the named
+commands only or of all of them when none is named:
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py [NAME ...]
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,15 +60,20 @@ def test_golden_report(name):
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
-def _write_all():
+def _write(names):
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for name, argv in COMMANDS.items():
-        codes[name], out = _run(argv)
+    codes_path = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_path.read_text()) if codes_path.exists() else {}
+    for name in names:
+        codes[name], out = _run(COMMANDS[name])
         (GOLDEN / f"{name}.out").write_bytes(out.encode())
         print(f"{name}: exit {codes[name]}, {len(out)} bytes")
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+    codes_path.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    _write_all()
+    names = sys.argv[1:] or list(COMMANDS)
+    unknown = [n for n in names if n not in COMMANDS]
+    if unknown:
+        sys.exit(f"unknown golden command(s): {', '.join(unknown)}")
+    _write(names)

@@ -225,13 +225,20 @@ def test_phi21_numeric_terminates_exactly():
     exact = phi21_exact(Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q)).value
     with mpmath.workprec(150):
         assert abs(r.value.val - exact.to_complex(130)) <= r.value.err
-    # the same a as an ApproxScalar never counts as terminating ...
+    # the same a as an ApproxScalar never counts as terminating
     approx_a = ApproxScalar.coerce(4)
     assert not phi21_numeric(Phi21Params(approx_a, F(3, 10), F(1, 5), Q, Q), 1e-12).terminated
-    # ... unless the exact parameters it stands for are given
-    exact_p = Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q)
-    assert phi21_numeric(Phi21Params(approx_a, F(3, 10), F(1, 5), Q, Q), 1e-12,
-                         exact=exact_p).terminated
+
+
+def test_phi21_numeric_ignores_global_precision():
+    # every rounding happens at prec, whatever mpmath's global context
+    p = Phi21Params(F(1, 3), F(2, 7), F(3, 11), F(1, 2), F(2, 5))
+    results = []
+    for global_prec in (53, 300):
+        with mpmath.workprec(global_prec):
+            r = phi21_numeric(p, 1e-20, 113)
+        results.append((r.value.val._mpf_, r.value.err._mpf_, r.terms_used))
+    assert results[0] == results[1]
 
 
 SHIFTS = [(1, 2, 1, -1), (0, 3, 3, 0), (2, 2, 0, 2), (-1, 0, 2, -3)]

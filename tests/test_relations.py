@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 import qforge
-from qforge.errors import BudgetExceeded, NotInTable, ZeroDenominator
+from qforge import relations
+from qforge.errors import BudgetExceeded, NotInTable, VerificationFailed, ZeroDenominator
 from qforge.exact import ExactScalar
 from qforge.poly import RationalFunction as RF
 from qforge.qseries import Phi21Params, phi21_exact
@@ -106,6 +107,21 @@ def test_verify_relation_runs():
 def test_derived_relation_residuals():
     rel = qr_derive((1, 1, 2, 0))
     verify_relation(rel, n_points=20, tol=1e-10)
+
+
+def test_failed_series_check_is_final(monkeypatch):
+    # the series check is exact: one failure disproves the relation, so
+    # qr_derive raises without checking again on fresh points
+    calls = []
+
+    def series_verify(rel, order, rng, points):
+        calls.append(order)
+        return len(calls) > 1
+
+    monkeypatch.setattr(relations, "_series_verify", series_verify)
+    with pytest.raises(VerificationFailed):
+        qr_derive((0, 0, 0, 1))
+    assert len(calls) == 1
 
 
 def test_budget_exceeded():
