@@ -9,12 +9,14 @@ set_default_precision (the CLI wires QFORGE_PRECISION into this).
 A value is a midpoint and a radius (the ball layout of Arb): `val` is an
 mpmath mpf or mpc, `err` an mpf.  The operators update both with
 mpmath's libmp kernels (mpf_add, mpc_mul, mpc_div, mpc_abs, ...) called
-at an explicit precision with round-to-nearest, which is what the mpf
-and mpc operators run inside mpmath.workprec(prec).  The bits of `val`
-and `err` are therefore those of the formulas written with mpf/mpc
-operators under workprec, without switching mpmath's global context on
-every operation.  The rounding allowance |v| * 2**(2-prec) of a result
-is an exponent shift of |v|, exact like the multiplication it replaces.
+at an explicit precision, which is what the mpf and mpc operators run
+inside mpmath.workprec(prec), without switching mpmath's global context
+on every operation.  Values round to nearest.  Every operation on an
+error bound rounds up (the moduli it multiplies included), and the
+divisor bound |y| - ey of a quotient rounds down, so a propagated bound
+never falls below the exact one.  The rounding allowance
+|v| * 2**(2-prec) of a result is an exponent shift of |v|, exact like
+the multiplication it replaces.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ from .errors import DivisionByZero
 from .exact import ExactScalar
 
 _DEFAULT_PREC = 113
-_RND = "n"  # round to nearest, mpmath's default rounding
+_RND = "n"  # values: round to nearest, mpmath's default rounding
+_UP = "c"  # error bounds: round toward +infinity
+_DOWN = "f"  # the divisor bound of a quotient: round toward -infinity
 _MPF = mpmath.mpf
 _MPC = mpmath.mpc
 _new = object.__new__
@@ -100,14 +104,14 @@ def _wrap(r):
     return v
 
 
-def _abs(r, prec):
+def _abs(r, prec, rnd):
     # a real value has at most prec bits, so its exact |r| is |r| at prec
-    return mpc_abs(r, prec, _RND) if len(r) == 2 else mpf_abs(r)
+    return mpc_abs(r, prec, rnd) if len(r) == 2 else mpf_abs(r)
 
 
 def _rounding(r, prec):
     """|r| * 2**(2-prec): the allowance for rounding a result to prec bits."""
-    return mpf_shift(_abs(r, prec), 2 - prec)
+    return mpf_shift(_abs(r, prec, _UP), 2 - prec)
 
 
 # The kernel the mpf/mpc operator calls for each pair of operand kinds,
@@ -136,8 +140,7 @@ class ApproxScalar:
     def __init__(self, value, err=0, certified: bool = True, prec: int | None = None):
         prec = _DEFAULT_PREC if prec is None else int(prec)
         val = _to_mpc(value, prec)
-        with mpmath.workprec(prec):
-            e = mpmath.mpf(err)
+        e = _MPF(err, prec=prec, rounding=_UP)
         if e < 0:
             raise ValueError("err must be non-negative")
         object.__setattr__(self, "val", val)
@@ -147,6 +150,9 @@ class ApproxScalar:
 
     def __setattr__(self, *_):
         raise AttributeError("ApproxScalar is immutable")
+
+    def __reduce__(self):  # val and err have prec bits: rebuilding keeps them
+        return ApproxScalar, (self.val, self.err, self.certified, self.prec)
 
     @staticmethod
     def coerce(v, prec: int | None = None) -> "ApproxScalar":
@@ -162,7 +168,7 @@ class ApproxScalar:
     # -- views ------------------------------------------------------------
     def magnitude(self):
         """|val| at the value's own precision."""
-        return _wrap(_abs(_raw(self.val), self.prec))
+        return _wrap(_abs(_raw(self.val), self.prec, _RND))
 
     def __repr__(self):
         tag = "certified" if self.certified else "heuristic"
@@ -250,8 +256,8 @@ def _sum(x, y, table) -> ApproxScalar:
     prec = x.prec if x.prec >= y.prec else y.prec
     v = _kernel(table, _raw(x.val), _raw(y.val), prec)
     # ex + ey + rounding
-    e = mpf_add(x.err._mpf_, y.err._mpf_, prec, _RND)
-    e = mpf_add(e, _rounding(v, prec), prec, _RND)
+    e = mpf_add(x.err._mpf_, y.err._mpf_, prec, _UP)
+    e = mpf_add(e, _rounding(v, prec), prec, _UP)
     return _make(v, e, x.certified and y.certified, prec)
 
 
@@ -261,10 +267,10 @@ def _product(x, y) -> ApproxScalar:
     xe, ye = x.err._mpf_, y.err._mpf_
     v = _kernel(_MUL, xr, yr, prec)
     # |x| ey + |y| ex + ex ey + rounding
-    e = mpf_add(mpf_mul(_abs(xr, prec), ye, prec, _RND),
-                mpf_mul(_abs(yr, prec), xe, prec, _RND), prec, _RND)
-    e = mpf_add(e, mpf_mul(xe, ye, prec, _RND), prec, _RND)
-    e = mpf_add(e, _rounding(v, prec), prec, _RND)
+    e = mpf_add(mpf_mul(_abs(xr, prec, _UP), ye, prec, _UP),
+                mpf_mul(_abs(yr, prec, _UP), xe, prec, _UP), prec, _UP)
+    e = mpf_add(e, mpf_mul(xe, ye, prec, _UP), prec, _UP)
+    e = mpf_add(e, _rounding(v, prec), prec, _UP)
     return _make(v, e, x.certified and y.certified, prec)
 
 
@@ -272,13 +278,13 @@ def _quotient(x, y) -> ApproxScalar:
     prec = x.prec if x.prec >= y.prec else y.prec
     xr, yr = _raw(x.val), _raw(y.val)
     ye = y.err._mpf_
-    ay = _abs(yr, prec)
+    ay = _abs(yr, prec, _DOWN)
     if ay == fzero or mpf_le(ay, ye):
         raise DivisionByZero("divisor not bounded away from zero")
     v = _kernel(_DIV, xr, yr, prec)
     # (ex + |v| ey) / (|y| - ey) + rounding
-    av = _abs(v, prec)
-    e = mpf_add(x.err._mpf_, mpf_mul(av, ye, prec, _RND), prec, _RND)
-    e = mpf_div(e, mpf_sub(ay, ye, prec, _RND), prec, _RND)
-    e = mpf_add(e, mpf_shift(av, 2 - prec), prec, _RND)
+    av = _abs(v, prec, _UP)
+    e = mpf_add(x.err._mpf_, mpf_mul(av, ye, prec, _UP), prec, _UP)
+    e = mpf_div(e, mpf_sub(ay, ye, prec, _DOWN), prec, _UP)
+    e = mpf_add(e, mpf_shift(av, 2 - prec), prec, _UP)
     return _make(v, e, x.certified and y.certified, prec)

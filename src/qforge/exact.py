@@ -171,6 +171,9 @@ class ExactScalar:
     def __setattr__(self, *_):
         raise AttributeError("ExactScalar is immutable")
 
+    def __reduce__(self):  # pickle and copy without re-reducing
+        return _raw, (self.order, self.nums, self.den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self.den

@@ -52,6 +52,9 @@ class MultiPoly:
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):  # pickle and copy through the constructor
+        return MultiPoly, (self.vars, self.terms)
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def const(value, var_names=()) -> "MultiPoly":
@@ -340,6 +343,9 @@ class RationalFunction:
 
     def __setattr__(self, *_):
         raise AttributeError("RationalFunction is immutable")
+
+    def __reduce__(self):  # num and den are normalized already
+        return RationalFunction, (self.num, self.den, False)
 
     # -- constructors --------------------------------------------------------
     @staticmethod

@@ -15,8 +15,17 @@ moves come directly from the elementary contiguous relations
 move).  Each opposite move is the inverse of the direct 2x2 matrix built
 at the target parameters.  One step function computes every move over any
 field: rational functions for the derivation, plain Fractions or
-cyclotomic scalars at concrete points.  The (Q, R) pair of the
-normal-form relation is recovered at the end via
+cyclotomic scalars at concrete points.
+
+The walk interleaves the axes: round robin over a, b, c, x, one step on
+each axis that still has steps left.  Any order of the same steps lands
+at the same series, and its (Q, R) is unique, so the order only changes
+the cost: each step multiplies and gcd-cancels the current state, and the
+interleaved walk stays near the shift's diagonal (through the small
+(0,k,k,0) relations on the way to (0,4,4,0)), where the intermediate
+relations are smaller than those of an axis-by-axis walk.
+
+The (Q, R) pair of the normal-form relation is recovered at the end via
 phi(xq) = phi - x(1-a)(1-b)/(1-c) * phi(aq,bq;cq;x), and is verified both
 by exact series matching at random rational points and by the numeric
 residual invariant.  Both checks move the parameters with
@@ -231,29 +240,35 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
     one, zero = MultiPoly.const(1), MultiPoly.const(0)
     v, den = [[one, zero], [zero, one]], one
     p = (a, b, c, x)
-    for axis, count in zip(_AXES, shift.as_tuple()):
-        for _ in range(abs(count)):
-            m, p = contiguous_step(axis, count > 0, p, q)
-            v, den = _apply(m, v, den)
+    for axis, up in _walk(shift):
+        m, p = contiguous_step(axis, up, p, q)
+        v, den = _apply(m, v, den)
     rep0, rep1 = (RationalFunction(e, den) for e in v[0])
     Q = (-rep1 * x * (1 - a) * (1 - b) / (1 - c)).cancel()
     R = (rep0 + rep1).cancel()
     rel = ThreeTermRelation(shift, Q, R)
 
-    d = _cleared_x_degree(rel)
+    # P0 = lcm of the denominators of Q and R, P1 = P0*Q, P2 = P0*R
+    p0, (p1, p2) = over_common_denominator([Q, R])
+    d = max(pp.degree_in("x") for pp in (p0, p1, p2))
     if d > degree_budget:
         raise BudgetExceeded(f"cleared x-degree {d} exceeds budget {degree_budget}")
     order = 3 * (d + 1) + 8
     # one exactly nonzero coefficient proves the relation wrong: no retry
-    if not _series_verify(rel, order, random.Random(seed), points=5):
+    if not _series_verify(shift, (p0, p1, p2), order, random.Random(seed), points=5):
         raise VerificationFailed(f"series match failed for shift {shift}")
     verify_relation(rel, n_points=20, tol=1e-10, seed=seed)
     return rel
 
 
-def _cleared_x_degree(rel: ThreeTermRelation) -> int:
-    p0, nums = over_common_denominator([rel.Q, rel.R])
-    return max(p.degree_in("x") for p in (p0, *nums))
+def _walk(shift):
+    """The contiguous steps (axis, up) from (a, b, c, x) to `shift`: round
+    robin over a, b, c, x, one step on each axis with steps left."""
+    counts = ShiftVector.coerce(shift).as_tuple()
+    for r in range(max(map(abs, counts))):
+        for axis, count in zip(_AXES, counts):
+            if r < abs(count):
+                yield axis, count > 0
 
 
 def _series_coeffs(p: Phi21Params, order: int) -> list[Fraction]:
@@ -277,13 +292,12 @@ def _x_coeff_polys(p: MultiPoly) -> dict[int, MultiPoly]:
     return {e: MultiPoly(rest, terms) for e, terms in out.items()}
 
 
-def _series_verify(rel: ThreeTermRelation, order: int, rng: random.Random, points: int) -> bool:
+def _series_verify(shift: ShiftVector, cleared: tuple[MultiPoly, MultiPoly, MultiPoly],
+                   order: int, rng: random.Random, points: int) -> bool:
     """Exact check that P0*phi_shifted - P1*phi_up - P2*phi_base has zero
-    series coefficients through x^(order-1) at random rational points."""
-    s = rel.shift
-    # P0 = lcm of the denominators of Q and R, P1 = P0*Q, P2 = P0*R
-    pp0, (pp1, pp2) = over_common_denominator([rel.Q, rel.R])
-    p0, p1, p2 = _x_coeff_polys(pp0), _x_coeff_polys(pp1), _x_coeff_polys(pp2)
+    series coefficients through x^(order-1) at random rational points,
+    (P0, P1, P2) = `cleared`."""
+    p0, p1, p2 = (_x_coeff_polys(pp) for pp in cleared)
     done = 0
     attempts = 0
     while done < points:
@@ -295,7 +309,7 @@ def _series_verify(rel: ThreeTermRelation, order: int, rng: random.Random, point
         try:
             base = _series_coeffs(pt, order)
             up = _series_coeffs(pt.shifted(_UP), order)
-            sh = _series_coeffs(pt.shifted(s.as_tuple()), order)
+            sh = _series_coeffs(pt.shifted(shift.as_tuple()), order)
             ev0, ev1, ev2 = ({e: p.eval(vars(pt)) for e, p in ps.items()} for ps in (p0, p1, p2))
         except ZeroDivisionError:
             continue

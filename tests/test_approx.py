@@ -1,13 +1,18 @@
 """ApproxScalar's libmp operators against the workprec formulas they replace.
 
 The reference below is the arithmetic as written with mpf/mpc operators
-inside mpmath.workprec, one context switch per operation.  Every operator
-must give the same bits of `val` and `err`, the same `certified` and
-`prec`, raise where the reference raises, and leave mpmath's global
-precision and rounding as they were.
+inside mpmath.workprec, one context switch per operation.  Values round
+to nearest; error bounds round up, moduli included, and the divisor bound
+|y| - ey of a quotient rounds down.  Every operator must give the same
+bits of `val` and `err`, the same `certified` and `prec`, raise where the
+reference raises, and leave mpmath's global precision and rounding as
+they were.
 """
 
+import copy
 import operator
+import pickle
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import mpmath
@@ -23,6 +28,18 @@ PRECS = (113, 128, 192)
 
 
 # -- reference: mpf/mpc operators under workprec ------------------------------
+@contextmanager
+def rounding(mode):
+    """mpf/mpc operators round in `mode` ("c" up, "f" down) inside; mpmath
+    1.3 keeps the rounding only in _prec_rounding."""
+    ctx = mpmath.mp._prec_rounding
+    saved, ctx[1] = ctx[1], mode
+    try:
+        yield
+    finally:
+        ctx[1] = saved
+
+
 def ref_to_mpc(v, prec):
     if isinstance(v, ExactScalar) and v.is_rational():
         v = v.as_rational()
@@ -38,7 +55,7 @@ def ref_to_mpc(v, prec):
 
 def ref_make(value, err, certified, prec):
     val = ref_to_mpc(value, prec)
-    with mpmath.workprec(prec):
+    with mpmath.workprec(prec), rounding("c"):
         e = mpmath.mpf(err)
     assert not e < 0
     out = object.__new__(ApproxScalar)
@@ -52,11 +69,13 @@ def ref_coerce(v, prec):
     if isinstance(v, ApproxScalar):
         return v
     val = ref_make(v, 0, True, prec).val
-    with mpmath.workprec(prec):
-        return ref_make(val, ref_rounding(val, prec), True, prec)
+    with mpmath.workprec(prec), rounding("c"):
+        e = ref_rounding(val, prec)
+    return ref_make(val, e, True, prec)
 
 
 def ref_rounding(v, prec):
+    """|v| * 2**(2-prec); call it inside rounding("c")."""
     return abs(v) * mpmath.mpf(2) ** (2 - prec)
 
 
@@ -70,7 +89,8 @@ def ref_binary(x, other, op):
 def ref_add(x, other):
     def op(x, y, prec):
         v = x.val + y.val
-        e = x.err + y.err + ref_rounding(v, prec)
+        with rounding("c"):
+            e = x.err + y.err + ref_rounding(v, prec)
         return ref_make(v, e, x.certified and y.certified, prec)
     return ref_binary(x, other, op)
 
@@ -91,20 +111,24 @@ def ref_rsub(x, other):
 def ref_mul(x, other):
     def op(x, y, prec):
         v = x.val * y.val
-        e = abs(x.val) * y.err + abs(y.val) * x.err + x.err * y.err
-        e += ref_rounding(v, prec)
+        with rounding("c"):
+            e = abs(x.val) * y.err + abs(y.val) * x.err + x.err * y.err
+            e += ref_rounding(v, prec)
         return ref_make(v, e, x.certified and y.certified, prec)
     return ref_binary(x, other, op)
 
 
 def ref_div(x, other):
     def op(x, y, prec):
-        ay = abs(y.val)
-        if ay == 0 or ay <= y.err:
-            raise DivisionByZero("divisor not bounded away from zero")
+        with rounding("f"):
+            ay = abs(y.val)
+            if ay == 0 or ay <= y.err:
+                raise DivisionByZero("divisor not bounded away from zero")
+            den = ay - y.err
         v = x.val / y.val
-        e = (x.err + abs(v) * y.err) / (ay - y.err)
-        e += ref_rounding(v, prec)
+        with rounding("c"):
+            e = (x.err + abs(v) * y.err) / den
+            e += ref_rounding(v, prec)
         return ref_make(v, e, x.certified and y.certified, prec)
     return ref_binary(x, other, op)
 
@@ -236,6 +260,41 @@ def test_zero_results_and_zero_divisors(x):
     check(operator.truediv, ref_div, x, ApproxScalar(1, 1, True, x.prec))
     check(lambda a, b: b / a, ref_rdiv, diff, 1)
     check(operator.pow, ref_pow, diff, -1)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(approx())
+def test_pickle_and_copy_keep_bits(x):
+    assert_same(pickle.loads(pickle.dumps(x)), x)
+    assert_same(copy.deepcopy(x), x)
+
+
+def _exact(v):
+    man, exp = v.man_exp
+    return F(man) * F(2) ** exp
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(rationals, rationals)
+def test_err_never_below_exact_formula(a, b):
+    """On real operands the err formulas can be summed exactly in Fractions;
+    the rounded err is never below that exact sum."""
+    x, y = ApproxScalar.coerce(a), ApproxScalar.coerce(b)
+    xv, yv, ex, ey = (_exact(v) for v in (x.val, y.val, x.err, y.err))
+    ulp = F(2) ** (2 - x.prec)
+    for op, formula in (
+        (operator.add, lambda v: ex + ey),
+        (operator.sub, lambda v: ex + ey),
+        (operator.mul, lambda v: abs(xv) * ey + abs(yv) * ex + ex * ey),
+        (operator.truediv, lambda v: (ex + abs(v) * ey) / (abs(yv) - ey)),
+    ):
+        if op is operator.truediv and abs(yv) <= ey:
+            continue
+        got = op(x, y)
+        v = _exact(got.val)
+        assert _exact(got.err) >= formula(v) + abs(v) * ulp
 
 
 def test_coerce_one_is_the_formula():

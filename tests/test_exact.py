@@ -1,6 +1,8 @@
+import copy
 import functools
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -90,6 +92,15 @@ def test_mixed_order_embedding():
 def test_scalar_text_round_trip():
     for s in ["0", "5", "-3/7", "cyclo(3)[-1/7, -3/7]", "cyclo(12)[1, 0, -2/3, 5]"]:
         assert format_scalar(parse_scalar(s)) == s
+
+
+@pytest.mark.parametrize("copier", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+def test_pickle_and_copy_keep_scalars(copier):
+    for s in ["0", "-3/7", "cyclo(3)[-1/7, -3/7]", "cyclo(12)[1, 0, -2/3, 5]"]:
+        v = parse_scalar(s)
+        back = copier(v)
+        assert back == v and hash(back) == hash(v) and format_scalar(back) == s
+        assert (back.order, back.nums, back.den) == (v.order, v.nums, v.den)
 
 
 def test_parse_rejects_garbage():

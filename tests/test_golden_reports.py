@@ -43,6 +43,7 @@ COMMANDS = {
                                  "--point", "b=512", "--point", "q=1/2", "--n-max", "3",
                                  "--mode", "exact"],
     "conjecture_sum_zero_1120": ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0"],
+    "derive_242m2": ["derive", "--shift", "2,4,2,-2", "--check-against-table"],
 }
 
 

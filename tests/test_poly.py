@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -11,6 +13,26 @@ from qforge.poly import MultiPoly, RationalFunction as RF
 from qforge.relations import TABLE_SHIFTS, qr_lookup
 
 A, B, C, Q, X = (RF.var(s) for s in "abcqx")
+
+
+COPIERS = [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy]
+
+
+@pytest.mark.parametrize("copier", COPIERS, ids=["pickle", "copy", "deepcopy"])
+def test_pickle_and_copy_keep_polys(copier):
+    rel = qr_lookup((0, 3, 3, 0))
+    poly = rel.Q.num
+    pt = {"a": F(2), "b": F(3), "c": F(5), "q": F(7), "x": F(11)}
+    value = poly.eval(pt)  # builds the Horner form on the instance
+    for p in (MultiPoly.var("a"), MultiPoly.const(0), poly):
+        back = copier(p)
+        assert back == p and hash(back) == hash(p) and back.to_text() == p.to_text()
+        assert back.vars == p.vars
+    for f in (RF.var("a"), RF.const(F(-2, 3)), rel.Q, rel.R):
+        back = copier(f)
+        assert back == f and hash(back) == hash(f) and back.to_json() == f.to_json()
+        assert back.num.terms == f.num.terms and back.den.terms == f.den.terms
+    assert copier(poly).eval(pt) == value
 
 
 def test_eval_table_entry():

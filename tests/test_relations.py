@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import qforge
 from qforge import relations
 from qforge.errors import BudgetExceeded, NotInTable, VerificationFailed, ZeroDenominator
 from qforge.exact import ExactScalar
-from qforge.poly import RationalFunction as RF
+from qforge.poly import MultiPoly, RationalFunction as RF
 from qforge.qseries import Phi21Params, phi21_exact
 from qforge.relations import (
     TABLE_SHIFTS,
@@ -114,7 +115,7 @@ def test_failed_series_check_is_final(monkeypatch):
     # qr_derive raises without checking again on fresh points
     calls = []
 
-    def series_verify(rel, order, rng, points):
+    def series_verify(shift, cleared, order, rng, points):
         calls.append(order)
         return len(calls) > 1
 
@@ -153,6 +154,66 @@ def test_relation_json_round_trip():
     obj = rel.to_json()
     back = ThreeTermRelation.from_json(obj)
     assert back.shift == rel.shift and back.Q == rel.Q and back.R == rel.R
+
+
+def test_relation_survives_pickle():
+    rel = qr_lookup((1, 2, 1, -1))
+    back = pickle.loads(pickle.dumps(rel))
+    assert back == rel and back.to_json() == rel.to_json()
+
+
+def _sequential_derive(shift):
+    """(Q, R) by the axis-by-axis walk: every a step first, then b, c, x."""
+    one, zero = MultiPoly.const(1), MultiPoly.const(0)
+    v, den = [[one, zero], [zero, one]], one
+    p = (A, B, C, X)
+    for axis, count in zip("abcx", shift):
+        for _ in range(abs(count)):
+            m, p = contiguous_step(axis, count > 0, p, Q)
+            v, den = relations._apply(m, v, den)
+    rep0, rep1 = (RF(e, den) for e in v[0])
+    return ThreeTermRelation(ShiftVector.coerce(shift),
+                             (-rep1 * X * (1 - A) * (1 - B) / (1 - C)).cancel(),
+                             (rep0 + rep1).cancel())
+
+
+@pytest.mark.parametrize("shift", [(1, 2, 1, -1), (1, 1, 2, 0), (2, 2, 0, 2)])
+def test_walk_order_keeps_relation(shift):
+    # (Q, R) is unique, so the balanced walk gives the sequential walk's bytes
+    assert qr_derive(shift).to_json() == _sequential_derive(shift).to_json()
+
+
+def _walked_points(steps):
+    pos = [0, 0, 0, 0]
+    for axis, up in steps:
+        pos["abcx".index(axis)] += 1 if up else -1
+        yield tuple(pos)
+
+
+@pytest.mark.parametrize("shift", [(0, 4, 4, 0), (2, 4, 2, -2), (3, 3, 0, 3), (-1, 0, 2, -3),
+                                   (0, 0, 0, 2), (0, 0, 0, 0)])
+def test_balanced_walk_shape(shift):
+    points = list(_walked_points(relations._walk(shift)))
+    assert len(points) == sum(map(abs, shift))
+    assert points[-1:] == ([shift] if any(shift) else [])
+    # round robin: after round r each axis has taken min(r, |count|) steps
+    for r in range(1, max(map(abs, shift)) + 1):
+        took = [min(r, abs(c)) for c in shift]
+        assert points[sum(took) - 1] == tuple(t if c > 0 else -t for t, c in zip(took, shift))
+    if shift == (0, 4, 4, 0):
+        assert points[1::2] == [(0, k, k, 0) for k in range(1, 5)]
+
+
+def test_qr_derive_walks_balanced(monkeypatch):
+    steps = []
+
+    def step(axis, up, p, q):
+        steps.append((axis, up))
+        return contiguous_step(axis, up, p, q)
+
+    monkeypatch.setattr(relations, "contiguous_step", step)
+    qr_derive((1, 2, 1, -1))
+    assert steps == [("a", True), ("b", True), ("c", True), ("x", False), ("b", True)]
 
 
 def test_shift_vector_parse():
