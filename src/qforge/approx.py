@@ -1,10 +1,9 @@
-"""High-precision complex scalars with propagated absolute error bounds.
+"""High-precision complex scalars with proven absolute error bounds.
 
-Error bounds are worst-case (interval style): certified inputs with
-certified propagation yield certified outputs.  When any input carries a
-heuristic bound the result keeps the same arithmetic bound but is flagged
-uncertified.  Default mantissa is 113 bits, overridable per value or via
-set_default_precision (the CLI wires QFORGE_PRECISION into this).
+Every `err` is a rigorous bound: exact inputs carry their rounding error,
+operations propagate their operands' errors, and a truncated series or
+product adds a proven bound on the rest (`_widened`).  Default mantissa:
+113 bits, set per value or by set_default_precision (QFORGE_PRECISION).
 
 A value is a midpoint and a radius (the ball layout of Arb): `val` is an
 mpmath mpf or mpc, `err` an mpf.  The operators update both with
@@ -40,6 +39,7 @@ from mpmath.libmp import (
     mpc_sub_mpf,
     mpf_abs,
     mpf_add,
+    from_int,
     mpf_div,
     mpf_le,
     mpf_mul,
@@ -114,6 +114,29 @@ def _rounding(r, prec):
     return mpf_shift(_abs(r, prec, _UP), 2 - prec)
 
 
+def _embedding_error(v: ExactScalar, prec: int):
+    """(d + 1) sum |c_k| 2**(-11-prec): a bound on the error of Horner's
+    rule in ExactScalar.to_complex(prec), which sums the d + 1 = phi(n)
+    terms c_k zeta^k at prec + 16 bits, so a rounding errs by at most
+    u = 2**(-15-prec): 3u |c_k| for c_k = num / den, 8ku for the k-th power
+    of the computed zeta, and gamma_2d sum |c_k| for Horner's 2d
+    operations (Higham, Accuracy and Stability of Numerical Algorithms,
+    5.1); (3 + 10d) u sum |c_k| to first order, which 16 (d + 1) u sum |c_k|
+    covers while d u < 1/64."""
+    total = mpf_div(from_int(sum(map(abs, v.nums)), prec, _UP), from_int(v.den, prec, _DOWN), prec, _UP)
+    return mpf_shift(mpf_mul(total, from_int(len(v.nums)), prec, _UP), -11 - prec)
+
+
+def _upper(x):
+    """|val| + err rounded up (raw mpf): a bound on |v| for all v in x."""
+    return mpf_add(_abs(_raw(x.val), x.prec, _UP), x.err._mpf_, x.prec, _UP)
+
+
+def _widened(x, tail):
+    """x with the raw mpf bound `tail` on a neglected part added to its err."""
+    return _make(_raw(x.val), mpf_add(x.err._mpf_, tail, x.prec, _UP), x.prec)
+
+
 # The kernel the mpf/mpc operator calls for each pair of operand kinds,
 # indexed by (x is complex) + 2 * (y is complex).  The parts of a value
 # have at most prec bits (the constructor rounds them to prec), so
@@ -129,41 +152,33 @@ def _kernel(table, xr, yr, prec):
 
 
 class ApproxScalar:
-    """A complex value with an absolute error bound.
+    """An immutable complex value with a rigorous absolute error bound `err`."""
 
-    `err` is a rigorous bound when `certified` is true, else a heuristic
-    estimate.  Values are immutable.
-    """
+    __slots__ = ("val", "err", "prec")
 
-    __slots__ = ("val", "err", "certified", "prec")
-
-    def __init__(self, value, err=0, certified: bool = True, prec: int | None = None):
+    def __new__(cls, value, err=0, prec: int | None = None):
         prec = _DEFAULT_PREC if prec is None else int(prec)
-        val = _to_mpc(value, prec)
-        e = _MPF(err, prec=prec, rounding=_UP)
-        if e < 0:
-            raise ValueError("err must be non-negative")
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "err", e)
-        object.__setattr__(self, "certified", bool(certified))
-        object.__setattr__(self, "prec", prec)
+        return _make(_raw(_to_mpc(value, prec)), _MPF(err, prec=prec, rounding=_UP)._mpf_, prec)
 
     def __setattr__(self, *_):
         raise AttributeError("ApproxScalar is immutable")
 
     def __reduce__(self):  # val and err have prec bits: rebuilding keeps them
-        return ApproxScalar, (self.val, self.err, self.certified, self.prec)
+        return ApproxScalar, (self.val, self.err, self.prec)
 
     @staticmethod
     def coerce(v, prec: int | None = None) -> "ApproxScalar":
         if isinstance(v, ApproxScalar):
             return v
-        # exact inputs carry only the representation rounding error
+        # exact inputs carry their rounding error (and a cyclotomic one its embedding's)
         prec = _DEFAULT_PREC if prec is None else prec
         if type(v) is int and v == 1:
             return _one(prec)
         r = _raw(_to_mpc(v, prec))
-        return _make(r, _rounding(r, prec), True, prec)
+        e = _rounding(r, prec)
+        if isinstance(v, ExactScalar) and not v.is_rational():
+            e = mpf_add(e, _embedding_error(v, prec), prec, _UP)
+        return _make(r, e, prec)
 
     # -- views ------------------------------------------------------------
     def magnitude(self):
@@ -171,8 +186,7 @@ class ApproxScalar:
         return _wrap(_abs(_raw(self.val), self.prec, _RND))
 
     def __repr__(self):
-        tag = "certified" if self.certified else "heuristic"
-        return f"ApproxScalar({self.val}, err={mpmath.nstr(self.err, 3)}, {tag})"
+        return f"ApproxScalar({self.val}, err={mpmath.nstr(self.err, 3)})"
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -183,7 +197,7 @@ class ApproxScalar:
     def __neg__(self):
         r = _raw(self.val)
         v = mpc_neg(r, self.prec, _RND) if len(r) == 2 else mpf_neg(r, self.prec, _RND)
-        return _make(v, self.err._mpf_, self.certified, self.prec)
+        return _make(v, self.err._mpf_, self.prec)
 
     def __sub__(self, other):
         return _sum(self, ApproxScalar.coerce(other, self.prec), _SUB)
@@ -221,23 +235,19 @@ class ApproxScalar:
         return self.val
 
 
-def _make(v, e, certified, prec) -> ApproxScalar:
+def _make(v, e, prec) -> ApproxScalar:
     """An ApproxScalar from raw libmp values already rounded to prec."""
     if e[0]:  # the sign bit: err < 0
         raise ValueError("err must be non-negative")
     out = _new(ApproxScalar)
     _set_val(out, _wrap(v))
-    err = _new(_MPF)
-    err._mpf_ = e
-    _set_err(out, err)
-    _set_certified(out, certified)
+    _set_err(out, _wrap(e))
     _set_prec(out, prec)
     return out
 
 
 _set_val = ApproxScalar.val.__set__
 _set_err = ApproxScalar.err.__set__
-_set_certified = ApproxScalar.certified.__set__
 _set_prec = ApproxScalar.prec.__set__
 
 _ONES: dict[int, ApproxScalar] = {}
@@ -247,7 +257,7 @@ def _one(prec: int) -> ApproxScalar:
     """coerce(1, prec): 1 with err 2**(2-prec), built once per precision."""
     one = _ONES.get(prec)
     if one is None:
-        one = _ONES[prec] = _make(fone, mpf_shift(fone, 2 - prec), True, prec)
+        one = _ONES[prec] = _make(fone, mpf_shift(fone, 2 - prec), prec)
     return one
 
 
@@ -258,7 +268,7 @@ def _sum(x, y, table) -> ApproxScalar:
     # ex + ey + rounding
     e = mpf_add(x.err._mpf_, y.err._mpf_, prec, _UP)
     e = mpf_add(e, _rounding(v, prec), prec, _UP)
-    return _make(v, e, x.certified and y.certified, prec)
+    return _make(v, e, prec)
 
 
 def _product(x, y) -> ApproxScalar:
@@ -271,7 +281,7 @@ def _product(x, y) -> ApproxScalar:
                 mpf_mul(_abs(yr, prec, _UP), xe, prec, _UP), prec, _UP)
     e = mpf_add(e, mpf_mul(xe, ye, prec, _UP), prec, _UP)
     e = mpf_add(e, _rounding(v, prec), prec, _UP)
-    return _make(v, e, x.certified and y.certified, prec)
+    return _make(v, e, prec)
 
 
 def _quotient(x, y) -> ApproxScalar:
@@ -287,4 +297,4 @@ def _quotient(x, y) -> ApproxScalar:
     e = mpf_add(x.err._mpf_, mpf_mul(av, ye, prec, _UP), prec, _UP)
     e = mpf_div(e, mpf_sub(ay, ye, prec, _DOWN), prec, _UP)
     e = mpf_add(e, mpf_shift(av, 2 - prec), prec, _UP)
-    return _make(v, e, x.certified and y.certified, prec)
+    return _make(v, e, prec)

@@ -18,6 +18,7 @@ from .errors import ConstraintViolated, QForgeError, UnboundSymbol
 from .exact import parse_scalar
 from .families import solution_families
 from .forge import (
+    _scalar_text,
     check_constraints,
     conjecture_check,
     default_registry,
@@ -97,10 +98,10 @@ def _parse_assignments(items) -> dict:
     return out
 
 
-def _case_from_exception(exc: Exception, bindings_text: dict) -> dict:
+def _case_from_exception(exc: Exception, bindings: dict) -> dict:
     return {
         "status": "error",
-        "bindings": bindings_text,
+        "bindings": {k: _scalar_text(v) for k, v in bindings.items()},
         "detail": f"{type(exc).__name__}: {exc}",
     }
 
@@ -160,31 +161,29 @@ def _sample_bindings(record, base: dict, free_rest, rng, limit: int = 500) -> di
 
 
 def _verify_one(identity: str, bindings: dict, tol: float, registry) -> dict:
-    from .forge import _scalar_text
-
-    text = {k: _scalar_text(v) for k, v in bindings.items()}
     try:
         case = verify_identity(identity, bindings, tol, registry)
         return case.to_json()
     except QForgeError as exc:
-        return _case_from_exception(exc, text)
+        return _case_from_exception(exc, bindings)
 
 
 def _run_derive(opts: dict) -> ReportDocument:
     shift = ShiftVector.parse(opts["shift"])
     report = ReportDocument("derive", _echo_options(opts), opts.get("seed", DEFAULT_SEED))
-    rel = qr_derive(shift, degree_budget=opts.get("degree_budget", 8),
-                    seed=opts.get("seed", DEFAULT_SEED))
-    case = {"status": "pass", "shift": str(shift), "Q": rel.Q.to_json(), "R": rel.R.to_json()}
-    if opts.get("check_against_table"):
-        try:
+    case = {"status": "pass", "shift": str(shift)}
+    try:
+        rel = qr_derive(shift, degree_budget=opts.get("degree_budget", 8),
+                        seed=opts.get("seed", DEFAULT_SEED))
+        case.update(Q=rel.Q.to_json(), R=rel.R.to_json())
+        if opts.get("check_against_table"):
             table = qr_lookup(shift)
             ok = table.Q == rel.Q and table.R == rel.R
             case["status"] = "pass" if ok else "fail"
             case["table_match"] = ok
-        except QForgeError as exc:
-            case["status"] = "error"
-            case["detail"] = f"{type(exc).__name__}: {exc}"
+    except QForgeError as exc:
+        case["status"] = "error"
+        case["detail"] = f"{type(exc).__name__}: {exc}"
     report.cases.append(case)
     return report
 
@@ -224,10 +223,12 @@ def _run_pipeline(opts: dict) -> ReportDocument:
     if missing:
         raise UnboundSymbol(f"--point leaves {missing} unbound: family {fam.name} "
                             f"(--family-index {idx}) of shift {shift} needs {needed}")
-    run = telescoped_check(
-        shift, fam, opts.get("n_max", 5), point,
-        tol=opts.get("tol", 1e-12), mode=opts.get("mode", "numeric"),
-    )
+    try:
+        run = telescoped_check(shift, fam, opts.get("n_max", 5), point,
+                               tol=opts.get("tol", 1e-12), mode=opts.get("mode", "numeric"))
+    except QForgeError as exc:
+        report.cases.append(_case_from_exception(exc, point))
+        return report
     for step in run.steps:
         case = step.to_json()
         case["status"] = "pass" if step.ok else "fail"

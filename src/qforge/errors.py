@@ -22,7 +22,7 @@ class NotTerminating(QForgeError):
 
 
 class NoConvergence(QForgeError):
-    """Numeric series summation detected sustained term growth."""
+    """A numeric series or product did not meet its tolerance within its term bound."""
 
 
 class NotInTable(QForgeError, KeyError):

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateParameter,
     NotInTable,
     NotTerminating,
+    QForgeError,
     SamplingExhausted,
     UnreachableTolerance,
     ZeroDenominator,
@@ -641,7 +642,7 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
         try:
             ok, detail = fn()
             report.steps.append(ConjectureStep(name, "pass" if ok else "fail", detail))
-        except Exception as exc:  # recorded, never raised past the report
+        except (QForgeError, ZeroDivisionError) as exc:  # an engine failure is a step outcome
             report.steps.append(ConjectureStep(name, "error", f"{type(exc).__name__}: {exc}"))
 
     rel_box: dict = {}

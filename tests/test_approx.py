@@ -4,8 +4,8 @@ The reference below is the arithmetic as written with mpf/mpc operators
 inside mpmath.workprec, one context switch per operation.  Values round
 to nearest; error bounds round up, moduli included, and the divisor bound
 |y| - ey of a quotient rounds down.  Every operator must give the same
-bits of `val` and `err`, the same `certified` and `prec`, raise where the
-reference raises, and leave mpmath's global precision and rounding as
+bits of `val` and `err`, the same `prec`, raise where the reference
+raises, and leave mpmath's global precision and rounding as
 they were.
 """
 
@@ -53,13 +53,13 @@ def ref_to_mpc(v, prec):
         return v.to_complex(prec)
 
 
-def ref_make(value, err, certified, prec):
+def ref_make(value, err, prec):
     val = ref_to_mpc(value, prec)
     with mpmath.workprec(prec), rounding("c"):
         e = mpmath.mpf(err)
     assert not e < 0
     out = object.__new__(ApproxScalar)
-    for name, v in (("val", val), ("err", e), ("certified", bool(certified)), ("prec", prec)):
+    for name, v in (("val", val), ("err", e), ("prec", prec)):
         object.__setattr__(out, name, v)
     return out
 
@@ -68,10 +68,10 @@ def ref_coerce(v, prec):
     """v rounded to prec bits, with err |v| * 2**(2-prec) computed at prec."""
     if isinstance(v, ApproxScalar):
         return v
-    val = ref_make(v, 0, True, prec).val
+    val = ref_make(v, 0, prec).val
     with mpmath.workprec(prec), rounding("c"):
         e = ref_rounding(val, prec)
-    return ref_make(val, e, True, prec)
+    return ref_make(val, e, prec)
 
 
 def ref_rounding(v, prec):
@@ -91,13 +91,13 @@ def ref_add(x, other):
         v = x.val + y.val
         with rounding("c"):
             e = x.err + y.err + ref_rounding(v, prec)
-        return ref_make(v, e, x.certified and y.certified, prec)
+        return ref_make(v, e, prec)
     return ref_binary(x, other, op)
 
 
 def ref_neg(x):
     with mpmath.workprec(x.prec):
-        return ref_make(-x.val, x.err, x.certified, x.prec)
+        return ref_make(-x.val, x.err, x.prec)
 
 
 def ref_sub(x, other):
@@ -114,7 +114,7 @@ def ref_mul(x, other):
         with rounding("c"):
             e = abs(x.val) * y.err + abs(y.val) * x.err + x.err * y.err
             e += ref_rounding(v, prec)
-        return ref_make(v, e, x.certified and y.certified, prec)
+        return ref_make(v, e, prec)
     return ref_binary(x, other, op)
 
 
@@ -129,7 +129,7 @@ def ref_div(x, other):
         with rounding("c"):
             e = (x.err + abs(v) * y.err) / den
             e += ref_rounding(v, prec)
-        return ref_make(v, e, x.certified and y.certified, prec)
+        return ref_make(v, e, prec)
     return ref_binary(x, other, op)
 
 
@@ -178,13 +178,13 @@ def approx(draw):
         order = draw(st.sampled_from((3, 4, 6)))
         coeffs = [draw(rationals.filter(lambda v: abs(v) < 2**40)) for _ in range(2)]
         return ApproxScalar.coerce(ExactScalar(order, coeffs), prec)
-    err, certified = draw(errs), draw(st.booleans())
+    err = draw(errs)
     if kind == "real":
-        return ApproxScalar(_mpf(draw(rationals)), _mpf(err), certified, prec)
+        return ApproxScalar(_mpf(draw(rationals)), _mpf(err), prec=prec)
     re_, im_ = draw(rationals), draw(rationals)
     with mpmath.workprec(prec + 16):
         value = mpmath.mpc(_mpf(re_), _mpf(im_))
-    return ApproxScalar(value, _mpf(err), certified, prec)
+    return ApproxScalar(value, _mpf(err), prec=prec)
 
 
 exact_others = st.one_of(rationals, st.integers(-50, 50))
@@ -199,7 +199,6 @@ def assert_same(got, want):
     assert raw(got.val) == raw(want.val)
     assert type(got.err) is mpmath.mpf
     assert got.err._mpf_ == want.err._mpf_
-    assert got.certified is want.certified
     assert got.prec == want.prec
 
 
@@ -257,7 +256,7 @@ def test_zero_results_and_zero_divisors(x):
     diff = x - x
     check(operator.truediv, ref_div, x, diff)
     check(operator.truediv, ref_div, x, 0)
-    check(operator.truediv, ref_div, x, ApproxScalar(1, 1, True, x.prec))
+    check(operator.truediv, ref_div, x, ApproxScalar(1, 1, x.prec))
     check(lambda a, b: b / a, ref_rdiv, diff, 1)
     check(operator.pow, ref_pow, diff, -1)
 
@@ -309,3 +308,29 @@ def test_global_context_untouched_inside_workprec():
         got = (x * x - 1) / x
         assert mpmath.mp.prec == 300
     assert_same(got, ref_div(ref_sub(ref_mul(x, x), 1), x))
+
+
+def assert_coerce_holds_err(v, prec):
+    x = ApproxScalar.coerce(v, prec)
+    with mpmath.workprec(1000):
+        assert abs(x.val - v.to_complex(1000)) <= x.err
+
+
+@pytest.mark.parametrize("k", (10, 40, 80))
+def test_coerce_cyclotomic_unit_power_holds_err(k):
+    """u = 1 + zeta_5 + zeta_5^4 is the golden ratio and its conjugate is
+    -1/u, so the coefficients of u^-k grow like u^k while u^-k shrinks:
+    the error of the embedding scales with the coefficients, not |v|."""
+    z = ExactScalar.zeta(5)
+    assert_coerce_holds_err((1 + z + z**4) ** -k, 113)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from((3, 4, 5, 7, 12)), st.integers(-12, 12), st.sampled_from(PRECS), st.data())
+def test_coerce_cyclotomic_holds_err(order, e, prec, data):
+    deg = len(ExactScalar.zeta(order).nums)
+    v = ExactScalar(order, data.draw(st.lists(rationals, min_size=deg, max_size=deg)))
+    if v.is_rational() or (e < 0 and v.is_zero()):
+        return
+    assert_coerce_holds_err(v**e, prec)

@@ -90,6 +90,26 @@ def test_verify_mode_must_match_registry(capsys):
     assert "--mode exact" in err and "numeric mode" in err
 
 
+def test_derive_engine_failure_is_an_error_case(capsys):
+    code, out = run_cli(capsys, "derive", "--shift", "0,3,3,0", "--degree-budget", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["summary"] == {"total": 1, "passed": 0, "failed": 0, "errored": 1}
+    assert doc["cases"][0]["detail"].startswith("BudgetExceeded: ")
+
+
+def test_pipeline_engine_failure_is_an_error_case(capsys):
+    # x = c/(ab) = 15/7 lies outside the disk of convergence
+    code, out = run_cli(capsys, "pipeline", "--shift", "0,1,1,0", "--point", "a=1/3",
+                        "--point", "b=1/5", "--point", "c=1/7", "--point", "q=1/2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["summary"] == {"total": 1, "passed": 0, "failed": 0, "errored": 1}
+    case = doc["cases"][0]
+    assert case["detail"].startswith("InvalidDomain: ")
+    assert case["bindings"] == {"a": "1/3", "b": "1/5", "c": "1/7", "q": "1/2"}
+
+
 def test_pipeline_names_family_of_unbound_point(capsys):
     code = main(["pipeline", "--shift", "0,3,3,0", "--point", "b=8", "--point", "q=1/2",
                  "--mode", "exact"])

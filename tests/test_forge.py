@@ -211,6 +211,16 @@ def test_conjecture_trivial_reads_telescoped_values(monkeypatch, value, trivial)
     assert rep.trivial is trivial
 
 
+def test_conjecture_propagates_programming_errors(monkeypatch):
+    # only engine failures become "error" steps; a bug surfaces
+    def broken(*args, **kwargs):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(forge, "check_family", broken)
+    with pytest.raises(TypeError, match="broken"):
+        conjecture_check("lln_even", (0, 0, 0, 2), trials=2, n_max=1)
+
+
 def test_conjecture_sum_zero():
     rep = conjecture_check("sum_zero", (1, 1, 2, 0), trials=10)
     assert rep.passed

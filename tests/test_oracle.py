@@ -1,11 +1,12 @@
-"""Differential oracle: the certified numeric kernels against mpmath's own
+"""Differential oracle: the numeric kernels against mpmath's own
 q-functions at 300 bits, at random rational points of the convergent
-region (fixed seed).  Every certified result must hold its bound,
-|value - reference| <= err, at each summation tolerance."""
+region (fixed seed), near-terminating ones included.  Every result must
+hold its bound, |value - reference| <= err, at each summation tolerance."""
 
 from fractions import Fraction as F
 
 import mpmath
+import pytest
 from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
 
@@ -26,16 +27,24 @@ def _mp(v: F):
     return mpmath.mpf(v.numerator) / v.denominator
 
 
+@st.composite
+def near_terminating(draw):
+    """(a, b, c, q, x) with a = q^-j (1 + 10^-e): after j steps the terms
+    drop by about 10^-e, then a large negative b makes them grow for many
+    terms before they decay."""
+    q = draw(st.fractions(min_value=F(1, 2), max_value=F(19, 20), max_denominator=40))
+    j = draw(st.integers(1, 6))
+    e = draw(st.sampled_from([10, 16, 20, 30]))
+    b = draw(st.integers(-1000, -50))
+    return q**-j * (1 + F(1, 10**e)), F(b), draw(params), q, draw(nonzero)
+
+
 def assert_within_err(result, ref):
-    if result.certified:
-        with mpmath.workprec(REF_PREC):
-            assert abs(result.value.val - ref) <= result.value.err
+    with mpmath.workprec(REF_PREC):
+        assert abs(result.value.val - ref) <= result.value.err
 
 
-@seed(20261018)
-@settings(**SETTINGS)
-@given(params, params, params, nonzero, nonzero, tols, precs)
-def test_phi21_numeric_against_qhyper(a, b, c, q, x, tol, prec):
+def check_phi21_numeric(a, b, c, q, x, tol, prec):
     p = Phi21Params(a, b, c, q, x)
     try:
         r = phi21_numeric(p, tol, prec)
@@ -48,6 +57,46 @@ def test_phi21_numeric_against_qhyper(a, b, c, q, x, tol, prec):
         with mpmath.workprec(REF_PREC):
             ref = mpmath.qhyper([_mp(a), _mp(b)], [_mp(c)], _mp(q), _mp(x))
     assert_within_err(r, ref)
+
+
+@seed(20261018)
+@settings(**SETTINGS)
+@given(params, params, params, nonzero, nonzero, tols, precs)
+def test_phi21_numeric_against_qhyper(a, b, c, q, x, tol, prec):
+    check_phi21_numeric(a, b, c, q, x, tol, prec)
+
+
+@seed(20261018)
+@settings(**SETTINGS)
+@given(near_terminating(), tols, precs)
+def test_phi21_numeric_near_terminating_against_qhyper(point, tol, prec):
+    check_phi21_numeric(*point, tol, prec)
+
+
+Q95 = F(19, 20)
+# (a, b, c, q, x, tol) where the small-term streak holds before the ratio
+# certificate rho < 1 does
+REGRESSIONS = {
+    # a q^5 = 1 + 10^-e: the terms dip after five steps, then |b| q^i > 1
+    # makes them grow to about 10^67 (10^141 at b = -1000)
+    "dip-e30-b200": (Q95**-5 * (1 + F(1, 10**30)), F(-200), F(1, 2), Q95, F(1, 2), 1e-12),
+    "dip-e30-b1000": (Q95**-5 * (1 + F(1, 10**30)), F(-1000), F(1, 2), Q95, F(1, 2), 1e-12),
+    "dip-e20-b200": (Q95**-5 * (1 + F(1, 10**20)), F(-200), F(1, 2), Q95, F(1, 2), 1e-12),
+    "dip-e16-b200": (Q95**-5 * (1 + F(1, 10**16)), F(-200), F(1, 2), Q95, F(1, 2), 1e-12),
+    # a q^2 = 1 + 10^-25 with |x| near 1: rho > 1 at the first streak
+    "dip-e25-x90": (4 * (1 + F(1, 10**25)), F(3, 10), F(1, 5), F(1, 2), F(9, 10), 1e-20),
+    "dip-e25-x95": (4 * (1 + F(1, 10**25)), F(3, 10), F(1, 5), F(1, 2), F(19, 20), 1e-20),
+}
+
+
+@pytest.mark.parametrize("point", REGRESSIONS.values(), ids=REGRESSIONS)
+def test_phi21_numeric_regressions_against_qhyper(point):
+    a, b, c, q, x, tol = point
+    r = phi21_numeric(Phi21Params(a, b, c, q, x), tol)
+    assert r.certified and not r.terminated
+    with mpmath.workprec(400):
+        ref = mpmath.qhyper([_mp(a), _mp(b)], [_mp(c)], _mp(q), _mp(x))
+        assert abs(r.value.val - ref) <= r.value.err
 
 
 @seed(20261018)
