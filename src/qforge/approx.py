@@ -46,6 +46,7 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_shift,
     mpf_sub,
+    to_rational,
 )
 
 from .errors import DivisionByZero
@@ -127,6 +128,19 @@ def _embedding_error(v: ExactScalar, prec: int):
     return mpf_shift(mpf_mul(total, from_int(len(v.nums)), prec, _UP), -11 - prec)
 
 
+def _is_exact(v, r) -> bool:
+    """Whether r, v rounded to prec bits, equals v (as a value that
+    already has prec bits does, so rebuilding one keeps its err)."""
+    if isinstance(v, ExactScalar):
+        if not v.is_rational():
+            return False
+        v = v.as_rational()
+    parts = (v.real, v.imag) if isinstance(v, (complex, _MPC)) else (v, 0)
+    parts = [Fraction(*to_rational(x._mpf_)) if isinstance(x, _MPF) else x for x in parts]
+    got = r if len(r) == 2 else (r, fzero)
+    return all(Fraction(*to_rational(y)) == x for x, y in zip(parts, got))
+
+
 def _upper(x):
     """|val| + err rounded up (raw mpf): a bound on |v| for all v in x."""
     return mpf_add(_abs(_raw(x.val), x.prec, _UP), x.err._mpf_, x.prec, _UP)
@@ -158,7 +172,11 @@ class ApproxScalar:
 
     def __new__(cls, value, err=0, prec: int | None = None):
         prec = _DEFAULT_PREC if prec is None else int(prec)
-        return _make(_raw(_to_mpc(value, prec)), _MPF(err, prec=prec, rounding=_UP)._mpf_, prec)
+        r = _raw(_to_mpc(value, prec))
+        e = _MPF(err, prec=prec, rounding=_UP)._mpf_
+        if not _is_exact(value, r):  # add what coerce's err bounds
+            e = mpf_add(e, ApproxScalar.coerce(value, prec).err._mpf_, prec, _UP)
+        return _make(r, e, prec)
 
     def __setattr__(self, *_):
         raise AttributeError("ApproxScalar is immutable")

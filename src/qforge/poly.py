@@ -1,11 +1,32 @@
 """Sparse multivariate polynomials over Q and their quotients.
 
-MultiPoly maps exponent vectors to nonzero Fraction coefficients; the
-variable tuple is always kept sorted so that mixed-variable arithmetic
-aligns deterministically.  RationalFunction equality is decided by
-cross-multiplication against the zero-polynomial test, never by forced
-reduction; cancellation (sympy sparse gcd) is applied opportunistically
-to keep intermediate results small.
+A MultiPoly holds integer numerators over one positive common
+denominator, in lowest terms (the gcd of the numerators and the
+denominator is 1), as an ExactScalar does; so no sum or product pays a
+gcd per coefficient.  `nums` maps each monomial, packed into one int, to
+its numerator.  The exponent of each variable takes a field of `width`
+bits, the first variable in the high bits, so int order is the
+lexicographic order of the exponent vectors (Monagan & Pearce, "Sparse
+polynomial multiplication and division in Maple 14", 2009).  The width
+is a multiple of 8 that keeps the top bit of every field clear, so the
+sum of two packed monomials, the monomial of a product, never carries
+into the next field; a product that sets a top bit is repacked one byte
+wider.  `terms`, the {exponent tuple: Fraction} view, is built only for
+readers outside this module.  The variable tuple is always kept sorted
+so that mixed-variable arithmetic aligns deterministically.
+
+`eval` at int, Fraction and ExactScalar points is one integer sum,
+homogenized per variable: with v_i = n_i / d_i and D_i the degree in v_i,
+sum c_e prod n_i^e_i d_i^(D_i - e_i) over den prod d_i^D_i, the
+numerators of cyclotomic values multiplied as vectors; the value is built
+once at the end.  Points in other rings (RationalFunction, ApproxScalar,
+...) take a sparse Horner walk with Fraction coefficients.
+
+RationalFunction equality is decided by cross-multiplication against the
+zero-polynomial test, never by forced reduction; cancellation is applied
+opportunistically to keep intermediate results small.  It strips the
+content, so the gcd runs in sympy's sparse rings over ZZ, and takes each
+quotient from the cofactors that come with the gcd, never dividing.
 """
 
 from __future__ import annotations
@@ -13,81 +34,144 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul, or_
+from types import MappingProxyType
 
 from .errors import UnboundSymbol, ZeroDenominator
+from .exact import ExactScalar, _make as _exact, _mul_nums, euler_phi
 
 RELATION_VARS = ("a", "b", "c", "q", "x")
+_TERM = re.compile(r"^\((-?\d+(?:/\d+)?)\)(?:\*(.+))?$")  # (coefficient)*monomial
+_FACTOR = re.compile(r"^([A-Za-z_]\w*)(?:\^(\d+))?$")
 
 
 @lru_cache(maxsize=None)
 def _sym_ring(var_names: tuple[str, ...]):
-    from sympy.polys.domains import QQ
+    from sympy.polys.domains import ZZ
     from sympy.polys.rings import ring
 
-    R, *_ = ring(",".join(var_names), QQ)
-    return R, QQ
+    R, *_ = ring(",".join(var_names), ZZ)
+    return R
+
+
+def _width(degree: int) -> int:
+    """The field width for exponents up to `degree`: a multiple of 8 with
+    the top bit clear."""
+    return 8 * (degree.bit_length() // 8 + 1)
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, width: int) -> tuple:
+    """(shifts, mask, tops) for n fields of `width` bits: the shift of
+    each variable's field, first variable highest, the field mask and the
+    top bit of every field."""
+    shifts = tuple(width * (n - 1 - i) for i in range(n))
+    return shifts, (1 << width) - 1, sum(1 << (s + width - 1) for s in shifts)
+
+
+def _pack(exps, width: int) -> int:
+    key = 0
+    for e in exps:
+        key = (key << width) | e
+    return key
+
+
+def _unpack(key: int, shifts: tuple, mask: int) -> tuple:
+    return tuple([(key >> s) & mask for s in shifts])
 
 
 class MultiPoly:
-    """Polynomial with rational coefficients in a sorted tuple of symbols."""
+    """Polynomial with rational coefficients in a sorted tuple of symbols:
+    sum(nums[m] * monomial(m)) / den over the packed monomials m."""
 
-    __slots__ = ("vars", "terms", "_nested")
+    __slots__ = ("vars", "width", "nums", "den", "_lazy")
 
     def __init__(self, var_names, terms: dict | None = None):
         var_names = tuple(var_names)
         assert tuple(sorted(var_names)) == var_names, "vars must be sorted"
-        clean = {}
+        items = []
         for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            if not isinstance(coeff, int):
+                coeff = Fraction(coeff)
             if coeff:
                 exps = tuple(int(e) for e in exps)
                 assert len(exps) == len(var_names)
                 assert all(e >= 0 for e in exps)
-                clean[exps] = coeff
-        object.__setattr__(self, "vars", var_names)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_nested", None)  # built by the first eval
+                items.append((exps, coeff))
+        # over the lcm of lowest-terms denominators the numerators share no factor with it
+        den = math.lcm(*(c.denominator for _, c in items))
+        width = _width(max((max(e, default=0) for e, _ in items), default=0))
+        nums = {_pack(e, width): c.numerator * (den // c.denominator) for e, c in items}
+        _init(self, var_names, width, nums, den)
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
 
-    def __reduce__(self):  # pickle and copy through the constructor
-        return MultiPoly, (self.vars, self.terms)
+    def __reduce__(self):  # pickle and copy without re-reducing
+        return _raw, (self.vars, self.width, self.nums, self.den)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def const(value, var_names=()) -> "MultiPoly":
         value = Fraction(value)
-        var_names = tuple(sorted(var_names))
-        if value == 0:
-            return MultiPoly(var_names, {})
-        return MultiPoly(var_names, {(0,) * len(var_names): value})
+        nums = {0: value.numerator} if value else {}
+        return _raw(tuple(sorted(var_names)), 8, nums, value.denominator)
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return _raw((name,), 8, {1: 1}, 1)
+
+    # -- views ----------------------------------------------------------------
+    def _cached(self, key, build):
+        lazy = self._lazy
+        if lazy is None:
+            lazy = {}
+            _set_lazy(self, lazy)
+        out = lazy.get(key)
+        if out is None:
+            out = lazy[key] = build()
+        return out
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: Fraction coefficient}, built on first use."""
+        def build():
+            shifts, mask, _ = _layout(len(self.vars), self.width)
+            den = self.den
+            return MappingProxyType({_unpack(k, shifts, mask): Fraction(c, den)
+                                     for k, c in self.nums.items()})
+        return self._cached("terms", build)
+
+    def _degrees(self) -> tuple:
+        """(index, degree) of each variable that occurs, built on first use."""
+        def build():
+            shifts, mask, _ = _layout(len(self.vars), self.width)
+            keys = self.nums
+            degs = ((i, max([(k >> s) & mask for k in keys], default=0)) for i, s in enumerate(shifts))
+            return tuple((i, d) for i, d in degs if d)
+        return self._cached("degrees", build)
 
     # -- alignment ----------------------------------------------------------
+    def _relayout(self, var_names: tuple, width: int) -> "MultiPoly":
+        """The same polynomial over the sorted superset var_names of its
+        variables, with fields `width` >= self.width bits wide."""
+        if var_names == self.vars and width == self.width:
+            return self
+        old, mask, _ = _layout(len(self.vars), self.width)
+        new, _, _ = _layout(len(var_names), width)
+        pairs = [(s, new[var_names.index(v)]) for v, s in zip(self.vars, old)]
+        nums = {}
+        for k, c in self.nums.items():
+            key = 0
+            for so, sn in pairs:
+                key |= ((k >> so) & mask) << sn
+            nums[key] = c
+        return _raw(var_names, width, nums, self.den)
+
     def extend(self, var_names) -> "MultiPoly":
         var_names = tuple(sorted(set(var_names) | set(self.vars)))
-        if var_names == self.vars:
-            return self
-        pos = [var_names.index(v) for v in self.vars]
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(var_names)
-            for p, e in zip(pos, exps):
-                new[p] = e
-            terms[tuple(new)] = coeff
-        return MultiPoly(var_names, terms)
-
-    @staticmethod
-    def _align(p: "MultiPoly", q: "MultiPoly"):
-        if p.vars == q.vars:
-            return p, q
-        common = tuple(sorted(set(p.vars) | set(q.vars)))
-        return p.extend(common), q.extend(common)
+        return self._relayout(var_names, self.width)
 
     def _coerce(self, other) -> "MultiPoly | None":
         if isinstance(other, MultiPoly):
@@ -98,88 +182,87 @@ class MultiPoly:
 
     # -- predicates -----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_const(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        nums = self.nums
+        return not nums or (len(nums) == 1 and 0 in nums)
 
     def const_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def degree_in(self, name: str) -> int:
-        if name not in self.vars or self.is_zero():
+        if name not in self.vars:
             return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return dict(self._degrees()).get(self.vars.index(name), 0)
 
     def leading(self):
         """(exponents, coefficient) under descending lexicographic order."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+        key = max(self.nums)
+        shifts, mask, _ = _layout(len(self.vars), self.width)
+        return _unpack(key, shifts, mask), Fraction(self.nums[key], self.den)
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of numerators / lcm of denominators)."""
         if self.is_zero():
             return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(math.gcd(*self.nums.values()), self.den)
+
+    def coefficients(self, name: str) -> dict[int, "MultiPoly"]:
+        """{e: coefficient of name^e}, polynomials in the other variables."""
+        if name not in self.vars:
+            return {0: self}
+        i = self.vars.index(name)
+        shifts, mask, _ = _layout(len(self.vars), self.width)
+        s, w = shifts[i], self.width
+        low = (1 << s) - 1
+        groups: dict[int, dict] = {}
+        for k, c in self.nums.items():
+            groups.setdefault((k >> s) & mask, {})[(k >> (s + w) << s) | (k & low)] = c
+        rest = self.vars[:i] + self.vars[i + 1:]
+        return {e: _lowest(rest, w, nums, self.den) for e, nums in groups.items()}
 
     # -- ring operations -------------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p, q = MultiPoly._align(self, other)
-        terms = dict(p.terms)
-        for exps, coeff in q.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        return MultiPoly(p.vars, terms)
+        return _sum(*_align(self, other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _raw(self.vars, self.width, {k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(*_align(self, other), -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+            return self._scale(other.numerator, other.denominator)
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        p, q = MultiPoly._align(self, other)
-        terms: dict = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
-        return MultiPoly(p.vars, terms)
+        return _product(*_align(self, other))
 
     __rmul__ = __mul__
+
+    def _scale(self, p: int, q: int) -> "MultiPoly":
+        """self * p / q for ints p and q != 0."""
+        if q < 0:
+            p, q = -p, -q
+        nums = {k: c * p for k, c in self.nums.items()} if p else {}
+        return _lowest(self.vars, self.width, nums, self.den * q)
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -189,63 +272,154 @@ class MultiPoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p, q = MultiPoly._align(self, other)
-        return p.terms == q.terms
+        p, q = _align(self, other)
+        return p.den == q.den and p.nums == q.nums
 
     def __hash__(self):
         # == extends both sides to the union of their vars, so hash only
         # the variables that occur, and a constant as its value
         if self.is_const():
             return hash(self.const_value())
+        shifts, mask, _ = _layout(len(self.vars), self.width)
+        den, names = self.den, self.vars
         return hash(frozenset(
-            (tuple((v, e) for v, e in zip(self.vars, exps) if e), c) for exps, c in self.terms.items()
+            (tuple((v, e) for v, e in zip(names, _unpack(k, shifts, mask)) if e),
+             c if den == 1 else Fraction(c, den))
+            for k, c in self.nums.items()
         ))
 
     # -- evaluation ------------------------------------------------------------------
     def eval(self, point: dict):
-        """Value at `point` by sparse Horner's rule, in the ring of the point's
-        values (Fraction, ExactScalar, RationalFunction, ...); the one evaluator."""
-        if self._nested is None:
-            used = tuple(v for i, v in enumerate(self.vars) if any(e[i] for e in self.terms))
-            object.__setattr__(self, "_nested", (used, _nest(self.vars, self.terms)))
-        used, nested = self._nested
-        missing = [v for v in used if v not in point]
+        """Value at `point`: an integer sum at int, Fraction and ExactScalar
+        values (a Fraction, or an ExactScalar when a variable that occurs
+        is bound to one), a sparse Horner walk in any other ring
+        (RationalFunction, ApproxScalar, ...); the one evaluator."""
+        degs, names = self._degrees(), self.vars
+        missing = [names[i] for i, _ in degs if names[i] not in point]
         if missing:
             raise UnboundSymbol(f"point does not bind {missing}")
-        return _horner(nested, point)
+        rational, cyclo, order, exact = [], [], 1, False
+        for i, d in degs:
+            v = point[names[i]]
+            if isinstance(v, int):
+                rational.append((d, v, 1))
+            elif isinstance(v, Fraction):
+                rational.append((d, v.numerator, v.denominator))
+            elif isinstance(v, ExactScalar):
+                exact = True
+                if v.order == 1:
+                    rational.append((d, v.nums[0], v.den))
+                else:
+                    cyclo.append((i, d, v))
+                    order = math.lcm(order, v.order)
+            else:
+                return _horner(self._cached("horner", self._nest), point)
+        # pows[k][e] = n^e m^(d - e) for the k-th rational value n / m of
+        # degree d; vpows the same for cyclotomic values, as numerator vectors
+        den = self.den
+        pows = []
+        for d, n, m in rational:
+            dens = _powers(m, d)
+            pows.append([a * b for a, b in zip(_powers(n, d), reversed(dens))])
+            den *= dens[d]
+        size = euler_phi(order)
+        vpows = []
+        for _, d, v in cyclo:
+            v = v.embed(order)
+            dens = _powers(v.den, d)
+            vp = [(1,) + (0,) * (size - 1)]
+            for _ in range(d):
+                vp.append(_mul_nums(vp[-1], v.nums, order))
+            vpows.append([[c * m for c in vec] for vec, m in zip(vp, reversed(dens))])
+            den *= dens[d]
+        shape = tuple(i for i, _, _ in cyclo)
+        acc = [0] * size
+        for exps, coeffs, cols in self._cached(shape, lambda: self._plan(shape)):
+            s = coeffs
+            for pw, col in zip(pows, cols):
+                s = map(mul, s, map(pw.__getitem__, col))
+            s = sum(s)
+            if not s:
+                continue
+            vec = None
+            for vp, e in zip(vpows, exps):
+                vec = vp[e] if vec is None else _mul_nums(vec, vp[e], order)
+            if vec is None:
+                acc[0] += s
+            else:
+                for j, c in enumerate(vec):
+                    acc[j] += s * c
+        return _exact(order, acc, den) if exact else Fraction(acc[0], den)
+
+    def _plan(self, shape: tuple) -> list:
+        """The layout of the integer sum when the variables at the indices
+        `shape` are bound to cyclotomic values: one (exponents of those
+        variables, numerators, exponent column of each other variable that
+        occurs) per distinct exponents of those variables."""
+        shifts, mask, _ = _layout(len(self.vars), self.width)
+        cyclo = [shifts[i] for i in shape]
+        rational = [shifts[i] for i, _ in self._degrees() if i not in shape]
+        groups: dict[tuple, list] = {}
+        for k, c in self.nums.items():
+            groups.setdefault(_unpack(k, cyclo, mask), []).append((c, _unpack(k, rational, mask)))
+        return [(exps, tuple(c for c, _ in terms), tuple(zip(*(e for _, e in terms))))
+                for exps, terms in groups.items()]
+
+    def _nest(self):
+        """The Horner form: a Fraction coefficient, or (name, ((e, node),
+        ...)) with the terms grouped by the exponent e of the first
+        variable that occurs, descending."""
+        shifts, mask, _ = _layout(len(self.vars), self.width)
+        den = self.den
+
+        def nest(names, shifts, items):
+            if not names:
+                return Fraction(items[0][1], den) if items else Fraction(0)
+            s = shifts[0]
+            groups: dict[int, list] = {}
+            for k, c in items:
+                groups.setdefault((k >> s) & mask, []).append((k, c))
+            if set(groups) <= {0}:
+                return nest(names[1:], shifts[1:], items)
+            return names[0], tuple((e, nest(names[1:], shifts[1:], groups[e]))
+                                   for e in sorted(groups, reverse=True))
+
+        return nest(self.vars, shifts, list(self.nums.items()))
 
     # -- sympy bridge ----------------------------------------------------------------
     def _to_sym(self):
-        names = self.vars if self.vars else ("a",)
-        R, QQ = _sym_ring(names)
-        poly = self if self.vars else self.extend(names)
-        return R.from_dict({e: QQ(c.numerator, c.denominator) for e, c in poly.terms.items()})
+        """den * self, an integer polynomial, in sympy's ZZ ring over the
+        variables (over ("a",) when there are none)."""
+        R = _sym_ring(self.vars or ("a",))
+        shifts, mask, _ = _layout(len(self.vars) or 1, self.width)  # a constant's key is 0
+        return R.dtype({_unpack(k, shifts, mask): c for k, c in self.nums.items()})
 
     @staticmethod
     def _from_sym(sym_poly, var_names):
-        terms = {}
-        for monom, coeff in sym_poly.terms():
-            terms[tuple(monom)] = Fraction(int(coeff.numerator), int(coeff.denominator))
-        return MultiPoly(var_names, terms)
+        """The MultiPoly over var_names of a polynomial of sympy's ZZ ring."""
+        width = _width(max((max(m) for m in sym_poly), default=0))
+        return _raw(tuple(var_names), width, {_pack(m, width): int(c) for m, c in sym_poly.items()}, 1)
 
     # -- text format ---------------------------------------------------------------------
     def to_text(self) -> str:
         """Canonical term-ordered text, e.g. `(-1)*a*b*x + c`."""
         if self.is_zero():
             return "0"
+        shifts, mask, _ = _layout(len(self.vars), self.width)
         parts = []
-        for exps in sorted(self.terms, reverse=True):
-            coeff = self.terms[exps]
+        for key in sorted(self.nums, reverse=True):
+            coeff = Fraction(self.nums[key], self.den)
             mono = "*".join(
-                v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exps) if e
+                v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, _unpack(key, shifts, mask)) if e
             )
             if not mono:
                 parts.append(f"({_fmt_frac(coeff)})")
@@ -260,47 +434,121 @@ class MultiPoly:
         text = text.strip()
         if text == "0":
             return MultiPoly((), {})
-        acc: dict[str, dict] = {"terms": []}
+        parsed = []
         for part in text.split(" + "):
             part = part.strip()
-            m = re.match(r"^\((-?\d+(?:/\d+)?)\)(?:\*(.+))?$", part)
+            m = _TERM.match(part)
             if m:
-                coeff = Fraction(m.group(1))
+                coeff = Fraction(m.group(1)) if "/" in m.group(1) else int(m.group(1))
                 mono = m.group(2) or ""
             else:
-                coeff = Fraction(1)
-                mono = part
+                coeff, mono = 1, part
             exps: dict[str, int] = {}
             if mono:
                 for factor in mono.split("*"):
-                    fm = re.match(r"^([A-Za-z_]\w*)(?:\^(\d+))?$", factor)
+                    fm = _FACTOR.match(factor)
                     if not fm:
                         raise ValueError(f"bad monomial factor {factor!r}")
                     exps[fm.group(1)] = exps.get(fm.group(1), 0) + int(fm.group(2) or 1)
-            acc["terms"].append((exps, coeff))
-        names = tuple(sorted({v for exps, _ in acc["terms"] for v in exps}))
+            parsed.append((exps, coeff))
+        names = tuple(sorted({v for exps, _ in parsed for v in exps}))
         terms: dict = {}
-        for exps, coeff in acc["terms"]:
+        for exps, coeff in parsed:
             key = tuple(exps.get(v, 0) for v in names)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return MultiPoly(names, terms)
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()})"
 
 
-def _nest(var_names: tuple, terms: dict):
-    """The Horner form of `terms`: a coefficient, or (name, ((e, node), ...))
-    with the terms grouped by the exponent e of the first variable that
-    occurs, descending."""
-    if not var_names:
-        return terms.get((), Fraction(0))
-    groups: dict[int, dict] = {}
-    for exps, coeff in terms.items():
-        groups.setdefault(exps[0], {})[exps[1:]] = coeff
-    if set(groups) <= {0}:
-        return _nest(var_names[1:], groups.get(0, {}))
-    return var_names[0], tuple((e, _nest(var_names[1:], groups[e])) for e in sorted(groups, reverse=True))
+_set_vars = MultiPoly.vars.__set__
+_set_width = MultiPoly.width.__set__
+_set_nums = MultiPoly.nums.__set__
+_set_den = MultiPoly.den.__set__
+_set_lazy = MultiPoly._lazy.__set__
+
+
+def _init(out: MultiPoly, var_names: tuple, width: int, nums: dict, den: int) -> MultiPoly:
+    _set_vars(out, var_names)
+    _set_width(out, width)
+    _set_nums(out, nums)
+    _set_den(out, den)
+    _set_lazy(out, None)
+    return out
+
+
+def _raw(var_names: tuple, width: int, nums: dict, den: int) -> MultiPoly:
+    """The polynomial nums/den: nonzero numerators, in lowest terms, den > 0,
+    every exponent below 2^(width - 1)."""
+    return _init(object.__new__(MultiPoly), var_names, width, nums, den)
+
+
+def _lowest(var_names: tuple, width: int, nums: dict, den: int) -> MultiPoly:
+    """The polynomial nums/den for den > 0 and nonzero numerators, put in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: c // g for k, c in nums.items()}
+            den //= g
+    return _raw(var_names, width, nums, den)
+
+
+def _align(*polys: MultiPoly) -> list[MultiPoly]:
+    """The polynomials over the union of their variables, with one field width."""
+    p = polys[0]
+    if all(q.vars == p.vars and q.width == p.width for q in polys):
+        return list(polys)
+    names = tuple(sorted({v for q in polys for v in q.vars}))
+    width = max(q.width for q in polys)
+    return [q._relayout(names, width) for q in polys]
+
+
+def _sum(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
+    """p + sign * q for aligned p and q, sign = 1 or -1."""
+    if p.den == q.den:
+        fp = fq = 1
+        den = p.den
+    else:
+        den = math.lcm(p.den, q.den)
+        fp, fq = den // p.den, den // q.den
+    nums = dict(p.nums) if fp == 1 else {k: c * fp for k, c in p.nums.items()}
+    get = nums.get
+    fq *= sign
+    for k, c in q.nums.items():
+        s = get(k, 0) + c * fq
+        if s:
+            nums[k] = s
+        else:
+            del nums[k]
+    return _lowest(p.vars, p.width, nums, den)
+
+
+def _product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """p * q for aligned p and q: each field of a monomial sum stays below
+    2^width, and a sum that sets a field's top bit widens the fields."""
+    if len(p.nums) > len(q.nums):
+        p, q = q, p
+    nums: dict[int, int] = {}
+    get = nums.get
+    items = list(q.nums.items())
+    for k1, c1 in p.nums.items():
+        for k2, c2 in items:
+            k = k1 + k2
+            nums[k] = get(k, 0) + c1 * c2
+    nums = {k: c for k, c in nums.items() if c}
+    out = _lowest(p.vars, p.width, nums, p.den * q.den)
+    if reduce(or_, nums, 0) & _layout(len(p.vars), p.width)[2]:
+        out = out._relayout(out.vars, out.width + 8)
+    return out
+
+
+def _powers(v: int, d: int) -> list[int]:
+    """[v^0, v^1, ..., v^d]."""
+    out = [1]
+    for _ in range(d):
+        out.append(out[-1] * v)
+    return out
 
 
 def _horner(node, point: dict):
@@ -335,7 +583,7 @@ class RationalFunction:
     def __init__(self, num: MultiPoly, den: MultiPoly, normalize: bool = True):
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
-        num, den = MultiPoly._align(num, den)
+        num, den = _align(num, den)
         if normalize:
             num, den = _normalize_pair(num, den)
         object.__setattr__(self, "num", num)
@@ -387,11 +635,7 @@ class RationalFunction:
         return self.num.vars
 
     def free_symbols(self) -> set[str]:
-        out = set()
-        for p in (self.num, self.den):
-            for exps in p.terms:
-                out.update(v for v, e in zip(p.vars, exps) if e)
-        return out
+        return {p.vars[i] for p in (self.num, self.den) for i, _ in p._degrees()}
 
     # -- field operations ------------------------------------------------------------
     def __add__(self, other):
@@ -434,7 +678,7 @@ class RationalFunction:
 
     def __rtruediv__(self, other):
         o = RationalFunction._coerce(other)
-        return o.__truediv__(self)
+        return NotImplemented if o is None else o.__truediv__(self)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -490,68 +734,89 @@ class RationalFunction:
 
 
 def _normalize_pair(num: MultiPoly, den: MultiPoly):
+    """(num, den) over den's monomial gcd and content, den's leading
+    coefficient made positive; num and den share their layout."""
     if num.is_zero():
         return num, MultiPoly.const(1, den.vars)
     num, den = _strip_monomial([num, den])
-    # scale so den is primitive with positive leading coefficient
-    scale = den.content()
-    if den.leading()[1] < 0:
-        scale = -scale
-    if scale != 1:
-        inv = 1 / scale
-        num = num * inv
-        den = den * inv
+    # scale by 1 / content, negated for a negative leading coefficient
+    g = math.gcd(*den.nums.values())
+    if den.nums[max(den.nums)] < 0:
+        g = -g
+    if g != 1 or den.den != 1:
+        num, den = num._scale(den.den, g), den._scale(den.den, g)
     return num, den
 
 
 def _strip_monomial(polys: list[MultiPoly]) -> list[MultiPoly]:
-    """Divide same-variable polynomials by the largest monomial dividing
+    """Divide polynomials of one layout by the largest monomial dividing
     every nonzero one."""
-    strip = None
-    for p in polys:
-        for exps in p.terms:
-            strip = exps if strip is None else tuple(map(min, strip, exps))
-    if not strip or not any(strip):
+    if any(0 in p.nums for p in polys):
         return polys
-    return [
-        MultiPoly(p.vars, {tuple(e - s for e, s in zip(exps, strip)): c for exps, c in p.terms.items()})
-        for p in polys
-    ]
+    keys = [k for p in polys for k in p.nums]
+    if not keys:
+        return polys
+    shifts, mask, _ = _layout(len(polys[0].vars), polys[0].width)
+    strip = 0
+    for s in shifts:
+        strip |= min([(k >> s) & mask for k in keys]) << s
+    if not strip:
+        return polys
+    return [_raw(p.vars, p.width, {k - strip: c for k, c in p.nums.items()}, p.den) for p in polys]
 
 
 def cancel_common(polys: list[MultiPoly]) -> list[MultiPoly]:
     """Strip common monomial factors, rational content, and the common
     multivariate gcd from a list of polynomials."""
-    names = tuple(sorted({v for p in polys for v in p.vars}))
-    polys = _strip_monomial([p.extend(names) for p in polys])
-    nonzero = [p for p in polys if not p.is_zero()]
+    polys = _strip_monomial(_align(*polys))
+    nonzero = [p for p in polys if p.nums]
     if not nonzero:
         return polys
-    num_gcd, den_lcm = 0, 1
-    for p in nonzero:
-        cont = p.content()
-        num_gcd = math.gcd(num_gcd, cont.numerator)
-        den_lcm = den_lcm * cont.denominator // math.gcd(den_lcm, cont.denominator)
-    scale = Fraction(den_lcm, num_gcd)
-    if scale != 1:
-        polys = [p * scale for p in polys]
-    syms = [None if p.is_zero() else p._to_sym() for p in polys]
-    g = None
-    for s in syms:
-        if s is not None:
-            g = s if g is None else g.gcd(s)
-            if g.is_one:
-                return polys
-    return [p if s is None else MultiPoly._from_sym(s.quo(g), names) for p, s in zip(polys, syms)]
+    # over den_lcm / num_gcd every numerator is an integer with gcd 1
+    num_gcd = math.gcd(*(c for p in nonzero for c in p.nums.values()))
+    den_lcm = math.lcm(*(p.den for p in nonzero))
+    if num_gcd != 1 or den_lcm != 1:
+        polys = [p._scale(den_lcm, num_gcd) for p in polys]
+    # the quotient of each polynomial by the running gcd g, from the
+    # cofactors that come with each gcd: no polynomial division
+    names = polys[0].vars
+    g, quotients = None, {}
+    for i, p in enumerate(polys):
+        if p.is_zero():
+            continue
+        s = p._to_sym()
+        if g is None:
+            g, quotients[i] = s, MultiPoly.const(1, names)
+        else:
+            g, cg, cs = g.cofactors(s)
+            if not cg.is_one:
+                cg = MultiPoly._from_sym(cg, names)
+                quotients = {j: c * cg for j, c in quotients.items()}
+            quotients[i] = MultiPoly._from_sym(cs, names)
+        if g.is_one:
+            return polys
+    return [quotients.get(i, p) for i, p in enumerate(polys)]
 
 
 def over_common_denominator(fns: list[RationalFunction]) -> tuple[MultiPoly, list[MultiPoly]]:
     """(D, [N_i]) with D the least common multiple of the denominators and
     fns[i] = N_i / D, all in the union of the functions' variables."""
     names = tuple(sorted({v for f in fns for v in f.vars}))
-    dens = [f.den.extend(names)._to_sym() for f in fns]
-    lcm = dens[0]
-    for d in dens[1:]:
-        lcm = lcm * d.quo(lcm.gcd(d))
-    nums = [f.num.extend(names) * MultiPoly._from_sym(lcm.quo(d), names) for f, d in zip(fns, dens)]
+    dens = [f.den.extend(names) for f in fns]
+    # D and the cofactors D / (d.den * d), kept up to date from the
+    # cofactors of each gcd: lcm(D, s) = D * (s / h) and lcm(D, s) / s = D / h
+    lcm, cofactors = None, []
+    for d in dens:
+        s = d._to_sym()  # d.den * d
+        if lcm is None:
+            lcm, cofactors = s, [MultiPoly.const(1, names)]
+            continue
+        _, cl, cs = lcm.cofactors(s)
+        lcm = lcm * cs
+        if not cs.is_one:
+            cs = MultiPoly._from_sym(cs, names)
+            cofactors = [c * cs for c in cofactors]
+        cofactors.append(MultiPoly._from_sym(cl, names))
+    nums = [f.num.extend(names) * (c if d.den == 1 else c._scale(d.den, 1))
+            for f, d, c in zip(fns, dens, cofactors)]
     return MultiPoly._from_sym(lcm, names), nums

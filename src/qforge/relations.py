@@ -278,26 +278,12 @@ def _series_coeffs(p: Phi21Params, order: int) -> list[Fraction]:
     return [one, *islice(_terms(p, one), order - 1)]
 
 
-def _x_coeff_polys(p: MultiPoly) -> dict[int, MultiPoly]:
-    """Split a polynomial into coefficients of powers of x."""
-    if "x" not in p.vars:
-        return {0: p}
-    xi = p.vars.index("x")
-    rest = tuple(v for v in p.vars if v != "x")
-    out: dict[int, dict] = {}
-    for exps, coeff in p.terms.items():
-        e = exps[xi]
-        key = tuple(v for i, v in enumerate(exps) if i != xi)
-        out.setdefault(e, {})[key] = coeff
-    return {e: MultiPoly(rest, terms) for e, terms in out.items()}
-
-
 def _series_verify(shift: ShiftVector, cleared: tuple[MultiPoly, MultiPoly, MultiPoly],
                    order: int, rng: random.Random, points: int) -> bool:
     """Exact check that P0*phi_shifted - P1*phi_up - P2*phi_base has zero
     series coefficients through x^(order-1) at random rational points,
     (P0, P1, P2) = `cleared`."""
-    p0, p1, p2 = (_x_coeff_polys(pp) for pp in cleared)
+    p0, p1, p2 = (pp.coefficients("x") for pp in cleared)
     done = 0
     attempts = 0
     while done < points:

@@ -334,3 +334,32 @@ def test_coerce_cyclotomic_holds_err(order, e, prec, data):
     if v.is_rational() or (e < 0 and v.is_zero()):
         return
     assert_coerce_holds_err(v**e, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 113, 200])
+@pytest.mark.parametrize("v", [F(1, 3), F(2, 7)])
+def test_constructor_err_covers_rounding(v, prec):
+    """An inexact value's rounding to prec bits counts in the err: |val - v|,
+    taken exactly, is at most err."""
+    x = ApproxScalar(v, 0, prec)
+    assert 0 < abs(_exact(x.val) - v) <= _exact(x.err)
+    y = ApproxScalar(v, mpmath.ldexp(1, -100), prec)
+    assert _exact(y.err) >= F(1, 2**100) + abs(_exact(y.val) - v)
+
+
+def test_constructor_adds_nothing_to_exact_values():
+    assert ApproxScalar(F(1, 2)).err == 0
+    assert ApproxScalar(3, 0, 64).err == 0
+    assert ApproxScalar(mpmath.mpc(0.25, -1.5)).err == 0
+    assert ApproxScalar(ExactScalar.from_rational(F(-5, 8))).err == 0
+    z = ApproxScalar(ExactScalar.zeta(3), 0, 113)  # irrational: rounding and embedding
+    with mpmath.workprec(300):
+        ref = mpmath.exp(2j * mpmath.pi / 3)
+        assert 0 < abs(z.val - ref) <= z.err
+
+
+@pytest.mark.parametrize("copier", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
+def test_constructor_values_copy_bit_identical(copier):
+    for x in (ApproxScalar(F(1, 3), 0, 64), ApproxScalar(F(2, 7), mpmath.ldexp(1, -70), 200),
+              ApproxScalar(ExactScalar.zeta(4) + F(1, 3)), ApproxScalar(F(1, 2))):
+        assert_same(copier(x), x)

@@ -292,3 +292,14 @@ def test_subs_matches_term_by_term_substitution():
             for mapping in ({"x": C / (A * B)}, {"b": -A, "c": -Q}):
                 got, want = f.subs(mapping), reference_subs(f, mapping)
                 assert got == want and str(got) == str(want), (shift, mapping)
+
+
+def test_float_operands_raise_type_error():
+    with pytest.raises(TypeError):
+        1.5 / RF.var("a")
+    with pytest.raises(TypeError):
+        1.5 - MultiPoly.var("a")
+    with pytest.raises(TypeError):
+        1.5 * RF.var("a")
+    with pytest.raises(TypeError):
+        RF.var("a") / 1.5
