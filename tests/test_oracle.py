@@ -1,7 +1,8 @@
 """Differential oracle: the numeric kernels against mpmath's own
-q-functions at 300 bits, at random rational points of the convergent
-region (fixed seed), near-terminating ones included.  Every result must
-hold its bound, |value - reference| <= err, at each summation tolerance."""
+q-functions at 300 bits, at random rational and cyclotomic points of the
+convergent region (fixed seed), near-terminating ones included.  Every
+result must hold its bound, |value - reference| <= err, at each summation
+tolerance."""
 
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
 
 from qforge.errors import ZeroDenominator
+from qforge.exact import ExactScalar
 from qforge.qseries import Phi21Params, phi21_exact, phi21_numeric, qpoch_infinite
 
 REF_PREC = 300
@@ -23,8 +25,17 @@ tols = st.sampled_from([1e-10, 1e-15, 1e-25])
 precs = st.sampled_from([113, 160])
 
 
-def _mp(v: F):
+def _mp(v):
+    if isinstance(v, ExactScalar):
+        return v.to_complex(REF_PREC)
     return mpmath.mpf(v.numerator) / v.denominator
+
+
+@st.composite
+def cyclotomic(draw, rationals):
+    """zeta_n^k times a rational drawn from `rationals`."""
+    n = draw(st.sampled_from([3, 4, 5, 6, 8, 12]))
+    return ExactScalar.zeta(n) ** draw(st.integers(1, n - 1)) * draw(rationals)
 
 
 @st.composite
@@ -107,4 +118,32 @@ def test_qpoch_infinite_against_qp(base, q, tol, prec):
     assert r.certified
     with mpmath.workprec(REF_PREC):
         ref = mpmath.qp(_mp(base), _mp(q))
+    assert_within_err(r, ref)
+
+
+@seed(20261018)
+@settings(**SETTINGS)
+@given(cyclotomic(inside), cyclotomic(inside), cyclotomic(inside), cyclotomic(nonzero),
+       cyclotomic(nonzero), tols, precs)
+def test_phi21_numeric_cyclotomic_against_qhyper(a, b, c, q, x, tol, prec):
+    check_phi21_numeric(a, b, c, q, x, tol, prec)
+
+
+@seed(20261018)
+@settings(**SETTINGS)
+@given(cyclotomic(inside), cyclotomic(nonzero), tols, precs)
+def test_qpoch_infinite_cyclotomic_against_qp(base, q, tol, prec):
+    r = qpoch_infinite(base, q, tol, prec)
+    with mpmath.workprec(REF_PREC):
+        ref = mpmath.qp(_mp(base), _mp(q))
+    assert_within_err(r, ref)
+
+
+def test_qpoch_infinite_relative_accuracy():
+    # (9/10; 99/100)_inf is about 2.2e-57: its err must be relative to
+    # that, not to 1
+    r = qpoch_infinite(F(9, 10), F(99, 100), 1e-90, 113)
+    assert r.value.err <= mpmath.mpf(1e-28) * abs(r.value.val)
+    with mpmath.workprec(REF_PREC):
+        ref = mpmath.qp(_mp(F(9, 10)), _mp(F(99, 100)), maxterms=10**5)
     assert_within_err(r, ref)

@@ -1,16 +1,22 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import mpmath
 import pytest
+from test_oracle import REGRESSIONS
 
-from qforge.approx import ApproxScalar
+from qforge import approx
+from qforge.approx import ApproxScalar, _upper, _widened
 from qforge.errors import InvalidDomain, NotTerminating, ZeroDenominator
 from qforge.exact import ExactScalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
 from qforge.poly import RationalFunction as RF
 from qforge.qseries import (
+    _MAX_TERMS,
+    TERMINATION_BOUND,
     Phi21Params,
+    _tail_bound,
     _terms,
     detect_termination,
     phi21_exact,
@@ -79,6 +85,36 @@ def test_detect_termination():
     assert detect_termination(F(1), F(1, 3), F(1, 2)) == 0
     assert detect_termination(F(8), F(16), F(1, 2)) == 3  # a = q^-3, b = q^-4
     assert detect_termination(F(1, 3), F(1, 5), F(1, 2)) is None
+
+
+def _termination_walk(a, b, q):
+    """The reference: walk r = 0..TERMINATION_BOUND for a and for b."""
+    best = None
+    for v in (a, b):
+        acc = v
+        for r in range(TERMINATION_BOUND + 1):
+            if acc == 1:
+                best = r if best is None else min(best, r)
+                break
+            acc = acc * q
+    return best
+
+
+def test_detect_termination_matches_the_walk():
+    # rational q of either sign, |q| above and below 1, q in {0, 1, -1},
+    # rational ExactScalars (order 1, and order 3 with a rational value),
+    # and cyclotomic q; a and b with r in {0, 1, 64, 65} and with no r
+    rational_3 = ExactScalar(3, [F(-2, 5), 0])
+    qs = [F(1, 2), F(-1, 2), F(2, 3), F(-3, 2), F(7), F(-1, 7), F(1000, 1001), 3, F(0), F(1), F(-1),
+          ExactScalar.from_rational(F(-2, 5)), rational_3, Z3, -Z3 / 2, Z4 * F(3, 4)]
+    for q in qs:
+        base = q if isinstance(q, ExactScalar) else F(q)
+        powers = [base**-r for r in (0, 1, 64, 65)] if q != 0 else [F(1)] * 4
+        values = [*powers, *(-v for v in powers), powers[-2] * (1 + F(1, 10**20)),
+                  F(5, 7), F(0), ExactScalar.from_rational(powers[1]) if not isinstance(q, ExactScalar) else Z3]
+        for a in values:
+            for b in (F(5, 7), powers[1], powers[-2]):
+                assert detect_termination(a, b, q) == _termination_walk(a, b, q), (a, b, q)
 
 
 def test_phi21_exact_b_one():
@@ -326,3 +362,77 @@ def test_terms_raise_at_first_vanishing_denominator():
             next(terms)
         with pytest.raises(ZeroDenominator, match=f"vanishes at i={first} "):
             next(terms)
+
+
+def _reference_phi21(p: Phi21Params, tol, prec=113):
+    """phi21_numeric's sum as it was before the integer kernel: the
+    ring-generic _terms in ApproxScalar, stopped by the same rules."""
+    p = p.as_numeric(prec)
+    total = one = ApproxScalar.coerce(1, prec)
+    bounds = tuple(map(_upper, (p.q, p.a, p.b, p.c, p.x)))
+    small_streak = 0
+    for i, term in enumerate(islice(_terms(p, one), _MAX_TERMS - 1), 1):
+        total = total + term
+        small_streak = small_streak + 1 if term.magnitude() < tol * (total.magnitude() + 1) else 0
+        if small_streak >= 3 and (tail := _tail_bound(bounds, _upper(term), i, prec)) is not None:
+            return _widened(total, tail), i
+    raise AssertionError("reference did not converge")
+
+
+def _differential_points():
+    """The regression points of test_oracle and 50 seeded non-terminating
+    rational points, with their tolerances."""
+    rng = random.Random(20261018)
+    points = {name: (Phi21Params(*point[:5]), point[5]) for name, point in REGRESSIONS.items()}
+    while len(points) < len(REGRESSIONS) + 50:
+        a, b, c = (F(rng.randint(-120, 120), 40) for _ in range(3))
+        q, x = (F(rng.choice([-1, 1]) * rng.randint(1, 32), 40) for _ in range(2))
+        if detect_termination(a, b, q) is None:
+            points[f"rational-{len(points)}"] = (Phi21Params(a, b, c, q, x), rng.choice([1e-10, 1e-15, 1e-25]))
+    return points
+
+
+DIFFERENTIAL = _differential_points()
+
+
+@pytest.mark.parametrize("point, tol", DIFFERENTIAL.values(), ids=list(DIFFERENTIAL))
+def test_phi21_numeric_kernel_matches_approx_sum(point, tol):
+    # the integer kernel against the ApproxScalar sum of the same terms:
+    # the same number of terms, and balls that overlap
+    try:
+        want, terms = _reference_phi21(point, tol)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDenominator):
+            phi21_numeric(point, tol)
+        return
+    got = phi21_numeric(point, tol)
+    assert got.terms_used == terms
+    with mpmath.workprec(400):
+        assert abs(got.value.val - want.val) <= got.value.err + want.err
+
+
+def test_kernel_loops_do_no_approx_arithmetic(monkeypatch):
+    # the ApproxScalar operations of a call do not grow with its terms
+    calls = []
+    for name in ("_sum", "_product", "_quotient"):
+        def counted(*args, _op=getattr(approx, name)):
+            calls.append(1)
+            return _op(*args)
+        monkeypatch.setattr(approx, name, counted)
+    counts = []
+    for p in (Phi21Params(F(1, 3), F(1, 5), F(1, 7), F(1, 2), F(1, 3)),
+              Phi21Params(F(2, 3), F(-5, 4), F(1, 7), F(19, 20), F(9, 10))):
+        calls.clear()
+        counts.append((phi21_numeric(p, 1e-12).terms_used, len(calls)))
+    for base, q, tol in ((F(1, 2), F(1, 2), 1e-12), (F(9, 10), F(99, 100), 1e-40)):
+        calls.clear()
+        counts.append((qpoch_infinite(base, q, tol).terms_used, len(calls)))
+    (short, n0), (long, n1), (short_product, n2), (long_product, n3) = counts
+    assert short < 30 and long >= 200 and short_product < 50 and long_product >= 200
+    assert n0 == n1 and n2 == n3
+
+
+def test_phi21_numeric_zero_denominator():
+    # c = q^-2: the ball of 1 - c q^2 contains 0 at the third term
+    with pytest.raises(ZeroDenominator, match="vanishes at i=3 "):
+        phi21_numeric(Phi21Params(F(1, 3), F(2, 7), Q**-2, Q, F(1, 5)), 1e-12)
