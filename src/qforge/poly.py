@@ -22,11 +22,17 @@ numerators of cyclotomic values multiplied as vectors; the value is built
 once at the end.  Points in other rings (RationalFunction, ApproxScalar,
 ...) take a sparse Horner walk with Fraction coefficients.
 
+`divide` is exact sparse division on the packed keys, highest remainder
+key first; it returns None at the first remainder term that the
+divisor's leading term does not divide (monomial or coefficient).  Over
+the divisor's primitive integer part the quotient of integer numerators
+is integral (Gauss's lemma), so it runs on ints.
+
 RationalFunction equality is decided by cross-multiplication against the
-zero-polynomial test, never by forced reduction; cancellation is applied
-opportunistically to keep intermediate results small.  It strips the
-content, so the gcd runs in sympy's sparse rings over ZZ, and takes each
-quotient from the cofactors that come with the gcd, never dividing.
+zero-polynomial test, never by forced reduction.  `cancel` divides out
+the multivariate gcd, found in sympy's sparse rings over ZZ, taking each
+quotient from the cofactors that come with the gcd; it is the only use
+of sympy, imported on first call.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
+from heapq import heapify, heappop, heappush
 from operator import mul, or_
 from types import MappingProxyType
 
@@ -256,6 +263,25 @@ class MultiPoly:
         return _product(*_align(self, other))
 
     __rmul__ = __mul__
+
+    def divide(self, other: "MultiPoly") -> "MultiPoly | None":
+        """The exact quotient self / other, or None when other does not
+        divide self."""
+        if other.is_zero():
+            raise ZeroDenominator("division by the zero polynomial")
+        p, f = _align(self, other)
+        if not p.nums:
+            return p
+        # over the primitive integer part of f the quotient of integer
+        # numerators has integer numerators (Gauss's lemma)
+        g = math.gcd(*f.nums.values())
+        nums = _quotient(p.nums, {k: c // g for k, c in f.nums.items()},
+                         _layout(len(p.vars), p.width)[2])
+        if nums is None:
+            return None
+        # a prime of p.den dividing every quotient numerator would divide p's
+        out = _raw(p.vars, p.width, nums, p.den)
+        return out if f.den == g == 1 else out._scale(f.den, g)
 
     def _scale(self, p: int, q: int) -> "MultiPoly":
         """self * p / q for ints p and q != 0."""
@@ -543,6 +569,43 @@ def _product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return out
 
 
+def _quotient(nums: dict, fnums: dict, tops: int) -> dict | None:
+    """The integer numerators of nums / fnums on one packed layout (`tops`
+    the top bit of every field), or None when the division leaves a
+    remainder: sparse division, highest remainder key first."""
+    (kl, cl), *rest = sorted(fnums.items(), reverse=True)
+    rem = dict(nums)
+    heap = [-k for k in rem]
+    heapify(heap)
+    out = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue
+        # kl divides k when subtracting it borrows from no field's top bit
+        if ((k | tops) - kl) & tops != tops:
+            return None
+        t, r = divmod(c, cl)
+        if r:
+            return None
+        k -= kl
+        out[k] = t
+        for k2, c2 in rest:
+            key = k + k2
+            if key & tops:  # a field past any exponent of a true quotient times f
+                return None
+            s = rem.get(key)
+            if s is None:
+                rem[key] = -t * c2
+                heappush(heap, -key)
+            elif s == t * c2:
+                del rem[key]
+            else:
+                rem[key] = s - t * c2
+    return out
+
+
 def _powers(v: int, d: int) -> list[int]:
     """[v^0, v^1, ..., v^d]."""
     out = [1]
@@ -700,12 +763,17 @@ class RationalFunction:
 
     # -- reduction --------------------------------------------------------------------------
     def cancel(self) -> "RationalFunction":
-        """Divide out the multivariate gcd (sympy sparse rings)."""
-        if self.num.is_zero():
+        """Divide out the multivariate gcd, in sympy's sparse rings over ZZ:
+        the quotients are the cofactors that come with the gcd."""
+        num, den = self.num, self.den
+        if num.is_zero():
             return RationalFunction(MultiPoly.const(0, self.vars), MultiPoly.const(1, self.vars))
-        if self.den.is_const():
-            return RationalFunction(self.num * (1 / self.den.const_value()), MultiPoly.const(1, self.vars))
-        return RationalFunction(*cancel_common([self.num, self.den]))
+        if den.is_const():
+            return RationalFunction(num * (1 / den.const_value()), MultiPoly.const(1, self.vars))
+        # num / den = (num.den * num) den.den / ((den.den * den) num.den)
+        _, cn, cd = num._to_sym().cofactors(den._to_sym())
+        return RationalFunction(MultiPoly._from_sym(cn, num.vars)._scale(den.den, 1),
+                                MultiPoly._from_sym(cd, num.vars)._scale(num.den, 1))
 
     # -- evaluation ------------------------------------------------------------------------------
     def eval(self, point: dict):
@@ -763,60 +831,3 @@ def _strip_monomial(polys: list[MultiPoly]) -> list[MultiPoly]:
     if not strip:
         return polys
     return [_raw(p.vars, p.width, {k - strip: c for k, c in p.nums.items()}, p.den) for p in polys]
-
-
-def cancel_common(polys: list[MultiPoly]) -> list[MultiPoly]:
-    """Strip common monomial factors, rational content, and the common
-    multivariate gcd from a list of polynomials."""
-    polys = _strip_monomial(_align(*polys))
-    nonzero = [p for p in polys if p.nums]
-    if not nonzero:
-        return polys
-    # over den_lcm / num_gcd every numerator is an integer with gcd 1
-    num_gcd = math.gcd(*(c for p in nonzero for c in p.nums.values()))
-    den_lcm = math.lcm(*(p.den for p in nonzero))
-    if num_gcd != 1 or den_lcm != 1:
-        polys = [p._scale(den_lcm, num_gcd) for p in polys]
-    # the quotient of each polynomial by the running gcd g, from the
-    # cofactors that come with each gcd: no polynomial division
-    names = polys[0].vars
-    g, quotients = None, {}
-    for i, p in enumerate(polys):
-        if p.is_zero():
-            continue
-        s = p._to_sym()
-        if g is None:
-            g, quotients[i] = s, MultiPoly.const(1, names)
-        else:
-            g, cg, cs = g.cofactors(s)
-            if not cg.is_one:
-                cg = MultiPoly._from_sym(cg, names)
-                quotients = {j: c * cg for j, c in quotients.items()}
-            quotients[i] = MultiPoly._from_sym(cs, names)
-        if g.is_one:
-            return polys
-    return [quotients.get(i, p) for i, p in enumerate(polys)]
-
-
-def over_common_denominator(fns: list[RationalFunction]) -> tuple[MultiPoly, list[MultiPoly]]:
-    """(D, [N_i]) with D the least common multiple of the denominators and
-    fns[i] = N_i / D, all in the union of the functions' variables."""
-    names = tuple(sorted({v for f in fns for v in f.vars}))
-    dens = [f.den.extend(names) for f in fns]
-    # D and the cofactors D / (d.den * d), kept up to date from the
-    # cofactors of each gcd: lcm(D, s) = D * (s / h) and lcm(D, s) / s = D / h
-    lcm, cofactors = None, []
-    for d in dens:
-        s = d._to_sym()  # d.den * d
-        if lcm is None:
-            lcm, cofactors = s, [MultiPoly.const(1, names)]
-            continue
-        _, cl, cs = lcm.cofactors(s)
-        lcm = lcm * cs
-        if not cs.is_one:
-            cs = MultiPoly._from_sym(cs, names)
-            cofactors = [c * cs for c in cofactors]
-        cofactors.append(MultiPoly._from_sym(cl, names))
-    nums = [f.num.extend(names) * (c if d.den == 1 else c._scale(d.den, 1))
-            for f, d, c in zip(fns, dens, cofactors)]
-    return MultiPoly._from_sym(lcm, names), nums

@@ -20,10 +20,12 @@ cyclotomic scalars at concrete points.
 The walk interleaves the axes: round robin over a, b, c, x, one step on
 each axis that still has steps left.  Any order of the same steps lands
 at the same series, and its (Q, R) is unique, so the order only changes
-the cost: each step multiplies and gcd-cancels the current state, and the
+the cost: each step multiplies the current state and cancels it, and the
 interleaved walk stays near the shift's diagonal (through the small
 (0,k,k,0) relations on the way to (0,4,4,0)), where the intermediate
-relations are smaller than those of an axis-by-axis walk.
+relations are smaller than those of an axis-by-axis walk.  The state's
+denominator is kept factored over the steps' own binomials, so cancelling
+is exact division by those factors only, with no general gcd.
 
 The (Q, R) pair of the normal-form relation is recovered at the end via
 phi(xq) = phi - x(1-a)(1-b)/(1-c) * phi(aq,bq;cq;x), and is verified both
@@ -38,9 +40,12 @@ phi21_numeric for the residual.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
+from operator import mul, or_
 
 import mpmath
 
@@ -51,7 +56,7 @@ from .errors import (
     VerificationFailed,
     ZeroDenominator,
 )
-from .poly import MultiPoly, RationalFunction, cancel_common, over_common_denominator
+from .poly import RELATION_VARS, MultiPoly, RationalFunction
 from .qseries import Phi21Params, _terms, phi21_numeric
 
 DEFAULT_DEGREE_BUDGET = 8
@@ -208,19 +213,113 @@ def contiguous_step(axis: str, up: bool, p, q):
     return ((m11 / det, -m01 / det), (-m10 / det, m00 / det)), moved
 
 
-def _apply(m, v, den):
-    """(m @ v, den * D) for the 2x2 representation v over the polynomial
-    denominator den, D the least common denominator of m's entries, with
-    common factors cancelled so the sizes stay close to the true (Q, R)
-    of the intermediate shifts."""
-    d, (b00, b01, b10, b11) = over_common_denominator(
-        [RationalFunction.const(e).cancel() for row in m for e in row])
-    flat = cancel_common([
+# The ladder state is the pair of rows v over one denominator kept as a
+# Counter of irreducible factors: the variables and the canonical
+# binomials of the steps (monomial stripped, content 1, positive leading
+# coefficient), every constant folded into v.  The entries of a step's
+# matrix M and its determinant split over the binomials
+#     1 - A, 1 - B, q - C, 1 - y, C - ABqy, C - Aq, C - Bq
+# at p and p' (the c move's determinant is
+# -(y/q)(C - Aq)(C - Bq) / ((1 - C/q)^2 (C - ABqy))).  Each has exponent 1
+# in one of a, b, c, x, so is irreducible.  With L the lcm of the
+# entries' denominators, a factor of the old denominator that divides
+# every entry of (L M) v divides det(L M) v but not every entry of v (the
+# state is in lowest terms), so it divides det(L M), a product of this
+# step's factors.  A step therefore cancels, by exact division, only its
+# own factors; the final Q and R try every factor of their denominators.
+
+_VARS = tuple(MultiPoly.var(s).extend(RELATION_VARS) for s in RELATION_VARS)
+
+
+def _step_factors(shift) -> set:
+    """The canonical binomials 1 - A, 1 - B, q - C, 1 - y, C - ABqy, C - Aq
+    and C - Bq at (A, B, C, y) = (aq^k, bq^l, cq^m, xq^n), each monomial an
+    exponent vector over RELATION_VARS."""
+    k, l, m, n = shift
+    one, q = (0, 0, 0, 0, 0), (0, 0, 0, 1, 0)
+    A, B, C, y = (1, 0, 0, k, 0), (0, 1, 0, l, 0), (0, 0, 1, m, 0), (0, 0, 0, n, 1)
+    Aq, Bq = _mono(A, q), _mono(B, q)
+    return {_binomial(*pair) for pair in ((one, A), (one, B), (q, C), (one, y),
+                                           (C, _mono(A, Bq, y)), (C, Aq), (C, Bq))}
+
+
+def _mono(*exps) -> tuple:
+    """The exponent vector of the product of monomials."""
+    return tuple(map(sum, zip(*exps)))
+
+
+def _binomial(e1: tuple, e2: tuple) -> MultiPoly:
+    """m1 - m2 over its monomial factor, the larger monomial first, for
+    distinct exponent vectors e1, e2 (exponents may be negative)."""
+    low = [min(u, v) for u, v in zip(e1, e2)]
+    hi, lo = sorted((tuple(u - w for u, w in zip(e, low)) for e in (e1, e2)), reverse=True)
+    return MultiPoly(RELATION_VARS, {hi: 1, lo: -1})
+
+
+def _factor(p: MultiPoly, known, where: str):
+    """(c, F) with p = c * prod(f**k for f, k in F.items()) over the
+    factors `known`; VerificationFailed when p does not split over them."""
+    out, p = Counter(), p.extend(RELATION_VARS)
+    for f in known:
+        while (t := p.divide(f)) is not None:
+            p = t
+            out[f] += 1
+    if not p.is_const():
+        raise VerificationFailed(f"denominator factor {p.to_text()} of the {where} is not a step factor")
+    return p.const_value(), out
+
+
+def _expand(factors: Counter) -> MultiPoly:
+    return reduce(mul, (f ** k for f, k in factors.items()), MultiPoly.const(1))
+
+
+def _cancel(nums: list, den: Counter, factors):
+    """(nums, den) with each of `factors` divided out of every numerator
+    as often as den has it and all the numerators are divisible by it."""
+    den = Counter(den)
+    for f in factors:
+        while den[f] and (out := _divide_all(nums, f)) is not None:
+            nums = out
+            den[f] -= 1
+    return nums, +den
+
+
+def _divide_all(nums: list, f: MultiPoly):
+    """[n / f for n in nums], or None unless f divides every n; the
+    smallest n first, where a failure costs least."""
+    out = list(nums)
+    for i in sorted(range(len(nums)), key=lambda i: len(nums[i].nums)):
+        out[i] = nums[i].divide(f)
+        if out[i] is None:
+            return None
+    return out
+
+
+def _step(axis: str, up: bool, p, q, v, den: Counter):
+    """(p', v', den') one contiguous step from the ladder state (p, v,
+    den): v' = M v over den' = den * L, L the lcm of the denominators of
+    M's entries, in lowest terms."""
+    m, moved = contiguous_step(axis, up, p, q)
+    at = _position(p)
+    known = _VARS + tuple(_step_factors(at) | _step_factors(_position(moved)))
+    where = f"{axis} {'up' if up else 'down'} step from {','.join(map(str, at))}"
+    entries = []
+    for e in (RationalFunction.const(e) for row in m for e in row):
+        c, fs = _factor(e.den, known, where)
+        (num,), fs = _cancel([e.num * (1 / c)], fs, fs)
+        entries.append((num, fs))
+    lcm = reduce(or_, (fs for _, fs in entries))
+    b00, b01, b10, b11 = (num * _expand(lcm - fs) for num, fs in entries)
+    v, den = _cancel([
         b00 * v[0][0] + b01 * v[1][0], b00 * v[0][1] + b01 * v[1][1],
         b10 * v[0][0] + b11 * v[1][0], b10 * v[0][1] + b11 * v[1][1],
-        den * d,
-    ])
-    return [flat[0:2], flat[2:4]], flat[4]
+    ], den + lcm, known)
+    return moved, [v[0:2], v[2:4]], den
+
+
+def _position(p) -> tuple:
+    """The shift (k, l, m, n) of the walked parameters p = (aq^k, bq^l, cq^m, xq^n)."""
+    return tuple(e.num.degree_in("q") - e.den.degree_in("q") for e in p)
 
 
 def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
@@ -236,20 +335,27 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
     if shift.as_tuple() == (0, 0, 0, 0):
         return ThreeTermRelation(shift, RationalFunction.const(0), RationalFunction.const(1))
     # (phi(y), phi(yq)) at the walked parameters p, in the basis
-    # (phi(x), phi(xq)): the rows of v over the shared denominator den
+    # (phi(x), phi(xq)): the rows of v over the factored denominator den
     one, zero = MultiPoly.const(1), MultiPoly.const(0)
-    v, den = [[one, zero], [zero, one]], one
+    v, den = [[one, zero], [zero, one]], Counter()
     p = (a, b, c, x)
     for axis, up in _walk(shift):
-        m, p = contiguous_step(axis, up, p, q)
-        v, den = _apply(m, v, den)
-    rep0, rep1 = (RationalFunction(e, den) for e in v[0])
-    Q = (-rep1 * x * (1 - a) * (1 - b) / (1 - c)).cancel()
-    R = (rep0 + rep1).cancel()
-    rel = ThreeTermRelation(shift, Q, R)
+        p, v, den = _step(axis, up, p, q, v, den)
+    # Q = -rep1 x (1-a)(1-b)/(1-c) = rep1 x (a-1)(b-1)/(c-1), R = rep0 + rep1
+    fa, fb, fc = ((t - 1).num for t in (a, b, c))
+    extra = Counter((x.num, fa, fb))
+    q_den = den + Counter((fc,))
+    common = extra & q_den
+    q_den -= common
+    (q_num,), q_den = _cancel([v[0][1] * _expand(extra - common)], q_den, q_den)
+    (r_num,), r_den = _cancel([v[0][0] + v[0][1]], den, den)
+    rel = ThreeTermRelation(shift, RationalFunction(q_num, _expand(q_den)),
+                            RationalFunction(r_num, _expand(r_den)))
 
-    # P0 = lcm of the denominators of Q and R, P1 = P0*Q, P2 = P0*R
-    p0, (p1, p2) = over_common_denominator([Q, R])
+    # P0 = lcm of the denominators of Q and R, P1 = P0*Q, P2 = P0*R: only
+    # the factors each denominator lacks are multiplied in
+    lcm = q_den | r_den
+    p0, p1, p2 = _expand(lcm), q_num * _expand(lcm - q_den), r_num * _expand(lcm - r_den)
     d = max(pp.degree_in("x") for pp in (p0, p1, p2))
     if d > degree_budget:
         raise BudgetExceeded(f"cleared x-degree {d} exceeds budget {degree_budget}")

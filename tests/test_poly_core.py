@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import ref_poly
 from qforge import poly
+from qforge.errors import ZeroDenominator
 from qforge.exact import ExactScalar
 from qforge.poly import MultiPoly, RationalFunction as RF
 from qforge.relations import TABLE_SHIFTS, ThreeTermRelation, qr_lookup
@@ -199,6 +200,48 @@ def test_product_widens_the_fields():
     assert wide.width == 16 and (wide + p).width == 16
     assert_same(wide * p, to_ref(wide) * to_ref(p))
     assert wide * p - p * wide == 0
+
+
+def assert_quotient(got: MultiPoly, want: MultiPoly):
+    assert got == want and hash(got) == hash(want)
+    assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+    assert all(type(c) is int and c for c in got.nums.values())
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(packed_polys(), packed_polys(), st.sampled_from([1, -1, F(-2, 3), 5]))
+def test_exact_division_inverts_the_product(p, f, lead):
+    # p and f over mixed variable sets, exponents near and past a field's
+    # top bit, f's leading coefficient 1, -1, -2/3 or 5
+    if f.is_zero():
+        f = MultiPoly.var("q")
+    f = f * (F(lead) / f.leading()[1])
+    assert f.leading()[1] == lead
+    prod = p * f
+    assert_quotient(prod.divide(f), p)
+    assert_quotient(MultiPoly.const(0, p.vars).divide(f), MultiPoly.const(0))
+    if not f.is_const():
+        assert (prod + 1).divide(f) is None
+        assert (prod * f + f.leading()[1]).divide(f) is None
+
+
+def test_exact_division_edges():
+    a, b, q, x = (MultiPoly.var(s) for s in "abqx")
+    f = a * q**2 - b
+    assert_quotient((f**3 * (x + 1)).divide(f**2), f * (x + 1))
+    assert ((a + 1) * (a - 1) + 2).divide(a + 1) is None  # the remainder is 2
+    assert (2 * a + 1).divide(a) is None  # 1 is not a multiple of a
+    assert_quotient((2 * a + 2).divide(3 * a + 3), MultiPoly.const(F(2, 3)))
+    # dividing q^3 + q x^44 by q + x^100 in 8-bit fields reaches q x^200
+    # and then x^300, which would carry into q's field and cancel q x^44:
+    # a field that sets its top bit ends the division
+    p, f = q**3 + q * x**44, q + x**100
+    assert p.width == f.width == 8
+    assert p.divide(f) is None
+    assert_quotient((p * f).divide(f), p)
+    with pytest.raises(ZeroDenominator):
+        a.divide(MultiPoly.const(0))
 
 
 def test_x_coefficients_split_packed_monomials():

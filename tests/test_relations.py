@@ -1,9 +1,12 @@
+import itertools
 import os
 import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -11,7 +14,7 @@ import qforge
 from qforge import relations
 from qforge.errors import BudgetExceeded, NotInTable, VerificationFailed, ZeroDenominator
 from qforge.exact import ExactScalar
-from qforge.poly import MultiPoly, RationalFunction as RF
+from qforge.poly import RELATION_VARS, MultiPoly, RationalFunction as RF
 from qforge.qseries import Phi21Params, phi21_exact
 from qforge.relations import (
     TABLE_SHIFTS,
@@ -163,15 +166,18 @@ def test_relation_survives_pickle():
 
 
 def _sequential_derive(shift):
-    """(Q, R) by the axis-by-axis walk: every a step first, then b, c, x."""
+    """(Q, R) by the axis-by-axis walk: every a step first, then b, c, x;
+    each state checked to be in lowest terms, and the last cancellation
+    done by sympy's gcd."""
     one, zero = MultiPoly.const(1), MultiPoly.const(0)
-    v, den = [[one, zero], [zero, one]], one
+    v, den = [[one, zero], [zero, one]], Counter()
     p = (A, B, C, X)
     for axis, count in zip("abcx", shift):
         for _ in range(abs(count)):
-            m, p = contiguous_step(axis, count > 0, p, Q)
-            v, den = relations._apply(m, v, den)
-    rep0, rep1 = (RF(e, den) for e in v[0])
+            p, v, den = relations._step(axis, count > 0, p, Q, v, den)
+            polys = [e.extend(RELATION_VARS)._to_sym() for e in (*v[0], *v[1], relations._expand(den))]
+            assert reduce(lambda g, s: g.gcd(s), (s for s in polys if s)).is_ground
+    rep0, rep1 = (RF(e, relations._expand(den)) for e in v[0])
     return ThreeTermRelation(ShiftVector.coerce(shift),
                              (-rep1 * X * (1 - A) * (1 - B) / (1 - C)).cancel(),
                              (rep0 + rep1).cancel())
@@ -181,6 +187,45 @@ def _sequential_derive(shift):
 def test_walk_order_keeps_relation(shift):
     # (Q, R) is unique, so the balanced walk gives the sequential walk's bytes
     assert qr_derive(shift).to_json() == _sequential_derive(shift).to_json()
+
+
+_ORACLE_SHIFTS = [s for s in itertools.product((-1, 0, 1), repeat=4) if any(s)] + [(2, 2, 0, 2), (2, 4, 2, -2)]
+
+
+@pytest.mark.parametrize("shift", _ORACLE_SHIFTS, ids=lambda s: ",".join(map(str, s)))
+def test_derived_relation_is_in_lowest_terms(shift):
+    # the ladder cancels only by its step factors; sympy's multivariate gcd
+    # finds nothing more to cancel, so (Q, R) keep their bytes
+    rel = qr_derive(shift)
+    for f in (rel.Q, rel.R):
+        assert f.cancel().to_json() == f.to_json()
+
+
+def test_non_step_denominator_is_a_typed_failure(monkeypatch):
+    # a matrix entry over 1 + a + b, which no step factor divides: the
+    # ladder names the step and never falls back to a general gcd
+    def step(axis, up, p, q):
+        m, moved = contiguous_step(axis, up, p, q)
+        if axis == "b":
+            m = ((m[0][0] / (1 + A + B), m[0][1]), m[1])
+        return m, moved
+
+    monkeypatch.setattr(relations, "contiguous_step", step)
+    with pytest.raises(VerificationFailed, match="a \\+ b \\+ \\(1\\) of the b up step from 1,0,0,0"):
+        qr_derive((1, 1, 0, 0))
+
+
+def test_factor_keeps_the_sign():
+    # q - c and c - abqx are stored as c - q and abqx - c, leading
+    # coefficient positive, so their signs go to the constant
+    known = relations._VARS + tuple(relations._step_factors((0, 0, 0, 0)))
+    den = (3 * X * X * (Q - C) * (C - A * B * Q * X)).num
+    c, factors = relations._factor(den, known, "test step")
+    assert c == 3
+    assert sorted(f.to_text() for f in factors.elements()) == ["a*b*q*x + (-1)*c", "c + (-1)*q", "x", "x"]
+    assert den == c * relations._expand(factors)
+    with pytest.raises(VerificationFailed, match="test step"):
+        relations._factor((1 + A * A).num, known, "test step")
 
 
 def _walked_points(steps):
@@ -265,6 +310,14 @@ def test_sample_relation_point_draws_once():
         sample_relation_point(rng, ShiftVector(0, 1, 1, 0))
 
 
+def _fresh_stdout(code: str) -> str:
+    """The stripped stdout of `code` run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(qforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_evaluating_loaded_relations_never_imports_sympy():
     code = """
 import sys
@@ -282,7 +335,16 @@ run = telescoped_check(shift, fam, 3, {"a": F(3), "b": F(64), "q": F(1, 2)},
 assert run.passed
 print("sympy" in sys.modules)
 """
-    src = os.path.dirname(os.path.dirname(qforge.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_stdout(code) == "False"
+
+
+def test_derivation_never_imports_sympy():
+    code = """
+import json
+import sys
+from qforge.relations import qr_derive
+
+json.dumps(qr_derive((2, 2, 0, 2)).to_json())
+print("sympy" in sys.modules)
+"""
+    assert _fresh_stdout(code) == "False"
