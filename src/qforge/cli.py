@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .approx import set_default_precision
-from .errors import ConstraintViolated, QForgeError, UnboundSymbol
+from .errors import ConstraintViolated, QForgeError, SamplingExhausted, UnboundSymbol
 from .exact import parse_scalar
 from .families import solution_families
 from .forge import (
@@ -26,7 +26,14 @@ from .forge import (
     telescoped_check,
     verify_identity,
 )
-from .relations import DEFAULT_SEED, ShiftVector, qr_derive, qr_lookup, rand_fraction_wide
+from .relations import (
+    DEFAULT_DEGREE_BUDGET,
+    DEFAULT_SEED,
+    ShiftVector,
+    qr_derive,
+    qr_lookup,
+    rand_fraction_wide,
+)
 from .symmetry import apply_word_shift, canonical_representative
 
 USAGE_EXIT = 2
@@ -115,9 +122,9 @@ def _run_verify(opts: dict) -> ReportDocument:
     if opts.get("mode") and opts["mode"] != record.mode:
         raise ValueError(f"--mode {opts['mode']} disagrees with the registry: "
                          f"identity {identity!r} is verified in {record.mode} mode")
-    seed = opts.get("seed", DEFAULT_SEED)
+    seed = opts["seed"]
     rng = random.Random(seed)
-    tol = opts.get("tol", 1e-12)
+    tol = opts["tol"]
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid = _parse_grid(opts["grid"]) if opts.get("grid") else {}
@@ -147,8 +154,8 @@ def _run_verify(opts: dict) -> ReportDocument:
     return report
 
 
-def _sample_bindings(record, base: dict, free_rest, rng, limit: int = 500) -> dict:
-    for _ in range(limit):
+def _sample_bindings(record, base: dict, free_rest, rng) -> dict:
+    for _ in range(500):
         bindings = dict(base)
         for s in free_rest:
             bindings[s] = rand_fraction_wide(rng)
@@ -157,7 +164,7 @@ def _sample_bindings(record, base: dict, free_rest, rng, limit: int = 500) -> di
         except ConstraintViolated:
             continue
         return bindings
-    raise ConstraintViolated(f"no admissible bindings found for {record.id}")
+    raise SamplingExhausted(f"no admissible bindings found for {record.id}")
 
 
 def _verify_one(identity: str, bindings: dict, tol: float, registry) -> dict:
@@ -170,13 +177,12 @@ def _verify_one(identity: str, bindings: dict, tol: float, registry) -> dict:
 
 def _run_derive(opts: dict) -> ReportDocument:
     shift = ShiftVector.parse(opts["shift"])
-    report = ReportDocument("derive", _echo_options(opts), opts.get("seed", DEFAULT_SEED))
+    report = ReportDocument("derive", _echo_options(opts), opts["seed"])
     case = {"status": "pass", "shift": str(shift)}
     try:
-        rel = qr_derive(shift, degree_budget=opts.get("degree_budget", 8),
-                        seed=opts.get("seed", DEFAULT_SEED))
+        rel = qr_derive(shift, degree_budget=opts["degree_budget"], seed=opts["seed"])
         case.update(Q=rel.Q.to_json(), R=rel.R.to_json())
-        if opts.get("check_against_table"):
+        if opts["check_against_table"]:
             table = qr_lookup(shift)
             ok = table.Q == rel.Q and table.R == rel.R
             case["status"] = "pass" if ok else "fail"
@@ -204,17 +210,17 @@ def _run_normalize(opts: dict) -> ReportDocument:
 
 def _run_pipeline(opts: dict) -> ReportDocument:
     shift = ShiftVector.parse(opts["shift"])
-    report = ReportDocument("pipeline", _echo_options(opts), opts.get("seed", DEFAULT_SEED))
+    report = ReportDocument("pipeline", _echo_options(opts), opts["seed"])
     fams = solution_families(shift)
     if not fams:
         raise ValueError(f"no solution family registered for shift {shift}")
-    idx = opts.get("family_index", 0)
+    idx = opts["family_index"]
     if not 0 <= idx < len(fams):
         raise ValueError(f"family index {idx} out of range ({len(fams)} families)")
     fam = fams[idx]
-    if not opts.get("tol", 1e-12) > 0:
+    if not opts["tol"] > 0:
         raise ValueError("tol must be positive")
-    point_scalars = _parse_assignments(opts.get("point"))
+    point_scalars = _parse_assignments(opts["point"])
     point = {}
     for k, v in point_scalars.items():
         point[k] = v.as_rational() if v.is_rational() else v
@@ -224,8 +230,7 @@ def _run_pipeline(opts: dict) -> ReportDocument:
         raise UnboundSymbol(f"--point leaves {missing} unbound: family {fam.name} "
                             f"(--family-index {idx}) of shift {shift} needs {needed}")
     try:
-        run = telescoped_check(shift, fam, opts.get("n_max", 5), point,
-                               tol=opts.get("tol", 1e-12), mode=opts.get("mode", "numeric"))
+        run = telescoped_check(shift, fam, opts["n_max"], point, tol=opts["tol"], mode=opts["mode"])
     except QForgeError as exc:
         report.cases.append(_case_from_exception(exc, point))
         return report
@@ -237,10 +242,10 @@ def _run_pipeline(opts: dict) -> ReportDocument:
 
 
 def _run_conjecture(opts: dict) -> ReportDocument:
-    report = ReportDocument("conjecture", _echo_options(opts), opts.get("seed", DEFAULT_SEED))
+    report = ReportDocument("conjecture", _echo_options(opts), opts["seed"])
     rep = conjecture_check(
         opts["pattern"], ShiftVector.parse(opts["instance"]),
-        trials=opts.get("trials", 20), seed=opts.get("seed", DEFAULT_SEED),
+        trials=opts["trials"], seed=opts["seed"],
     )
     for step in rep.steps:
         case = step.to_json()
@@ -301,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("derive", parents=[common], help="derive the (Q, R) pair for a shift vector")
     p.add_argument("--shift", required=True, metavar="K,L,M,N")
-    p.add_argument("--degree-budget", dest="degree_budget", type=int, default=8)
+    p.add_argument("--degree-budget", dest="degree_budget", type=int, default=DEFAULT_DEGREE_BUDGET)
     p.add_argument("--check-against-table", dest="check_against_table", action="store_true")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

@@ -45,8 +45,6 @@ from .relations import (
     rand_fraction,
 )
 
-IDENTITY_IDS = ("qbinom", "qbinom2", "qgauss", "qkummer", "sv1", "sv2", "sv3", "sv4", "sv5")
-
 
 @dataclass(frozen=True)
 class IdentityRecord:
@@ -721,11 +719,11 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
 
 
 def _sample_series_point(fam: ParamFamily, shift: ShiftVector, rng: random.Random,
-                         n_tele: int, limit: int = 500) -> dict:
+                         n_tele: int) -> dict:
     """Random rational bindings keeping every series in the telescoping
     window inside the convergence disk (|x * q^(n*i)| < 0.9)."""
     sample_syms = [s for s in fam.free_symbols if s not in fam.fixed_bindings]
-    for _ in range(limit):
+    for _ in range(500):
         point = {s: rand_fraction(rng) for s in sample_syms}
         point["q"] = rand_fraction(rng)
         try:

@@ -15,12 +15,12 @@ wider.  `terms`, the {exponent tuple: Fraction} view, is built only for
 readers outside this module.  The variable tuple is always kept sorted
 so that mixed-variable arithmetic aligns deterministically.
 
-`eval` at int, Fraction and ExactScalar points is one integer sum,
-homogenized per variable: with v_i = n_i / d_i and D_i the degree in v_i,
-sum c_e prod n_i^e_i d_i^(D_i - e_i) over den prod d_i^D_i, the
-numerators of cyclotomic values multiplied as vectors; the value is built
-once at the end.  Points in other rings (RationalFunction, ApproxScalar,
-...) take a sparse Horner walk with Fraction coefficients.
+`eval` is one sum, homogenized per variable: with v_i = n_i / d_i and
+D_i the degree in v_i, sum c_e prod n_i^e_i d_i^(D_i - e_i) over den prod
+d_i^D_i, the value built once at the end.  int, Fraction and order-1
+ExactScalar values enter as ints, cyclotomic ExactScalar values as
+numerator vectors and RationalFunction values as their num and den
+MultiPolys; any other value is a TypeError.
 
 `divide` is exact sparse division on the packed keys, highest remainder
 key first; it returns None at the first remainder term that the
@@ -213,12 +213,6 @@ class MultiPoly:
         shifts, mask, _ = _layout(len(self.vars), self.width)
         return _unpack(key, shifts, mask), Fraction(self.nums[key], self.den)
 
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of numerators / lcm of denominators)."""
-        if self.is_zero():
-            return Fraction(1)
-        return Fraction(math.gcd(*self.nums.values()), self.den)
-
     def coefficients(self, name: str) -> dict[int, "MultiPoly"]:
         """{e: coefficient of name^e}, polynomials in the other variables."""
         if name not in self.vars:
@@ -325,15 +319,16 @@ class MultiPoly:
 
     # -- evaluation ------------------------------------------------------------------
     def eval(self, point: dict):
-        """Value at `point`: an integer sum at int, Fraction and ExactScalar
-        values (a Fraction, or an ExactScalar when a variable that occurs
-        is bound to one), a sparse Horner walk in any other ring
-        (RationalFunction, ApproxScalar, ...); the one evaluator."""
+        """Value at `point` by the homogenized sum: a Fraction, an
+        ExactScalar when a variable that occurs is bound to one, or a
+        RationalFunction when one is bound to a RationalFunction.  Any other
+        value, or RationalFunction values mixed with ExactScalar ones, raises
+        TypeError."""
         degs, names = self._degrees(), self.vars
         missing = [names[i] for i, _ in degs if names[i] not in point]
         if missing:
             raise UnboundSymbol(f"point does not bind {missing}")
-        rational, cyclo, order, exact = [], [], 1, False
+        rational, other, order, exact, symbolic = [], [], 1, False, False
         for i, d in degs:
             v = point[names[i]]
             if isinstance(v, int):
@@ -345,12 +340,18 @@ class MultiPoly:
                 if v.order == 1:
                     rational.append((d, v.nums[0], v.den))
                 else:
-                    cyclo.append((i, d, v))
+                    other.append((i, d, v))
                     order = math.lcm(order, v.order)
+            elif isinstance(v, RationalFunction):
+                symbolic = True
+                other.append((i, d, v))
             else:
-                return _horner(self._cached("horner", self._nest), point)
+                raise TypeError(f"cannot evaluate at a {type(v).__name__} value of {names[i]}")
+        if exact and symbolic:
+            raise TypeError("cannot evaluate at a point mixing RationalFunction and ExactScalar values")
         # pows[k][e] = n^e m^(d - e) for the k-th rational value n / m of
-        # degree d; vpows the same for cyclotomic values, as numerator vectors
+        # degree d; vpows the same for the other values, as numerator
+        # vectors or MultiPolys
         den = self.den
         pows = []
         for d, n, m in rational:
@@ -359,16 +360,24 @@ class MultiPoly:
             den *= dens[d]
         size = euler_phi(order)
         vpows = []
-        for _, d, v in cyclo:
-            v = v.embed(order)
-            dens = _powers(v.den, d)
-            vp = [(1,) + (0,) * (size - 1)]
-            for _ in range(d):
-                vp.append(_mul_nums(vp[-1], v.nums, order))
-            vpows.append([[c * m for c in vec] for vec, m in zip(vp, reversed(dens))])
-            den *= dens[d]
-        shape = tuple(i for i, _, _ in cyclo)
-        acc = [0] * size
+        if symbolic:  # every num and den in one layout, so products need no relayout
+            polys = _align(*(p for _, _, v in other for p in (v.num, v.den)))
+            for (_, d, _), n, m in zip(other, polys[::2], polys[1::2]):
+                dens = _powers(m, d)
+                vpows.append(list(map(mul, _powers(n, d), reversed(dens))))
+                den *= dens[d]
+        else:
+            for _, d, v in other:
+                v = v.embed(order)
+                dens = _powers(v.den, d)
+                vp = [(1,) + (0,) * (size - 1)]
+                for _ in range(d):
+                    vp.append(_mul_nums(vp[-1], v.nums, order))
+                vpows.append([[c * m for c in vec] for vec, m in zip(vp, reversed(dens))])
+                den *= dens[d]
+        shape = tuple(i for i, _, _ in other)
+        times = mul if symbolic else lambda f, g: _mul_nums(f, g, order)
+        acc, terms = [0] * size, []
         for exps, coeffs, cols in self._cached(shape, lambda: self._plan(shape)):
             s = coeffs
             for pw, col in zip(pows, cols):
@@ -378,48 +387,32 @@ class MultiPoly:
                 continue
             vec = None
             for vp, e in zip(vpows, exps):
-                vec = vp[e] if vec is None else _mul_nums(vec, vp[e], order)
+                vec = vp[e] if vec is None else times(vec, vp[e])
             if vec is None:
                 acc[0] += s
+            elif symbolic:
+                terms.append((s, vec))
             else:
                 for j, c in enumerate(vec):
                     acc[j] += s * c
+        if symbolic:
+            return RationalFunction(_combination(terms), den)
         return _exact(order, acc, den) if exact else Fraction(acc[0], den)
 
     def _plan(self, shape: tuple) -> list:
         """The layout of the integer sum when the variables at the indices
-        `shape` are bound to cyclotomic values: one (exponents of those
-        variables, numerators, exponent column of each other variable that
-        occurs) per distinct exponents of those variables."""
+        `shape` are bound to cyclotomic or RationalFunction values: one
+        (exponents of those variables, numerators, exponent column of each
+        other variable that occurs) per distinct exponents of those
+        variables."""
         shifts, mask, _ = _layout(len(self.vars), self.width)
-        cyclo = [shifts[i] for i in shape]
+        other = [shifts[i] for i in shape]
         rational = [shifts[i] for i, _ in self._degrees() if i not in shape]
         groups: dict[tuple, list] = {}
         for k, c in self.nums.items():
-            groups.setdefault(_unpack(k, cyclo, mask), []).append((c, _unpack(k, rational, mask)))
+            groups.setdefault(_unpack(k, other, mask), []).append((c, _unpack(k, rational, mask)))
         return [(exps, tuple(c for c, _ in terms), tuple(zip(*(e for _, e in terms))))
                 for exps, terms in groups.items()]
-
-    def _nest(self):
-        """The Horner form: a Fraction coefficient, or (name, ((e, node),
-        ...)) with the terms grouped by the exponent e of the first
-        variable that occurs, descending."""
-        shifts, mask, _ = _layout(len(self.vars), self.width)
-        den = self.den
-
-        def nest(names, shifts, items):
-            if not names:
-                return Fraction(items[0][1], den) if items else Fraction(0)
-            s = shifts[0]
-            groups: dict[int, list] = {}
-            for k, c in items:
-                groups.setdefault((k >> s) & mask, []).append((k, c))
-            if set(groups) <= {0}:
-                return nest(names[1:], shifts[1:], items)
-            return names[0], tuple((e, nest(names[1:], shifts[1:], groups[e]))
-                                   for e in sorted(groups, reverse=True))
-
-        return nest(self.vars, shifts, list(self.nums.items()))
 
     # -- sympy bridge ----------------------------------------------------------------
     def _to_sym(self):
@@ -569,6 +562,18 @@ def _product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return out
 
 
+def _combination(pairs: list) -> MultiPoly:
+    """sum s p over the (int s, MultiPoly p) pairs, merged once; 0 for none."""
+    polys = _align(MultiPoly.const(0), *(p for _, p in pairs))
+    den = math.lcm(*(p.den for p in polys))
+    nums: dict[int, int] = {}
+    for (s, _), p in zip(pairs, polys[1:]):
+        f = s * (den // p.den)
+        for k, c in p.nums.items():
+            nums[k] = nums.get(k, 0) + c * f
+    return _lowest(polys[0].vars, polys[0].width, {k: c for k, c in nums.items() if c}, den)
+
+
 def _quotient(nums: dict, fnums: dict, tops: int) -> dict | None:
     """The integer numerators of nums / fnums on one packed layout (`tops`
     the top bit of every field), or None when the division leaves a
@@ -612,20 +617,6 @@ def _powers(v: int, d: int) -> list[int]:
     for _ in range(d):
         out.append(out[-1] * v)
     return out
-
-
-def _horner(node, point: dict):
-    """A Horner form's value: acc -> acc * v^gap + next group, highest power first."""
-    if not isinstance(node, tuple):
-        return node
-    name, groups = node
-    v = point[name]
-    top, sub = groups[0]
-    acc = _horner(sub, point)
-    for e, sub in groups[1:]:
-        acc = acc * v ** (top - e) + _horner(sub, point)
-        top = e
-    return acc * v**top if top else acc
 
 
 def _fmt_frac(v: Fraction) -> str:

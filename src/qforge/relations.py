@@ -53,6 +53,7 @@ from .approx import ApproxScalar
 from .errors import (
     BudgetExceeded,
     NotInTable,
+    SamplingExhausted,
     VerificationFailed,
     ZeroDenominator,
 )
@@ -328,7 +329,8 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
 
     Raises BudgetExceeded when the cleared-denominator coefficients exceed
     the requested x-degree, VerificationFailed when the result does not
-    reproduce the series identity (which would indicate a bug).
+    reproduce the series identity (which would indicate a bug), and
+    SamplingExhausted when the checks cannot draw admissible points.
     """
     shift = ShiftVector.coerce(shift)
     a, b, c, q, x = _rf_vars()
@@ -395,7 +397,7 @@ def _series_verify(shift: ShiftVector, cleared: tuple[MultiPoly, MultiPoly, Mult
     while done < points:
         attempts += 1
         if attempts > 50 * points:
-            raise VerificationFailed("could not sample admissible verification points")
+            raise SamplingExhausted("could not sample admissible verification points")
         # a, b, c, q drawn in that order; x = 1 gives the coefficients in x
         pt = Phi21Params(*(rand_fraction(rng) for _ in range(4)), Fraction(1))
         try:
@@ -476,7 +478,7 @@ def verify_relation(rel: ThreeTermRelation, n_points: int = 20, tol: float = 1e-
     while done < n_points:
         attempts += 1
         if attempts > 50 * n_points:
-            raise VerificationFailed("could not sample admissible residual points")
+            raise SamplingExhausted("could not sample admissible residual points")
         try:
             point = sample_relation_point(rng, rel.shift)
             res = relation_residual(rel, point, tol / 100, prec=prec)

@@ -137,6 +137,15 @@ def test_verify_unbound_free_symbol_exits_2(capsys):
     assert "UnboundSymbol" in err and "['a', 'b', 'c']" in err
 
 
+def test_verify_exhausted_sampling_exits_2(capsys):
+    # a = 1/4 and q = 1/2 break |q/a| < 1 whatever b is drawn: the sampler
+    # gives up, which says nothing about the identity
+    assert main(["verify", "--identity", "qkummer", "--points", "1", "--q", "1/2",
+                 "--set", "a=1/4"]) == 2
+    err = capsys.readouterr().err
+    assert "SamplingExhausted" in err and "qkummer" in err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["verify"]) == 2  # missing --identity
     assert main(["bogus"]) == 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from qforge.approx import ApproxScalar
 from qforge.errors import UnboundSymbol, ZeroDenominator
 from qforge.exact import ExactScalar
 from qforge.poly import MultiPoly, RationalFunction as RF
@@ -23,7 +24,7 @@ def test_pickle_and_copy_keep_polys(copier):
     rel = qr_lookup((0, 3, 3, 0))
     poly = rel.Q.num
     pt = {"a": F(2), "b": F(3), "c": F(5), "q": F(7), "x": F(11)}
-    value = poly.eval(pt)  # builds the Horner form on the instance
+    value = poly.eval(pt)  # builds the evaluation plan on the instance
     for p in (MultiPoly.var("a"), MultiPoly.const(0), poly):
         back = copier(p)
         assert back == p and hash(back) == hash(p) and back.to_text() == p.to_text()
@@ -289,9 +290,21 @@ def test_subs_matches_term_by_term_substitution():
     for shift in TABLE_SHIFTS:
         rel = qr_lookup(shift)
         for f in (rel.Q, rel.R):
-            for mapping in ({"x": C / (A * B)}, {"b": -A, "c": -Q}):
+            # the last is sigma_1 of symmetry.apply_generator, a map of all four parameters
+            for mapping in ({"x": C / (A * B)}, {"b": -A, "c": -Q},
+                            {"a": X, "b": C / A, "c": B * X, "x": A}):
                 got, want = f.subs(mapping), reference_subs(f, mapping)
                 assert got == want and str(got) == str(want), (shift, mapping)
+
+
+def test_eval_rejects_other_rings():
+    p = MultiPoly.from_text("a*b + (2/3)*a + (1)")
+    with pytest.raises(TypeError, match="float"):
+        p.eval({"a": 0.5, "b": F(1, 3)})
+    with pytest.raises(TypeError, match="ApproxScalar"):
+        p.eval({"a": F(1, 2), "b": ApproxScalar.coerce(F(1, 3))})
+    with pytest.raises(TypeError, match="mixing"):
+        p.eval({"a": B / C, "b": ExactScalar.zeta(3)})
 
 
 def test_float_operands_raise_type_error():

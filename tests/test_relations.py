@@ -12,7 +12,13 @@ import pytest
 
 import qforge
 from qforge import relations
-from qforge.errors import BudgetExceeded, NotInTable, VerificationFailed, ZeroDenominator
+from qforge.errors import (
+    BudgetExceeded,
+    NotInTable,
+    SamplingExhausted,
+    VerificationFailed,
+    ZeroDenominator,
+)
 from qforge.exact import ExactScalar
 from qforge.poly import RELATION_VARS, MultiPoly, RationalFunction as RF
 from qforge.qseries import Phi21Params, phi21_exact
@@ -106,6 +112,16 @@ def test_residual_counts_q_times_series_error():
 
 def test_verify_relation_runs():
     verify_relation(qr_lookup((0, 2, 2, 0)), n_points=20, tol=1e-10)
+
+
+def test_verify_relation_exhausted_sampling_is_typed(monkeypatch):
+    # no admissible point says nothing about the relation: not VerificationFailed
+    def degenerate(rng, shift):
+        raise ZeroDenominator("sampled point lies on the locus c = abx")
+
+    monkeypatch.setattr(relations, "sample_relation_point", degenerate)
+    with pytest.raises(SamplingExhausted, match="residual points"):
+        verify_relation(qr_lookup((0, 2, 2, 0)), n_points=2)
 
 
 def test_derived_relation_residuals():
