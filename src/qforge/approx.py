@@ -1,63 +1,36 @@
-"""High-precision complex scalars with proven absolute error bounds.
+"""High-precision complex balls with proven absolute error bounds.
 
-Every `err` is a rigorous bound: exact inputs carry their rounding error,
-operations propagate their operands' errors, and a truncated series or
-product adds a proven bound on the rest (`_widened`).  Default mantissa:
-113 bits, set per value or by set_default_precision (QFORGE_PRECISION).
+A value is a ball in the midpoint-radius layout of Arb (Johansson, "Arb:
+efficient arbitrary-precision midpoint-radius interval arithmetic", IEEE
+TC 2017): Python ints re, im and rad and a binary exponent exp stand for
+every complex number within rad 2**exp of (re + i im) 2**exp.  A real
+value keeps im = 0, and a result is complex only if an operand is.
+Default precision: 113 bits, set per value or by set_default_precision
+(QFORGE_PRECISION).
 
-A value is a midpoint and a radius (the ball layout of Arb): `val` is an
-mpmath mpf or mpc, `err` an mpf.  The operators update both with
-mpmath's libmp kernels (mpf_add, mpc_mul, mpc_div, mpc_abs, ...) called
-at an explicit precision, which is what the mpf and mpc operators run
-inside mpmath.workprec(prec), without switching mpmath's global context
-on every operation.  Values round to nearest.  Every operation on an
-error bound rounds up (the moduli it multiplies included), and the
-divisor bound |y| - ey of a quotient rounds down, so a propagated bound
-never falls below the exact one.  The rounding allowance
-|v| * 2**(2-prec) of a result is an exponent shift of |v|, exact like
-the multiplication it replaces.
+Every `err` is a rigorous bound, by one rounding rule.  An operation is
+done exactly on the ints, then shifted right until its largest part has
+prec bits.  The shift floors both parts, each by less than one unit, so
+the radius, rounded up, gains two units (_shift).  A modulus enters a
+radius rounded up and a divisor's rounded down.  An exact input that fits
+in prec bits carries err 0; otherwise each part floored to prec bits adds
+one unit, and a cyclotomic value adds a bound on its embedding's error.
+The integer kernel of qforge.qseries runs on the same primitives at a
+fixed scale.  mpmath appears only in the views `val` and `err` (built
+exactly from the ints) and in the embedding of a cyclotomic value.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpc_abs,
-    mpc_add,
-    mpc_add_mpf,
-    mpc_div,
-    mpc_div_mpf,
-    mpc_mpf_div,
-    mpc_mul,
-    mpc_mul_mpf,
-    mpc_neg,
-    mpc_sub,
-    mpc_sub_mpf,
-    mpf_abs,
-    mpf_add,
-    from_int,
-    mpf_div,
-    mpf_le,
-    mpf_mul,
-    mpf_neg,
-    mpf_shift,
-    mpf_sub,
-    to_rational,
-)
 
 from .errors import DivisionByZero
 from .exact import ExactScalar
 
 _DEFAULT_PREC = 113
-_RND = "n"  # values: round to nearest, mpmath's default rounding
-_UP = "c"  # error bounds: round toward +infinity
-_DOWN = "f"  # the divisor bound of a quotient: round toward -infinity
-_MPF = mpmath.mpf
-_MPC = mpmath.mpc
 _new = object.__new__
 
 
@@ -72,156 +45,194 @@ def default_precision() -> int:
     return _DEFAULT_PREC
 
 
-def _to_mpc(v, prec: int):
-    """v rounded to prec bits: an mpf if v is real (a rational
-    ExactScalar included), else an mpc."""
-    if isinstance(v, ExactScalar) and v.is_rational():
-        v = v.as_rational()
-    with mpmath.workprec(prec):
-        if isinstance(v, Fraction):
-            return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-        if isinstance(v, (int, float, mpmath.mpf)):
-            return mpmath.mpf(v)
-        if isinstance(v, (complex, mpmath.mpc)):
-            return mpmath.mpc(v)
-        to_c = getattr(v, "to_complex", None)
-        if to_c is not None:
-            return +to_c(prec)
+# -- balls: (re, im, rad), three ints in one unit ------------------------------
+def _abs_up(re: int, im: int) -> int:
+    """An upper bound on |re + i im|."""
+    return math.isqrt(re * re + im * im) + 1 if im else abs(re)
+
+
+def _bound(b) -> int:
+    """An upper bound on |v| for every v in the ball b."""
+    return _abs_up(b[0], b[1]) + b[2]
+
+
+def _shift(b, k: int):
+    """The ball b in units of 2**k of its own.  For k > 0 each part is
+    floored, which errs by less than one unit, so the radius, rounded
+    up, gains two units; for k <= 0 the shift is exact."""
+    re, im, rad = b
+    if k > 0:
+        return re >> k, im >> k, 2 - (-rad >> k)
+    return re << -k, im << -k, rad << -k
+
+
+def _normalized(b, exp: int, bits: int):
+    """(b, exp) shifted until the largest part of b has at most `bits` bits."""
+    k = max(abs(b[0]), abs(b[1]), b[2]).bit_length() - bits
+    return (_shift(b, k), exp + k) if k > 0 else (b, exp)
+
+
+def _mul(x, y, k: int = 0):
+    """The ball x y, in units of 2**k times the product of the operands'
+    units; its radius |x| ry + |y| rx + rx ry."""
+    xr, xi, xe = x
+    yr, yi, ye = y
+    b = (xr * yr - xi * yi, xr * yi + xi * yr, _abs_up(xr, xi) * ye + _abs_up(yr, yi) * xe + xe * ye)
+    return _shift(b, k) if k else b
+
+
+def _div(x, y, s: int):
+    """The ball x / y, in units of 2**-s times x's unit over y's; its
+    radius (rx 2**s + |x / y| ry) / (|y| - ry), rounded up, plus one unit
+    for each floored part.  DivisionByZero unless |y| - ry > 0."""
+    xr, xi, xe = x
+    yr, yi, ye = y
+    norm = yr * yr + yi * yi
+    low = (math.isqrt(norm) if yi else abs(yr)) - ye  # |y| - ry, rounded down
+    if low <= 0:
+        raise DivisionByZero("divisor not bounded away from zero")
+    re = ((xr * yr + xi * yi) << s) // norm
+    im = ((xi * yr - xr * yi) << s) // norm
+    # the floors put |x / y| below |re + i im| + 2
+    rad = (xe << s) + (_abs_up(re, im) + 2) * ye
+    return re, im, 2 - (-rad // low)
+
+
+# -- exact inputs ----------------------------------------------------------------
+def _ratio(v):
+    """An exact real input (int, Fraction, float, mpf) as (n, d) with d > 0."""
+    if isinstance(v, mpmath.mpf):
+        man, exp = v.man_exp  # man is |mantissa|
+        man = -man if v < 0 else man
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    if isinstance(v, (int, Fraction, float)):
+        return v.as_integer_ratio()
     raise TypeError(f"cannot convert {type(v).__name__} to ApproxScalar")
 
 
-# -- raw libmp values: an mpf is a 4-tuple, an mpc a pair of them -------------
-def _raw(v):
-    return v._mpf_ if type(v) is _MPF else v._mpc_
-
-
-def _wrap(r):
-    if len(r) == 2:
-        v = _new(_MPC)
-        v._mpc_ = r
+def _floor_scaled(n: int, d: int, s: int):
+    """floor(n / d 2**s) and whether it is exact."""
+    if s >= 0:
+        n <<= s
     else:
-        v = _new(_MPF)
-        v._mpf_ = r
-    return v
+        d <<= -s
+    m, r = divmod(n, d)
+    return m, not r
 
 
-def _abs(r, prec, rnd):
-    # a real value has at most prec bits, so its exact |r| is |r| at prec
-    return mpc_abs(r, prec, rnd) if len(r) == 2 else mpf_abs(r)
+def _from_parts(re, im, prec: int, cplx: bool) -> "ApproxScalar":
+    """The value re + i im, its parts given as (n, d), floored to prec bits
+    at one exponent, plus one unit of radius for each part the floor
+    changed."""
+    (rn, rd), (imn, imd) = re, im
+    if not (rn or imn):
+        return _make((0, 0, 0), 0, prec, cplx)
+    # |n / d| lies in [2**(t-1), 2**(t+1)) for t = bits(n) - bits(d)
+    top = max(rn.bit_length() - rd.bit_length() if rn else -math.inf,
+              imn.bit_length() - imd.bit_length() if imn else -math.inf)
+    s = prec - top  # the larger part gets prec or prec + 1 bits
+    (mr, xr), (mi, xi) = _floor_scaled(rn, rd, s), _floor_scaled(imn, imd, s)
+    if max(abs(mr), abs(mi)).bit_length() > prec:  # floor(floor(v) / 2) = floor(v / 2)
+        xr, xi = xr and not mr & 1, xi and not mi & 1
+        mr, mi, s = mr >> 1, mi >> 1, s - 1
+    return _make((mr, mi, (not xr) + (not xi)), -s, prec, cplx)
 
 
-def _rounding(r, prec):
-    """|r| * 2**(2-prec): the allowance for rounding a result to prec bits."""
-    return mpf_shift(_abs(r, prec, _UP), 2 - prec)
-
-
-def _embedding_error(v: ExactScalar, prec: int):
-    """(d + 1) sum |c_k| 2**(-11-prec): a bound on the error of Horner's
-    rule in ExactScalar.to_complex(prec), which sums the d + 1 = phi(n)
-    terms c_k zeta^k at prec + 16 bits, so a rounding errs by at most
-    u = 2**(-15-prec): 3u |c_k| for c_k = num / den, 8ku for the k-th power
-    of the computed zeta, and gamma_2d sum |c_k| for Horner's 2d
-    operations (Higham, Accuracy and Stability of Numerical Algorithms,
-    5.1); (3 + 10d) u sum |c_k| to first order, which 16 (d + 1) u sum |c_k|
-    covers while d u < 1/64."""
-    total = mpf_div(from_int(sum(map(abs, v.nums)), prec, _UP), from_int(v.den, prec, _DOWN), prec, _UP)
-    return mpf_shift(mpf_mul(total, from_int(len(v.nums)), prec, _UP), -11 - prec)
-
-
-def _is_exact(v, r) -> bool:
-    """Whether r, v rounded to prec bits, equals v (as a value that
-    already has prec bits does, so rebuilding one keeps its err)."""
-    if isinstance(v, ExactScalar):
-        if not v.is_rational():
-            return False
-        v = v.as_rational()
-    parts = (v.real, v.imag) if isinstance(v, (complex, _MPC)) else (v, 0)
-    parts = [Fraction(*to_rational(x._mpf_)) if isinstance(x, _MPF) else x for x in parts]
-    got = r if len(r) == 2 else (r, fzero)
-    return all(Fraction(*to_rational(y)) == x for x, y in zip(parts, got))
-
-
-def _upper(x):
-    """|val| + err rounded up (raw mpf): a bound on |v| for all v in x."""
-    return mpf_add(_abs(_raw(x.val), x.prec, _UP), x.err._mpf_, x.prec, _UP)
-
-
-def _widened(x, tail):
-    """x with the raw mpf bound `tail` on a neglected part added to its err."""
-    return _make(_raw(x.val), mpf_add(x.err._mpf_, tail, x.prec, _UP), x.prec)
-
-
-# The kernel the mpf/mpc operator calls for each pair of operand kinds,
-# indexed by (x is complex) + 2 * (y is complex).  The parts of a value
-# have at most prec bits (the constructor rounds them to prec), so
-# negating y is exact and one mpf_sub/mpc_sub gives the bits of x + (-y).
-_ADD = (mpf_add, mpc_add_mpf, lambda x, y, prec, rnd: mpc_add_mpf(y, x, prec, rnd), mpc_add)
-_SUB = (mpf_sub, mpc_sub_mpf, lambda x, y, prec, rnd: mpc_sub((x, fzero), y, prec, rnd), mpc_sub)
-_MUL = (mpf_mul, mpc_mul_mpf, lambda x, y, prec, rnd: mpc_mul_mpf(y, x, prec, rnd), mpc_mul)
-_DIV = (mpf_div, mpc_div_mpf, mpc_mpf_div, mpc_div)
-
-
-def _kernel(table, xr, yr, prec):
-    return table[(len(xr) == 2) + 2 * (len(yr) == 2)](xr, yr, prec, _RND)
+def _embedding_error(v: ExactScalar, prec: int, exp: int) -> int:
+    """(d + 1) sum |c_k| 2**(-11-prec) in units of 2**exp, rounded up: a
+    bound on the error of Horner's rule in ExactScalar.to_complex(prec),
+    which sums the d + 1 = phi(n) terms c_k zeta^k at prec + 16 bits, so a
+    rounding errs by at most u = 2**(-15-prec): 3u |c_k| for
+    c_k = num / den, 8ku for the k-th power of the computed zeta, and
+    gamma_2d sum |c_k| for Horner's 2d operations (Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1); (3 + 10d) u sum |c_k| to
+    first order, which 16 (d + 1) u sum |c_k| covers while d u < 1/64."""
+    units, exact = _floor_scaled(len(v.nums) * sum(map(abs, v.nums)), v.den, -11 - prec - exp)
+    return units + (not exact)
 
 
 class ApproxScalar:
-    """An immutable complex value with a rigorous absolute error bound `err`."""
+    """An immutable complex ball: the value (re + i im) 2**exp, with
+    (re, im, rad) = ball, within its rigorous absolute error bound
+    `err` = rad 2**exp."""
 
-    __slots__ = ("val", "err", "prec")
+    __slots__ = ("ball", "exp", "prec", "cplx")
 
     def __new__(cls, value, err=0, prec: int | None = None):
-        prec = _DEFAULT_PREC if prec is None else int(prec)
-        r = _raw(_to_mpc(value, prec))
-        e = _MPF(err, prec=prec, rounding=_UP)._mpf_
-        if not _is_exact(value, r):  # add what coerce's err bounds
-            e = mpf_add(e, ApproxScalar.coerce(value, prec).err._mpf_, prec, _UP)
-        return _make(r, e, prec)
+        x = ApproxScalar.coerce(value, prec)
+        n, d = _ratio(err)
+        if n < 0:
+            raise ValueError("err must be non-negative")
+        if not n:
+            return x
+        re, im, rad = x.ball
+        units, exact = _floor_scaled(n, d, -x.exp)
+        return _make((re, im, rad + units + (not exact)), x.exp, x.prec, x.cplx)
 
     def __setattr__(self, *_):
         raise AttributeError("ApproxScalar is immutable")
 
-    def __reduce__(self):  # val and err have prec bits: rebuilding keeps them
-        return ApproxScalar, (self.val, self.err, self.prec)
+    def __reduce__(self):
+        return _make, (self.ball, self.exp, self.prec, self.cplx)
 
     @staticmethod
     def coerce(v, prec: int | None = None) -> "ApproxScalar":
         if isinstance(v, ApproxScalar):
             return v
-        # exact inputs carry their rounding error (and a cyclotomic one its embedding's)
         prec = _DEFAULT_PREC if prec is None else prec
-        if type(v) is int and v == 1:
-            return _one(prec)
-        r = _raw(_to_mpc(v, prec))
-        e = _rounding(r, prec)
-        if isinstance(v, ExactScalar) and not v.is_rational():
-            e = mpf_add(e, _embedding_error(v, prec), prec, _UP)
-        return _make(r, e, prec)
+        if type(v) is int and v.bit_length() <= prec:
+            return _make((v, 0, 0), 0, prec, False)
+        if isinstance(v, ExactScalar):
+            if not v.is_rational():
+                # the embedding at prec + 16 bits, floored to prec, plus its error
+                z = v.to_complex(prec)
+                x = _from_parts(_ratio(z.real), _ratio(z.imag), prec, True)
+                re, im, rad = x.ball
+                return _make((re, im, rad + _embedding_error(v, prec, x.exp)), x.exp, prec, True)
+            v = v.as_rational()
+        if isinstance(v, (complex, mpmath.mpc)):
+            return _from_parts(_ratio(v.real), _ratio(v.imag), prec, True)
+        return _from_parts(_ratio(v), (0, 1), prec, False)
 
     # -- views ------------------------------------------------------------
+    @property
+    def val(self):
+        """The midpoint: an mpf for a real value, else an mpc."""
+        re, im, _ = self.ball
+        if not self.cplx:
+            return _mpf(re, self.exp)
+        out = _new(mpmath.mpc)
+        out._mpc_ = (_mpf(re, self.exp)._mpf_, _mpf(im, self.exp)._mpf_)
+        return out
+
+    @property
+    def err(self):
+        """The radius, an mpf."""
+        return _mpf(self.ball[2], self.exp)
+
     def magnitude(self):
-        """|val| at the value's own precision."""
-        return _wrap(_abs(_raw(self.val), self.prec, _RND))
+        """|val|, rounded down to a unit of the value's precision (exact if real)."""
+        re, im, _ = self.ball
+        return _mpf(math.isqrt(re * re + im * im) if im else abs(re), self.exp)
 
     def __repr__(self):
         return f"ApproxScalar({self.val}, err={mpmath.nstr(self.err, 3)})"
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
-        return _sum(self, ApproxScalar.coerce(other, self.prec), _ADD)
+        return _sum(self, ApproxScalar.coerce(other, self.prec), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = _raw(self.val)
-        v = mpc_neg(r, self.prec, _RND) if len(r) == 2 else mpf_neg(r, self.prec, _RND)
-        return _make(v, self.err._mpf_, self.prec)
+        re, im, rad = self.ball
+        return _make((-re, -im, rad), self.exp, self.prec, self.cplx)
 
     def __sub__(self, other):
-        return _sum(self, ApproxScalar.coerce(other, self.prec), _SUB)
+        return _sum(self, ApproxScalar.coerce(other, self.prec), -1)
 
     def __rsub__(self, other):
-        return _sum(ApproxScalar.coerce(other, self.prec), self, _SUB)
+        return _sum(ApproxScalar.coerce(other, self.prec), self, -1)
 
     def __mul__(self, other):
         return _product(self, ApproxScalar.coerce(other, self.prec))
@@ -238,8 +249,8 @@ class ApproxScalar:
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
-            return _quotient(_one(self.prec), self ** (-e))
-        out = _one(self.prec)
+            return _quotient(_make((1, 0, 0), 0, self.prec, False), self ** (-e))
+        out = _make((1, 0, 0), 0, self.prec, False)
         base = self
         while e:
             if e & 1:
@@ -249,70 +260,53 @@ class ApproxScalar:
                 base = _product(base, base)
         return out
 
-    def to_complex(self, prec: int | None = None):
-        return self.val
+
+_set_ball = ApproxScalar.ball.__set__
+_set_exp = ApproxScalar.exp.__set__
+_set_prec = ApproxScalar.prec.__set__
+_set_cplx = ApproxScalar.cplx.__set__
 
 
-def _make(v, e, prec) -> ApproxScalar:
-    """An ApproxScalar from raw libmp values already rounded to prec."""
-    if e[0]:  # the sign bit: err < 0
-        raise ValueError("err must be non-negative")
+def _make(b, exp: int, prec: int, cplx: bool) -> ApproxScalar:
+    """The ball b in units of 2**exp at prec bits (see _normalized)."""
+    b, exp = _normalized(b, exp, prec)
     out = _new(ApproxScalar)
-    _set_val(out, _wrap(v))
-    _set_err(out, _wrap(e))
+    _set_ball(out, b)
+    _set_exp(out, exp)
     _set_prec(out, prec)
+    _set_cplx(out, cplx)
     return out
 
 
-_set_val = ApproxScalar.val.__set__
-_set_err = ApproxScalar.err.__set__
-_set_prec = ApproxScalar.prec.__set__
-
-_ONES: dict[int, ApproxScalar] = {}
+def _mpf(man: int, exp: int):
+    return mpmath.mpf((man, exp), prec=0)  # prec 0: exact
 
 
-def _one(prec: int) -> ApproxScalar:
-    """coerce(1, prec): 1 with err 2**(2-prec), built once per precision."""
-    one = _ONES.get(prec)
-    if one is None:
-        one = _ONES[prec] = _make(fone, mpf_shift(fone, 2 - prec), prec)
-    return one
+def _upper(x: ApproxScalar) -> Fraction:
+    """|val| + err rounded up: a bound on |v| for all v in x."""
+    u = _bound(x.ball)
+    return Fraction(u << x.exp) if x.exp >= 0 else Fraction(u, 1 << -x.exp)
 
 
-def _sum(x, y, table) -> ApproxScalar:
-    """x + y (table _ADD) or x - y (table _SUB)."""
-    prec = x.prec if x.prec >= y.prec else y.prec
-    v = _kernel(table, _raw(x.val), _raw(y.val), prec)
-    # ex + ey + rounding
-    e = mpf_add(x.err._mpf_, y.err._mpf_, prec, _UP)
-    e = mpf_add(e, _rounding(v, prec), prec, _UP)
-    return _make(v, e, prec)
+def _sum(x, y, sign: int) -> ApproxScalar:
+    """x + y (sign 1) or x - y (sign -1), aligned to the smaller exponent."""
+    (xr, xi, xe), (yr, yi, ye) = x.ball, y.ball
+    d = x.exp - y.exp
+    if d > 0:
+        xr, xi, xe = xr << d, xi << d, xe << d
+    elif d < 0:
+        yr, yi, ye = yr << -d, yi << -d, ye << -d
+    b = (xr + yr, xi + yi, xe + ye) if sign > 0 else (xr - yr, xi - yi, xe + ye)
+    return _make(b, min(x.exp, y.exp), max(x.prec, y.prec), x.cplx or y.cplx)
 
 
 def _product(x, y) -> ApproxScalar:
-    prec = x.prec if x.prec >= y.prec else y.prec
-    xr, yr = _raw(x.val), _raw(y.val)
-    xe, ye = x.err._mpf_, y.err._mpf_
-    v = _kernel(_MUL, xr, yr, prec)
-    # |x| ey + |y| ex + ex ey + rounding
-    e = mpf_add(mpf_mul(_abs(xr, prec, _UP), ye, prec, _UP),
-                mpf_mul(_abs(yr, prec, _UP), xe, prec, _UP), prec, _UP)
-    e = mpf_add(e, mpf_mul(xe, ye, prec, _UP), prec, _UP)
-    e = mpf_add(e, _rounding(v, prec), prec, _UP)
-    return _make(v, e, prec)
+    return _make(_mul(x.ball, y.ball), x.exp + y.exp, max(x.prec, y.prec), x.cplx or y.cplx)
 
 
 def _quotient(x, y) -> ApproxScalar:
-    prec = x.prec if x.prec >= y.prec else y.prec
-    xr, yr = _raw(x.val), _raw(y.val)
-    ye = y.err._mpf_
-    ay = _abs(yr, prec, _DOWN)
-    if ay == fzero or mpf_le(ay, ye):
-        raise DivisionByZero("divisor not bounded away from zero")
-    v = _kernel(_DIV, xr, yr, prec)
-    # (ex + |v| ey) / (|y| - ey) + rounding
-    av = _abs(v, prec, _UP)
-    e = mpf_add(x.err._mpf_, mpf_mul(av, ye, prec, _UP), prec, _UP)
-    e = mpf_div(e, mpf_sub(ay, ye, prec, _DOWN), prec, _UP)
-    e = mpf_add(e, mpf_shift(av, 2 - prec), prec, _UP)
-    return _make(v, e, prec)
+    prec = max(x.prec, y.prec)
+    (xr, xi, xe), (yr, yi, ye) = x.ball, y.ball
+    # dividend bits enough for a quotient of prec + 1 bits or more
+    s = max(0, prec + 2 + max(abs(yr), abs(yi)).bit_length() - max(abs(xr), abs(xi), xe).bit_length())
+    return _make(_div(x.ball, y.ball, s), x.exp - y.exp - s, prec, x.cplx or y.cplx)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 
 from . import closedform as cf
-from .approx import ApproxScalar, default_precision
+from .approx import ApproxScalar, _upper, default_precision
 from .closedform import closed_form_eval
 from .errors import (
     ConstraintViolated,
@@ -255,7 +255,7 @@ def check_constraints(record: IdentityRecord, bindings: dict) -> SeriesValue | N
         elif kind == "abs_lt":
             val = closed_form_eval(con["expr"], bindings, "numeric", 1e-12)
             bound = Fraction(con["bound"])
-            if not val.magnitude() < mpmath.mpf(bound.numerator) / bound.denominator:
+            if not _upper(val) < bound:  # for every value in the ball
                 raise ConstraintViolated(f"|expr| < {con['bound']} violated")
         elif kind == "ne":
             val = closed_form_eval(con["expr"], bindings, "exact", 0)
@@ -382,9 +382,10 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
         budget = diff + series.value.err + rhs.err
         if budget <= tol:
             break
-        # each side's err holds at least 2**(2-prec) times its magnitude
-        # (the rounding of its last operation), whatever the summation tol;
-        # half of that leaves room for the values moving between rounds
+        # each side is held to prec bits, and a rounding to prec bits adds
+        # up to two units of its last bit, about 2**(1-prec) times its
+        # magnitude, to its err whatever the summation tol: a tol below
+        # that asks for bits the values do not keep
         floor = (series.value.magnitude() + rhs.magnitude()) * mpmath.mpf(2) ** (1 - prec)
         if tol < floor:
             raise UnreachableTolerance(

@@ -5,12 +5,12 @@ extended definition for the exceptional parameter case), truncated
 numerics with a proven error bound for non-terminating series, and
 finite products that work over any ring (scalars or rational functions).
 
-The loops of phi21_numeric and qpoch_infinite run on Python ints: each
-value is a midpoint and a radius, the layout of Arb (Johansson, "Arb:
-efficient arbitrary-precision midpoint-radius interval arithmetic", IEEE
-TC 2017), and the series is summed in fixed point as in Johansson,
-"Computing hypergeometric functions rigorously" (ACM TOMS 2019).
-ApproxScalar appears only at their boundary: parameters in, one result out.
+The loops of phi21_numeric and qpoch_infinite run on the ball
+primitives of qforge.approx, on tuples of Python ints rather than
+ApproxScalar objects: the series is summed in fixed point as in
+Johansson, "Computing hypergeometric functions rigorously" (ACM TOMS
+2019).  ApproxScalar appears only at their boundary: parameters in, one
+result out.
 """
 
 from __future__ import annotations
@@ -20,35 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-import mpmath
-from mpmath.libmp import (
-    fone,
-    from_int,
-    from_man_exp,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_lt,
-    mpf_mul,
-    mpf_neg,
-    mpf_pow_int,
-    mpf_sign,
-    mpf_sub,
-)
-
 from .approx import (
-    _DOWN,
-    _RND,
-    _UP,
     ApproxScalar,
+    _abs_up,
+    _bound,
+    _div,
     _make,
-    _raw,
-    _rounding,
+    _mul,
+    _normalized,
+    _shift,
     _upper,
-    _widened,
     default_precision,
 )
 from .errors import (
+    DivisionByZero,
     InvalidDomain,
     NoConvergence,
     NotTerminating,
@@ -116,47 +101,36 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
     where the tail bound (|P_M| + err) u / (1 - u) is at most tol: with
     u = |base| |q|^M / (1 - |q|) < 1 the factors past M multiply to within
     exp(u) - 1 <= u / (1 - u) of 1.  Moduli are upper bounds |v| + err;
-    u rounds up.  P_M is a block floating-point ball (see the kernel
-    below), so its error stays relative however small it gets."""
+    u rounds up.  P_M is a ball with its own exponent, shifted back to wp
+    bits after each factor, so its error stays relative however small it
+    gets."""
     prec = default_precision() if prec is None else prec
     b = ApproxScalar.coerce(base, prec)
     qq = ApproxScalar.coerce(q, prec)
-    absq = _upper(qq)
-    if not mpf_lt(absq, fone):
+    if _upper(qq) >= 1:
         raise InvalidDomain("qpoch_infinite requires |q| < 1")
     wp = prec + _GUARD
     one = 1 << wp
-    cplx = _is_complex(b) or _is_complex(qq)
-    bq, qb = _ball(b, wp), _ball(qq, wp)
-    qa = _ceil_units(absq, wp)
+    bq, qb = _at(b, wp), _at(qq, wp)
+    qa = _bound(qb)
     tm, te = _rounded_tol(tol, prec)
     # u = un 2**ue, rounded up, with un kept at wp bits
-    _, un, ue, _ = mpf_div(_upper(b), mpf_sub(fone, absq, prec, _DOWN), prec, _UP)
-    un = int(un)
-    # P_m = (re + i im +- rad) 2**exp
-    re, im, rad, exp = 1, 0, 0, 0
+    un, ue = -(-(_bound(bq) << wp) // (one - qa)), -wp
+    p, exp = (1, 0, 0), 0  # P_m = p 2**exp
     for m in range(100 * prec + 1):
         if un:
-            k = wp - un.bit_length()
-            un, ue = un << k, ue - k
+            k = un.bit_length() - wp
+            un, ue = (-(-un >> k) if k > 0 else un << -k), ue + k
         if ue <= 0 and un < 1 << -ue:  # u < 1
             # the tail bound is top 2**exp / den
-            top = (_abs_up(re, im) + rad) * un
+            top = _bound(p) * un
             den = (1 << -ue) - un
             shift = exp - te
             if top << max(shift, 0) <= (tm * den) << max(-shift, 0):
-                tail = mpf_div(from_man_exp(top, exp), from_int(den), prec, _UP)
-                return SeriesValue(_widened(_to_approx(re, im, rad, exp, prec, cplx), tail), m, False)
-        # P_(m+1) = P_m (1 - b q^m), its largest part shifted back to wp bits
-        fr, fi, frad = bq
-        fr = one - fr
-        nr, ni = re * fr + im * fi, im * fr - re * fi
-        rad = _abs_up(re, im) * frad + _abs_up(fr, fi) * rad + rad * frad
-        k = max(abs(nr), abs(ni), rad).bit_length() - wp
-        if k > 0:
-            re, im, rad, exp = nr >> k, ni >> k, 2 - (-rad >> k), exp - wp + k
-        else:
-            re, im, exp = nr, ni, exp - wp
+                re, im, rad = p
+                return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, b.cplx or qq.cplx), m, False)
+        # P_(m+1) = P_m (1 - b q^m), shifted back to wp bits
+        p, exp = _normalized(_mul(p, _one_minus(bq, one)), exp - wp, wp)
         bq = _mul(bq, qb, wp)
         un = -(-un * qa >> wp)
     raise NoConvergence("qpoch_infinite failed to meet tolerance")
@@ -235,7 +209,8 @@ def phi21_exact(p: Phi21Params) -> SeriesValue:
 def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None) -> SeriesValue:
     """Truncated 2phi1 for |q| < 1 with a proven error bound.
 
-    Stops at the first index i where the last three terms are below tol
+    InvalidDomain unless |q| < 1, and |x| < 1 for a non-terminating
+    series, hold for every value in their balls.  Stops at the first index i where the last three terms are below tol
     relative to the running partial sum and _tail_bound proves a bound on
     the rest, which joins the err.  As |x| < 1 that holds for i large
     enough; _MAX_TERMS bounds the search.
@@ -248,20 +223,21 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None) -> Series
     prec = default_precision() if prec is None else prec
     term_limit = _exact_termination(p)
     p = p.as_numeric(prec)
-    if p.q.magnitude() >= 1:
+    if _upper(p.q) >= 1:
         raise InvalidDomain("phi21_numeric requires |q| < 1")
-    if term_limit is None and p.x.magnitude() >= 1:
+    if term_limit is None and _upper(p.x) >= 1:
         raise InvalidDomain("phi21_numeric requires |x| < 1 for non-terminating series")
 
     wp = prec + _GUARD
     one = 1 << wp
     params = (p.a, p.b, p.c, p.q, p.x)
-    cplx = any(map(_is_complex, params))
-    terms = _ball_terms(*(_ball(v, wp) for v in params), wp)
+    cplx = any(v.cplx for v in params)
+    a, b, c, q, x = balls = [_at(v, wp) for v in params]
+    terms = _ball_terms(*balls, wp)
     if term_limit is not None:
-        re, im, rad = map(sum, zip((one, 0, 0), *islice(terms, term_limit)))
-        return SeriesValue(_to_approx(re, im, rad, -wp, prec, cplx), term_limit + 1, True)
-    bounds = tuple(map(_upper, (p.q, p.a, p.b, p.c, p.x)))
+        total = tuple(map(sum, zip((one, 0, 0), *islice(terms, term_limit))))
+        return SeriesValue(_make(total, -wp, prec, cplx), term_limit + 1, True)
+    bounds = [_bound(v) for v in (q, a, b, c, x)]
     # |t| < tol (|total| + 1), in units of 2**-wp with tol >= tm 2**te
     tm, te = _rounded_tol(tol, prec)
     left, tm = max(-te, 0), tm << max(te, 0)
@@ -272,9 +248,8 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None) -> Series
         small = _abs_up(tr, ti) << left < tm * (_abs_up(re, im) + one)
         small_streak = small_streak + 1 if small else 0
         if small_streak >= 3:
-            last = from_man_exp(_abs_up(tr, ti) + trad, -wp)
-            if (tail := _tail_bound(bounds, last, i, prec)) is not None:
-                return SeriesValue(_widened(_to_approx(re, im, rad, -wp, prec, cplx), tail), i, False)
+            if (tail := _tail_bound(bounds, _abs_up(tr, ti) + trad, i, wp)) is not None:
+                return SeriesValue(_make((re, im, rad + tail), -wp, prec, cplx), i, False)
     raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
 
 
@@ -287,96 +262,49 @@ def _exact_termination(p: Phi21Params):
     return detect_termination(ab[0], ab[-1], p.q)
 
 
-def _tail_bound(bounds, last, i, prec):
-    """A bound (raw mpf) on |t_(i+1)| + |t_(i+2)| + ..., or None unless
-    rho < 1: for j >= i, |t_(j+1) / t_j| <= rho = |x| (1 + |a| |q|^i)
-    (1 + |b| |q|^i) / ((1 - |q|^(i+1)) (1 - |c| |q|^i)), so the tail is at
-    most |t_i| rho / (1 - rho).  `bounds` holds upper bounds on |q|, |a|,
-    |b|, |c|, |x| and `last` one on |t_i| (raw mpfs); bound operations
-    round up (divisors down), so it holds for the exact values."""
-    absq, a, b, c, x = bounds
-    qi = mpf_pow_int(absq, i, prec, _UP)
-    den1 = mpf_sub(fone, mpf_mul(qi, absq, prec, _UP), prec, _DOWN)
-    den2 = mpf_sub(fone, mpf_mul(c, qi, prec, _UP), prec, _DOWN)
-    if mpf_sign(den1) <= 0 or mpf_sign(den2) <= 0:
+def _tail_bound(bounds, last: int, i: int, wp: int):
+    """A bound on |t_(i+1)| + |t_(i+2)| + ..., or None unless rho < 1: for
+    j >= i, |t_(j+1) / t_j| <= rho = |x| (1 + |a| |q|^i) (1 + |b| |q|^i)
+    / ((1 - |q|^(i+1)) (1 - |c| |q|^i)), so the tail is at most
+    |t_i| rho / (1 - rho).  `bounds` holds upper bounds on |q|, |a|, |b|,
+    |c|, |x| and `last` one on |t_i|, all in units of 2**-wp, as is the
+    result; bounds round up and divisors down, so it holds for the exact
+    values."""
+    q, a, b, c, x = bounds
+    one = 1 << wp
+    qi = one  # |q|^i, rounded up
+    for bit in bin(i)[2:]:
+        qi = -(-qi * qi >> wp)
+        if bit == "1":
+            qi = -(-qi * q >> wp)
+    den1 = one + (-qi * q >> wp)
+    den2 = one + (-c * qi >> wp)
+    if den1 <= 0 or den2 <= 0:
         return None
-    num = mpf_mul(x, mpf_add(fone, mpf_mul(a, qi, prec, _UP), prec, _UP), prec, _UP)
-    num = mpf_mul(num, mpf_add(fone, mpf_mul(b, qi, prec, _UP), prec, _UP), prec, _UP)
-    rho = mpf_div(num, mpf_mul(den1, den2, prec, _DOWN), prec, _UP)
-    if not mpf_lt(rho, fone):
+    # rho = num / den, both in units of 2**(-3 wp)
+    num = x * (one - (-a * qi >> wp)) * (one - (-b * qi >> wp))
+    den = den1 * den2 << wp
+    if num >= den:
         return None
-    return mpf_div(mpf_mul(last, rho, prec, _UP), mpf_sub(fone, rho, prec, _DOWN), prec, _UP)
+    return -(-last * num // (den - num))
 
 
 # -- the integer ball kernel of phi21_numeric and qpoch_infinite --------------
 #
-# A ball is a midpoint re + i im and a radius rad, all ints in units of
-# 2**-wp with wp = prec + _GUARD bits; a real input keeps im = 0 throughout.
-# The rules are those of approx.py on a fixed grid: a floor shift errs by
-# less than one unit, which the radius gains for each part shifted; every
-# radius rounds up; a modulus enters a radius as the upper bound
-# isqrt(re^2 + im^2) + 1 and a divisor's as the lower bound
-# isqrt(re^2 + im^2) - rad (|re| and |re| - rad when im = 0, exactly).
-# The series is summed at this absolute scale, as its sum starts at 1.  The
-# running product of qpoch_infinite, which can be tiny ((9/10; 99/100)_inf
-# is about 2.2e-57), is a block floating-point ball (re + i im +- rad)
-# 2**exp, shifted back after each factor so that its largest part has wp
-# bits.
+# The loops work on balls (re, im, rad) of qforge.approx at wp = prec +
+# _GUARD bits, with the rounding rule of its operators.  The series is
+# summed in units of 2**-wp, an absolute scale, as its sum starts at 1.
+# The running product of qpoch_infinite, which can be tiny
+# ((9/10; 99/100)_inf is about 2.2e-57), keeps its own exponent, as an
+# ApproxScalar does, shifted back after each factor so that its largest
+# part has wp bits.
 
 _GUARD = 24  # bits the kernel works at beyond prec
 
 
-def _is_complex(v: ApproxScalar) -> bool:
-    return len(_raw(v.val)) == 2
-
-
-def _floor_units(x, wp: int) -> int:
-    """floor(x 2**wp) for the raw mpf x."""
-    sign, man, exp, _ = x
-    man = -int(man) if sign else int(man)
-    k = exp + wp
-    return man << k if k >= 0 else man >> -k
-
-
-def _ceil_units(x, wp: int) -> int:
-    """ceil(x 2**wp) for the raw mpf x."""
-    return -_floor_units(mpf_neg(x), wp)
-
-
-def _ball(v: ApproxScalar, wp: int):
-    """v as a ball: each part floored to units of 2**-wp, err rounded up
-    plus one unit per floored part."""
-    r = _raw(v.val)
-    re, im = r if len(r) == 2 else (r, fzero)
-    return _floor_units(re, wp), _floor_units(im, wp), _ceil_units(v.err._mpf_, wp) + 2
-
-
-def _abs_up(re: int, im: int) -> int:
-    """An upper bound on |re + i im|."""
-    return math.isqrt(re * re + im * im) + 1 if im else abs(re)
-
-
-def _mul(x, y, wp: int):
-    """The ball x y; its radius |x| ry + |y| rx + rx ry."""
-    xr, xi, xe = x
-    yr, yi, ye = y
-    rad = _abs_up(xr, xi) * ye + _abs_up(yr, yi) * xe + xe * ye
-    return (xr * yr - xi * yi) >> wp, (xr * yi + xi * yr) >> wp, 2 - (-rad >> wp)
-
-
-def _div(x, y, wp: int):
-    """The ball x / y; its radius (rx + |x / y| ry) / (|y| - ry)."""
-    xr, xi, xe = x
-    yr, yi, ye = y
-    norm = yr * yr + yi * yi
-    low = (math.isqrt(norm) if yi else abs(yr)) - ye  # |y| - ry, rounded down
-    if low <= 0:
-        raise ZeroDenominator("denominator not bounded away from zero")
-    re = ((xr * yr + xi * yi) << wp) // norm
-    im = ((xi * yr - xr * yi) << wp) // norm
-    # the floors put |x / y| below |re + i im| + 2
-    rad = (xe << wp) + (_abs_up(re, im) + 2) * ye
-    return re, im, 2 - (-rad // low)
+def _at(v: ApproxScalar, wp: int):
+    """v as a ball in units of 2**-wp."""
+    return _shift(v.ball, -wp - v.exp)
 
 
 def _contains_zero(x) -> bool:
@@ -405,22 +333,15 @@ def _ball_terms(a, b, c, q, x, wp: int):
                 f"denominator factor vanishes at i={i} within the summation range"
             )
         num = _mul(_mul(_one_minus(aq, one), _one_minus(bq, one), wp), x, wp)
-        term = _div(_mul(term, num, wp), _mul(den1, den2, wp), wp)
+        try:
+            term = _div(_mul(term, num, wp), _mul(den1, den2, wp), wp)
+        except DivisionByZero:
+            raise ZeroDenominator("denominator not bounded away from zero") from None
         yield term
         aq, bq, cq = _mul(aq, q, wp), _mul(bq, q, wp), _mul(cq, q, wp)
 
 
 def _rounded_tol(tol, prec: int):
     """(m, e) with m 2**e the tolerance tol rounded down to prec bits."""
-    sign, man, exp, _ = mpmath.mpf(tol, prec=prec, rounding=_DOWN)._mpf_
-    return (-int(man) if sign else int(man)), exp
-
-
-def _to_approx(re, im, rad, exp, prec: int, cplx: bool) -> ApproxScalar:
-    """The ball (re + i im +- rad) 2**exp at prec bits, a real mpf unless
-    cplx; its err gains the rounding allowance |v| 2**(2-prec), which
-    covers the rounding of the midpoint."""
-    v = from_man_exp(re, exp, prec, _RND)
-    if cplx:
-        v = (v, from_man_exp(im, exp, prec, _RND))
-    return _make(v, mpf_add(from_man_exp(rad, exp), _rounding(v, prec), prec, _UP), prec)
+    t = ApproxScalar.coerce(tol, prec)
+    return t.ball[0], t.exp

@@ -1,18 +1,16 @@
-"""ApproxScalar's libmp operators against the workprec formulas they replace.
+"""ApproxScalar, the integer midpoint-radius ball, against exact arithmetic.
 
-The reference below is the arithmetic as written with mpf/mpc operators
-inside mpmath.workprec, one context switch per operation.  Values round
-to nearest; error bounds round up, moduli included, and the divisor bound
-|y| - ey of a quotient rounds down.  Every operator must give the same
-bits of `val` and `err`, the same `prec`, raise where the reference
-raises, and leave mpmath's global precision and rounding as
-they were.
+The oracle is exact: operands are rationals and Gaussian rationals, each
+operator and each short chain of operators is replayed in Fractions, and
+the exact result must lie within `err` of `val`, compared exactly.  The
+other tests pin the contract around it: which inputs are exact, which
+values are real, the errors of a division by a ball that may be zero,
+the independence from mpmath's global context, and copying.
 """
 
 import copy
 import operator
 import pickle
-from contextlib import contextmanager
 from fractions import Fraction as F
 
 import mpmath
@@ -24,265 +22,237 @@ from qforge.approx import ApproxScalar
 from qforge.errors import DivisionByZero
 from qforge.exact import ExactScalar
 
-PRECS = (113, 128, 192)
+PRECS = (64, 113, 300)
 
 
-# -- reference: mpf/mpc operators under workprec ------------------------------
-@contextmanager
-def rounding(mode):
-    """mpf/mpc operators round in `mode` ("c" up, "f" down) inside; mpmath
-    1.3 keeps the rounding only in _prec_rounding."""
-    ctx = mpmath.mp._prec_rounding
-    saved, ctx[1] = ctx[1], mode
-    try:
-        yield
-    finally:
-        ctx[1] = saved
+def _exact(v):
+    """An mpf as a Fraction."""
+    man, exp = v.man_exp
+    return (-1 if v < 0 else 1) * F(man) * F(2) ** exp
 
 
-def ref_to_mpc(v, prec):
-    if isinstance(v, ExactScalar) and v.is_rational():
-        v = v.as_rational()
-    with mpmath.workprec(prec):
-        if isinstance(v, F):
-            return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-        if isinstance(v, int):
-            return mpmath.mpf(v)
-        if isinstance(v, (mpmath.mpf, mpmath.mpc)):
-            return mpmath.mpc(v) if isinstance(v, mpmath.mpc) else mpmath.mpf(v)
-        return v.to_complex(prec)
+def _ball(x):
+    """(re, im, rad) of x as Fractions."""
+    re, im, rad = x.ball
+    unit = F(2) ** x.exp
+    return re * unit, im * unit, rad * unit
 
 
-def ref_make(value, err, prec):
-    val = ref_to_mpc(value, prec)
-    with mpmath.workprec(prec), rounding("c"):
-        e = mpmath.mpf(err)
-    assert not e < 0
-    out = object.__new__(ApproxScalar)
-    for name, v in (("val", val), ("err", e), ("prec", prec)):
-        object.__setattr__(out, name, v)
-    return out
+def assert_contains(x, want):
+    """The exact complex value want = (re, im) lies within x.err of x.val."""
+    re, im, rad = _ball(x)
+    assert (re - want[0]) ** 2 + (im - want[1]) ** 2 <= rad**2
 
 
-def ref_coerce(v, prec):
-    """v rounded to prec bits, with err |v| * 2**(2-prec) computed at prec."""
-    if isinstance(v, ApproxScalar):
-        return v
-    val = ref_make(v, 0, prec).val
-    with mpmath.workprec(prec), rounding("c"):
-        e = ref_rounding(val, prec)
-    return ref_make(val, e, prec)
+# -- exact replay on Gaussian rationals (re, im) --------------------------------
+def c_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
 
 
-def ref_rounding(v, prec):
-    """|v| * 2**(2-prec); call it inside rounding("c")."""
-    return abs(v) * mpmath.mpf(2) ** (2 - prec)
+def c_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
 
 
-def ref_binary(x, other, op):
-    o = ref_coerce(other, x.prec)
-    prec = max(x.prec, o.prec)
-    with mpmath.workprec(prec):
-        return op(x, o, prec)
+def c_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def ref_add(x, other):
-    def op(x, y, prec):
-        v = x.val + y.val
-        with rounding("c"):
-            e = x.err + y.err + ref_rounding(v, prec)
-        return ref_make(v, e, prec)
-    return ref_binary(x, other, op)
+def c_div(x, y):
+    norm = y[0] ** 2 + y[1] ** 2
+    return (x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm
 
 
-def ref_neg(x):
-    with mpmath.workprec(x.prec):
-        return ref_make(-x.val, x.err, x.prec)
+def c_pow(x, e):
+    out = (F(1), F(0))
+    for _ in range(abs(e)):
+        out = c_mul(out, x)
+    return c_div((F(1), F(0)), out) if e < 0 else out
 
 
-def ref_sub(x, other):
-    return ref_add(x, ref_neg(ref_coerce(other, x.prec)))
-
-
-def ref_rsub(x, other):
-    return ref_add(ref_neg(x), other)
-
-
-def ref_mul(x, other):
-    def op(x, y, prec):
-        v = x.val * y.val
-        with rounding("c"):
-            e = abs(x.val) * y.err + abs(y.val) * x.err + x.err * y.err
-            e += ref_rounding(v, prec)
-        return ref_make(v, e, prec)
-    return ref_binary(x, other, op)
-
-
-def ref_div(x, other):
-    def op(x, y, prec):
-        with rounding("f"):
-            ay = abs(y.val)
-            if ay == 0 or ay <= y.err:
-                raise DivisionByZero("divisor not bounded away from zero")
-            den = ay - y.err
-        v = x.val / y.val
-        with rounding("c"):
-            e = (x.err + abs(v) * y.err) / den
-            e += ref_rounding(v, prec)
-        return ref_make(v, e, prec)
-    return ref_binary(x, other, op)
-
-
-def ref_rdiv(x, other):
-    return ref_div(ref_coerce(other, x.prec), x)
-
-
-def ref_pow(x, e):
-    if e < 0:
-        return ref_div(ref_coerce(1, x.prec), ref_pow(x, -e))
-    out = ref_coerce(1, x.prec)
-    base = x
-    while e:
-        if e & 1:
-            out = ref_mul(out, base)
-        base = ref_mul(base, base)
-        e >>= 1
-    return out
-
-
-# -- operands -------------------------------------------------------------------
-def _mpf(v: F):
-    return mpmath.mpf(v.numerator) / v.denominator
-
-
+# -- operands: an ApproxScalar and the exact value it was made from ----------------
 rationals = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=64),
-    # numerators and denominators wider than 192 bits round on conversion
-    st.builds(F, st.integers(-2**300, 2**300), st.integers(1, 2**260)),
+    # numerators and denominators wider than 300 bits round on conversion
+    st.builds(F, st.integers(-2**400, 2**400), st.integers(1, 2**360)),
     st.sampled_from([F(0), F(1), F(-1), F(1, 3)]),
 )
 errs = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 1000), st.sampled_from([10**6, 10**30, 10**40])))
 
 
+# directions of modulus at most 1, to put an operand's exact value on the
+# edge of its ball
+DIRECTIONS = [(F(0), F(0)), (F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(3, 5), F(-4, 5)), (F(-1, 2), F(1, 3))]
+
+
 @st.composite
-def approx(draw):
-    """Real and complex ApproxScalars: from rationals and exact scalars
-    through coerce, or from the public constructor with an explicit err,
-    including mpc parts computed 16 bits wider than prec (as
-    ExactScalar.to_complex hands them over), which it rounds to prec."""
+def operands(draw):
+    """(ApproxScalar, exact (re, im)): a rational or a Gaussian rational
+    (an ExactScalar in Q(i)), and with an explicit err any exact value it
+    then covers, its edge included."""
     prec = draw(st.sampled_from(PRECS))
-    kind = draw(st.sampled_from(("coerce", "real", "complex", "cyclo")))
-    if kind == "coerce":
-        return ApproxScalar.coerce(draw(rationals), prec)
-    if kind == "cyclo":
-        order = draw(st.sampled_from((3, 4, 6)))
-        coeffs = [draw(rationals.filter(lambda v: abs(v) < 2**40)) for _ in range(2)]
-        return ApproxScalar.coerce(ExactScalar(order, coeffs), prec)
+    re = draw(rationals)
+    im = draw(st.one_of(st.just(F(0)), rationals))
+    value = ExactScalar(4, [re, im]) if im else re
     err = draw(errs)
-    if kind == "real":
-        return ApproxScalar(_mpf(draw(rationals)), _mpf(err), prec=prec)
-    re_, im_ = draw(rationals), draw(rationals)
-    with mpmath.workprec(prec + 16):
-        value = mpmath.mpc(_mpf(re_), _mpf(im_))
-    return ApproxScalar(value, _mpf(err), prec=prec)
+    u = draw(st.sampled_from(DIRECTIONS)) if im else draw(st.sampled_from(DIRECTIONS[:3]))
+    return ApproxScalar(value, err, prec), (re + err * u[0], im + err * u[1])
 
 
 exact_others = st.one_of(rationals, st.integers(-50, 50))
-others = st.one_of(approx(), exact_others)
+
+OPS = {
+    "add": (operator.add, c_add),
+    "sub": (operator.sub, c_sub),
+    "mul": (operator.mul, c_mul),
+    "div": (operator.truediv, c_div),
+}
 
 
-def assert_same(got, want):
-    for v in (got.val, want.val):
-        assert type(v) in (mpmath.mpf, mpmath.mpc)
-    assert type(got.val) is type(want.val)
-    raw = (lambda v: v._mpf_) if type(want.val) is mpmath.mpf else (lambda v: v._mpc_)
-    assert raw(got.val) == raw(want.val)
-    assert type(got.err) is mpmath.mpf
-    assert got.err._mpf_ == want.err._mpf_
-    assert got.prec == want.prec
-
-
-def context():
-    """mpmath's global precision and rounding mode (mpmath 1.3 keeps the
-    rounding only in _prec_rounding)."""
-    return tuple(mpmath.mp._prec_rounding)
-
-
-def check(fast, ref, *args):
-    before = context()
-    try:
-        want = ref(*args)
-    except DivisionByZero:
+def apply(name, x, y, xe, ye, reflected=False):
+    """x op y (y op x if reflected) and its exact value, or None where the
+    exact divisor is 0 (the ball must then refuse) or the divisor's ball
+    may hold 0."""
+    fast, slow = OPS[name]
+    if reflected:
+        x, y, xe, ye = y, x, ye, xe
+    if name != "div":
+        return fast(x, y), slow(xe, ye)
+    if ye == (0, 0):
         with pytest.raises(DivisionByZero):
-            fast(*args)
-        assert context() == before
-        return
-    got = fast(*args)
-    assert context() == before
-    assert_same(got, want)
+            fast(x, y)
+        return None
+    try:
+        return fast(x, y), slow(xe, ye)
+    except DivisionByZero:
+        return None
 
 
-SETTINGS = dict(max_examples=1000, deadline=None, database=None)
+SETTINGS = dict(max_examples=400, deadline=None, database=None)
 
 
-
-@seed(20261018)
+@seed(20261019)
 @settings(**SETTINGS)
-@given(approx(), others, exact_others, st.integers(-6, 9))
-def test_operators_bits_match_workprec(x, y, z, e):
-    """Each case runs every operator: forward ones with an ApproxScalar,
-    int or Fraction on the right, reflected ones with an int or Fraction
-    on the left (an ApproxScalar there runs its own forward operator)."""
-    check(operator.add, ref_add, x, y)
-    check(operator.sub, ref_sub, x, y)
-    check(operator.mul, ref_mul, x, y)
-    check(operator.truediv, ref_div, x, y)
-    check(lambda a, b: b + a, ref_add, x, z)
-    check(lambda a, b: b - a, ref_rsub, x, z)
-    check(lambda a, b: b * a, ref_mul, x, z)
-    check(lambda a, b: b / a, ref_rdiv, x, z)
-    check(operator.neg, ref_neg, x)
-    check(operator.pow, ref_pow, x, e)
+@given(operands(), operands(), exact_others, st.integers(-4, 6))
+def test_operators_contain_exact_result(x, y, z, e):
+    """Every operator: forward with an ApproxScalar, int or Fraction on
+    the right, reflected with an int or Fraction on the left."""
+    (x, xe), (y, ye) = x, y
+    ze = (F(z), F(0))
+    for name in OPS:
+        for args in ((x, y, xe, ye), (x, z, xe, ze), (x, z, xe, ze, True)):
+            if (out := apply(name, *args)) is not None:
+                assert_contains(*out)
+    assert_contains(-x, (-xe[0], -xe[1]))
+    if e >= 0 or xe != (0, 0):
+        try:
+            assert_contains(x**e, c_pow(xe, e))
+        except DivisionByZero:
+            assert e < 0
 
 
-@seed(20261018)
-@settings(**SETTINGS)
-@given(approx())
+@seed(20261019)
+@settings(max_examples=250, deadline=None, database=None)
+@given(operands(), st.lists(st.tuples(st.sampled_from(sorted(OPS)), operands()), min_size=2, max_size=5))
+def test_operator_chains_contain_exact_result(start, steps):
+    x, xe = start
+    for name, (y, ye) in steps:
+        out = apply(name, x, y, xe, ye)
+        if out is None:
+            return
+        (x, xe) = out
+        assert_contains(x, xe)
+
+
+# -- the contract around the oracle ----------------------------------------------
+@pytest.mark.parametrize("prec", PRECS)
+def test_exact_inputs_coerce_with_err_zero(prec):
+    """A dyadic value that fits in prec bits is held exactly: 1 among
+    them, at every precision."""
+    values = [1, 0, -7, 2**200, 3 * 2**-90, F(-5, 8), F(3, 2**70), 0.1, -2.5e-300, 1e300,
+              mpmath.mpf("0.3"), mpmath.ldexp(mpmath.mpf(-3), -500)]
+    for v in values:
+        x = ApproxScalar.coerce(v, prec)
+        assert x.err == 0 and x.prec == prec
+        assert x.val == (v if not isinstance(v, F) else mpmath.mpf(v.numerator) / v.denominator)
+    assert ApproxScalar.coerce(mpmath.mpc(0.25, -1.5), prec).err == 0
+    assert ApproxScalar.coerce(ExactScalar.from_rational(F(-5, 8)), prec).err == 0
+    assert ApproxScalar.coerce(F(1, 3), prec).err > 0
+
+
+def test_real_stays_real_and_complex_stays_complex():
+    """val is an mpf exactly when the value came from real inputs only;
+    a complex input stays complex even when its imaginary part is 0 or
+    cancels to 0."""
+    reals = [3, F(1, 3), 0.5, mpmath.mpf(2), ExactScalar.from_rational(F(2, 7))]
+    complexes = [1 + 0j, mpmath.mpc(2, 0), ExactScalar.zeta(3), ExactScalar.zeta(4) + F(1, 2)]
+    for v in reals:
+        x = ApproxScalar.coerce(v)
+        assert type(x.val) is mpmath.mpf
+        for y in (x + x, x - x, x * 3, x / 7, -x, x**3, x**-1, 1 - x, 2 / x):
+            assert type(y.val) is mpmath.mpf
+    for v in complexes:
+        z = ApproxScalar.coerce(v)
+        assert type(z.val) is mpmath.mpc
+        for y in (z + 1, z * F(1, 3), z / 2, -z, z**0 * z, 1 - z, z - z, z * 0):
+            assert type(y.val) is mpmath.mpc
+    w = ApproxScalar.coerce(1 + 2j) - 2j  # an imaginary part that cancels to 0
+    assert type(w.val) is mpmath.mpc and w.val == 1 and w.err == 0
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(operands())
 def test_zero_results_and_zero_divisors(x):
     """x - x and 0 * x give zero values; dividing by them, or by a value
-    whose err covers it, raises DivisionByZero, as in the reference."""
-    check(operator.sub, ref_sub, x, x)
-    check(operator.mul, ref_mul, x, 0)
+    whose err covers 0, raises DivisionByZero."""
+    x, _ = x
     diff = x - x
-    check(operator.truediv, ref_div, x, diff)
-    check(operator.truediv, ref_div, x, 0)
-    check(operator.truediv, ref_div, x, ApproxScalar(1, 1, x.prec))
-    check(lambda a, b: b / a, ref_rdiv, diff, 1)
-    check(operator.pow, ref_pow, diff, -1)
+    assert diff.val == 0 and (x * 0).val == 0
+    for divisor in (diff, 0, ApproxScalar(1, 1, x.prec)):
+        with pytest.raises(DivisionByZero):
+            x / divisor
+    with pytest.raises(DivisionByZero):
+        1 / diff
+    with pytest.raises(DivisionByZero):
+        diff**-1
 
 
-@seed(20261018)
+def fields(x):
+    return x.ball, x.exp, x.prec, x.cplx
+
+
+def test_global_context_untouched_inside_workprec():
+    """Operators use their own precision, whatever the caller's context,
+    and leave the context as it was."""
+    x = ApproxScalar.coerce(F(1, 3), 113)
+    want = (x * x - 1) / x
+    for prec, dps in ((300, None), (20, None), (None, 50)):
+        with (mpmath.workprec(prec) if prec else mpmath.workdps(dps)):
+            before = tuple(mpmath.mp._prec_rounding)
+            got = (x * x - 1) / x
+            assert tuple(mpmath.mp._prec_rounding) == before
+        assert fields(got) == fields(want)
+    assert mpmath.mp.prec == 53
+
+
+@seed(20261019)
 @settings(max_examples=200, deadline=None, database=None)
-@given(approx())
+@given(operands())
 def test_pickle_and_copy_keep_bits(x):
-    assert_same(pickle.loads(pickle.dumps(x)), x)
-    assert_same(copy.deepcopy(x), x)
+    x, _ = x
+    for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert fields(y) == fields(x)
+        assert type(y.val) is type(x.val) and y.val == x.val and y.err == x.err
 
 
-def _exact(v):
-    man, exp = v.man_exp
-    return F(man) * F(2) ** exp
-
-
-@seed(20261018)
+@seed(20261019)
 @settings(max_examples=300, deadline=None, database=None)
 @given(rationals, rationals)
 def test_err_never_below_exact_formula(a, b):
-    """On real operands the err formulas can be summed exactly in Fractions;
-    the rounded err is never below that exact sum."""
+    """On real operands the propagation formulas can be summed exactly in
+    Fractions; the rounded err is never below that exact sum."""
     x, y = ApproxScalar.coerce(a), ApproxScalar.coerce(b)
     xv, yv, ex, ey = (_exact(v) for v in (x.val, y.val, x.err, y.err))
-    ulp = F(2) ** (2 - x.prec)
     for op, formula in (
         (operator.add, lambda v: ex + ey),
         (operator.sub, lambda v: ex + ey),
@@ -292,22 +262,7 @@ def test_err_never_below_exact_formula(a, b):
         if op is operator.truediv and abs(yv) <= ey:
             continue
         got = op(x, y)
-        v = _exact(got.val)
-        assert _exact(got.err) >= formula(v) + abs(v) * ulp
-
-
-def test_coerce_one_is_the_formula():
-    for prec in PRECS:
-        assert_same(ApproxScalar.coerce(1, prec), ref_coerce(1, prec))
-
-
-def test_global_context_untouched_inside_workprec():
-    """Operators use their own precision, whatever the caller's context."""
-    x = ApproxScalar.coerce(F(1, 3), 113)
-    with mpmath.workprec(300):
-        got = (x * x - 1) / x
-        assert mpmath.mp.prec == 300
-    assert_same(got, ref_div(ref_sub(ref_mul(x, x), 1), x))
+        assert _exact(got.err) >= formula(_exact(got.val))
 
 
 def assert_coerce_holds_err(v, prec):
@@ -356,10 +311,12 @@ def test_constructor_adds_nothing_to_exact_values():
     with mpmath.workprec(300):
         ref = mpmath.exp(2j * mpmath.pi / 3)
         assert 0 < abs(z.val - ref) <= z.err
+    with pytest.raises(ValueError):
+        ApproxScalar(1, -1)
 
 
 @pytest.mark.parametrize("copier", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy])
 def test_constructor_values_copy_bit_identical(copier):
     for x in (ApproxScalar(F(1, 3), 0, 64), ApproxScalar(F(2, 7), mpmath.ldexp(1, -70), 200),
               ApproxScalar(ExactScalar.zeta(4) + F(1, 3)), ApproxScalar(F(1, 2))):
-        assert_same(copier(x), x)
+        assert fields(copier(x)) == fields(x)

@@ -59,6 +59,14 @@ def test_verify_constraint_violations():
         verify_identity("qbinom", {"a": F(1, 3), "x": F(3, 2), "q": Q12})
 
 
+def test_abs_lt_constraint_checks_the_whole_ball():
+    # x = 1 - 3 2**-115 is within half a unit of 1 - 2**-113 at 113 bits,
+    # but its ball reaches |x| = 1, so |x| < 1 cannot be shown at that
+    # precision: refused before any sum
+    with pytest.raises(ConstraintViolated, match="\\|expr\\| < 1"):
+        verify_identity("qbinom", {"a": F(1, 3), "x": 1 - F(3, 2**115), "q": Q12})
+
+
 def test_non_terminating_lhs_defined_rejects_unit_c_q_power():
     # c*q^j = 1 zeroes (c;q)_i for i > j and the rhs divisor (c;q)_inf
     with pytest.raises(ConstraintViolated, match="1 - c\\*q\\^1 vanishes"):

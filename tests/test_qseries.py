@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import islice
@@ -7,12 +8,13 @@ import pytest
 from test_oracle import REGRESSIONS
 
 from qforge import approx
-from qforge.approx import ApproxScalar, _upper, _widened
+from qforge.approx import ApproxScalar, _upper
 from qforge.errors import InvalidDomain, NotTerminating, ZeroDenominator
 from qforge.exact import ExactScalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
 from qforge.poly import RationalFunction as RF
 from qforge.qseries import (
+    _GUARD,
     _MAX_TERMS,
     TERMINATION_BOUND,
     Phi21Params,
@@ -55,6 +57,22 @@ def test_qpoch_infinite_certified():
     assert abs(sv.value.val - ref) <= 1.1e-12
     assert abs(sv.value.val - ref) <= sv.value.err + mpmath.mpf(1e-25)
     assert mpmath.nstr(sv.value.val, 12) == "0.288788095087"
+
+
+# x = 1 - 2**-60 with err 2**-50: a ball that holds values on both sides of 1
+STRADDLE = ApproxScalar(1 - F(1, 2**60), F(1, 2**50))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phi21_numeric(Phi21Params(F(1, 3), F(1, 5), F(1, 7), STRADDLE, F(1, 2)), 1e-12),
+    lambda: phi21_numeric(Phi21Params(F(1, 3), F(1, 5), F(1, 7), F(1, 2), STRADDLE), 1e-12),
+    lambda: qpoch_infinite(F(1, 2), STRADDLE, 1e-12),
+], ids=["phi21-q", "phi21-x", "qpoch-q"])
+def test_domain_checks_the_whole_ball(call):
+    # the checks bound |v| for every v in the ball, not the midpoint
+    # alone, so a call fails before it sums a term
+    with pytest.raises(InvalidDomain):
+        call()
 
 
 def test_qpoch_infinite_edge_cases():
@@ -367,15 +385,20 @@ def test_terms_raise_at_first_vanishing_denominator():
 def _reference_phi21(p: Phi21Params, tol, prec=113):
     """phi21_numeric's sum as it was before the integer kernel: the
     ring-generic _terms in ApproxScalar, stopped by the same rules."""
+    wp = prec + _GUARD
+
+    def units(v):  # an upper bound on |v| in units of 2**-wp
+        return math.ceil(_upper(v) * 2**wp)
+
     p = p.as_numeric(prec)
     total = one = ApproxScalar.coerce(1, prec)
-    bounds = tuple(map(_upper, (p.q, p.a, p.b, p.c, p.x)))
+    bounds = [units(v) for v in (p.q, p.a, p.b, p.c, p.x)]
     small_streak = 0
     for i, term in enumerate(islice(_terms(p, one), _MAX_TERMS - 1), 1):
         total = total + term
         small_streak = small_streak + 1 if term.magnitude() < tol * (total.magnitude() + 1) else 0
-        if small_streak >= 3 and (tail := _tail_bound(bounds, _upper(term), i, prec)) is not None:
-            return _widened(total, tail), i
+        if small_streak >= 3 and (tail := _tail_bound(bounds, units(term), i, wp)) is not None:
+            return ApproxScalar(total, F(tail, 2**wp)), i
     raise AssertionError("reference did not converge")
 
 
