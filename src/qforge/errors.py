@@ -25,6 +25,10 @@ class NoConvergence(QForgeError):
     """A numeric series or product did not meet its tolerance within its term bound."""
 
 
+class ResumeMismatch(QForgeError):
+    """A numeric series was resumed at other parameters or precision, or at a looser tolerance."""
+
+
 class NotInTable(QForgeError, KeyError):
     """Shift vector has no transcribed (Q, R) pair."""
 

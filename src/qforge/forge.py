@@ -5,6 +5,7 @@ for the root-of-unity summation, and conjecture-pattern checks."""
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -256,7 +257,10 @@ def check_constraints(record: IdentityRecord, bindings: dict) -> SeriesValue | N
             val = closed_form_eval(con["expr"], bindings, "numeric", 1e-12)
             bound = Fraction(con["bound"])
             if not _upper(val) < bound:  # for every value in the ball
-                raise ConstraintViolated(f"|expr| < {con['bound']} violated")
+                re, im, rad = val.ball  # |v| >= low for every v in the ball
+                low = Fraction(math.isqrt(re * re + im * im) - rad) * Fraction(2) ** val.exp
+                known = "violated" if low >= bound else f"not shown at {val.prec} bits"
+                raise ConstraintViolated(f"|expr| < {con['bound']} {known}")
         elif kind == "ne":
             val = closed_form_eval(con["expr"], bindings, "exact", 0)
             if val == ExactScalar.coerce(Fraction(con["value"])):
@@ -353,8 +357,11 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
 
     Exact-terminating records demand exact equality; numeric records
     demand |lhs - rhs| <= tol with both propagated error bounds included.
-    Raises ConstraintViolated for out-of-domain bindings; evaluation
-    errors propagate.
+    Each of up to four rounds sums at a smaller tol, continuing the last
+    round's lhs sum (phi21_numeric's `resume`) and evaluating the rhs
+    afresh.  Raises ConstraintViolated for out-of-domain bindings,
+    UnreachableTolerance for a tol not positive and finite or below the
+    rounding error at prec bits; evaluation errors propagate.
     """
     registry = registry or default_registry()
     record = registry[identity_id]
@@ -376,7 +383,7 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
     # slowly converging points (|x| near 1) need a tighter summation
     # tolerance than tol/8; the propagated error bounds tell us how much
     for _ in range(4):
-        series = phi21_numeric(lhs, inner, prec)
+        series = phi21_numeric(lhs, inner, prec, series)
         rhs = closed_form_eval(record.rhs, bindings, "numeric", inner, prec)
         diff = abs((series.value - rhs).val)
         budget = diff + series.value.err + rhs.err

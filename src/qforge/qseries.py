@@ -16,7 +16,7 @@ result out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
 
@@ -37,6 +37,8 @@ from .errors import (
     InvalidDomain,
     NoConvergence,
     NotTerminating,
+    ResumeMismatch,
+    UnreachableTolerance,
     ZeroDenominator,
 )
 from .exact import ExactScalar, _ratio
@@ -77,6 +79,7 @@ class SeriesValue:
     value: object
     terms_used: int
     terminated: bool
+    state: tuple | None = field(default=None, repr=False)  # what phi21_numeric resumes from
     certified = True  # every err is proven; perfbench's certified_ratio reads this
 
 
@@ -105,6 +108,7 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
     bits after each factor, so its error stays relative however small it
     gets."""
     prec = default_precision() if prec is None else prec
+    tm, te = _rounded_tol(tol, prec)
     b = ApproxScalar.coerce(base, prec)
     qq = ApproxScalar.coerce(q, prec)
     if _upper(qq) >= 1:
@@ -113,7 +117,6 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
     one = 1 << wp
     bq, qb = _at(b, wp), _at(qq, wp)
     qa = _bound(qb)
-    tm, te = _rounded_tol(tol, prec)
     # u = un 2**ue, rounded up, with un kept at wp bits
     un, ue = -(-(_bound(bq) << wp) // (one - qa)), -wp
     p, exp = (1, 0, 0), 0  # P_m = p 2**exp
@@ -206,7 +209,8 @@ def phi21_exact(p: Phi21Params) -> SeriesValue:
     return SeriesValue(sum(islice(_terms(p, one), r), one), r + 1, True)
 
 
-def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None) -> SeriesValue:
+def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
+                  resume: SeriesValue | None = None) -> SeriesValue:
     """Truncated 2phi1 for |q| < 1 with a proven error bound.
 
     InvalidDomain unless |q| < 1, and |x| < 1 for a non-terminating
@@ -219,8 +223,16 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None) -> Series
     decided exactly, by detect_termination on the a, b and q given, before
     they are rounded to prec bits; an approximate a or b never counts as
     terminating.
+
+    `resume` continues the loop from an earlier result's `state` at the
+    same p and prec and a tol no looser (else ResumeMismatch).  Neither the
+    scale nor _tail_bound depends on tol, and a smaller tol is harder to
+    meet, so the continued sum, its streak re-tested at the earlier stop,
+    stops where a fresh call does, with the same ints.
     """
     prec = default_precision() if prec is None else prec
+    rounded = tm, te = _rounded_tol(tol, prec)
+    key = (p, prec)
     term_limit = _exact_termination(p)
     p = p.as_numeric(prec)
     if _upper(p.q) >= 1:
@@ -232,25 +244,50 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None) -> Series
     one = 1 << wp
     params = (p.a, p.b, p.c, p.q, p.x)
     cplx = any(v.cplx for v in params)
-    a, b, c, q, x = balls = [_at(v, wp) for v in params]
-    terms = _ball_terms(*balls, wp)
-    if term_limit is not None:
-        total = tuple(map(sum, zip((one, 0, 0), *islice(terms, term_limit))))
-        return SeriesValue(_make(total, -wp, prec, cplx), term_limit + 1, True)
+    a, b, c, q, x = [_at(v, wp) for v in params]
     bounds = [_bound(v) for v in (q, a, b, c, x)]
-    # |t| < tol (|total| + 1), in units of 2**-wp with tol >= tm 2**te
-    tm, te = _rounded_tol(tol, prec)
-    left, tm = max(-te, 0), tm << max(te, 0)
-    re, im, rad = one, 0, 0
-    small_streak = 0
-    for i, (tr, ti, trad) in enumerate(islice(terms, _MAX_TERMS - 1), 1):
+    # i, t_i, q^i, a q^i, b q^i, c q^i, the partial sum and the small-term
+    # streak's (|t_j|, |S_j|)
+    state = 0, (one, 0, 0), (one, 0, 0), a, b, c, (one, 0, 0), ()
+    if resume is not None:
+        rkey, (rm, rte), state = resume.state
+        if rkey != key or tm << max(te - rte, 0) > rm << max(rte - te, 0):
+            raise ResumeMismatch("resumed at other parameters or precision, or at a looser tol")
+    i, term, qi, aq, bq, cq, (re, im, rad), pairs = state
+    # |t| < tol (|total| + 1), in units of 2**-wp with tol >= tm 2**te; no
+    # term of a terminating series is small, so it is summed to its last
+    left, tm = max(-te, 0), tm << max(te, 0) if term_limit is None else 0
+    streak = ()
+    for pair in pairs:
+        streak = streak + (pair,) if pair[0] << left < tm * (pair[1] + one) else ()
+    limit = _MAX_TERMS - 1 if term_limit is None else term_limit
+    tail = 0
+    while len(streak) < 3 or (tail := _tail_bound(bounds, streak[2][0] + term[2], i, wp)) is None:
+        if i == limit:
+            if term_limit is None:
+                raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
+            break
+        i += 1  # t_i from t_(i-1) by the recurrence of _terms
+        qi = _mul(qi, q, wp)
+        den1, den2 = _one_minus(qi, one), _one_minus(cq, one)
+        if _contains_zero(den1) or _contains_zero(den2):
+            raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
+        num = _mul(_mul(_one_minus(aq, one), _one_minus(bq, one), wp), x, wp)
+        try:
+            term = _div(_mul(term, num, wp), _mul(den1, den2, wp), wp)
+        except DivisionByZero:
+            raise ZeroDenominator("denominator not bounded away from zero") from None
+        aq, bq, cq = _mul(aq, q, wp), _mul(bq, q, wp), _mul(cq, q, wp)
+        tr, ti, trad = term
         re, im, rad = re + tr, im + ti, rad + trad
-        small = _abs_up(tr, ti) << left < tm * (_abs_up(re, im) + one)
-        small_streak = small_streak + 1 if small else 0
-        if small_streak >= 3:
-            if (tail := _tail_bound(bounds, _abs_up(tr, ti) + trad, i, wp)) is not None:
-                return SeriesValue(_make((re, im, rad + tail), -wp, prec, cplx), i, False)
-    raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
+        t_abs, s_abs = _abs_up(tr, ti), _abs_up(re, im)
+        if t_abs << left < tm * (s_abs + one):
+            streak = streak[-2:] + ((t_abs, s_abs),)
+        elif streak:
+            streak = ()
+    done = term_limit is not None
+    state = key, rounded, (i, term, qi, aq, bq, cq, (re, im, rad), streak)
+    return SeriesValue(_make((re, im, rad + tail), -wp, prec, cplx), i + 1 if done else i, done, state)
 
 
 def _exact_termination(p: Phi21Params):
@@ -317,31 +354,10 @@ def _one_minus(x, one: int):
     return one - re, -im, rad
 
 
-def _ball_terms(a, b, c, q, x, wp: int):
-    """The terms t_1, t_2, ... of 2phi1 as balls, by the recurrence of
-    _terms; ZeroDenominator before the first term whose denominator factor
-    ball contains 0."""
-    one = 1 << wp
-    term = qi = (one, 0, 0)
-    aq, bq, cq = a, b, c
-    for i in count(1):
-        qi = _mul(qi, q, wp)  # q^i
-        den1 = _one_minus(qi, one)
-        den2 = _one_minus(cq, one)
-        if _contains_zero(den1) or _contains_zero(den2):
-            raise ZeroDenominator(
-                f"denominator factor vanishes at i={i} within the summation range"
-            )
-        num = _mul(_mul(_one_minus(aq, one), _one_minus(bq, one), wp), x, wp)
-        try:
-            term = _div(_mul(term, num, wp), _mul(den1, den2, wp), wp)
-        except DivisionByZero:
-            raise ZeroDenominator("denominator not bounded away from zero") from None
-        yield term
-        aq, bq, cq = _mul(aq, q, wp), _mul(bq, q, wp), _mul(cq, q, wp)
-
-
 def _rounded_tol(tol, prec: int):
-    """(m, e) with m 2**e the tolerance tol rounded down to prec bits."""
+    """(m, e) with m 2**e the tolerance tol rounded down to prec bits;
+    UnreachableTolerance unless tol is a positive finite number."""
+    if not 0 < tol < math.inf:
+        raise UnreachableTolerance(f"tol {tol} is not a positive finite number")
     t = ApproxScalar.coerce(tol, prec)
     return t.ball[0], t.exp

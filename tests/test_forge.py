@@ -1,11 +1,13 @@
 import json
+import math
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
-from qforge import forge
+from qforge import forge, qseries
 from qforge.approx import ApproxScalar
+from qforge.closedform import closed_form_eval
 from qforge.errors import ConstraintViolated, DegenerateParameter, UnreachableTolerance
 from qforge.exact import ExactScalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
@@ -19,7 +21,7 @@ from qforge.forge import (
     verify_identity,
 )
 from qforge.poly import RationalFunction as RF
-from qforge.qseries import qpoch_finite
+from qforge.qseries import Phi21Params, phi21_numeric, qpoch_finite, qpoch_infinite
 from qforge.relations import qr_derive
 
 Q12 = F(1, 2)
@@ -63,8 +65,48 @@ def test_abs_lt_constraint_checks_the_whole_ball():
     # x = 1 - 3 2**-115 is within half a unit of 1 - 2**-113 at 113 bits,
     # but its ball reaches |x| = 1, so |x| < 1 cannot be shown at that
     # precision: refused before any sum
-    with pytest.raises(ConstraintViolated, match="\\|expr\\| < 1"):
+    with pytest.raises(ConstraintViolated, match="\\|expr\\| < 1 not shown at 113 bits"):
         verify_identity("qbinom", {"a": F(1, 3), "x": 1 - F(3, 2**115), "q": Q12})
+    # the whole ball lies beyond the bound: shown violated
+    with pytest.raises(ConstraintViolated, match="\\|expr\\| < 1 violated"):
+        verify_identity("qbinom", {"a": F(1, 3), "x": F(3, 2), "q": Q12})
+
+
+@pytest.mark.parametrize("tol", [0, -1e-12, math.nan, math.inf])
+def test_bad_tol_is_refused_before_the_first_term(tol, monkeypatch):
+    # no sum meets a tol of 0 or less, and nan and inf have no rounded
+    # value: each entry point refuses before the kernel computes a term
+    monkeypatch.setattr(qseries, "_mul", lambda *_: pytest.fail("a term was computed"))
+    bindings = {"a": F(1, 3), "x": F(1, 2), "q": Q12}
+    with pytest.raises(UnreachableTolerance, match="not a positive finite number"):
+        phi21_numeric(Phi21Params(F(1, 3), F(1, 5), F(1, 7), Q12, F(1, 2)), tol)
+    with pytest.raises(UnreachableTolerance, match="not a positive finite number"):
+        qpoch_infinite(F(1, 2), Q12, tol)
+    with pytest.raises(UnreachableTolerance, match="not a positive finite number"):
+        closed_form_eval(default_registry()["qbinom"].rhs, bindings, "numeric", tol)
+    with pytest.raises(UnreachableTolerance, match="not a positive finite number"):
+        verify_identity("qbinom", bindings, tol=tol)
+
+
+def test_verify_identity_sums_each_lhs_term_once(monkeypatch):
+    # two rounds, of 451 and then 517 terms: the second continues the
+    # first, so the kernel computes 517 terms and not 451 + 517
+    terms, rounds = [], []
+
+    def counted(*args, _div=qseries._div):
+        terms.append(1)
+        return _div(*args)
+
+    def round_(*args, _phi21=forge.phi21_numeric):
+        series = _phi21(*args)
+        rounds.append(series.terms_used)
+        return series
+
+    monkeypatch.setattr(qseries, "_div", counted)
+    monkeypatch.setattr(forge, "phi21_numeric", round_)
+    case = verify_identity("qbinom", {"a": F(64, 67), "x": F(17, 18), "q": Q12})
+    assert case.status == "pass" and case.terms_used == 517
+    assert rounds == [451, 517] and len(terms) == 517
 
 
 def test_non_terminating_lhs_defined_rejects_unit_c_q_power():

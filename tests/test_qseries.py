@@ -9,7 +9,7 @@ from test_oracle import REGRESSIONS
 
 from qforge import approx
 from qforge.approx import ApproxScalar, _upper
-from qforge.errors import InvalidDomain, NotTerminating, ZeroDenominator
+from qforge.errors import InvalidDomain, NotTerminating, ResumeMismatch, ZeroDenominator
 from qforge.exact import ExactScalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
 from qforge.poly import RationalFunction as RF
@@ -293,6 +293,49 @@ def test_phi21_numeric_ignores_global_precision():
             r = phi21_numeric(p, 1e-20, 113)
         results.append((r.value.val._mpf_, r.value.err._mpf_, r.terms_used))
     assert results[0] == results[1]
+
+
+def _fields(r):
+    v = r.value
+    return v.ball, v.exp, v.prec, v.cplx, v.err, r.terms_used, r.terminated
+
+
+# points with the summation tols of successive rounds
+RESUMED = {
+    # the lhs of qbinom at a = 64/67, x = 17/18, q = 1/2, with the tols of
+    # verify_identity's two rounds there: 451, then 517 terms
+    "near-unit-x": (Phi21Params(F(64, 67), F(0), F(0), Q, F(17, 18)), (1.25e-13, 2.79e-15)),
+    "complex": (Phi21Params(Z3 / 3, F(1, 5), Z4 / 7, Q, Z3 * F(9, 10)), (1e-10, 1e-14, 1e-30)),
+    "terminating": (Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q), (1e-12, 1e-20)),
+}
+
+
+@pytest.mark.parametrize("point, tols", RESUMED.values(), ids=list(RESUMED))
+def test_resumed_sum_equals_a_fresh_one(point, tols):
+    # each round continues the last and ends where a fresh call at its tol does
+    series, used = None, []
+    for tol in tols:
+        series = phi21_numeric(point, tol, 113, series)
+        assert _fields(series) == _fields(phi21_numeric(point, tol, 113))
+        used.append(series.terms_used)
+    assert used == sorted(used) and (used[0] < used[-1]) == (not series.terminated)
+
+
+def test_resume_is_pure_and_checked():
+    p, (loose, tight) = RESUMED["near-unit-x"]
+    first = phi21_numeric(p, loose, 113)
+    again = phi21_numeric(p, tight, 113, first)
+    assert _fields(phi21_numeric(p, tight, 113, first)) == _fields(again)
+    assert _fields(phi21_numeric(p, loose, 113, first)) == _fields(first)
+    # a looser tol, another p or another prec cannot match a fresh call
+    with pytest.raises(ResumeMismatch):
+        phi21_numeric(p, 2 * loose, 113, first)
+    with pytest.raises(ResumeMismatch):
+        phi21_numeric(p, loose, 113, again)
+    with pytest.raises(ResumeMismatch):
+        phi21_numeric(p.shifted((0, 0, 0, 1)), tight, 113, first)
+    with pytest.raises(ResumeMismatch):
+        phi21_numeric(p, tight, 120, first)
 
 
 SHIFTS = [(1, 2, 1, -1), (0, 3, 3, 0), (2, 2, 0, 2), (-1, 0, 2, -3)]
