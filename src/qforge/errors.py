@@ -34,7 +34,8 @@ class NotInTable(QForgeError, KeyError):
 
 
 class UnreachableTolerance(QForgeError):
-    """The tolerance is below the rounding error of the working precision."""
+    """The tolerance cannot be met: it is below the rounding error of the
+    working precision, or it is not a positive finite number."""
 
 
 class UnboundSymbol(QForgeError, KeyError):

@@ -5,12 +5,14 @@ extended definition for the exceptional parameter case), truncated
 numerics with a proven error bound for non-terminating series, and
 finite products that work over any ring (scalars or rational functions).
 
-The loops of phi21_numeric and qpoch_infinite run on the ball
-primitives of qforge.approx, on tuples of Python ints rather than
-ApproxScalar objects: the series is summed in fixed point as in
-Johansson, "Computing hypergeometric functions rigorously" (ACM TOMS
-2019).  ApproxScalar appears only at their boundary: parameters in, one
-result out.
+The loops of phi21_numeric and qpoch_infinite spell out the formulas of
+the ball primitives of qforge.approx (_mul, _shift, _abs_up) on local
+Python ints, three per ball, and call only _div: the series is summed in
+fixed point as in Johansson, "Computing hypergeometric functions
+rigorously" (ACM TOMS 2019).  A differential test in tests/test_qseries.py
+checks them int for int against the same loops built from the
+primitives.  ApproxScalar appears only at their boundary: parameters in,
+one result out.
 """
 
 from __future__ import annotations
@@ -19,19 +21,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
+from math import isqrt
 
-from .approx import (
-    ApproxScalar,
-    _abs_up,
-    _bound,
-    _div,
-    _make,
-    _mul,
-    _normalized,
-    _shift,
-    _upper,
-    default_precision,
-)
+from .approx import ApproxScalar, _bound, _div, _make, _shift, _upper, default_precision
 from .errors import (
     DivisionByZero,
     InvalidDomain,
@@ -74,7 +66,11 @@ class Phi21Params:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """Result of a series or infinite-product evaluation."""
+    """Result of a series or infinite-product evaluation.
+
+    terms_used counts the whole sum from t_0, or the factors of a product:
+    a result resumed from an earlier one counts the earlier call's terms
+    too, not only the terms the resuming call added."""
 
     value: object
     terms_used: int
@@ -119,22 +115,33 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
     qa = _bound(qb)
     # u = un 2**ue, rounded up, with un kept at wp bits
     un, ue = -(-(_bound(bq) << wp) // (one - qa)), -wp
-    p, exp = (1, 0, 0), 0  # P_m = p 2**exp
+    (br, bi, brad), (qr, qi, qrad) = bq, qb  # b q^m and q
+    q_abs = isqrt(qr * qr + qi * qi) + 1 if qi else abs(qr)
+    re, im, rad, exp = 1, 0, 0, 0  # P_m = (re, im, rad) 2**exp
     for m in range(100 * prec + 1):
         if un:
             k = un.bit_length() - wp
             un, ue = (-(-un >> k) if k > 0 else un << -k), ue + k
+        p_abs = isqrt(re * re + im * im) + 1 if im else abs(re)
         if ue <= 0 and un < 1 << -ue:  # u < 1
-            # the tail bound is top 2**exp / den
-            top = _bound(p) * un
+            # the tail bound is top 2**exp / den, top = _bound(P_m) un
+            top = (p_abs + rad) * un
             den = (1 << -ue) - un
             shift = exp - te
             if top << max(shift, 0) <= (tm * den) << max(-shift, 0):
-                re, im, rad = p
                 return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, b.cplx or qq.cplx), m, False)
-        # P_(m+1) = P_m (1 - b q^m), shifted back to wp bits
-        p, exp = _normalized(_mul(p, _one_minus(bq, one)), exp - wp, wp)
-        bq = _mul(bq, qb, wp)
+        # P_(m+1) = P_m (1 - b q^m) as approx._mul, shifted back to wp bits
+        # as approx._normalized; b q^(m+1) as approx._mul(_, _, wp)
+        fr = one - br
+        f_abs = isqrt(fr * fr + bi * bi) + 1 if bi else abs(fr)
+        re, im, rad = re * fr + im * bi, im * fr - re * bi, p_abs * brad + f_abs * rad + rad * brad
+        k = max(abs(re), abs(im), rad).bit_length() - wp
+        exp -= wp
+        if k > 0:
+            re, im, rad, exp = re >> k, im >> k, 2 - (-rad >> k), exp + k
+        b_abs = isqrt(br * br + bi * bi) + 1 if bi else abs(br)
+        br, bi, brad = ((br * qr - bi * qi) >> wp, (br * qi + bi * qr) >> wp,
+                        2 - (-(b_abs * qrad + q_abs * brad + brad * qrad) >> wp))
         un = -(-un * qa >> wp)
     raise NoConvergence("qpoch_infinite failed to meet tolerance")
 
@@ -214,10 +221,11 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     """Truncated 2phi1 for |q| < 1 with a proven error bound.
 
     InvalidDomain unless |q| < 1, and |x| < 1 for a non-terminating
-    series, hold for every value in their balls.  Stops at the first index i where the last three terms are below tol
-    relative to the running partial sum and _tail_bound proves a bound on
-    the rest, which joins the err.  As |x| < 1 that holds for i large
-    enough; _MAX_TERMS bounds the search.
+    series, hold for every value in their balls.  Stops at the first index
+    i where the last three terms are below tol relative to the running
+    partial sum and _tail_bound proves a bound on the rest, which joins
+    the err.  As |x| < 1 that holds for i large enough; _MAX_TERMS bounds
+    the search.
 
     A terminating series is summed to its last term.  Termination is
     decided exactly, by detect_termination on the a, b and q given, before
@@ -253,7 +261,9 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
         rkey, (rm, rte), state = resume.state
         if rkey != key or tm << max(te - rte, 0) > rm << max(rte - te, 0):
             raise ResumeMismatch("resumed at other parameters or precision, or at a looser tol")
-    i, term, qi, aq, bq, cq, (re, im, rad), pairs = state
+    # u = q^i; each ball is three ints (real part, imaginary part, radius)
+    i, (tr, ti, trad), (ur, ui, urad), (ar, ai, arad), (br, bi, brad), (cr, ci, crad), \
+        (re, im, rad), pairs = state
     # |t| < tol (|total| + 1), in units of 2**-wp with tol >= tm 2**te; no
     # term of a terminating series is small, so it is summed to its last
     left, tm = max(-te, 0), tm << max(te, 0) if term_limit is None else 0
@@ -262,31 +272,65 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
         streak = streak + (pair,) if pair[0] << left < tm * (pair[1] + one) else ()
     limit = _MAX_TERMS - 1 if term_limit is None else term_limit
     tail = 0
-    while len(streak) < 3 or (tail := _tail_bound(bounds, streak[2][0] + term[2], i, wp)) is None:
+    (qr, qi, qrad), (xr, xi, xrad) = q, x
+    q_abs = isqrt(qr * qr + qi * qi) + 1 if qi else abs(qr)
+    x_abs = isqrt(xr * xr + xi * xi) + 1 if xi else abs(xr)
+    t_abs = isqrt(tr * tr + ti * ti) + 1 if ti else abs(tr)  # |t_i|, kept up to date
+    while len(streak) < 3 or (tail := _tail_bound(bounds, streak[2][0] + trad, i, wp)) is None:
         if i == limit:
             if term_limit is None:
                 raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
             break
         i += 1  # t_i from t_(i-1) by the recurrence of _terms
-        qi = _mul(qi, q, wp)
-        den1, den2 = _one_minus(qi, one), _one_minus(cq, one)
-        if _contains_zero(den1) or _contains_zero(den2):
+        # each product below is approx._mul(_, _, wp) written out, each |v| _abs_up
+        u_abs = isqrt(ur * ur + ui * ui) + 1 if ui else abs(ur)
+        ur, ui, urad = ((ur * qr - ui * qi) >> wp, (ur * qi + ui * qr) >> wp,
+                        2 - (-(u_abs * qrad + q_abs * urad + urad * qrad) >> wp))
+        # the denominator factors 1 - q^i and 1 - c q^(i-1) must exclude 0
+        dr, er = one - ur, one - cr
+        if dr * dr + ui * ui <= urad * urad or er * er + ci * ci <= crad * crad:
             raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
-        num = _mul(_mul(_one_minus(aq, one), _one_minus(bq, one), wp), x, wp)
+        # num = (1 - a q^(i-1)) (1 - b q^(i-1)) x
+        nr, mr = one - ar, one - br
+        n_abs = isqrt(nr * nr + ai * ai) + 1 if ai else abs(nr)
+        m_abs = isqrt(mr * mr + bi * bi) + 1 if bi else abs(mr)
+        nr, ni, nrad = ((nr * mr - ai * bi) >> wp, -(nr * bi + ai * mr) >> wp,
+                        2 - (-(n_abs * brad + m_abs * arad + arad * brad) >> wp))
+        n_abs = isqrt(nr * nr + ni * ni) + 1 if ni else abs(nr)
+        nr, ni, nrad = ((nr * xr - ni * xi) >> wp, (nr * xi + ni * xr) >> wp,
+                        2 - (-(n_abs * xrad + x_abs * nrad + nrad * xrad) >> wp))
+        # t_i = t_(i-1) num / ((1 - q^i) (1 - c q^(i-1)))
+        n_abs = isqrt(nr * nr + ni * ni) + 1 if ni else abs(nr)
+        tr, ti, trad = ((tr * nr - ti * ni) >> wp, (tr * ni + ti * nr) >> wp,
+                        2 - (-(t_abs * nrad + n_abs * trad + trad * nrad) >> wp))
+        d_abs = isqrt(dr * dr + ui * ui) + 1 if ui else abs(dr)
+        e_abs = isqrt(er * er + ci * ci) + 1 if ci else abs(er)
+        den = ((dr * er - ui * ci) >> wp, -(dr * ci + ui * er) >> wp,
+               2 - (-(d_abs * crad + e_abs * urad + urad * crad) >> wp))
         try:
-            term = _div(_mul(term, num, wp), _mul(den1, den2, wp), wp)
+            tr, ti, trad = _div((tr, ti, trad), den, wp)
         except DivisionByZero:
             raise ZeroDenominator("denominator not bounded away from zero") from None
-        aq, bq, cq = _mul(aq, q, wp), _mul(bq, q, wp), _mul(cq, q, wp)
-        tr, ti, trad = term
+        # a q^i, b q^i, c q^i
+        a_abs = isqrt(ar * ar + ai * ai) + 1 if ai else abs(ar)
+        ar, ai, arad = ((ar * qr - ai * qi) >> wp, (ar * qi + ai * qr) >> wp,
+                        2 - (-(a_abs * qrad + q_abs * arad + arad * qrad) >> wp))
+        b_abs = isqrt(br * br + bi * bi) + 1 if bi else abs(br)
+        br, bi, brad = ((br * qr - bi * qi) >> wp, (br * qi + bi * qr) >> wp,
+                        2 - (-(b_abs * qrad + q_abs * brad + brad * qrad) >> wp))
+        c_abs = isqrt(cr * cr + ci * ci) + 1 if ci else abs(cr)
+        cr, ci, crad = ((cr * qr - ci * qi) >> wp, (cr * qi + ci * qr) >> wp,
+                        2 - (-(c_abs * qrad + q_abs * crad + crad * qrad) >> wp))
         re, im, rad = re + tr, im + ti, rad + trad
-        t_abs, s_abs = _abs_up(tr, ti), _abs_up(re, im)
+        t_abs = isqrt(tr * tr + ti * ti) + 1 if ti else abs(tr)
+        s_abs = isqrt(re * re + im * im) + 1 if im else abs(re)
         if t_abs << left < tm * (s_abs + one):
             streak = streak[-2:] + ((t_abs, s_abs),)
         elif streak:
             streak = ()
     done = term_limit is not None
-    state = key, rounded, (i, term, qi, aq, bq, cq, (re, im, rad), streak)
+    state = key, rounded, (i, (tr, ti, trad), (ur, ui, urad), (ar, ai, arad), (br, bi, brad),
+                           (cr, ci, crad), (re, im, rad), streak)
     return SeriesValue(_make((re, im, rad + tail), -wp, prec, cplx), i + 1 if done else i, done, state)
 
 
@@ -342,16 +386,6 @@ _GUARD = 24  # bits the kernel works at beyond prec
 def _at(v: ApproxScalar, wp: int):
     """v as a ball in units of 2**-wp."""
     return _shift(v.ball, -wp - v.exp)
-
-
-def _contains_zero(x) -> bool:
-    re, im, rad = x
-    return re * re + im * im <= rad * rad
-
-
-def _one_minus(x, one: int):
-    re, im, rad = x
-    return one - re, -im, rad
 
 
 def _rounded_tol(tol, prec: int):

@@ -75,8 +75,9 @@ def test_abs_lt_constraint_checks_the_whole_ball():
 @pytest.mark.parametrize("tol", [0, -1e-12, math.nan, math.inf])
 def test_bad_tol_is_refused_before_the_first_term(tol, monkeypatch):
     # no sum meets a tol of 0 or less, and nan and inf have no rounded
-    # value: each entry point refuses before the kernel computes a term
-    monkeypatch.setattr(qseries, "_mul", lambda *_: pytest.fail("a term was computed"))
+    # value: each entry point refuses before the kernel scales its first
+    # ball, which both kernels do before any term
+    monkeypatch.setattr(qseries, "_at", lambda *_: pytest.fail("a ball was scaled"))
     bindings = {"a": F(1, 3), "x": F(1, 2), "q": Q12}
     with pytest.raises(UnreachableTolerance, match="not a positive finite number"):
         phi21_numeric(Phi21Params(F(1, 3), F(1, 5), F(1, 7), Q12, F(1, 2)), tol)

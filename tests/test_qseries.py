@@ -8,8 +8,15 @@ import pytest
 from test_oracle import REGRESSIONS
 
 from qforge import approx
-from qforge.approx import ApproxScalar, _upper
-from qforge.errors import InvalidDomain, NotTerminating, ResumeMismatch, ZeroDenominator
+from qforge.approx import ApproxScalar, _abs_up, _bound, _div, _make, _mul, _normalized, _upper
+from qforge.errors import (
+    DivisionByZero,
+    InvalidDomain,
+    NoConvergence,
+    NotTerminating,
+    ResumeMismatch,
+    ZeroDenominator,
+)
 from qforge.exact import ExactScalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
 from qforge.poly import RationalFunction as RF
@@ -18,6 +25,10 @@ from qforge.qseries import (
     _MAX_TERMS,
     TERMINATION_BOUND,
     Phi21Params,
+    SeriesValue,
+    _at,
+    _exact_termination,
+    _rounded_tol,
     _tail_bound,
     _terms,
     detect_termination,
@@ -300,6 +311,99 @@ def _fields(r):
     return v.ball, v.exp, v.prec, v.cplx, v.err, r.terms_used, r.terminated
 
 
+# The loops of phi21_numeric and qpoch_infinite as they were built from the
+# ball primitives of qforge.approx: the references the inlined loops must
+# match int for int, every SeriesValue field and the resume state included.
+
+def _one_minus(x, one):
+    re, im, rad = x
+    return one - re, -im, rad
+
+
+def _contains_zero(x):
+    re, im, rad = x
+    return re * re + im * im <= rad * rad
+
+
+def _primitive_phi21(p: Phi21Params, tol, prec=113, resume=None):
+    rounded = tm, te = _rounded_tol(tol, prec)
+    key = (p, prec)
+    term_limit = _exact_termination(p)
+    p = p.as_numeric(prec)
+    wp = prec + _GUARD
+    one = 1 << wp
+    params = (p.a, p.b, p.c, p.q, p.x)
+    cplx = any(v.cplx for v in params)
+    a, b, c, q, x = [_at(v, wp) for v in params]
+    bounds = [_bound(v) for v in (q, a, b, c, x)]
+    state = 0, (one, 0, 0), (one, 0, 0), a, b, c, (one, 0, 0), ()
+    if resume is not None:
+        state = resume.state[2]
+    i, term, qi, aq, bq, cq, (re, im, rad), pairs = state
+    left, tm = max(-te, 0), tm << max(te, 0) if term_limit is None else 0
+    streak = ()
+    for pair in pairs:
+        streak = streak + (pair,) if pair[0] << left < tm * (pair[1] + one) else ()
+    limit = _MAX_TERMS - 1 if term_limit is None else term_limit
+    tail = 0
+    while len(streak) < 3 or (tail := _tail_bound(bounds, streak[2][0] + term[2], i, wp)) is None:
+        if i == limit:
+            if term_limit is None:
+                raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
+            break
+        i += 1
+        qi = _mul(qi, q, wp)
+        den1, den2 = _one_minus(qi, one), _one_minus(cq, one)
+        if _contains_zero(den1) or _contains_zero(den2):
+            raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
+        num = _mul(_mul(_one_minus(aq, one), _one_minus(bq, one), wp), x, wp)
+        try:
+            term = _div(_mul(term, num, wp), _mul(den1, den2, wp), wp)
+        except DivisionByZero:
+            raise ZeroDenominator("denominator not bounded away from zero") from None
+        aq, bq, cq = _mul(aq, q, wp), _mul(bq, q, wp), _mul(cq, q, wp)
+        tr, ti, trad = term
+        re, im, rad = re + tr, im + ti, rad + trad
+        t_abs, s_abs = _abs_up(tr, ti), _abs_up(re, im)
+        if t_abs << left < tm * (s_abs + one):
+            streak = streak[-2:] + ((t_abs, s_abs),)
+        elif streak:
+            streak = ()
+    done = term_limit is not None
+    state = key, rounded, (i, term, qi, aq, bq, cq, (re, im, rad), streak)
+    return SeriesValue(_make((re, im, rad + tail), -wp, prec, cplx), i + 1 if done else i, done, state)
+
+
+def _primitive_qpoch(base, q, tol, prec=113):
+    tm, te = _rounded_tol(tol, prec)
+    b, qq = ApproxScalar.coerce(base, prec), ApproxScalar.coerce(q, prec)
+    wp = prec + _GUARD
+    one = 1 << wp
+    bq, qb = _at(b, wp), _at(qq, wp)
+    qa = _bound(qb)
+    un, ue = -(-(_bound(bq) << wp) // (one - qa)), -wp
+    p, exp = (1, 0, 0), 0
+    for m in range(100 * prec + 1):
+        if un:
+            k = un.bit_length() - wp
+            un, ue = (-(-un >> k) if k > 0 else un << -k), ue + k
+        if ue <= 0 and un < 1 << -ue:
+            top = _bound(p) * un
+            den = (1 << -ue) - un
+            shift = exp - te
+            if top << max(shift, 0) <= (tm * den) << max(-shift, 0):
+                re, im, rad = p
+                return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, b.cplx or qq.cplx), m, False)
+        p, exp = _normalized(_mul(p, _one_minus(bq, one)), exp - wp, wp)
+        bq = _mul(bq, qb, wp)
+        un = -(-un * qa >> wp)
+    raise NoConvergence("qpoch_infinite failed to meet tolerance")
+
+
+def _exact_fields(r):
+    return _fields(r) + (r.state,)
+
+
 # points with the summation tols of successive rounds
 RESUMED = {
     # the lhs of qbinom at a = 64/67, x = 17/18, q = 1/2, with the tols of
@@ -312,11 +416,14 @@ RESUMED = {
 
 @pytest.mark.parametrize("point, tols", RESUMED.values(), ids=list(RESUMED))
 def test_resumed_sum_equals_a_fresh_one(point, tols):
-    # each round continues the last and ends where a fresh call at its tol does
-    series, used = None, []
+    # each round continues the last and ends where a fresh call at its tol
+    # does, and where the primitive loop's round does
+    series, reference, used = None, None, []
     for tol in tols:
         series = phi21_numeric(point, tol, 113, series)
+        reference = _primitive_phi21(point, tol, 113, reference)
         assert _fields(series) == _fields(phi21_numeric(point, tol, 113))
+        assert _exact_fields(series) == _exact_fields(reference)
         used.append(series.terms_used)
     assert used == sorted(used) and (used[0] < used[-1]) == (not series.terminated)
 
@@ -464,17 +571,32 @@ DIFFERENTIAL = _differential_points()
 @pytest.mark.parametrize("point, tol", DIFFERENTIAL.values(), ids=list(DIFFERENTIAL))
 def test_phi21_numeric_kernel_matches_approx_sum(point, tol):
     # the integer kernel against the ApproxScalar sum of the same terms:
-    # the same number of terms, and balls that overlap
+    # the same number of terms, and balls that overlap; and against the
+    # primitive loop: the same ints
     try:
         want, terms = _reference_phi21(point, tol)
     except ZeroDivisionError:
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(ZeroDenominator) as got:
             phi21_numeric(point, tol)
+        with pytest.raises(ZeroDenominator) as ref:
+            _primitive_phi21(point, tol)
+        assert str(got.value) == str(ref.value)
         return
     got = phi21_numeric(point, tol)
+    assert _exact_fields(got) == _exact_fields(_primitive_phi21(point, tol))
     assert got.terms_used == terms
     with mpmath.workprec(400):
         assert abs(got.value.val - want.val) <= got.value.err + want.err
+
+
+@pytest.mark.parametrize("base, q, tol", [
+    (F(1, 2), F(1, 2), 1e-12),
+    (F(9, 10), F(99, 100), 1e-40),
+    (Z3 / 3, F(1, 2), 1e-20),
+    (F(2, 3), Z4 * F(3, 4), 1e-20),
+], ids=["qq", "slow", "complex-base", "complex-q"])
+def test_qpoch_infinite_matches_the_primitive_loop(base, q, tol):
+    assert _exact_fields(qpoch_infinite(base, q, tol)) == _exact_fields(_primitive_qpoch(base, q, tol))
 
 
 def test_kernel_loops_do_no_approx_arithmetic(monkeypatch):
