@@ -15,9 +15,10 @@ the radius, rounded up, gains two units (_shift).  A modulus enters a
 radius rounded up and a divisor's rounded down.  An exact input that fits
 in prec bits carries err 0; otherwise each part floored to prec bits adds
 one unit, and a cyclotomic value adds a bound on its embedding's error.
-The integer kernel of qforge.qseries runs on the same primitives at a
-fixed scale.  mpmath appears only in the views `val` and `err` (built
-exactly from the ints) and in the embedding of a cyclotomic value.
+The integer kernel of qforge.qseries spells out the formulas of these
+primitives on local ints at a fixed scale and calls only _div.  mpmath
+appears only in the views `val` and `err` (built exactly from the ints)
+and in the embedding of a cyclotomic value.
 """
 
 from __future__ import annotations

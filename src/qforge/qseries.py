@@ -4,6 +4,9 @@ Three evaluation routes: exact terminating summation (including the
 extended definition for the exceptional parameter case), truncated
 numerics with a proven error bound for non-terminating series, and
 finite products that work over any ring (scalars or rational functions).
+The term recurrence (_terms) also runs over Q with its factors cleared
+(_cleared_terms): ints over one denominator, for the exact series check
+of qforge.relations.
 
 The loops of phi21_numeric and qpoch_infinite spell out the formulas of
 the ball primitives of qforge.approx (_mul, _shift, _abs_up) on local
@@ -20,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from math import isqrt
+from operator import mul
 
 from .approx import ApproxScalar, _bound, _div, _make, _shift, _upper, default_precision
 from .errors import (
@@ -75,7 +79,9 @@ class SeriesValue:
     value: object
     terms_used: int
     terminated: bool
-    state: tuple | None = field(default=None, repr=False)  # what phi21_numeric resumes from
+    # the loop's final ints: what phi21_numeric resumes from, and the
+    # (re, im, rad, exp) of qpoch_infinite's P_M
+    state: tuple | None = field(default=None, repr=False)
     certified = True  # every err is proven; perfbench's certified_ratio reads this
 
 
@@ -129,7 +135,8 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
             den = (1 << -ue) - un
             shift = exp - te
             if top << max(shift, 0) <= (tm * den) << max(-shift, 0):
-                return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, b.cplx or qq.cplx), m, False)
+                return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, b.cplx or qq.cplx),
+                                   m, False, (re, im, rad, exp))
         # P_(m+1) = P_m (1 - b q^m) as approx._mul, shifted back to wp bits
         # as approx._normalized; b q^(m+1) as approx._mul(_, _, wp)
         fr = one - br
@@ -198,6 +205,34 @@ def _terms(p: Phi21Params, one):
         aq = aq * p.q
         bq = bq * p.q
         cq = cq * p.q
+
+
+def _cleared_terms(p: Phi21Params, count: int) -> tuple[list[int], int]:
+    """(nums, D) with nums[i] / D the term t_i of _terms over Q, i < count
+    (t_0 = 1), its factors cleared.  With each parameter v = vn / vd and
+    u = q^(i-1) = un / ud, t_i / t_(i-1) = f_i / g_i in ints:
+
+        f_i = (ad ud - an un) (bd ud - bn un) qd cd xn
+        g_i = (qd ud - qn un) (cd ud - cn un) ad bd xd
+
+    so D = g_1 ... g_(count-1) and nums[i] = (f_1 ... f_i) (g_(i+1) ...
+    g_(count-1)), prefix and suffix products with no gcd.  Raises
+    ZeroDenominator at the i where _terms does."""
+    (an, ad), (bn, bd), (cn, cd), (qn, qd), (xn, xd) = (
+        (v.numerator, v.denominator) for v in (p.a, p.b, p.c, p.q, p.x))
+    fc, gc = qd * cd * xn, ad * bd * xd
+    fs, gs = [], []
+    un = ud = 1
+    for i in range(1, count):
+        g1, g2 = qd * ud - qn * un, cd * ud - cn * un
+        if g1 == 0 or g2 == 0:
+            raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
+        fs.append((ad * ud - an * un) * (bd * ud - bn * un) * fc)
+        gs.append(g1 * g2 * gc)
+        un, ud = un * qn, ud * qd
+    prefix = accumulate(fs, mul, initial=1)  # f_1 ... f_i
+    suffix = list(accumulate(reversed(gs), mul, initial=1))[::-1]  # g_(i+1) ... g_(count-1)
+    return list(map(mul, prefix, suffix)), suffix[0]
 
 
 def phi21_exact(p: Phi21Params) -> SeriesValue:

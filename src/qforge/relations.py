@@ -32,8 +32,9 @@ phi(xq) = phi - x(1-a)(1-b)/(1-c) * phi(aq,bq;cq;x), and is verified both
 by exact series matching at random rational points and by the numeric
 residual invariant.  Both checks move the parameters with
 Phi21Params.shifted and sum the series with the term recurrence of
-qseries: over Fractions at x = 1 (so the terms are the coefficients in
-x, and at x = q^n those of phi(xq^n)) for the series match, through
+qseries: for the series match at x = 1 (so the terms are the
+coefficients in x, and at x = q^n those of phi(xq^n)), with its factors
+cleared so that the match is a test of int sums against 0; through
 phi21_numeric for the residual.
 """
 
@@ -44,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from math import lcm
 from operator import mul, or_
 
 import mpmath
@@ -58,7 +59,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .poly import RELATION_VARS, MultiPoly, RationalFunction
-from .qseries import Phi21Params, _terms, phi21_numeric
+from .qseries import Phi21Params, _cleared_terms, phi21_numeric
 
 DEFAULT_DEGREE_BUDGET = 8
 DEFAULT_SEED = 20250808
@@ -379,19 +380,17 @@ def _walk(shift):
                 yield axis, count > 0
 
 
-def _series_coeffs(p: Phi21Params, order: int) -> list[Fraction]:
-    """The terms t_0 .. t_(order-1) of phi at p, exact; at x = 1 these are
-    the coefficients of phi in x (at x = q^n, those of phi(xq^n) in x)."""
-    one = Fraction(1)
-    return [one, *islice(_terms(p, one), order - 1)]
-
-
 def _series_verify(shift: ShiftVector, cleared: tuple[MultiPoly, MultiPoly, MultiPoly],
                    order: int, rng: random.Random, points: int) -> bool:
     """Exact check that P0*phi_shifted - P1*phi_up - P2*phi_base has zero
     series coefficients through x^(order-1) at random rational points,
-    (P0, P1, P2) = `cleared`."""
-    p0, p1, p2 = (pp.coefficients("x") for pp in cleared)
+    (P0, P1, P2) = `cleared`.  At x = 1 the terms t_0 .. t_(order-1) of a
+    series are its coefficients in x (at x = q^n, those of phi(xq^n)), as
+    ints nums over one denominator D (qseries._cleared_terms); each P's
+    x-coefficient values are ints over one denominator L.  Each series
+    row is multiplied once by the D L of the other two, so each
+    coefficient, times all six denominators, is an int sum."""
+    polys = [pp.coefficients("x") for pp in cleared]
     done = 0
     attempts = 0
     while done < points:
@@ -401,24 +400,19 @@ def _series_verify(shift: ShiftVector, cleared: tuple[MultiPoly, MultiPoly, Mult
         # a, b, c, q drawn in that order; x = 1 gives the coefficients in x
         pt = Phi21Params(*(rand_fraction(rng) for _ in range(4)), Fraction(1))
         try:
-            base = _series_coeffs(pt, order)
-            up = _series_coeffs(pt.shifted(_UP), order)
-            sh = _series_coeffs(pt.shifted(shift.as_tuple()), order)
-            ev0, ev1, ev2 = ({e: p.eval(vars(pt)) for e, p in ps.items()} for ps in (p0, p1, p2))
+            series = [_cleared_terms(p, order) for p in (pt.shifted(shift.as_tuple()), pt.shifted(_UP), pt)]
+            values = [{e: p.eval(vars(pt)) for e, p in ps.items()} for ps in polys]
         except ZeroDivisionError:
             continue
+        rows, dens = [], []
+        for (nums, den), vals in zip(series, values):
+            lden = lcm(*(v.denominator for v in vals.values()))
+            rows.append((nums, {e: v.numerator * (lden // v.denominator) for e, v in vals.items()}))
+            dens.append(den * lden)
+        scales = dens[1] * dens[2], -dens[0] * dens[2], -dens[0] * dens[1]
+        rows = [([n * scale for n in nums], cs) for (nums, cs), scale in zip(rows, scales)]
         for t in range(order):
-            acc = Fraction(0)
-            for j, v in ev0.items():
-                if j <= t:
-                    acc += v * sh[t - j]
-            for j, v in ev1.items():
-                if j <= t:
-                    acc -= v * up[t - j]
-            for j, v in ev2.items():
-                if j <= t:
-                    acc -= v * base[t - j]
-            if acc != 0:
+            if sum(v * nums[t - j] for nums, cs in rows for j, v in cs.items() if j <= t):
                 return False
         done += 1
     return True

@@ -27,6 +27,7 @@ from qforge.qseries import (
     Phi21Params,
     SeriesValue,
     _at,
+    _cleared_terms,
     _exact_termination,
     _rounded_tol,
     _tail_bound,
@@ -393,7 +394,8 @@ def _primitive_qpoch(base, q, tol, prec=113):
             shift = exp - te
             if top << max(shift, 0) <= (tm * den) << max(-shift, 0):
                 re, im, rad = p
-                return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, b.cplx or qq.cplx), m, False)
+                return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, b.cplx or qq.cplx),
+                                   m, False, (re, im, rad, exp))
         p, exp = _normalized(_mul(p, _one_minus(bq, one)), exp - wp, wp)
         bq = _mul(bq, qb, wp)
         un = -(-un * qa >> wp)
@@ -492,6 +494,36 @@ def test_shifted_composes():
                     assert p.shifted(shift, i).shifted(shift, j) == p.shifted(shift, i + j)
         assert p.shifted((1, 2, 3, 4), 0) == p
     assert points[2].shifted((1, 2, 3, -4), 2) == Phi21Params(a * q**2, b * q**4, c * q**6, q, x / q**8)
+
+
+# rational points at x = 1 as the series check of relations draws them,
+# at x = q^n with n < 0 (x > 1), and with signs and a vanishing numerator
+CLEARED = {
+    "x=1": Phi21Params(F(1, 3), F(2, 7), F(3, 11), F(1, 2), F(1)),
+    "x=q^-2": Phi21Params(F(5, 13), F(1, 4), F(2, 9), F(3, 8), F(1)).shifted((1, 0, -1, -2)),
+    "signs": Phi21Params(F(-4, 9), F(7, 3), F(-1, 6), F(-2, 5), F(-3, 7)),
+    "a=q^-3": Phi21Params(F(8), F(1, 5), F(1, 7), Q, F(2, 3)),
+}
+
+
+@pytest.mark.parametrize("p", CLEARED.values(), ids=list(CLEARED))
+def test_cleared_terms_are_the_exact_terms(p):
+    nums, den = _cleared_terms(p, 30)
+    assert [F(n, den) for n in nums] == [F(1), *islice(_terms(p, F(1)), 29)]
+
+
+@pytest.mark.parametrize("j", [0, 1, 3])
+def test_cleared_terms_raise_where_the_terms_do(j):
+    # c q^j = 1 (c = q^-j) makes 1 - c q^(i-1) vanish at i = j + 1
+    p = Phi21Params(F(1, 3), F(2, 7), F(2, 5) ** -j, F(2, 5), F(1))
+    with pytest.raises(ZeroDenominator) as want:
+        list(islice(_terms(p, F(1)), 29))
+    with pytest.raises(ZeroDenominator, match=f"vanishes at i={j + 1} ") as got:
+        _cleared_terms(p, 30)
+    assert str(got.value) == str(want.value)
+    # a series cut before that term does not reach it
+    nums, den = _cleared_terms(p, j + 1)
+    assert [F(n, den) for n in nums] == [F(1), *islice(_terms(p, F(1)), j)]
 
 
 def _closed_term(p, i):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import pickle
 import random
@@ -7,6 +8,7 @@ import sys
 from collections import Counter
 from fractions import Fraction as F
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +144,67 @@ def test_failed_series_check_is_final(monkeypatch):
     with pytest.raises(VerificationFailed):
         qr_derive((0, 0, 0, 1))
     assert len(calls) == 1
+
+
+def _series_check_args(shift):
+    """(shift, cleared, order) that qr_derive passes to the series check."""
+    seen = []
+    real = relations._series_verify
+
+    def capture(shift, cleared, order, rng, points):
+        seen.append((shift, cleared, order))
+        return real(shift, cleared, order, rng, points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "_series_verify", capture)
+        qr_derive(shift)
+    return seen[0]
+
+
+@pytest.mark.parametrize("power", [2, "last"])
+def test_series_check_rejects_a_wrong_relation(power):
+    # the real check: true for the derived (P0, P1, P2), false once P2 gets
+    # one tiny term, whether it moves the coefficient of x^2 or only the
+    # last one checked
+    shift, (p0, p1, p2), order = _series_check_args((0, 2, 2, 0))
+    tiny = MultiPoly.var("a") * MultiPoly.var("x") ** (order - 1 if power == "last" else power) * F(1, 10**12)
+    for cleared, ok in (((p0, p1, p2), True), ((p0, p1, p2 + tiny), False)):
+        rng = random.Random(relations.DEFAULT_SEED)
+        assert relations._series_verify(shift, cleared, order, rng, points=5) is ok
+
+
+# The draws of a series check at (0, 0, -1, 0) whose second point has c = q,
+# so that the shifted c is 1 and the point is skipped: six points for five
+# checks.  Recorded with the Fraction-term check the int one replaced.
+PINNED_DRAWS = [
+    "1/3", "1/5", "1/7", "1/11", "2/9", "1/4", "1/7", "1/7",  # scripted
+    "17/82", "23/97", "6/13", "1/35", "25/62", "1/17", "2/23", "8/25",
+    "13/34", "7/72", "4/19", "1/4", "9/55", "7/26", "2/23", "2/5",
+]
+
+
+def test_series_check_draws_and_skips_as_pinned(monkeypatch):
+    shift, cleared, order = _series_check_args((0, 0, -1, 0))
+    script = [F(v) for v in PINNED_DRAWS[:8]]
+    drawn = []
+
+    def draw(rng):
+        drawn.append(script.pop(0) if script else rand_fraction(rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(relations, "rand_fraction", draw)
+    assert relations._series_verify(shift, cleared, order, random.Random(5), points=5)
+    assert [str(v) for v in drawn] == PINNED_DRAWS
+
+
+DERIVE_REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "derive.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(DERIVE_REFS["shifts"]))
+def test_derived_json_matches_the_benchmark_reference(key):
+    rel = qr_derive(ShiftVector.parse(key))
+    ref = DERIVE_REFS["shifts"][key]["relation"]
+    assert json.dumps(rel.to_json(), sort_keys=True) == json.dumps(ref, sort_keys=True)
 
 
 def test_budget_exceeded():
