@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .approx import set_default_precision
-from .errors import ConstraintViolated, QForgeError, SamplingExhausted, UnboundSymbol
+from .errors import ConstraintViolated, QForgeError, UnboundSymbol
 from .exact import parse_scalar
 from .families import solution_families
 from .forge import (
@@ -30,6 +30,7 @@ from .relations import (
     DEFAULT_DEGREE_BUDGET,
     DEFAULT_SEED,
     ShiftVector,
+    draw_admissible,
     qr_derive,
     qr_lookup,
     rand_fraction_wide,
@@ -155,16 +156,15 @@ def _run_verify(opts: dict) -> ReportDocument:
 
 
 def _sample_bindings(record, base: dict, free_rest, rng) -> dict:
-    for _ in range(500):
-        bindings = dict(base)
-        for s in free_rest:
-            bindings[s] = rand_fraction_wide(rng)
+    def draw():
+        bindings = {**base, **{s: rand_fraction_wide(rng) for s in free_rest}}
         try:
             check_constraints(record, bindings)
         except ConstraintViolated:
-            continue
+            return None
         return bindings
-    raise SamplingExhausted(f"no admissible bindings found for {record.id}")
+
+    return next(draw_admissible(draw, 1, 500, f"bindings for {record.id}"))
 
 
 def _verify_one(identity: str, bindings: dict, tol: float, registry) -> dict:

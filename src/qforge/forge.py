@@ -22,7 +22,6 @@ from .errors import (
     NotInTable,
     NotTerminating,
     QForgeError,
-    SamplingExhausted,
     UnreachableTolerance,
     ZeroDenominator,
 )
@@ -41,6 +40,7 @@ from .relations import (
     DEFAULT_SEED,
     ShiftVector,
     ThreeTermRelation,
+    draw_admissible,
     qr_derive,
     qr_lookup,
     rand_fraction,
@@ -427,26 +427,22 @@ def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
     shift = ShiftVector.coerce(shift)
     rel = _relation_for(shift, relation)
     rng = random.Random(seed)
-    sample_syms = [s for s in fam.free_symbols if s not in fam.fixed_bindings]
     for n in range(1, n_max + 1):
-        done = 0
-        attempts = 0
-        while done < trials:
-            attempts += 1
-            if attempts > 10 * trials:
-                raise SamplingExhausted(f"too many degenerate points at N={n}")
-            point = {s: rand_fraction(rng) for s in sample_syms}
-            point["q"] = rand_fraction(rng)
-            try:
-                # Q^(n): Q at the family's parameters moved n - 1 steps
-                p = _family_params(fam, point).shifted(shift.as_tuple(), n - 1)
-                value = rel.Q.eval(vars(p))
-            except ZeroDivisionError:
-                continue
-            if value != 0:
-                return False
-            done += 1
+        def draw():
+            # Q^(n): Q at the family's parameters moved n - 1 steps
+            p = _family_params(fam, _family_point(fam, rng)).shifted(shift.as_tuple(), n - 1)
+            return rel.Q.eval(vars(p))
+
+        if any(v != 0 for v in draw_admissible(draw, trials, 10 * trials, f"family points at N={n}")):
+            return False
     return True
+
+
+def _family_point(fam: ParamFamily, rng: random.Random) -> dict:
+    """Random bindings of the family's sampled symbols, then of q."""
+    point = {s: rand_fraction(rng) for s in fam.free_symbols if s not in fam.fixed_bindings}
+    point["q"] = rand_fraction(rng)
+    return point
 
 
 def _family_params(fam: ParamFamily, point: dict) -> Phi21Params:
@@ -672,19 +668,14 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
 
     if pattern == "sum_zero":
         def locus_step():
-            count = 0
-            attempts = 0
-            while count < trials:
-                attempts += 1
-                if attempts > 10 * trials:
-                    raise SamplingExhausted("degenerate locus points")
-                pt = {s: rand_fraction(rng) for s in ("a", "b", "c", "q")}
-                try:
-                    if rel.Q.eval({**pt, "x": pt["c"] / (pt["a"] * pt["b"])}) != 0:
-                        return False, f"Q nonzero on locus at {pt}"
-                except ZeroDivisionError:
-                    continue
-                count += 1
+            # the qgauss family's x is the locus x = c/(ab)
+            def draw():
+                pt = _family_point(fam, rng)
+                return pt, rel.Q.eval(vars(_family_params(fam, pt)))
+
+            for pt, value in draw_admissible(draw, trials, 10 * trials, "locus points"):
+                if value != 0:
+                    return False, f"Q nonzero on locus at {pt}"
             return True, f"Q vanishes on x=c/(ab) at {trials} points"
 
         run_step("locus_factor", locus_step)
@@ -730,20 +721,14 @@ def _sample_series_point(fam: ParamFamily, shift: ShiftVector, rng: random.Rando
                          n_tele: int) -> dict:
     """Random rational bindings keeping every series in the telescoping
     window inside the convergence disk (|x * q^(n*i)| < 0.9)."""
-    sample_syms = [s for s in fam.free_symbols if s not in fam.fixed_bindings]
-    for _ in range(500):
-        point = {s: rand_fraction(rng) for s in sample_syms}
-        point["q"] = rand_fraction(rng)
-        try:
-            p = _family_params(fam, point)
-        except ZeroDivisionError:
-            continue
-        if not isinstance(p.x, Fraction):
-            continue
-        if all(abs(p.shifted(shift.as_tuple(), i).x) < Fraction(9, 10)
-               for i in range(n_tele + 1)):
-            return point
-    raise SamplingExhausted("no admissible series point found")
+    def draw():
+        point = _family_point(fam, rng)
+        p = _family_params(fam, point)
+        inside = isinstance(p.x, Fraction) and all(
+            abs(p.shifted(shift.as_tuple(), i).x) < Fraction(9, 10) for i in range(n_tele + 1))
+        return point if inside else None
+
+    return next(draw_admissible(draw, 1, 500, "series points"))
 
 
 def _is_one(v) -> bool:

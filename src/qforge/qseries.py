@@ -267,11 +267,11 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     they are rounded to prec bits; an approximate a or b never counts as
     terminating.
 
-    `resume` continues the loop from an earlier result's `state` at the
-    same p and prec and a tol no looser (else ResumeMismatch).  Neither the
-    scale nor _tail_bound depends on tol, and a smaller tol is harder to
-    meet, so the continued sum, its streak re-tested at the earlier stop,
-    stops where a fresh call does, with the same ints.
+    `resume` continues the loop from the `state` of an earlier phi21_numeric
+    result at the same p and prec and a tol no looser (else ResumeMismatch).
+    Neither the scale nor _tail_bound depends on tol, and a smaller tol is
+    harder to meet, so the continued sum, its streak re-tested at the
+    earlier stop, stops where a fresh call does, with the same ints.
     """
     prec = default_precision() if prec is None else prec
     rounded = tm, te = _rounded_tol(tol, prec)
@@ -293,9 +293,12 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     # streak's (|t_j|, |S_j|)
     state = 0, (one, 0, 0), (one, 0, 0), a, b, c, (one, 0, 0), ()
     if resume is not None:
-        rkey, (rm, rte), state = resume.state
-        if rkey != key or tm << max(te - rte, 0) > rm << max(rte - te, 0):
-            raise ResumeMismatch("resumed at other parameters or precision, or at a looser tol")
+        # qpoch_infinite's four ints or no state at all: not this loop's
+        if not (isinstance(resume.state, tuple) and len(resume.state) == 3 and resume.state[0] == key):
+            raise ResumeMismatch("resumed from another series, parameters or precision")
+        _, (rm, rte), state = resume.state
+        if tm << max(te - rte, 0) > rm << max(rte - te, 0):
+            raise ResumeMismatch("resumed at a looser tol")
     # u = q^i; each ball is three ints (real part, imaginary part, radius)
     i, (tr, ti, trad), (ur, ui, urad), (ar, ai, arad), (br, bi, brad), (cr, ci, crad), \
         (re, im, rad), pairs = state

@@ -36,6 +36,9 @@ qseries: for the series match at x = 1 (so the terms are the
 coefficients in x, and at x = q^n those of phi(xq^n)), with its factors
 cleared so that the match is a test of int sums against 0; through
 phi21_numeric for the residual.
+
+Every random point of qforge, in these checks, forge and cli, comes from
+draw_admissible: one bounded loop that skips degenerate draws.
 """
 
 from __future__ import annotations
@@ -391,19 +394,14 @@ def _series_verify(shift: ShiftVector, cleared: tuple[MultiPoly, MultiPoly, Mult
     row is multiplied once by the D L of the other two, so each
     coefficient, times all six denominators, is an int sum."""
     polys = [pp.coefficients("x") for pp in cleared]
-    done = 0
-    attempts = 0
-    while done < points:
-        attempts += 1
-        if attempts > 50 * points:
-            raise SamplingExhausted("could not sample admissible verification points")
+
+    def draw():
         # a, b, c, q drawn in that order; x = 1 gives the coefficients in x
         pt = Phi21Params(*(rand_fraction(rng) for _ in range(4)), Fraction(1))
-        try:
-            series = [_cleared_terms(p, order) for p in (pt.shifted(shift.as_tuple()), pt.shifted(_UP), pt)]
-            values = [{e: p.eval(vars(pt)) for e, p in ps.items()} for ps in polys]
-        except ZeroDivisionError:
-            continue
+        series = [_cleared_terms(p, order) for p in (pt.shifted(shift.as_tuple()), pt.shifted(_UP), pt)]
+        return series, [{e: p.eval(vars(pt)) for e, p in ps.items()} for ps in polys]
+
+    for series, values in draw_admissible(draw, points, 50 * points, "verification points"):
         rows, dens = [], []
         for (nums, den), vals in zip(series, values):
             lden = lcm(*(v.denominator for v in vals.values()))
@@ -414,7 +412,6 @@ def _series_verify(shift: ShiftVector, cleared: tuple[MultiPoly, MultiPoly, Mult
         for t in range(order):
             if sum(v * nums[t - j] for nums, cs in rows for j, v in cs.items() if j <= t):
                 return False
-        done += 1
     return True
 
 
@@ -444,6 +441,25 @@ def rand_fraction(rng: random.Random, max_den: int = 97) -> Fraction:
     return Fraction(num, den)
 
 
+def draw_admissible(draw, count: int, budget: int, what: str):
+    """Yield `count` results of draw(): the one sampling loop of qforge.
+    A draw that raises ZeroDivisionError (a degenerate point) or returns
+    None (an inadmissible one) is skipped, and SamplingExhausted is raised
+    once `budget` draws have not produced `count` results."""
+    for _ in range(budget):
+        if not count:
+            return
+        try:
+            value = draw()
+        except ZeroDivisionError:
+            continue
+        if value is not None:
+            count -= 1
+            yield value
+    if count:
+        raise SamplingExhausted(f"could not sample admissible {what}")
+
+
 def rand_fraction_wide(rng: random.Random, max_den: int = 97) -> Fraction:
     """Random positive rational with numerator/denominator <= max_den."""
     return Fraction(rng.randint(1, max_den), rng.randint(1, max_den))
@@ -467,19 +483,13 @@ def verify_relation(rel: ThreeTermRelation, n_points: int = 20, tol: float = 1e-
                     seed: int = DEFAULT_SEED, prec: int = 128) -> None:
     """Residual invariant: residual < tol at n_points random admissible points."""
     rng = random.Random(seed)
-    done = 0
-    attempts = 0
-    while done < n_points:
-        attempts += 1
-        if attempts > 50 * n_points:
-            raise SamplingExhausted("could not sample admissible residual points")
-        try:
-            point = sample_relation_point(rng, rel.shift)
-            res = relation_residual(rel, point, tol / 100, prec=prec)
-        except ZeroDivisionError:
-            continue
+
+    def draw():
+        point = sample_relation_point(rng, rel.shift)
+        return point, relation_residual(rel, point, tol / 100, prec=prec)
+
+    for point, res in draw_admissible(draw, n_points, 50 * n_points, "residual points"):
         if not res < tol:
             raise VerificationFailed(
                 f"residual {mpmath.nstr(res, 5)} >= {tol} at {point} for shift {rel.shift}"
             )
-        done += 1

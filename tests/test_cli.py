@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qforge import approx, cli
 from qforge.cli import ReportDocument, build_parser, main
 from qforge.forge import build_default_registry, default_registry, load_registry
 
@@ -144,6 +145,36 @@ def test_verify_exhausted_sampling_exits_2(capsys):
                  "--set", "a=1/4"]) == 2
     err = capsys.readouterr().err
     assert "SamplingExhausted" in err and "qkummer" in err
+
+
+def test_verify_sampling_budget_is_500_per_point(capsys, monkeypatch):
+    checked, real = [], cli.check_constraints
+
+    def check_constraints(record, bindings):
+        checked.append(bindings)
+        return real(record, bindings)
+
+    monkeypatch.setattr(cli, "check_constraints", check_constraints)
+    assert main(["verify", "--identity", "qkummer", "--points", "2", "--q", "1/2",
+                 "--set", "a=1/4"]) == 2
+    assert "could not sample admissible bindings for qkummer" in capsys.readouterr().err
+    assert len(checked) == 500
+
+
+@pytest.mark.parametrize("value", ["abc", "32"])
+def test_bad_precision_variable_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setattr(approx, "_DEFAULT_PREC", approx._DEFAULT_PREC)
+    monkeypatch.setenv("QFORGE_PRECISION", value)
+    assert main(["normalize", "--shift", "0,0,0,2"]) == 2
+    assert "bad QFORGE_PRECISION" in capsys.readouterr().err
+    assert approx.default_precision() == 113
+
+
+def test_precision_variable_sets_the_default(capsys, monkeypatch):
+    monkeypatch.setattr(approx, "_DEFAULT_PREC", approx._DEFAULT_PREC)
+    monkeypatch.setenv("QFORGE_PRECISION", "200")
+    assert main(["normalize", "--shift", "0,0,0,2"]) == 0
+    assert approx.default_precision() == 200
 
 
 def test_usage_error_exit_2(capsys):

@@ -8,7 +8,13 @@ import pytest
 from qforge import forge, qseries
 from qforge.approx import ApproxScalar
 from qforge.closedform import closed_form_eval
-from qforge.errors import ConstraintViolated, DegenerateParameter, UnreachableTolerance
+from qforge.errors import (
+    ConstraintViolated,
+    DegenerateParameter,
+    SamplingExhausted,
+    UnreachableTolerance,
+    ZeroDenominator,
+)
 from qforge.exact import ExactScalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
 from qforge.forge import (
@@ -22,7 +28,7 @@ from qforge.forge import (
 )
 from qforge.poly import RationalFunction as RF
 from qforge.qseries import Phi21Params, phi21_numeric, qpoch_finite, qpoch_infinite
-from qforge.relations import qr_derive
+from qforge.relations import ShiftVector, ThreeTermRelation, qr_derive
 
 Q12 = F(1, 2)
 Z3 = ExactScalar.zeta(3)
@@ -290,6 +296,50 @@ def test_degenerate_family_paths():
         product_R((0, 1, 1, 0), collapsing, 2)
     with pytest.raises(SamplingExhausted):
         check_family((0, 1, 1, 0), collapsing, n_max=1, trials=5)
+
+
+class _Degenerate:
+    """A coefficient whose every evaluation hits a zero denominator."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def eval(self, point):
+        self.calls += 1
+        raise ZeroDenominator("denominator vanishes")
+
+
+def test_check_family_budget_is_10_per_trial():
+    q = _Degenerate()
+    rel = ThreeTermRelation(ShiftVector(0, 1, 1, 0), q, _Degenerate())
+    with pytest.raises(SamplingExhausted, match="admissible family points at N=1$"):
+        check_family((0, 1, 1, 0), family_qgauss(), n_max=2, trials=3, relation=rel)
+    assert q.calls == 10 * 3
+
+
+def test_locus_step_budget_is_10_per_trial(monkeypatch):
+    q = _Degenerate()
+    rel = ThreeTermRelation(ShiftVector(1, 1, 2, 0), q, _Degenerate())
+    monkeypatch.setattr(forge, "qr_derive", lambda shift: rel)
+    monkeypatch.setattr(forge, "check_family", lambda *args, **kwargs: True)
+    rep = conjecture_check("sum_zero", (1, 1, 2, 0), trials=3, n_max=1)
+    locus = next(s for s in rep.steps if s.name == "locus_factor")
+    assert (locus.status, locus.detail) == ("error", "SamplingExhausted: could not sample admissible locus points")
+    assert q.calls == 10 * 3
+
+
+def test_series_point_budget_is_500(monkeypatch):
+    # x = 1 is never inside the disk |x| < 9/10
+    drawn = []
+
+    def family_point(fam, rng):
+        drawn.append(fam)
+        return {"b": F(1, 3), "q": Q12}
+
+    monkeypatch.setattr(forge, "_family_point", family_point)
+    with pytest.raises(SamplingExhausted, match="admissible series points"):
+        forge._sample_series_point(family_root_of_unity(3), ShiftVector(0, 3, 3, 0), None, n_tele=3)
+    assert len(drawn) == 500
 
 
 def test_eval_rational_function_examples():

@@ -447,6 +447,15 @@ def test_resume_is_pure_and_checked():
         phi21_numeric(p, tight, 120, first)
 
 
+def test_resume_from_a_foreign_state_is_a_mismatch():
+    # qpoch_infinite's state is four ints, and a result without a loop has none
+    p, _ = RESUMED["near-unit-x"]
+    with pytest.raises(ResumeMismatch):
+        phi21_numeric(p, 1e-12, 113, resume=qpoch_infinite(F(1, 3), F(1, 2), 1e-12))
+    with pytest.raises(ResumeMismatch):
+        phi21_numeric(p, 1e-12, 113, resume=SeriesValue(1, 1, True))
+
+
 SHIFTS = [(1, 2, 1, -1), (0, 3, 3, 0), (2, 2, 0, 2), (-1, 0, 2, -3)]
 FAMILIES = [family_qbinom2(), family_qgauss(), family_qkummer(), family_root_of_unity(3)]
 

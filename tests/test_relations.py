@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import os
@@ -29,6 +30,7 @@ from qforge.relations import (
     ShiftVector,
     ThreeTermRelation,
     contiguous_step,
+    draw_admissible,
     qr_derive,
     qr_lookup,
     rand_fraction,
@@ -126,6 +128,61 @@ def test_verify_relation_exhausted_sampling_is_typed(monkeypatch):
         verify_relation(qr_lookup((0, 2, 2, 0)), n_points=2)
 
 
+def test_verify_relation_budget_is_50_per_point(monkeypatch):
+    drawn = []
+
+    def degenerate(rng, shift):
+        drawn.append(shift)
+        raise ZeroDenominator("sampled point lies on the locus c = abx")
+
+    monkeypatch.setattr(relations, "sample_relation_point", degenerate)
+    with pytest.raises(SamplingExhausted, match="admissible residual points"):
+        verify_relation(qr_lookup((0, 2, 2, 0)), n_points=3)
+    assert len(drawn) == 50 * 3
+
+
+def test_draw_admissible_yields_count_results_and_skips():
+    script = iter([1, None, 2, "zero", 3, 4, 5])
+
+    def draw():
+        value = next(script)
+        if value == "zero":
+            raise ZeroDenominator("degenerate")
+        return value
+
+    assert list(draw_admissible(draw, 3, 10, "points")) == [1, 2, 3]
+    assert next(script) == 4  # nothing drawn after the third result
+    assert list(draw_admissible(draw, 0, 10, "points")) == []  # draws nothing
+    assert next(script) == 5
+
+
+def test_draw_admissible_raises_once_the_budget_is_spent():
+    drawn = []
+
+    def draw():
+        drawn.append(len(drawn))
+        return None if len(drawn) % 2 else len(drawn)
+
+    # 7 draws give 3 results, the fourth would need an eighth draw
+    with pytest.raises(SamplingExhausted, match="^could not sample admissible test points$"):
+        list(draw_admissible(draw, 4, 7, "test points"))
+    assert len(drawn) == 7
+    drawn.clear()
+    assert list(draw_admissible(draw, 3, 6, "test points")) == [2, 4, 6]
+    # an error other than a zero division is not a degenerate point
+    with pytest.raises(KeyError):
+        list(draw_admissible(lambda: {}["x"], 1, 5, "test points"))
+
+
+def test_sampling_exhausted_is_raised_only_by_the_sampler():
+    # one bounded sampling loop: a new hand-written loop raising
+    # SamplingExhausted fails here
+    src = Path(qforge.__file__).resolve().parent
+    sites = {f.name: f.read_text().count("raise SamplingExhausted") for f in src.glob("*.py")}
+    assert {name: n for name, n in sites.items() if n} == {"relations.py": 1}
+    assert "raise SamplingExhausted" in inspect.getsource(draw_admissible)
+
+
 def test_derived_relation_residuals():
     rel = qr_derive((1, 1, 2, 0))
     verify_relation(rel, n_points=20, tol=1e-10)
@@ -195,6 +252,20 @@ def test_series_check_draws_and_skips_as_pinned(monkeypatch):
     monkeypatch.setattr(relations, "rand_fraction", draw)
     assert relations._series_verify(shift, cleared, order, random.Random(5), points=5)
     assert [str(v) for v in drawn] == PINNED_DRAWS
+
+
+def test_series_check_budget_is_50_per_point(monkeypatch):
+    shift, cleared, order = _series_check_args((0, 1, 1, 0))
+    drawn = []
+
+    def degenerate(p, count):
+        drawn.append(p)
+        raise ZeroDenominator("denominator factor vanishes")
+
+    monkeypatch.setattr(relations, "_cleared_terms", degenerate)
+    with pytest.raises(SamplingExhausted, match="admissible verification points"):
+        relations._series_verify(shift, cleared, order, random.Random(5), points=3)
+    assert len(drawn) == 50 * 3
 
 
 DERIVE_REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "derive.json").read_text())
