@@ -16,7 +16,9 @@ radius rounded up and a divisor's rounded down.  An exact input that fits
 in prec bits carries err 0; otherwise each part floored to prec bits adds
 one unit, and a cyclotomic value adds a bound on its embedding's error.
 The integer kernel of qforge.qseries spells out the formulas of these
-primitives on local ints at a fixed scale and calls only _div.  mpmath
+primitives on local ints at a fixed scale: three per ball, calling _div,
+when a parameter is complex, and two (midpoint, radius) with _div written
+out when all are real, the same formulas at im = 0.  mpmath
 appears only in the views `val` and `err` (built exactly from the ints)
 and in the embedding of a cyclotomic value.
 """

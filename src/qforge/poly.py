@@ -305,6 +305,9 @@ class MultiPoly:
         return p.den == q.den and p.nums == q.nums
 
     def __hash__(self):
+        return self._cached("hash", self._hash)
+
+    def _hash(self) -> int:
         # == extends both sides to the union of their vars, so hash only
         # the variables that occur, and a constant as its value
         if self.is_const():

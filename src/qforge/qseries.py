@@ -10,12 +10,15 @@ of qforge.relations.
 
 The loops of phi21_numeric and qpoch_infinite spell out the formulas of
 the ball primitives of qforge.approx (_mul, _shift, _abs_up) on local
-Python ints, three per ball, and call only _div: the series is summed in
-fixed point as in Johansson, "Computing hypergeometric functions
-rigorously" (ACM TOMS 2019).  A differential test in tests/test_qseries.py
-checks them int for int against the same loops built from the
-primitives.  ApproxScalar appears only at their boundary: parameters in,
-one result out.
+Python ints: the series is summed in fixed point as in Johansson,
+"Computing hypergeometric functions rigorously" (ACM TOMS 2019).  When a
+parameter is complex a ball is three ints (re, im, rad) and the quotient
+calls _div; when all are real it is two (re, rad), as Arb keeps real
+balls apart from complex ones, and the quotient is written out too.  The
+real formulas are the complex ones at im = 0, so the ints are the same.
+A differential test in tests/test_qseries.py checks them int for int
+against the same loops built from the primitives.  ApproxScalar appears
+only at their boundary: parameters in, one result out.
 """
 
 from __future__ import annotations
@@ -122,6 +125,7 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
     # u = un 2**ue, rounded up, with un kept at wp bits
     un, ue = -(-(_bound(bq) << wp) // (one - qa)), -wp
     (br, bi, brad), (qr, qi, qrad) = bq, qb  # b q^m and q
+    cplx = b.cplx or qq.cplx
     q_abs = isqrt(qr * qr + qi * qi) + 1 if qi else abs(qr)
     re, im, rad, exp = 1, 0, 0, 0  # P_m = (re, im, rad) 2**exp
     for m in range(100 * prec + 1):
@@ -135,20 +139,25 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
             den = (1 << -ue) - un
             shift = exp - te
             if top << max(shift, 0) <= (tm * den) << max(-shift, 0):
-                return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, b.cplx or qq.cplx),
+                return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, cplx),
                                    m, False, (re, im, rad, exp))
-        # P_(m+1) = P_m (1 - b q^m) as approx._mul, shifted back to wp bits
-        # as approx._normalized; b q^(m+1) as approx._mul(_, _, wp)
+        # P_(m+1) = P_m (1 - b q^m) as approx._mul, b q^(m+1) as
+        # approx._mul(_, _, wp); real balls skip their zero imaginary parts
         fr = one - br
-        f_abs = isqrt(fr * fr + bi * bi) + 1 if bi else abs(fr)
-        re, im, rad = re * fr + im * bi, im * fr - re * bi, p_abs * brad + f_abs * rad + rad * brad
+        if cplx:
+            f_abs = isqrt(fr * fr + bi * bi) + 1 if bi else abs(fr)
+            re, im, rad = re * fr + im * bi, im * fr - re * bi, p_abs * brad + f_abs * rad + rad * brad
+            b_abs = isqrt(br * br + bi * bi) + 1 if bi else abs(br)
+            br, bi, brad = ((br * qr - bi * qi) >> wp, (br * qi + bi * qr) >> wp,
+                            2 - (-(b_abs * qrad + q_abs * brad + brad * qrad) >> wp))
+        else:
+            re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad
+            br, brad = br * qr >> wp, 2 - (-(abs(br) * qrad + q_abs * brad + brad * qrad) >> wp)
+        # P_(m+1) shifted back to wp bits as approx._normalized
         k = max(abs(re), abs(im), rad).bit_length() - wp
         exp -= wp
         if k > 0:
             re, im, rad, exp = re >> k, im >> k, 2 - (-rad >> k), exp + k
-        b_abs = isqrt(br * br + bi * bi) + 1 if bi else abs(br)
-        br, bi, brad = ((br * qr - bi * qi) >> wp, (br * qi + bi * qr) >> wp,
-                        2 - (-(b_abs * qrad + q_abs * brad + brad * qrad) >> wp))
         un = -(-un * qa >> wp)
     raise NoConvergence("qpoch_infinite failed to meet tolerance")
 
@@ -165,9 +174,13 @@ def _termination_exponent(v, q):
     For rationals v = vn / vd and q = qn / qd in lowest terms, v q^r = 1
     means vn qn^r = vd qd^r, so |vn| = qd^r and vd = |qn|^r: unless
     |q| is 0 or 1, one of qd, |qn| is at least 2 and gives the only
-    candidate r by its logarithm, which one exact power checks.  Other
-    values (cyclotomic ones, q in {0, 1, -1}) walk r = 0, 1, ..."""
+    candidate r by its logarithm, which one exact power checks.  At a
+    rational q an irrational v has no r, as v = q^-r would be rational.
+    Other values (cyclotomic ones, q in {0, 1, -1}) walk r = 0, 1, ..."""
     rv, rq = _ratio(v), _ratio(q)
+    if isinstance(v, ExactScalar) and not v.is_rational() and (
+            rq is not None or isinstance(q, ExactScalar) and q.is_rational()):
+        return None
     if rv is not None and rq is not None and abs(rq[0]) not in (0, rq[1]):
         (vn, vd), (qn, qd) = rv, rq
         base, power = (qd, abs(vn)) if qd > 1 else (abs(qn), vd)
@@ -299,7 +312,8 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
         _, (rm, rte), state = resume.state
         if tm << max(te - rte, 0) > rm << max(rte - te, 0):
             raise ResumeMismatch("resumed at a looser tol")
-    # u = q^i; each ball is three ints (real part, imaginary part, radius)
+    # u = q^i; each ball is three ints (real part, imaginary part, radius),
+    # the imaginary parts 0 throughout unless cplx
     i, (tr, ti, trad), (ur, ui, urad), (ar, ai, arad), (br, bi, brad), (cr, ci, crad), \
         (re, im, rad), pairs = state
     # |t| < tol (|total| + 1), in units of 2**-wp with tol >= tm 2**te; no
@@ -320,47 +334,66 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
                 raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
             break
         i += 1  # t_i from t_(i-1) by the recurrence of _terms
-        # each product below is approx._mul(_, _, wp) written out, each |v| _abs_up
-        u_abs = isqrt(ur * ur + ui * ui) + 1 if ui else abs(ur)
-        ur, ui, urad = ((ur * qr - ui * qi) >> wp, (ur * qi + ui * qr) >> wp,
-                        2 - (-(u_abs * qrad + q_abs * urad + urad * qrad) >> wp))
+        # each product below is approx._mul(_, _, wp) written out, each |v|
+        # _abs_up; real balls skip their zero imaginary parts
+        if cplx:
+            u_abs = isqrt(ur * ur + ui * ui) + 1 if ui else abs(ur)
+            ur, ui, urad = ((ur * qr - ui * qi) >> wp, (ur * qi + ui * qr) >> wp,
+                            2 - (-(u_abs * qrad + q_abs * urad + urad * qrad) >> wp))
+        else:
+            ur, urad = ur * qr >> wp, 2 - (-(abs(ur) * qrad + q_abs * urad + urad * qrad) >> wp)
         # the denominator factors 1 - q^i and 1 - c q^(i-1) must exclude 0
         dr, er = one - ur, one - cr
         if dr * dr + ui * ui <= urad * urad or er * er + ci * ci <= crad * crad:
             raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
-        # num = (1 - a q^(i-1)) (1 - b q^(i-1)) x
+        # num = (1 - a q^(i-1)) (1 - b q^(i-1)) x, then
+        # t_i = t_(i-1) num / ((1 - q^i) (1 - c q^(i-1))), then a q^i, b q^i, c q^i
         nr, mr = one - ar, one - br
-        n_abs = isqrt(nr * nr + ai * ai) + 1 if ai else abs(nr)
-        m_abs = isqrt(mr * mr + bi * bi) + 1 if bi else abs(mr)
-        nr, ni, nrad = ((nr * mr - ai * bi) >> wp, -(nr * bi + ai * mr) >> wp,
-                        2 - (-(n_abs * brad + m_abs * arad + arad * brad) >> wp))
-        n_abs = isqrt(nr * nr + ni * ni) + 1 if ni else abs(nr)
-        nr, ni, nrad = ((nr * xr - ni * xi) >> wp, (nr * xi + ni * xr) >> wp,
-                        2 - (-(n_abs * xrad + x_abs * nrad + nrad * xrad) >> wp))
-        # t_i = t_(i-1) num / ((1 - q^i) (1 - c q^(i-1)))
-        n_abs = isqrt(nr * nr + ni * ni) + 1 if ni else abs(nr)
-        tr, ti, trad = ((tr * nr - ti * ni) >> wp, (tr * ni + ti * nr) >> wp,
-                        2 - (-(t_abs * nrad + n_abs * trad + trad * nrad) >> wp))
-        d_abs = isqrt(dr * dr + ui * ui) + 1 if ui else abs(dr)
-        e_abs = isqrt(er * er + ci * ci) + 1 if ci else abs(er)
-        den = ((dr * er - ui * ci) >> wp, -(dr * ci + ui * er) >> wp,
-               2 - (-(d_abs * crad + e_abs * urad + urad * crad) >> wp))
-        try:
-            tr, ti, trad = _div((tr, ti, trad), den, wp)
-        except DivisionByZero:
-            raise ZeroDenominator("denominator not bounded away from zero") from None
-        # a q^i, b q^i, c q^i
-        a_abs = isqrt(ar * ar + ai * ai) + 1 if ai else abs(ar)
-        ar, ai, arad = ((ar * qr - ai * qi) >> wp, (ar * qi + ai * qr) >> wp,
-                        2 - (-(a_abs * qrad + q_abs * arad + arad * qrad) >> wp))
-        b_abs = isqrt(br * br + bi * bi) + 1 if bi else abs(br)
-        br, bi, brad = ((br * qr - bi * qi) >> wp, (br * qi + bi * qr) >> wp,
-                        2 - (-(b_abs * qrad + q_abs * brad + brad * qrad) >> wp))
-        c_abs = isqrt(cr * cr + ci * ci) + 1 if ci else abs(cr)
-        cr, ci, crad = ((cr * qr - ci * qi) >> wp, (cr * qi + ci * qr) >> wp,
-                        2 - (-(c_abs * qrad + q_abs * crad + crad * qrad) >> wp))
+        if cplx:
+            n_abs = isqrt(nr * nr + ai * ai) + 1 if ai else abs(nr)
+            m_abs = isqrt(mr * mr + bi * bi) + 1 if bi else abs(mr)
+            nr, ni, nrad = ((nr * mr - ai * bi) >> wp, -(nr * bi + ai * mr) >> wp,
+                            2 - (-(n_abs * brad + m_abs * arad + arad * brad) >> wp))
+            n_abs = isqrt(nr * nr + ni * ni) + 1 if ni else abs(nr)
+            nr, ni, nrad = ((nr * xr - ni * xi) >> wp, (nr * xi + ni * xr) >> wp,
+                            2 - (-(n_abs * xrad + x_abs * nrad + nrad * xrad) >> wp))
+            n_abs = isqrt(nr * nr + ni * ni) + 1 if ni else abs(nr)
+            tr, ti, trad = ((tr * nr - ti * ni) >> wp, (tr * ni + ti * nr) >> wp,
+                            2 - (-(t_abs * nrad + n_abs * trad + trad * nrad) >> wp))
+            d_abs = isqrt(dr * dr + ui * ui) + 1 if ui else abs(dr)
+            e_abs = isqrt(er * er + ci * ci) + 1 if ci else abs(er)
+            den = ((dr * er - ui * ci) >> wp, -(dr * ci + ui * er) >> wp,
+                   2 - (-(d_abs * crad + e_abs * urad + urad * crad) >> wp))
+            try:
+                tr, ti, trad = _div((tr, ti, trad), den, wp)
+            except DivisionByZero:
+                raise ZeroDenominator("denominator not bounded away from zero") from None
+            t_abs = isqrt(tr * tr + ti * ti) + 1 if ti else abs(tr)
+            a_abs = isqrt(ar * ar + ai * ai) + 1 if ai else abs(ar)
+            ar, ai, arad = ((ar * qr - ai * qi) >> wp, (ar * qi + ai * qr) >> wp,
+                            2 - (-(a_abs * qrad + q_abs * arad + arad * qrad) >> wp))
+            b_abs = isqrt(br * br + bi * bi) + 1 if bi else abs(br)
+            br, bi, brad = ((br * qr - bi * qi) >> wp, (br * qi + bi * qr) >> wp,
+                            2 - (-(b_abs * qrad + q_abs * brad + brad * qrad) >> wp))
+            c_abs = isqrt(cr * cr + ci * ci) + 1 if ci else abs(cr)
+            cr, ci, crad = ((cr * qr - ci * qi) >> wp, (cr * qi + ci * qr) >> wp,
+                            2 - (-(c_abs * qrad + q_abs * crad + crad * qrad) >> wp))
+        else:
+            nr, nrad = nr * mr >> wp, 2 - (-(abs(nr) * brad + abs(mr) * arad + arad * brad) >> wp)
+            nr, nrad = nr * xr >> wp, 2 - (-(abs(nr) * xrad + x_abs * nrad + nrad * xrad) >> wp)
+            tr, trad = tr * nr >> wp, 2 - (-(t_abs * nrad + abs(nr) * trad + trad * nrad) >> wp)
+            # the divisor's ball, then approx._div with a real quotient
+            yr, yrad = dr * er >> wp, 2 - (-(abs(dr) * crad + abs(er) * urad + urad * crad) >> wp)
+            low = abs(yr) - yrad
+            if low <= 0:
+                raise ZeroDenominator("denominator not bounded away from zero")
+            tr = (tr << wp) // yr
+            t_abs = abs(tr)
+            trad = 2 - (-((trad << wp) + (t_abs + 2) * yrad) // low)
+            ar, arad = ar * qr >> wp, 2 - (-(abs(ar) * qrad + q_abs * arad + arad * qrad) >> wp)
+            br, brad = br * qr >> wp, 2 - (-(abs(br) * qrad + q_abs * brad + brad * qrad) >> wp)
+            cr, crad = cr * qr >> wp, 2 - (-(abs(cr) * qrad + q_abs * crad + crad * qrad) >> wp)
         re, im, rad = re + tr, im + ti, rad + trad
-        t_abs = isqrt(tr * tr + ti * ti) + 1 if ti else abs(tr)
         s_abs = isqrt(re * re + im * im) + 1 if im else abs(re)
         if t_abs << left < tm * (s_abs + one):
             streak = streak[-2:] + ((t_abs, s_abs),)

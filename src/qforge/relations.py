@@ -47,7 +47,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import lcm
 from operator import mul, or_
 
@@ -236,16 +236,17 @@ def contiguous_step(axis: str, up: bool, p, q):
 _VARS = tuple(MultiPoly.var(s).extend(RELATION_VARS) for s in RELATION_VARS)
 
 
-def _step_factors(shift) -> set:
+@cache
+def _step_factors(shift: tuple) -> frozenset:
     """The canonical binomials 1 - A, 1 - B, q - C, 1 - y, C - ABqy, C - Aq
     and C - Bq at (A, B, C, y) = (aq^k, bq^l, cq^m, xq^n), each monomial an
-    exponent vector over RELATION_VARS."""
+    exponent vector over RELATION_VARS; built once per shift."""
     k, l, m, n = shift
     one, q = (0, 0, 0, 0, 0), (0, 0, 0, 1, 0)
     A, B, C, y = (1, 0, 0, k, 0), (0, 1, 0, l, 0), (0, 0, 1, m, 0), (0, 0, 0, n, 1)
     Aq, Bq = _mono(A, q), _mono(B, q)
-    return {_binomial(*pair) for pair in ((one, A), (one, B), (q, C), (one, y),
-                                           (C, _mono(A, Bq, y)), (C, Aq), (C, Bq))}
+    return frozenset(_binomial(*pair) for pair in ((one, A), (one, B), (q, C), (one, y),
+                                                  (C, _mono(A, Bq, y)), (C, Aq), (C, Bq)))
 
 
 def _mono(*exps) -> tuple:

@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -98,20 +100,30 @@ def test_bad_tol_is_refused_before_the_first_term(tol, monkeypatch):
 def test_verify_identity_sums_each_lhs_term_once(monkeypatch):
     # two rounds, of 451 and then 517 terms: the second continues the
     # first, so the kernel computes 517 terms and not 451 + 517
+    # a loop over real balls calls no function per term, so terms are
+    # counted as runs of the kernel loop's `i += 1` line
     terms, rounds = [], []
+    code = qseries.phi21_numeric.__code__
+    lines, first = inspect.getsourcelines(qseries.phi21_numeric)
+    step = first + next(n for n, line in enumerate(lines) if line.lstrip().startswith("i += 1"))
 
-    def counted(*args, _div=qseries._div):
-        terms.append(1)
-        return _div(*args)
+    def counted(frame, event, arg):
+        if event == "line" and frame.f_lineno == step:
+            terms.append(1)
+        return counted
 
     def round_(*args, _phi21=forge.phi21_numeric):
         series = _phi21(*args)
         rounds.append(series.terms_used)
         return series
 
-    monkeypatch.setattr(qseries, "_div", counted)
     monkeypatch.setattr(forge, "phi21_numeric", round_)
-    case = verify_identity("qbinom", {"a": F(64, 67), "x": F(17, 18), "q": Q12})
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: counted if frame.f_code is code else None)
+    try:
+        case = verify_identity("qbinom", {"a": F(64, 67), "x": F(17, 18), "q": Q12})
+    finally:
+        sys.settrace(before)
     assert case.status == "pass" and case.terms_used == 517
     assert rounds == [451, 517] and len(terms) == 517
 

@@ -133,7 +133,8 @@ def _termination_walk(a, b, q):
 def test_detect_termination_matches_the_walk():
     # rational q of either sign, |q| above and below 1, q in {0, 1, -1},
     # rational ExactScalars (order 1, and order 3 with a rational value),
-    # and cyclotomic q; a and b with r in {0, 1, 64, 65} and with no r
+    # and cyclotomic q; a and b with r in {0, 1, 64, 65} and with no r,
+    # irrational ones (Z3 * 2/3, -Z4 / 2) among them
     rational_3 = ExactScalar(3, [F(-2, 5), 0])
     qs = [F(1, 2), F(-1, 2), F(2, 3), F(-3, 2), F(7), F(-1, 7), F(1000, 1001), 3, F(0), F(1), F(-1),
           ExactScalar.from_rational(F(-2, 5)), rational_3, Z3, -Z3 / 2, Z4 * F(3, 4)]
@@ -141,7 +142,8 @@ def test_detect_termination_matches_the_walk():
         base = q if isinstance(q, ExactScalar) else F(q)
         powers = [base**-r for r in (0, 1, 64, 65)] if q != 0 else [F(1)] * 4
         values = [*powers, *(-v for v in powers), powers[-2] * (1 + F(1, 10**20)),
-                  F(5, 7), F(0), ExactScalar.from_rational(powers[1]) if not isinstance(q, ExactScalar) else Z3]
+                  F(5, 7), F(0), ExactScalar.from_rational(powers[1]) if not isinstance(q, ExactScalar) else Z3,
+                  Z3 * F(2, 3), -Z4 / 2]
         for a in values:
             for b in (F(5, 7), powers[1], powers[-2]):
                 assert detect_termination(a, b, q) == _termination_walk(a, b, q), (a, b, q)
@@ -630,14 +632,36 @@ def test_phi21_numeric_kernel_matches_approx_sum(point, tol):
         assert abs(got.value.val - want.val) <= got.value.err + want.err
 
 
-@pytest.mark.parametrize("base, q, tol", [
-    (F(1, 2), F(1, 2), 1e-12),
-    (F(9, 10), F(99, 100), 1e-40),
-    (Z3 / 3, F(1, 2), 1e-20),
-    (F(2, 3), Z4 * F(3, 4), 1e-20),
-], ids=["qq", "slow", "complex-base", "complex-q"])
-def test_qpoch_infinite_matches_the_primitive_loop(base, q, tol):
-    assert _exact_fields(qpoch_infinite(base, q, tol)) == _exact_fields(_primitive_qpoch(base, q, tol))
+# real points at prec 128, the precision of relations.verify_relation, each
+# with its tols: the last one resumed over two
+AT_128 = {
+    "non-terminating": (Phi21Params(F(2, 3), F(-5, 4), F(1, 7), F(19, 20), F(9, 10)), (1e-30,)),
+    "negative-q": (Phi21Params(F(7, 3), F(1, 5), F(-6, 7), F(-1, 2), F(-2, 3)), (1e-25,)),
+    "terminating": (Phi21Params(F(8), F(3, 10), F(1, 5), Q, F(5, 3)), (1e-20,)),
+    "resumed": (Phi21Params(F(64, 67), F(0), F(0), Q, F(17, 18)), (1e-12, 1e-30)),
+}
+
+
+@pytest.mark.parametrize("point, tols", AT_128.values(), ids=list(AT_128))
+def test_real_kernel_matches_the_primitive_loop_at_prec_128(point, tols):
+    series, reference = None, None
+    for tol in tols:
+        series = phi21_numeric(point, tol, 128, series)
+        reference = _primitive_phi21(point, tol, 128, reference)
+        assert _exact_fields(series) == _exact_fields(reference)
+    assert not series.value.cplx and series.value.prec == 128
+    assert series.terminated == (point == AT_128["terminating"][0])
+
+
+@pytest.mark.parametrize("base, q, tol, prec", [
+    (F(1, 2), F(1, 2), 1e-12, 113),
+    (F(9, 10), F(99, 100), 1e-40, 113),
+    (Z3 / 3, F(1, 2), 1e-20, 113),
+    (F(2, 3), Z4 * F(3, 4), 1e-20, 113),
+    (F(-7, 3), F(-5, 6), 1e-55, 200),
+], ids=["qq", "slow", "complex-base", "complex-q", "real-prec-200"])
+def test_qpoch_infinite_matches_the_primitive_loop(base, q, tol, prec):
+    assert _exact_fields(qpoch_infinite(base, q, tol, prec)) == _exact_fields(_primitive_qpoch(base, q, tol, prec))
 
 
 def test_kernel_loops_do_no_approx_arithmetic(monkeypatch):
@@ -659,6 +683,18 @@ def test_kernel_loops_do_no_approx_arithmetic(monkeypatch):
     (short, n0), (long, n1), (short_product, n2), (long_product, n3) = counts
     assert short < 30 and long >= 200 and short_product < 50 and long_product >= 200
     assert n0 == n1 and n2 == n3
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_divisor_not_bounded_away_from_zero(cplx):
+    # 1 - q and 1 - c are 2**-68, 2**69 units each, so their product is 2
+    # units with a radius of 3: each factor excludes 0, the divisor does not
+    c = 1 - F(1, 2**68)
+    p = Phi21Params(F(1, 3), F(1, 5), c, c, Z4 / 3 if cplx else F(1, 3))
+    assert p.as_numeric().x.cplx == cplx
+    for call in (phi21_numeric, _primitive_phi21):
+        with pytest.raises(ZeroDenominator, match="denominator not bounded away from zero"):
+            call(p, 1e-12)
 
 
 def test_phi21_numeric_zero_denominator():
