@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .approx import ApproxScalar, default_precision, set_default_precision
 from .closedform import closed_form_eval
 from .exact import ExactScalar, format_scalar, parse_scalar
-from .families import ParamFamily, shift_params, solution_families
+from .families import ParamFamily, solution_families
 from .forge import (
     IdentityRecord,
     PipelineRun,
@@ -55,6 +55,6 @@ __all__ = [
     "format_scalar", "from_lambda",
     "load_registry", "orbit_enumerate", "parse_scalar", "phi21_exact", "phi21_numeric",
     "product_R", "qpoch_finite", "qpoch_infinite", "qr_derive", "qr_lookup",
-    "relation_residual", "set_default_precision", "shift_params", "solution_families",
+    "relation_residual", "set_default_precision", "solution_families",
     "sv5_cauchy_check", "telescoped_check", "to_lambda", "verify_identity",
 ]

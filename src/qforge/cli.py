@@ -19,6 +19,7 @@ from .exact import parse_scalar
 from .families import solution_families
 from .forge import (
     _scalar_text,
+    _verify_checked,
     check_constraints,
     conjecture_check,
     default_registry,
@@ -131,7 +132,9 @@ def _run_verify(opts: dict) -> ReportDocument:
     grid = _parse_grid(opts["grid"]) if opts.get("grid") else {}
     fixed = _parse_assignments(opts.get("set"))
     qs = [parse_scalar(t) for t in (opts.get("q") or "1/2").split(",")]
-    n_points = opts.get("points") or 0
+    n_points = opts.get("points")
+    if n_points is not None and n_points < 1:
+        raise ValueError(f"--points must be at least 1, not {n_points}")
 
     free_rest = [s for s in record.free if s not in grid and s not in fixed]
     if free_rest and not n_points:
@@ -148,29 +151,29 @@ def _run_verify(opts: dict) -> ReportDocument:
             base["q"] = qv.as_rational() if qv.is_rational() else qv
             if free_rest:
                 for _ in range(n_points):
-                    bindings = _sample_bindings(record, base, free_rest, rng)
-                    report.cases.append(_verify_one(identity, bindings, tol, registry))
+                    bindings, probed = _sample_bindings(record, base, free_rest, rng)
+                    report.cases.append(_verify_one(bindings, _verify_checked, record, bindings, probed, tol))
             else:
-                report.cases.append(_verify_one(identity, base, tol, registry))
+                report.cases.append(_verify_one(base, verify_identity, identity, base, tol, registry))
     return report
 
 
-def _sample_bindings(record, base: dict, free_rest, rng) -> dict:
+def _sample_bindings(record, base: dict, free_rest, rng) -> tuple:
+    """Bindings that pass check_constraints, and what it returned."""
     def draw():
         bindings = {**base, **{s: rand_fraction_wide(rng) for s in free_rest}}
         try:
-            check_constraints(record, bindings)
+            return bindings, check_constraints(record, bindings)
         except ConstraintViolated:
             return None
-        return bindings
 
     return next(draw_admissible(draw, 1, 500, f"bindings for {record.id}"))
 
 
-def _verify_one(identity: str, bindings: dict, tol: float, registry) -> dict:
+def _verify_one(bindings: dict, verify, *args) -> dict:
+    """The case of verify(*args) at bindings; an engine failure is an error case."""
     try:
-        case = verify_identity(identity, bindings, tol, registry)
-        return case.to_json()
+        return verify(*args).to_json()
     except QForgeError as exc:
         return _case_from_exception(exc, bindings)
 

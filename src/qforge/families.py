@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from .errors import DegenerateFamily
 from .exact import ExactScalar
 from .poly import RationalFunction
-from .qseries import Phi21Params
 from .relations import ShiftVector
 
 PARAM_KEYS = ("a", "b", "c", "x")
@@ -49,17 +48,6 @@ class ParamFamily:
         full = dict(self.fixed_bindings)
         full.update(point)
         return {k: self.assignment[k].eval(full) for k in PARAM_KEYS}
-
-
-def shift_params(fam: ParamFamily, shift, step: int) -> ParamFamily:
-    """Compose a family with (a,b,c,x) -> (a*q^(k(step-1)), ...)."""
-    shift = ShiftVector.coerce(shift)
-    if step < 1:
-        raise ValueError("step must be a positive integer")
-    p = Phi21Params(q=RationalFunction.var("q"), **fam.assignment)
-    p = p.shifted(shift.as_tuple(), step - 1)
-    return ParamFamily(fam.name, fam.free_symbols, {k: getattr(p, k) for k in PARAM_KEYS},
-                       fam.fixed_bindings)
 
 
 def _rf(sym: str) -> RationalFunction:

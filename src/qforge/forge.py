@@ -9,6 +9,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 
@@ -228,14 +229,10 @@ def load_registry(path: str | None = None) -> dict[str, IdentityRecord]:
         return _parse_registry(json.load(fh))
 
 
-_DEFAULT_REGISTRY: dict | None = None
-
-
+@cache
 def default_registry() -> dict[str, IdentityRecord]:
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = load_registry()
-    return _DEFAULT_REGISTRY
+    """The built-in registry, loaded once."""
+    return load_registry()
 
 
 # -- constraints ---------------------------------------------------------------------
@@ -363,9 +360,14 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
     UnreachableTolerance for a tol not positive and finite or below the
     rounding error at prec bits; evaluation errors propagate.
     """
-    registry = registry or default_registry()
-    record = registry[identity_id]
-    probed = check_constraints(record, bindings)
+    record = (registry or default_registry())[identity_id]
+    return _verify_checked(record, bindings, check_constraints(record, bindings), tol, prec)
+
+
+def _verify_checked(record: IdentityRecord, bindings: dict, probed: SeriesValue | None,
+                    tol: float, prec: int | None = None) -> VerifyCase:
+    """verify_identity at bindings that passed check_constraints, which
+    returned `probed`."""
     mode = record.mode
     lhs = _lhs_params(record, bindings)
     if mode == "exact":
@@ -373,7 +375,7 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
         rhs = closed_form_eval(record.rhs, bindings, "exact", 0)
         ok = (series.value - rhs).is_zero()
         return VerifyCase(
-            identity_id, bindings, mode, "pass" if ok else "fail",
+            record.id, bindings, mode, "pass" if ok else "fail",
             lhs=format_scalar(series.value), rhs=format_scalar(rhs),
             abs_err=0.0 if ok else None, terms_used=series.terms_used,
         )
@@ -402,7 +404,7 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
         inner = inner * mpmath.mpf(tol) / (4 * budget)
     ok = bool(budget <= tol)
     return VerifyCase(
-        identity_id, bindings, mode, "pass" if ok else "fail",
+        record.id, bindings, mode, "pass" if ok else "fail",
         lhs=_scalar_text(series.value), rhs=_scalar_text(rhs),
         abs_err=float(diff), terms_used=series.terms_used,
     )
@@ -423,7 +425,9 @@ def _relation_for(shift: ShiftVector, relation: ThreeTermRelation | None) -> Thr
 def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
                  seed: int = DEFAULT_SEED, relation: ThreeTermRelation | None = None) -> bool:
     """True iff Q^(N) vanishes exactly at `trials` random rational
-    bindings for every N = 1..n_max."""
+    bindings for every N = 1..n_max; ValueError unless both are >= 1."""
+    if trials < 1 or n_max < 1:
+        raise ValueError(f"check_family needs trials >= 1 and n_max >= 1, not {trials} and {n_max}")
     shift = ShiftVector.coerce(shift)
     rel = _relation_for(shift, relation)
     rng = random.Random(seed)
@@ -515,7 +519,10 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
                      prec: int | None = None) -> PipelineRun:
     """Check phi(base) = (1 / prod R^(i)) * phi(step-N params) for each
     N <= n_max; exact equality in exact mode, residual <= tol numerically.
+    ValueError unless n_max >= 1.
     """
+    if n_max < 1:
+        raise ValueError(f"telescoped_check needs n_max >= 1, not {n_max}")
     shift = ShiftVector.coerce(shift)
     rel = _relation_for(shift, relation)
     run = PipelineRun(shift, fam.name, n_max, point, mode)
@@ -665,20 +672,6 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
         return ok, f"checked {[fam.name]} with N_max={n_max}, trials={trials}"
 
     run_step("family_check", family_step)
-
-    if pattern == "sum_zero":
-        def locus_step():
-            # the qgauss family's x is the locus x = c/(ab)
-            def draw():
-                pt = _family_point(fam, rng)
-                return pt, rel.Q.eval(vars(_family_params(fam, pt)))
-
-            for pt, value in draw_admissible(draw, trials, 10 * trials, "locus points"):
-                if value != 0:
-                    return False, f"Q nonzero on locus at {pt}"
-            return True, f"Q vanishes on x=c/(ab) at {trials} points"
-
-        run_step("locus_factor", locus_step)
 
     if pattern in ("lln_even", "sum_zero"):
         ident = "qbinom2" if pattern == "lln_even" else "qgauss"

@@ -121,6 +121,7 @@ def _rf_vars():
     return tuple(RationalFunction.var(s) for s in ("a", "b", "c", "q", "x"))
 
 
+@cache
 def _table() -> dict[tuple[int, int, int, int], tuple[RationalFunction, RationalFunction]]:
     a, b, c, q, x = _rf_vars()
     t: dict = {}
@@ -156,21 +157,16 @@ def _table() -> dict[tuple[int, int, int, int], tuple[RationalFunction, Rational
     return t
 
 
-_TABLE_CACHE: dict | None = None
 TABLE_SHIFTS = ((0, 0, 0, 2), (0, 1, 1, 0), (0, 2, 2, 0), (1, 2, 1, -1), (0, 3, 3, 0))
 
 
 def qr_lookup(shift) -> ThreeTermRelation:
     """The transcribed (Q, R) pair for one of the five tabulated shifts."""
-    global _TABLE_CACHE
     shift = ShiftVector.coerce(shift)
-    if _TABLE_CACHE is None:
-        _TABLE_CACHE = _table()
-    key = shift.as_tuple()
-    if key not in _TABLE_CACHE:
+    pair = _table().get(shift.as_tuple())
+    if pair is None:
         raise NotInTable(f"no transcribed pair for shift {shift}")
-    Q, R = _TABLE_CACHE[key]
-    return ThreeTermRelation(shift, Q, R)
+    return ThreeTermRelation(shift, *pair)
 
 
 # -- the contiguous-step ladder ----------------------------------------------------

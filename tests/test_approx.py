@@ -9,6 +9,7 @@ the independence from mpmath's global context, and copying.
 """
 
 import copy
+import math
 import operator
 import pickle
 from fractions import Fraction as F
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from qforge.approx import ApproxScalar
+from qforge.approx import ApproxScalar, _div
 from qforge.errors import DivisionByZero
 from qforge.exact import ExactScalar
 
@@ -215,6 +216,51 @@ def test_zero_results_and_zero_divisors(x):
         1 / diff
     with pytest.raises(DivisionByZero):
         diff**-1
+
+
+def _div_reference(x, y, s):
+    """The ball of approx._div in Fractions: the quotient's parts floored,
+    its radius (rx 2**s + (|re + i im| + 2) ry) / (|y| - ry) rounded up,
+    plus two units; |re + i im| and |y| rounded as the kernel rounds them."""
+    (xr, xi, xe), (yr, yi, ye) = x, y
+    re, im = (math.floor(v * 2**s) for v in c_div((F(xr), F(xi)), (F(yr), F(yi))))
+    mag = math.isqrt(re * re + im * im) + 1 if im else abs(re)
+    low = (math.isqrt(yr * yr + yi * yi) if yi else abs(yr)) - ye
+    return re, im, math.ceil(F(xe * 2**s + (mag + 2) * ye, low)) + 2
+
+
+# divisors with radius close to |y| (|y| - ry of 1 or 2 units), where the
+# quotient's radius is many units and each term of its formula shows
+NEAR_ZERO_DIVISORS = {
+    "real": ((7, 0, 0), (5, 0, 4), 8),
+    "real-negative": ((-1000, 0, 3), (-9, 0, 7), 4),
+    "complex": ((3, -2, 1), (3, 4, 4), 6),
+    "complex-inexact-norm": ((-5, 11, 2), (6, -7, 8), 10),
+}
+
+
+@pytest.mark.parametrize("x, y, s", NEAR_ZERO_DIVISORS.values(), ids=list(NEAR_ZERO_DIVISORS))
+def test_div_radius_near_a_vanishing_divisor(x, y, s):
+    got = _div(x, y, s)
+    assert got == _div_reference(x, y, s)
+    # and the ball holds x / y for divisors y t in y's ball at either end
+    # of it along y (|y| rounded up keeps them inside)
+    re, im, rad = got
+    (xr, xi, xe), (yr, yi, ye) = x, y
+    mod = math.isqrt(yr * yr + yi * yi)
+    mod += mod * mod < yr * yr + yi * yi
+    for t in (1 - F(ye, mod), 1 + F(ye, mod)):
+        for dx in ((0, 0),) if not xe else ((xe, 0), (-xe, 0), (0, xe), (0, -xe)):
+            qr, qi = c_div((F(xr + dx[0]), F(xi + dx[1])), (yr * t, yi * t))
+            assert (qr * 2**s - re) ** 2 + (qi * 2**s - im) ** 2 <= rad**2
+
+
+@pytest.mark.parametrize("y", [(5, 0, 5), (-2, 0, 2), (3, 4, 5), (3, 4, 6)],
+                         ids=["real", "real-negative", "complex", "complex-beyond"])
+def test_div_by_a_ball_reaching_zero(y):
+    # |y| - ry = 0 (or below) is a typed error, never a bare ZeroDivisionError
+    with pytest.raises(DivisionByZero, match="not bounded away from zero"):
+        _div((1, 1, 0), y, 8)
 
 
 def fields(x):

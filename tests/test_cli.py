@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from qforge import approx, cli
+import qforge
+from qforge import approx, cli, forge
 from qforge.cli import ReportDocument, build_parser, main
 from qforge.forge import build_default_registry, default_registry, load_registry
 
@@ -159,6 +163,71 @@ def test_verify_sampling_budget_is_500_per_point(capsys, monkeypatch):
                  "--set", "a=1/4"]) == 2
     assert "could not sample admissible bindings for qkummer" in capsys.readouterr().err
     assert len(checked) == 500
+
+
+def test_verify_points_checks_each_binding_once(capsys, monkeypatch):
+    # the sampler's check of a binding is the one verify evaluates after,
+    # and a terminating record's probe is the lhs it compares
+    checked, sums, draws = [], [], []
+    real_check, real_exact, real_draw = forge.check_constraints, forge.phi21_exact, cli.rand_fraction_wide
+
+    def check_constraints(record, bindings):
+        checked.append(tuple(sorted(bindings.items())))
+        return real_check(record, bindings)
+
+    monkeypatch.setattr(cli, "check_constraints", check_constraints)
+    monkeypatch.setattr(forge, "check_constraints", check_constraints)
+    monkeypatch.setattr(forge, "phi21_exact", lambda p: sums.append(p) or real_exact(p))
+    monkeypatch.setattr(cli, "rand_fraction_wide", lambda rng: draws.append(1) or real_draw(rng))
+    code, out = run_cli(capsys, "verify", "--identity", "qgauss", "--points", "25", "--q", "1/2", "--seed", "1")
+    assert code == 0 and json.loads(out)["summary"]["passed"] == 25
+    assert len(checked) == len(set(checked)) == len(draws) // 3 > 25  # rejected draws too
+    checked.clear()
+    code, out = run_cli(capsys, "verify", "--identity", "sv5", "--set", "N=3", "--points", "4", "--q", "1/2")
+    assert code == 0 and json.loads(out)["summary"]["passed"] == 4
+    assert len(checked) == len(set(checked)) == len(sums) == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--identity", "qkummer", "--points", "-3", "--q", "1/2"], "--points must be at least 1, not -3"),
+    (["verify", "--identity", "qkummer", "--points", "0", "--q", "1/2"], "--points must be at least 1, not 0"),
+    (["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0", "--trials", "0"],
+     "check_family needs trials >= 1 and n_max >= 1, not 0 and 4"),
+    (["pipeline", "--shift", "0,1,1,0", "--point", "a=1/3", "--point", "b=1/5", "--point", "c=1/30",
+      "--point", "q=1/2", "--n-max", "0"], "telescoped_check needs n_max >= 1, not 0"),
+], ids=["verify-points-negative", "verify-points-zero", "conjecture-trials-zero", "pipeline-n-max-zero"])
+def test_counts_below_one_exit_2(capsys, argv, message):
+    # each used to pass with nothing checked
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"ValueError: {message}" in captured.err
+
+
+def test_commands_never_import_sympy():
+    code = """
+import contextlib
+import io
+import sys
+from qforge.cli import main
+
+point = ["--point", "a=1/3", "--point", "b=1/5", "--point", "c=1/30", "--point", "q=1/2"]
+commands = [
+    ["derive", "--shift", "0,1,1,0"],
+    ["derive", "--shift", "0,1,1,0", "--check-against-table"],
+    ["normalize", "--shift", "0,0,0,2"],
+    ["verify", "--identity", "sv1", "--grid", "M=0..2,N=0..2", "--q", "1/2"],
+    ["verify", "--identity", "qgauss", "--points", "3", "--q", "1/2"],
+    ["pipeline", "--shift", "0,1,1,0", *point, "--n-max", "3"],
+    ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0", "--trials", "3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+print(codes, "sympy" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(qforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] False"
 
 
 @pytest.mark.parametrize("value", ["abc", "32"])

@@ -10,10 +10,10 @@ from qforge.families import (
     family_qgauss,
     family_qkummer,
     family_root_of_unity,
-    shift_params,
     solution_families,
 )
 from qforge.poly import RationalFunction as RF
+from qforge.qseries import Phi21Params
 
 A, B, C, Q, X = (RF.var(s) for s in "abcqx")
 
@@ -57,28 +57,31 @@ def test_remark2_exclusions():
         ParamFamily("bad", ("a", "b"), {"a": A, "b": B, "c": zero, "x": zero})
 
 
+def _at_step(fam, shift, step):
+    """The family's parameters at step `step` of the shift: moved step - 1 times."""
+    return Phi21Params(q=Q, **fam.assignment).shifted(shift, step - 1)
+
+
 def test_shift_params_step_one_is_identity():
     fam = family_qkummer()
-    out = shift_params(fam, (1, 2, 1, -1), 1)
-    assert all(out.assignment[k] == fam.assignment[k] for k in "abcx")
+    out = _at_step(fam, (1, 2, 1, -1), 1)
+    assert all(getattr(out, k) == fam.assignment[k] for k in "abcx")
 
 
 def test_shift_params_kummer_step_two():
-    fam = family_qkummer()
-    out = shift_params(fam, (1, 2, 1, -1), 2)
-    assert out.assignment["a"] == A * Q
-    assert out.assignment["b"] == B * Q**2
-    assert out.assignment["c"] == B * Q**2 / A
-    assert out.assignment["x"] == -1 / A
+    out = _at_step(family_qkummer(), (1, 2, 1, -1), 2)
+    assert out.a == A * Q
+    assert out.b == B * Q**2
+    assert out.c == B * Q**2 / A
+    assert out.x == -1 / A
 
 
 def test_shift_params_qbinom2_step_three():
-    fam = family_qbinom2()
-    out = shift_params(fam, (0, 0, 0, 2), 3)
-    assert out.assignment["a"] == A
-    assert out.assignment["b"] == -A
-    assert out.assignment["c"] == -Q
-    assert out.assignment["x"] == X * Q**4
+    out = _at_step(family_qbinom2(), (0, 0, 0, 2), 3)
+    assert out.a == A
+    assert out.b == -A
+    assert out.c == -Q
+    assert out.x == X * Q**4
 
 
 def test_param_values_with_fixed_root():

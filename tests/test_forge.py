@@ -30,7 +30,7 @@ from qforge.forge import (
 )
 from qforge.poly import RationalFunction as RF
 from qforge.qseries import Phi21Params, phi21_numeric, qpoch_finite, qpoch_infinite
-from qforge.relations import ShiftVector, ThreeTermRelation, qr_derive
+from qforge.relations import ShiftVector, ThreeTermRelation, qr_derive, qr_lookup
 
 Q12 = F(1, 2)
 Z3 = ExactScalar.zeta(3)
@@ -216,9 +216,16 @@ def test_telescoped_exact_kummer_terminating():
 
 
 def test_telescoped_n_max_zero():
-    run = telescoped_check((0, 1, 1, 0), family_qgauss(), 0,
-                           {"a": F(1, 3), "b": F(1, 5), "c": F(1, 30), "q": Q12})
-    assert run.passed and run.steps == []
+    # a run of no steps would pass without checking anything
+    with pytest.raises(ValueError, match="n_max >= 1, not 0"):
+        telescoped_check((0, 1, 1, 0), family_qgauss(), 0,
+                         {"a": F(1, 3), "b": F(1, 5), "c": F(1, 30), "q": Q12})
+
+
+@pytest.mark.parametrize("n_max, trials", [(0, 20), (4, 0), (-1, -1)])
+def test_check_family_needs_a_point_and_a_step(n_max, trials):
+    with pytest.raises(ValueError, match=f"not {trials} and {n_max}$"):
+        check_family((0, 1, 1, 0), family_qgauss(), n_max=n_max, trials=trials)
 
 
 def test_pipeline_run_json():
@@ -293,7 +300,21 @@ def test_conjecture_propagates_programming_errors(monkeypatch):
 def test_conjecture_sum_zero():
     rep = conjecture_check("sum_zero", (1, 1, 2, 0), trials=10)
     assert rep.passed
-    assert any(s.name == "locus_factor" for s in rep.steps)
+    assert [s.name for s in rep.steps] == ["derive_relation", "family_check", "telescoping"]
+
+
+def test_family_check_carries_the_locus_claim(monkeypatch):
+    # sum_zero's family is the locus x = c/(ab); the Q of (0,0,0,2) does
+    # not vanish on it, and its N = 1 round is the claim that Q does
+    table = qr_lookup((0, 0, 0, 2))
+    a, b, c = (RF.var(s) for s in "abc")
+    assert not table.Q.subs({"x": c / (a * b)}).is_zero()
+    rel = ThreeTermRelation(ShiftVector(1, 1, 2, 0), table.Q, table.R)
+    assert not check_family((1, 1, 2, 0), family_qgauss(), n_max=1, trials=3, relation=rel)
+    monkeypatch.setattr(forge, "qr_derive", lambda shift: rel)
+    rep = conjecture_check("sum_zero", (1, 1, 2, 0), trials=3, n_max=1)
+    assert [(s.name, s.status) for s in rep.steps[:2]] == [("derive_relation", "pass"), ("family_check", "fail")]
+    assert not rep.passed
 
 
 def test_degenerate_family_paths():
@@ -329,17 +350,6 @@ def test_check_family_budget_is_10_per_trial():
     assert q.calls == 10 * 3
 
 
-def test_locus_step_budget_is_10_per_trial(monkeypatch):
-    q = _Degenerate()
-    rel = ThreeTermRelation(ShiftVector(1, 1, 2, 0), q, _Degenerate())
-    monkeypatch.setattr(forge, "qr_derive", lambda shift: rel)
-    monkeypatch.setattr(forge, "check_family", lambda *args, **kwargs: True)
-    rep = conjecture_check("sum_zero", (1, 1, 2, 0), trials=3, n_max=1)
-    locus = next(s for s in rep.steps if s.name == "locus_factor")
-    assert (locus.status, locus.detail) == ("error", "SamplingExhausted: could not sample admissible locus points")
-    assert q.calls == 10 * 3
-
-
 def test_series_point_budget_is_500(monkeypatch):
     # x = 1 is never inside the disk |x| < 9/10
     drawn = []
@@ -355,8 +365,6 @@ def test_series_point_budget_is_500(monkeypatch):
 
 
 def test_eval_rational_function_examples():
-    from qforge.relations import qr_lookup
-
     assert RF.const(1).eval({}) == 1
     rel = qr_lookup((0, 1, 1, 0))
     pt = {"a": F(2), "b": F(3), "c": F(5), "x": F(7), "q": F(11)}

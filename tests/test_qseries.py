@@ -685,16 +685,35 @@ def test_kernel_loops_do_no_approx_arithmetic(monkeypatch):
     assert n0 == n1 and n2 == n3
 
 
+# 2**69 units of 2**-137 (prec 113) below 1
+NEAR_UNIT_Q = 1 - F(1, 2**68)
+
+
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 def test_divisor_not_bounded_away_from_zero(cplx):
     # 1 - q and 1 - c are 2**-68, 2**69 units each, so their product is 2
-    # units with a radius of 3: each factor excludes 0, the divisor does not
-    c = 1 - F(1, 2**68)
-    p = Phi21Params(F(1, 3), F(1, 5), c, c, Z4 / 3 if cplx else F(1, 3))
-    assert p.as_numeric().x.cplx == cplx
-    for call in (phi21_numeric, _primitive_phi21):
-        with pytest.raises(ZeroDenominator, match="denominator not bounded away from zero"):
-            call(p, 1e-12)
+    # units with a radius of 3: each factor excludes 0, the divisor does
+    # not; with 1 - c = 3 2**-69 the product is 3 units, |y| - ry = 0
+    # exactly, and the error is still typed, not a bare ZeroDivisionError
+    q = NEAR_UNIT_Q
+    for c in (q, 1 - F(3, 2**69)):
+        p = Phi21Params(F(1, 3), F(1, 5), c, q, Z4 / 3 if cplx else F(1, 3))
+        assert p.as_numeric().x.cplx == cplx
+        for call in (phi21_numeric, _primitive_phi21):
+            with pytest.raises(ZeroDenominator, match="denominator not bounded away from zero"):
+                call(p, 1e-12, 113)
+
+
+@pytest.mark.parametrize("c", [1 - F(1, 2**67), 1 - F(5, 2**69)], ids=["low-1", "low-2"])
+def test_quotient_radius_near_a_vanishing_divisor(c):
+    # b = 1/q ends the series at t_1, whose divisor (1 - q)(1 - c) is 4 or
+    # 5 units with a radius of 3, so the floor's + 2 ry / (|y| - ry) in the
+    # radius of t_1 is several units; the real loop writes approx._div
+    # out, so its ints are those of the primitive loop (test_approx pins _div)
+    p = Phi21Params(F(1, 3), 1 / NEAR_UNIT_Q, c, NEAR_UNIT_Q, F(1, 3))
+    series = phi21_numeric(p, 1e-12, 113)
+    assert series.terminated and series.terms_used == 2 and not series.value.cplx
+    assert _exact_fields(series) == _exact_fields(_primitive_phi21(p, 1e-12, 113))
 
 
 def test_phi21_numeric_zero_denominator():
