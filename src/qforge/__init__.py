@@ -38,7 +38,6 @@ from .relations import (
 )
 from .symmetry import (
     FullPoint,
-    LambdaVector,
     apply_generator,
     canonical_representative,
     from_lambda,
@@ -47,7 +46,7 @@ from .symmetry import (
 )
 
 __all__ = [
-    "ApproxScalar", "ExactScalar", "FullPoint", "IdentityRecord", "LambdaVector",
+    "ApproxScalar", "ExactScalar", "FullPoint", "IdentityRecord",
     "MultiPoly", "ParamFamily", "Phi21Params", "PipelineRun", "RationalFunction",
     "SeriesValue", "ShiftVector", "ThreeTermRelation",
     "apply_generator", "canonical_representative", "check_family", "closed_form_eval",

@@ -93,17 +93,25 @@ def _parse_grid(text: str) -> dict[str, range]:
         lo, _, hi = rng.partition("..")
         if not sym or not hi:
             raise ValueError(f"bad grid component {part!r}; want sym=lo..hi")
-        out[sym.strip()] = range(int(lo), int(hi) + 1)
+        sym, values = sym.strip(), range(int(lo), int(hi) + 1)
+        if sym in out:
+            raise ValueError(f"--grid binds {sym} twice")
+        if not values:
+            raise ValueError(f"--grid range {part!r} is empty")
+        out[sym] = values
     return out
 
 
-def _parse_assignments(items) -> dict:
+def _parse_assignments(items, option: str) -> dict:
     out = {}
     for item in items or []:
         sym, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"bad assignment {item!r}; want sym=value")
-        out[sym.strip()] = parse_scalar(value.strip())
+        sym = sym.strip()
+        if sym in out:
+            raise ValueError(f"{option} binds {sym} twice")
+        out[sym] = parse_scalar(value.strip())
     return out
 
 
@@ -130,7 +138,11 @@ def _run_verify(opts: dict) -> ReportDocument:
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid = _parse_grid(opts["grid"]) if opts.get("grid") else {}
-    fixed = _parse_assignments(opts.get("set"))
+    fixed = _parse_assignments(opts.get("set"), "--set")
+    if both := sorted(grid.keys() & fixed.keys()):
+        raise ValueError(f"{both} bound by both --grid and --set")
+    if "q" in grid or "q" in fixed:
+        raise ValueError("q is bound by --q, not by --grid or --set")
     qs = [parse_scalar(t) for t in (opts.get("q") or "1/2").split(",")]
     n_points = opts.get("points")
     if n_points is not None and n_points < 1:
@@ -140,6 +152,9 @@ def _run_verify(opts: dict) -> ReportDocument:
     if free_rest and not n_points:
         raise UnboundSymbol(f"identity {identity!r} leaves {free_rest} unbound: "
                             f"bind them with --grid or --set, or sample them with --points")
+    if n_points and not free_rest:
+        raise ValueError(f"--points samples nothing: --grid and --set bind every free "
+                         f"symbol of identity {identity!r}")
 
     report = ReportDocument("verify", _echo_options(opts), seed)
     grid_syms = sorted(grid)
@@ -223,7 +238,7 @@ def _run_pipeline(opts: dict) -> ReportDocument:
     fam = fams[idx]
     if not opts["tol"] > 0:
         raise ValueError("tol must be positive")
-    point_scalars = _parse_assignments(opts["point"])
+    point_scalars = _parse_assignments(opts["point"], "--point")
     point = {}
     for k, v in point_scalars.items():
         point[k] = v.as_rational() if v.is_rational() else v

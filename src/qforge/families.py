@@ -113,5 +113,5 @@ def solution_families(shift) -> list[ParamFamily]:
     k+l-m+n = 0 -> (a,b,c,c/(ab)); (k,l,l-k,-k) with l positive even ->
     (a,b,bq/a,-q/a); (0,l,l,0) with l >= 2 -> (zeta_l q, b, zeta_l b, 1).
     """
-    s = ShiftVector.coerce(shift)
-    return [make(s) for matches, make in PATTERNS.values() if matches(*s.as_tuple())]
+    s = ShiftVector(*shift)
+    return [make(s) for matches, make in PATTERNS.values() if matches(*s)]

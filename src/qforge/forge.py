@@ -428,13 +428,12 @@ def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
     bindings for every N = 1..n_max; ValueError unless both are >= 1."""
     if trials < 1 or n_max < 1:
         raise ValueError(f"check_family needs trials >= 1 and n_max >= 1, not {trials} and {n_max}")
-    shift = ShiftVector.coerce(shift)
     rel = _relation_for(shift, relation)
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
         def draw():
             # Q^(n): Q at the family's parameters moved n - 1 steps
-            p = _family_params(fam, _family_point(fam, rng)).shifted(shift.as_tuple(), n - 1)
+            p = _family_params(fam, _family_point(fam, rng)).shifted(shift, n - 1)
             return rel.Q.eval(vars(p))
 
         if any(v != 0 for v in draw_admissible(draw, trials, 10 * trials, f"family points at N={n}")):
@@ -461,13 +460,12 @@ def product_R(shift, fam: ParamFamily, n: int,
               relation: ThreeTermRelation | None = None) -> RationalFunction:
     """prod_{i=1}^{n} R^(i) as a rational function of the family's free
     symbols and q; the empty product is 1."""
-    shift = ShiftVector.coerce(shift)
     rel = _relation_for(shift, relation)
     base = Phi21Params(q=RationalFunction.var("q"), **fam.assignment)
     out = RationalFunction.const(1)
     for i in range(1, n + 1):
         try:
-            out = (out * rel.R.subs(vars(base.shifted(shift.as_tuple(), i - 1)))).cancel()
+            out = (out * rel.R.subs(vars(base.shifted(shift, i - 1)))).cancel()
         except ZeroDenominator as exc:
             raise DegenerateFamily(f"R^({i}) undefined for family {fam.name}") from exc
     return out
@@ -523,14 +521,13 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
     """
     if n_max < 1:
         raise ValueError(f"telescoped_check needs n_max >= 1, not {n_max}")
-    shift = ShiftVector.coerce(shift)
+    shift = ShiftVector(*shift)
     rel = _relation_for(shift, relation)
     run = PipelineRun(shift, fam.name, n_max, point, mode)
     base = _family_params(fam, point)
-    s = shift.as_tuple()
 
     def phi_at(steps: int):
-        p = base.shifted(s, steps)
+        p = base.shifted(shift, steps)
         if mode == "exact":
             return phi21_exact(p).value
         return phi21_numeric(p, tol / 10, prec).value
@@ -538,7 +535,7 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
     lhs = phi_at(0)
     prod = ExactScalar.from_rational(1) if mode == "exact" else ApproxScalar.coerce(1, prec)
     for i in range(1, n_max + 1):
-        r_i = rel.R.eval(vars(base.shifted(s, i - 1)))
+        r_i = rel.R.eval(vars(base.shifted(shift, i - 1)))
         prod = prod * r_i
         shifted = phi_at(i)
         telescoped = shifted / prod
@@ -556,21 +553,24 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
 # -- the Cauchy-product oracle ----------------------------------------------------------------------
 
 
-def sv5_cauchy_check(a, n_max: int, qs=(Fraction(1, 2), Fraction(2, 3))) -> bool:
+_CAUCHY_QS = (Fraction(1, 2), Fraction(2, 3))
+
+
+def sv5_cauchy_check(a, n_max: int) -> bool:
     """Independent coefficient-comparison oracle: checks that
 
         sum_{i=0}^{N} (aq;q)_i (q^-N;q)_i prod_{j=i}^{N-1}(1 - a q^(j-N))
                       / ((q;q)_i (q^-N;q)_N)
 
     equals (1 - a^(N+1)) / (1 - a) exactly, for every N <= n_max and
-    sampled q.  The inner product form avoids dividing by (aq^-N;q)_i,
+    q in _CAUCHY_QS.  The inner product form avoids dividing by (aq^-N;q)_i,
     so the check is total away from a = 1.
     """
     a = ExactScalar.coerce(a)
     if (a - 1).is_zero():
         raise DegenerateParameter("a = 1 makes the closed form's denominator vanish")
     one = ExactScalar.from_rational(1)
-    for q0 in qs:
+    for q0 in _CAUCHY_QS:
         q = ExactScalar.coerce(q0)
         qinv = one / q
         for n in range(n_max + 1):
@@ -603,6 +603,8 @@ def sv5_cauchy_check(a, n_max: int, qs=(Fraction(1, 2), Fraction(2, 3))) -> bool
 
 # -- conjecture patterns ------------------------------------------------------------------------------
 
+_CONJECTURE_TOL = 1e-10  # residual bound of the numeric telescoping step
+
 
 @dataclass
 class ConjectureStep:
@@ -634,15 +636,15 @@ class ConjectureReport:
 
 
 def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAULT_SEED,
-                     n_max: int = 4, tol: float = 1e-10) -> ConjectureReport:
+                     n_max: int = 4) -> ConjectureReport:
     """Instance-level evidence for a conjectured solution-family pattern:
     derives (Q, R), runs the family check, and exercises the identity the
     pattern predicts.  Reports per-step outcomes only."""
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; choose from {sorted(PATTERNS)}")
-    shift = ShiftVector.coerce(instance)
+    shift = ShiftVector(*instance)
     matches, make_family = PATTERNS[pattern]
-    if not matches(*shift.as_tuple()):
+    if not matches(*shift):
         raise ValueError(f"instance {shift} does not match pattern {pattern!r}")
     report = ConjectureReport(pattern, shift)
     rng = random.Random(seed)
@@ -678,7 +680,7 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
 
         def telescope_step():
             point = _sample_series_point(fam, shift, rng, n_tele=3)
-            run = telescoped_check(shift, fam, 3, point, tol=tol, mode="numeric", relation=rel)
+            run = telescoped_check(shift, fam, 3, point, tol=_CONJECTURE_TOL, mode="numeric", relation=rel)
             if all(_is_one(st.telescoped) for st in run.steps):
                 report.trivial = True
             return run.passed, f"telescoped at {ident}-type point, N<=3"
@@ -710,7 +712,7 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
     return report
 
 
-def _sample_series_point(fam: ParamFamily, shift: ShiftVector, rng: random.Random,
+def _sample_series_point(fam: ParamFamily, shift, rng: random.Random,
                          n_tele: int) -> dict:
     """Random rational bindings keeping every series in the telescoping
     window inside the convergence disk (|x * q^(n*i)| < 0.9)."""
@@ -718,7 +720,7 @@ def _sample_series_point(fam: ParamFamily, shift: ShiftVector, rng: random.Rando
         point = _family_point(fam, rng)
         p = _family_params(fam, point)
         inside = isinstance(p.x, Fraction) and all(
-            abs(p.shifted(shift.as_tuple(), i).x) < Fraction(9, 10) for i in range(n_tele + 1))
+            abs(p.shifted(shift, i).x) < Fraction(9, 10) for i in range(n_tele + 1))
         return point if inside else None
 
     return next(draw_admissible(draw, 1, 500, "series points"))

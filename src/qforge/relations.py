@@ -50,6 +50,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import lcm
 from operator import mul, or_
+from typing import NamedTuple
 
 import mpmath
 
@@ -66,25 +67,19 @@ from .qseries import Phi21Params, _cleared_terms, phi21_numeric
 
 DEFAULT_DEGREE_BUDGET = 8
 DEFAULT_SEED = 20250808
+_MAX_DEN = 97  # largest numerator and denominator of a random rational
+_RESIDUAL_PREC = 128  # working bits of the residual check
 _UP = (1, 1, 1, 0)  # phi(aq, bq; cq; q, x), the second basis series
 
 
-@dataclass(frozen=True)
-class ShiftVector:
+class ShiftVector(NamedTuple):
+    """The shift (k, l, m, n) of phi(aq^k, bq^l; cq^m; q, xq^n): a tuple,
+    equal to and hashing as the plain (k, l, m, n)."""
+
     k: int
     l: int
     m: int
     n: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.k, self.l, self.m, self.n)
-
-    @staticmethod
-    def coerce(v) -> "ShiftVector":
-        if isinstance(v, ShiftVector):
-            return v
-        k, l, m, n = v
-        return ShiftVector(int(k), int(l), int(m), int(n))
 
     @staticmethod
     def parse(text: str) -> "ShiftVector":
@@ -162,8 +157,8 @@ TABLE_SHIFTS = ((0, 0, 0, 2), (0, 1, 1, 0), (0, 2, 2, 0), (1, 2, 1, -1), (0, 3, 
 
 def qr_lookup(shift) -> ThreeTermRelation:
     """The transcribed (Q, R) pair for one of the five tabulated shifts."""
-    shift = ShiftVector.coerce(shift)
-    pair = _table().get(shift.as_tuple())
+    shift = ShiftVector(*shift)
+    pair = _table().get(shift)
     if pair is None:
         raise NotInTable(f"no transcribed pair for shift {shift}")
     return ThreeTermRelation(shift, *pair)
@@ -333,9 +328,9 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
     reproduce the series identity (which would indicate a bug), and
     SamplingExhausted when the checks cannot draw admissible points.
     """
-    shift = ShiftVector.coerce(shift)
+    shift = ShiftVector(*shift)
     a, b, c, q, x = _rf_vars()
-    if shift.as_tuple() == (0, 0, 0, 0):
+    if shift == (0, 0, 0, 0):
         return ThreeTermRelation(shift, RationalFunction.const(0), RationalFunction.const(1))
     # (phi(y), phi(yq)) at the walked parameters p, in the basis
     # (phi(x), phi(xq)): the rows of v over the factored denominator den
@@ -373,14 +368,13 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
 def _walk(shift):
     """The contiguous steps (axis, up) from (a, b, c, x) to `shift`: round
     robin over a, b, c, x, one step on each axis with steps left."""
-    counts = ShiftVector.coerce(shift).as_tuple()
-    for r in range(max(map(abs, counts))):
-        for axis, count in zip(_AXES, counts):
+    for r in range(max(map(abs, shift))):
+        for axis, count in zip(_AXES, shift):
             if r < abs(count):
                 yield axis, count > 0
 
 
-def _series_verify(shift: ShiftVector, cleared: tuple[MultiPoly, MultiPoly, MultiPoly],
+def _series_verify(shift, cleared: tuple[MultiPoly, MultiPoly, MultiPoly],
                    order: int, rng: random.Random, points: int) -> bool:
     """Exact check that P0*phi_shifted - P1*phi_up - P2*phi_base has zero
     series coefficients through x^(order-1) at random rational points,
@@ -395,7 +389,7 @@ def _series_verify(shift: ShiftVector, cleared: tuple[MultiPoly, MultiPoly, Mult
     def draw():
         # a, b, c, q drawn in that order; x = 1 gives the coefficients in x
         pt = Phi21Params(*(rand_fraction(rng) for _ in range(4)), Fraction(1))
-        series = [_cleared_terms(p, order) for p in (pt.shifted(shift.as_tuple()), pt.shifted(_UP), pt)]
+        series = [_cleared_terms(p, order) for p in (pt.shifted(shift), pt.shifted(_UP), pt)]
         return series, [{e: p.eval(vars(pt)) for e, p in ps.items()} for ps in polys]
 
     for series, values in draw_admissible(draw, points, 50 * points, "verification points"):
@@ -426,14 +420,14 @@ def relation_residual(rel: ThreeTermRelation, point: dict, tol: float,
     inner = tol / (10 * max(1, qv.magnitude(), rv.magnitude()))
     base = phi21_numeric(p, inner, prec)
     up = phi21_numeric(p.shifted(_UP), inner, prec)
-    shifted = phi21_numeric(p.shifted(rel.shift.as_tuple()), inner, prec)
+    shifted = phi21_numeric(p.shifted(rel.shift), inner, prec)
     diff = shifted.value - qv * up.value - rv * base.value
     return abs(diff.val) + diff.err
 
 
-def rand_fraction(rng: random.Random, max_den: int = 97) -> Fraction:
-    """Random rational in (0, 1/2) with numerator/denominator <= max_den."""
-    den = rng.randint(3, max_den)
+def rand_fraction(rng: random.Random) -> Fraction:
+    """Random rational in (0, 1/2) with numerator/denominator <= _MAX_DEN."""
+    den = rng.randint(3, _MAX_DEN)
     num = rng.randint(1, max(1, (den - 1) // 2))
     return Fraction(num, den)
 
@@ -457,9 +451,9 @@ def draw_admissible(draw, count: int, budget: int, what: str):
         raise SamplingExhausted(f"could not sample admissible {what}")
 
 
-def rand_fraction_wide(rng: random.Random, max_den: int = 97) -> Fraction:
-    """Random positive rational with numerator/denominator <= max_den."""
-    return Fraction(rng.randint(1, max_den), rng.randint(1, max_den))
+def rand_fraction_wide(rng: random.Random) -> Fraction:
+    """Random positive rational with numerator/denominator <= _MAX_DEN."""
+    return Fraction(rng.randint(1, _MAX_DEN), rng.randint(1, _MAX_DEN))
 
 
 def sample_relation_point(rng: random.Random, shift: ShiftVector) -> dict:
@@ -477,13 +471,13 @@ def sample_relation_point(rng: random.Random, shift: ShiftVector) -> dict:
 
 
 def verify_relation(rel: ThreeTermRelation, n_points: int = 20, tol: float = 1e-10,
-                    seed: int = DEFAULT_SEED, prec: int = 128) -> None:
+                    seed: int = DEFAULT_SEED) -> None:
     """Residual invariant: residual < tol at n_points random admissible points."""
     rng = random.Random(seed)
 
     def draw():
         point = sample_relation_point(rng, rel.shift)
-        return point, relation_residual(rel, point, tol / 100, prec=prec)
+        return point, relation_residual(rel, point, tol / 100, prec=_RESIDUAL_PREC)
 
     for point, res in draw_admissible(draw, n_points, 50 * n_points, "residual points"):
         if not res < tol:

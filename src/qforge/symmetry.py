@@ -1,11 +1,14 @@
 """Symmetry group action on shift vectors and parameter quadruples.
 
 Words over the generators apply left to right (the leftmost generator
-acts first).  The derived generators expand syntactically into words over
-the four basic ones before acting on parameters; their shift-component
-closed forms are kept alongside for cross-checking.  Orbit and
-canonical-representative computations run in lambda coordinates, where
-the group becomes a finite set of integer matrices found once by BFS.
+acts first).  Each basic generator's shift action is written once, as a
+closed form in SHIFT_FORMULAS; the derived generators expand
+syntactically into words over the four basic ones, on shifts and on
+parameters alike, and their closed forms are kept alongside for
+cross-checking.  Orbit and canonical-representative computations run in
+lambda coordinates, plain 4-tuples in which the group becomes a finite
+set of integer matrices: the generator matrices are built from the shift
+action and closed once by BFS.
 """
 
 from __future__ import annotations
@@ -24,6 +27,18 @@ WORD_EXPANSION = {
     6: (1, 3, 1, 3, 1, 3),
 }
 
+# the shift actions: sigma_0..sigma_3 act by these closed forms, and the
+# closed forms of sigma_4..sigma_6 are cross-checked against their words
+SHIFT_FORMULAS = {
+    0: lambda k, l, m, n: (-k, -l, -m, -n),
+    1: lambda k, l, m, n: (n, m - k, l + n, k),
+    2: lambda k, l, m, n: (-k, -l, -m, k + l - m + n),
+    3: lambda k, l, m, n: (l, k, m, n),
+    4: lambda k, l, m, n: (-n, l, m - k - n, -k),
+    5: lambda k, l, m, n: (k - m, l - m, -m, n),
+    6: lambda k, l, m, n: (m - l, m - k, m, k + l - m + n),
+}
+
 
 def expand_word(word) -> tuple[int, ...]:
     """Expand sigma_4..sigma_6 into sigma_0..sigma_3, purely syntactically."""
@@ -40,38 +55,18 @@ def expand_word(word) -> tuple[int, ...]:
 
 def shift_action(g: int, s) -> ShiftVector:
     """The (k,l,m,n)-component action of a single generator."""
-    s = ShiftVector.coerce(s)
-    k, l, m, n = s.as_tuple()
-    if g == 0:
-        return ShiftVector(-k, -l, -m, -n)
-    if g == 1:
-        return ShiftVector(n, m - k, l + n, k)
-    if g == 2:
-        return ShiftVector(-k, -l, -m, k + l - m + n)
-    if g == 3:
-        return ShiftVector(l, k, m, n)
     if g in WORD_EXPANSION:
         return apply_word_shift(WORD_EXPANSION[g], s)
+    if g in (0, 1, 2, 3):
+        return ShiftVector(*SHIFT_FORMULAS[g](*s))
     raise ValueError(f"unknown generator sigma_{g}")
 
 
 def apply_word_shift(word, s) -> ShiftVector:
-    s = ShiftVector.coerce(s)
+    s = ShiftVector(*s)
     for g in expand_word(word):
         s = shift_action(g, s)
     return s
-
-
-# closed forms of the derived shift actions, for cross-checks
-SHIFT_FORMULAS = {
-    0: lambda k, l, m, n: (-k, -l, -m, -n),
-    1: lambda k, l, m, n: (n, m - k, l + n, k),
-    2: lambda k, l, m, n: (-k, -l, -m, k + l - m + n),
-    3: lambda k, l, m, n: (l, k, m, n),
-    4: lambda k, l, m, n: (-n, l, m - k - n, -k),
-    5: lambda k, l, m, n: (k - m, l - m, -m, n),
-    6: lambda k, l, m, n: (m - l, m - k, m, k + l - m + n),
-}
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ class FullPoint:
     @staticmethod
     def generic(shift) -> "FullPoint":
         a, b, c, x = (RationalFunction.var(s) for s in ("a", "b", "c", "x"))
-        return FullPoint(ShiftVector.coerce(shift), a, b, c, x)
+        return FullPoint(ShiftVector(*shift), a, b, c, x)
 
     def params(self):
         return (self.a, self.b, self.c, self.x)
@@ -102,7 +97,7 @@ def apply_generator(g: int, p: FullPoint) -> FullPoint:
     q = RationalFunction.var("q")
     new_shift = shift_action(g, p.shift)
     if g == 0:
-        s = Phi21Params(a, b, c, q, x).shifted(p.shift.as_tuple())
+        s = Phi21Params(a, b, c, q, x).shifted(p.shift)
         return FullPoint(new_shift, s.a, s.b, s.c, s.x)
     if g == 1:
         if a.is_zero():
@@ -126,36 +121,31 @@ def apply_word_point(word, p: FullPoint) -> FullPoint:
 # -- lambda coordinates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LambdaVector:
-    l1: int
-    l2: int
-    l3: int
-    l4: int
-
-    def as_tuple(self):
-        return (self.l1, self.l2, self.l3, self.l4)
-
-
-def to_lambda(s) -> LambdaVector:
-    s = ShiftVector.coerce(s)
-    return LambdaVector(s.k, s.l, -s.n, s.k + s.l - s.m)
+def to_lambda(s) -> tuple[int, int, int, int]:
+    """The lambda coordinates (k, l, -n, k + l - m) of a shift (k, l, m, n)."""
+    k, l, m, n = s
+    return (k, l, -n, k + l - m)
 
 
 def from_lambda(v) -> ShiftVector:
-    l1, l2, l3, l4 = v.as_tuple() if isinstance(v, LambdaVector) else tuple(v)
+    l1, l2, l3, l4 = v
     return ShiftVector(l1, l2, l1 + l2 - l4, -l3)
 
 
+_IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+def _lambda_matrix(word):
+    """The matrix of `word` in lambda coordinates (rows act on the column
+    (l1, l2, l3, l4)): column j is the image of the j-th unit vector.
+    The shift action is linear, so the matrix gives the whole map."""
+    cols = (to_lambda(apply_word_shift(word, from_lambda(e))) for e in _IDENTITY)
+    return tuple(zip(*cols))
+
+
 # the five lambda-space maps conjugate to sigma'_0, sigma'_3, sigma'_4,
-# sigma'_5, sigma'_0 sigma'_6; rows act on column (l1, l2, l3, l4)
-_LAMBDA_GENS = (
-    ((0,), ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))),
-    ((3,), ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
-    ((4,), ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))),
-    ((5,), ((0, -1, 0, 1), (-1, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))),
-    ((0, 6), ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, -1, 1), (0, 0, 0, 1))),
-)
+# sigma'_5, sigma'_0 sigma'_6
+_LAMBDA_GENS = tuple((word, _lambda_matrix(word)) for word in ((0,), (3,), (4,), (5,), (0, 6)))
 
 
 def _mat_apply(mat, vec):
@@ -175,9 +165,8 @@ def lambda_group():
     """BFS closure of the five lambda maps: list of (matrix, word) sorted
     for determinism; the word maps lambda(s) to matrix @ lambda(s) when
     its generators are applied left to right."""
-    ident = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
-    seen = {ident: ()}
-    frontier = [ident]
+    seen = {_IDENTITY: ()}
+    frontier = [_IDENTITY]
     while frontier:
         nxt = []
         for mat in frontier:
@@ -199,24 +188,22 @@ def canonical_representative(s) -> tuple[ShiftVector, tuple[int, ...]]:
     """The orbit member in {0 <= (k+l-m)/2 <= -n <= k <= l} together with
     a generator word mapping s to it (lexicographically smallest shift
     among qualifying images as the tie-break)."""
-    s = ShiftVector.coerce(s)
-    lam = to_lambda(s).as_tuple()
+    lam = to_lambda(s)
     best = None
     for mat, word in lambda_group():
         image = _mat_apply(mat, lam)
         if representative_condition(image):
             shift = from_lambda(image)
-            key = shift.as_tuple()
-            if best is None or key < best[0]:
-                best = (key, shift, word)
+            if best is None or shift < best[0]:
+                best = (shift, word)
     if best is None:
-        raise NoRepresentativeFound(f"no qualifying image for {s}")
-    return best[1], best[2]
+        raise NoRepresentativeFound(f"no qualifying image for {ShiftVector(*s)}")
+    return best
 
 
 def orbit_enumerate(s) -> set[ShiftVector]:
     """Closure of {s} under the five lambda actions (via the cached group)."""
-    lam = to_lambda(s).as_tuple()
+    lam = to_lambda(s)
     return {from_lambda(_mat_apply(mat, lam)) for mat, _ in lambda_group()}
 
 
@@ -225,6 +212,6 @@ def qualifying_members(s) -> set[ShiftVector]:
     exactly-one check reports any orbit where this is not a singleton)."""
     out = set()
     for member in orbit_enumerate(s):
-        if representative_condition(to_lambda(member).as_tuple()):
+        if representative_condition(to_lambda(member)):
             out.add(member)
     return out

@@ -203,6 +203,34 @@ def test_counts_below_one_exit_2(capsys, argv, message):
     assert captured.out == "" and f"ValueError: {message}" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--identity", "sv1", "--grid", "M=0..1,N=0..1", "--points", "5"],
+     "--points samples nothing: --grid and --set bind every free symbol of identity 'sv1'"),
+    (["verify", "--identity", "sv1", "--grid", "M=0..1,N=0..1", "--set", "q=1/3"],
+     "q is bound by --q, not by --grid or --set"),
+    (["verify", "--identity", "sv1", "--grid", "M=0..1,N=0..1,q=0..1"], "q is bound by --q, not by --grid or --set"),
+    (["verify", "--identity", "sv1", "--grid", "M=0..1,N=0..1", "--set", "N=3"], "['N'] bound by both --grid and --set"),
+    (["verify", "--identity", "sv1", "--grid", "M=0..1,N=0..1,M=2..3"], "--grid binds M twice"),
+    (["verify", "--identity", "sv1", "--grid", "M=0..1", "--set", "N=1", "--set", "N=2"], "--set binds N twice"),
+    (["verify", "--identity", "sv1", "--grid", "M=2..1,N=0..1"], "--grid range 'M=2..1' is empty"),
+    (["pipeline", "--shift", "0,1,1,0", "--point", "a=1/3", "--point", "a=1/4", "--point", "b=1/5",
+      "--point", "c=1/30", "--point", "q=1/2"], "--point binds a twice"),
+], ids=["points-with-nothing-free", "set-q", "grid-q", "set-and-grid", "grid-twice", "set-twice",
+        "empty-range", "point-twice"])
+def test_bindings_it_would_drop_exit_2(capsys, argv, message):
+    # each used to report with the binding dropped or overridden
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"ValueError: {message}" in captured.err
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from qforge import *", namespace)
+    assert all(hasattr(qforge, name) for name in qforge.__all__)
+    assert set(qforge.__all__) <= namespace.keys()
+
+
 def test_commands_never_import_sympy():
     code = """
 import contextlib

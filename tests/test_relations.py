@@ -328,7 +328,7 @@ def _sequential_derive(shift):
             polys = [e.extend(RELATION_VARS)._to_sym() for e in (*v[0], *v[1], relations._expand(den))]
             assert reduce(lambda g, s: g.gcd(s), (s for s in polys if s)).is_ground
     rep0, rep1 = (RF(e, relations._expand(den)) for e in v[0])
-    return ThreeTermRelation(ShiftVector.coerce(shift),
+    return ThreeTermRelation(ShiftVector(*shift),
                              (-rep1 * X * (1 - A) * (1 - B) / (1 - C)).cancel(),
                              (rep0 + rep1).cancel())
 
@@ -413,10 +413,23 @@ def test_qr_derive_walks_balanced(monkeypatch):
 
 def test_shift_vector_parse():
     s = ShiftVector.parse("1,2,1,-1")
-    assert s.as_tuple() == (1, 2, 1, -1)
+    assert s == (1, 2, 1, -1)
     assert str(s) == "1,2,1,-1"
     with pytest.raises(ValueError):
         ShiftVector.parse("1,2,3")
+
+
+def test_shift_vector_is_the_tuple():
+    from qforge.symmetry import canonical_representative
+
+    s = ShiftVector(0, 1, 1, 0)
+    assert s == (0, 1, 1, 0) and hash(s) == hash((0, 1, 1, 0))
+    assert str(s) == "0,1,1,0"
+    rel = qr_derive((0, 1, 1, 0))
+    assert type(rel.shift) is ShiftVector
+    assert json.loads(json.dumps(rel.to_json()))["shift"] == "0,1,1,0"
+    rep, _ = canonical_representative((0, 0, 0, 2))
+    assert type(rep) is ShiftVector and rep == ShiftVector(0, 2, 2, 0)
 
 
 def _phi_pair(p, q):
