@@ -143,6 +143,9 @@ def _run_verify(opts: dict) -> ReportDocument:
         raise ValueError(f"{both} bound by both --grid and --set")
     if "q" in grid or "q" in fixed:
         raise ValueError("q is bound by --q, not by --grid or --set")
+    if extra := sorted((grid.keys() | fixed.keys()) - set(record.free)):
+        raise ValueError(f"{extra} bound by --grid or --set: identity {identity!r} "
+                         f"has the free symbols {list(record.free)}")
     qs = [parse_scalar(t) for t in (opts.get("q") or "1/2").split(",")]
     n_points = opts.get("points")
     if n_points is not None and n_points < 1:

@@ -60,6 +60,10 @@ class NoRepresentativeFound(QForgeError):
     """No orbit member satisfies the canonical representative condition."""
 
 
+class GroupNotClosed(QForgeError):
+    """The symmetry generators do not close into a group of the known order."""
+
+
 class DegenerateFamily(QForgeError):
     """Parameter family lies on an excluded locus (identically degenerate)."""
 

@@ -425,16 +425,30 @@ def _relation_for(shift: ShiftVector, relation: ThreeTermRelation | None) -> Thr
 def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
                  seed: int = DEFAULT_SEED, relation: ThreeTermRelation | None = None) -> bool:
     """True iff Q^(N) vanishes exactly at `trials` random rational
-    bindings for every N = 1..n_max; ValueError unless both are >= 1."""
+    bindings for every N = 1..n_max; ValueError unless both are >= 1.
+
+    Q^(N) is Q at the family's parameters moved N - 1 steps along the
+    shift.  Q's num and den are composed with the family map once per
+    call, each of a, b, c, x times t^(its shift component) for a step
+    symbol t the family does not use; each draw evaluates the den at the
+    sampled point and t = q^(N-1), skips the point where it vanishes, and
+    tests the num there."""
     if trials < 1 or n_max < 1:
         raise ValueError(f"check_family needs trials >= 1 and n_max >= 1, not {trials} and {n_max}")
     rel = _relation_for(shift, relation)
+    step = "t"
+    while step in {"q", *fam.free_symbols, *fam.fixed_bindings,
+                   *(s for v in fam.assignment.values() for s in v.vars)}:
+        step += "_"
+    moved = Phi21Params(q=RationalFunction.var(step), **fam.assignment).shifted(shift)
+    image = {**vars(moved), "q": RationalFunction.var("q")}
+    num, den = (RationalFunction.const(p.eval(image)) for p in (rel.Q.num, rel.Q.den))
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
         def draw():
-            # Q^(n): Q at the family's parameters moved n - 1 steps
-            p = _family_params(fam, _family_point(fam, rng)).shifted(shift, n - 1)
-            return rel.Q.eval(vars(p))
+            point = {**fam.fixed_bindings, **_family_point(fam, rng)}
+            point[step] = point["q"] ** (n - 1)
+            return None if den.eval(point) == 0 else num.eval(point)
 
         if any(v != 0 for v in draw_admissible(draw, trials, 10 * trials, f"family points at N={n}")):
             return False

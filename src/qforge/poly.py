@@ -20,7 +20,12 @@ D_i the degree in v_i, sum c_e prod n_i^e_i d_i^(D_i - e_i) over den prod
 d_i^D_i, the value built once at the end.  int, Fraction and order-1
 ExactScalar values enter as ints, cyclotomic ExactScalar values as
 numerator vectors and RationalFunction values as their num and den
-MultiPolys; any other value is a TypeError.
+MultiPolys; any other value is a TypeError.  When every RationalFunction
+value is a constant times a Laurent monomial, (n / m) y^A / y^B, a term's
+factor of degree e is the int n^e m^(D - e) on the packed key
+e key(A) + (D - e) key(B), so each term's image is one int on one key
+and no MultiPoly is multiplied; the normalized num and den are those of
+the general sum.
 
 `divide` is exact sparse division on the packed keys, highest remainder
 key first; it returns None at the first remainder term that the
@@ -361,6 +366,10 @@ class MultiPoly:
             dens = _powers(m, d)
             pows.append([a * b for a, b in zip(_powers(n, d), reversed(dens))])
             den *= dens[d]
+        shape = tuple(i for i, _, _ in other)
+        plan = self._cached(shape, lambda: self._plan(shape))
+        if symbolic and all(len(v.num.nums) == len(v.den.nums) == 1 for _, _, v in other):
+            return _monomial_image(plan, pows, other, den)
         size = euler_phi(order)
         vpows = []
         if symbolic:  # every num and den in one layout, so products need no relayout
@@ -378,16 +387,9 @@ class MultiPoly:
                     vp.append(_mul_nums(vp[-1], v.nums, order))
                 vpows.append([[c * m for c in vec] for vec, m in zip(vp, reversed(dens))])
                 den *= dens[d]
-        shape = tuple(i for i, _, _ in other)
         times = mul if symbolic else lambda f, g: _mul_nums(f, g, order)
         acc, terms = [0] * size, []
-        for exps, coeffs, cols in self._cached(shape, lambda: self._plan(shape)):
-            s = coeffs
-            for pw, col in zip(pows, cols):
-                s = map(mul, s, map(pw.__getitem__, col))
-            s = sum(s)
-            if not s:
-                continue
+        for exps, s in _sums(plan, pows):
             vec = None
             for vp, e in zip(vpows, exps):
                 vec = vp[e] if vec is None else times(vec, vp[e])
@@ -612,6 +614,56 @@ def _quotient(nums: dict, fnums: dict, tops: int) -> dict | None:
             else:
                 rem[key] = s - t * c2
     return out
+
+
+def _sums(plan: list, pows: list):
+    """(exponents of the other values, int sum) of each group of an eval
+    plan whose sum over the rational values' power tables is not 0."""
+    for exps, coeffs, cols in plan:
+        s = coeffs
+        for pw, col in zip(pows, cols):
+            s = map(mul, s, map(pw.__getitem__, col))
+        s = sum(s)
+        if s:
+            yield exps, s
+
+
+def _monomial_image(plan: list, pows: list, monos: list, den: int) -> "RationalFunction":
+    """The homogenized sum at RationalFunction values that are each a
+    constant times a Laurent monomial (see the module docstring), over
+    m^D y^(D B) per value: one int per term on one packed key, in fields
+    wide enough for the largest exponent any key can reach."""
+    names = tuple(sorted({s for _, _, v in monos for s in v.vars}))
+    parts, top = [], dict.fromkeys(names, 0)
+    for _, d, v in monos:
+        ((kn, cn),), ((km, cm),) = v.num.nums.items(), v.den.nums.items()
+        n, m = cn * v.den.den, cm * v.num.den
+        if m < 0:
+            n, m = -n, -m
+        ea, eb = (dict(zip(v.vars, _unpack(k, *_layout(len(v.vars), p.width)[:2])))
+                  for k, p in ((kn, v.num), (km, v.den)))
+        for s in v.vars:
+            top[s] += d * max(ea[s], eb[s])
+        parts.append((d, n, m, ea, eb))
+    width = _width(max(top.values(), default=0))
+    at = dict(zip(names, _layout(len(names), width)[0]))
+    tables, dkey = [], 0
+    for d, n, m, ea, eb in parts:
+        ka, kb = (sum(e << at[s] for s, e in ex.items()) for ex in (ea, eb))
+        dens = _powers(m, d)
+        tables.append(([e * ka + (d - e) * kb for e in range(d + 1)],
+                       [a * b for a, b in zip(_powers(n, d), reversed(dens))]))
+        den *= dens[d]
+        dkey += d * kb
+    nums: dict[int, int] = {}
+    for exps, s in _sums(plan, pows):
+        key = 0
+        for (keys, coeffs), e in zip(tables, exps):
+            key += keys[e]
+            s *= coeffs[e]
+        nums[key] = nums.get(key, 0) + s
+    nums = {k: c for k, c in nums.items() if c}
+    return RationalFunction(_lowest(names, width, nums, den), _raw(names, width, {dkey: 1}, 1))
 
 
 def _powers(v: int, d: int) -> list[int]:

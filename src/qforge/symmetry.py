@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NoRepresentativeFound, UndefinedAction
+from .errors import GroupNotClosed, NoRepresentativeFound, UndefinedAction
 from .poly import RationalFunction
 from .qseries import Phi21Params
 from .relations import ShiftVector
@@ -160,11 +160,15 @@ def _mat_mul(m1, m2):
     )
 
 
+_GROUP_ORDER = 96  # the order of the group the five lambda maps generate
+
+
 @lru_cache(maxsize=1)
 def lambda_group():
     """BFS closure of the five lambda maps: list of (matrix, word) sorted
     for determinism; the word maps lambda(s) to matrix @ lambda(s) when
-    its generators are applied left to right."""
+    its generators are applied left to right.  GroupNotClosed once the
+    closure passes _GROUP_ORDER matrices."""
     seen = {_IDENTITY: ()}
     frontier = [_IDENTITY]
     while frontier:
@@ -173,6 +177,8 @@ def lambda_group():
             for word, gen in _LAMBDA_GENS:
                 new = _mat_mul(gen, mat)  # mat acts first, then gen
                 if new not in seen:
+                    if len(seen) == _GROUP_ORDER:
+                        raise GroupNotClosed(f"the lambda maps generate more than {_GROUP_ORDER} matrices")
                     seen[new] = seen[mat] + word
                     nxt.append(new)
         frontier = nxt

@@ -215,8 +215,10 @@ def test_counts_below_one_exit_2(capsys, argv, message):
     (["verify", "--identity", "sv1", "--grid", "M=2..1,N=0..1"], "--grid range 'M=2..1' is empty"),
     (["pipeline", "--shift", "0,1,1,0", "--point", "a=1/3", "--point", "a=1/4", "--point", "b=1/5",
       "--point", "c=1/30", "--point", "q=1/2"], "--point binds a twice"),
+    (["verify", "--identity", "sv1", "--grid", "M=0..1,N=0..1", "--set", "z=3"],
+     "['z'] bound by --grid or --set: identity 'sv1' has the free symbols ['M', 'N']"),
 ], ids=["points-with-nothing-free", "set-q", "grid-q", "set-and-grid", "grid-twice", "set-twice",
-        "empty-range", "point-twice"])
+        "empty-range", "point-twice", "symbol-not-free"])
 def test_bindings_it_would_drop_exit_2(capsys, argv, message):
     # each used to report with the binding dropped or overridden
     assert main(argv) == 2

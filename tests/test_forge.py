@@ -1,8 +1,10 @@
 import inspect
 import json
 import math
+import random
 import sys
 from fractions import Fraction as F
+from functools import cache
 
 import mpmath
 import pytest
@@ -15,10 +17,16 @@ from qforge.errors import (
     DegenerateParameter,
     SamplingExhausted,
     UnreachableTolerance,
-    ZeroDenominator,
 )
 from qforge.exact import ExactScalar
-from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
+from qforge.families import (
+    ParamFamily,
+    family_qbinom2,
+    family_qgauss,
+    family_qkummer,
+    family_root_of_unity,
+    solution_families,
+)
 from qforge.forge import (
     check_family,
     conjecture_check,
@@ -30,7 +38,14 @@ from qforge.forge import (
 )
 from qforge.poly import RationalFunction as RF
 from qforge.qseries import Phi21Params, phi21_numeric, qpoch_finite, qpoch_infinite
-from qforge.relations import ShiftVector, ThreeTermRelation, qr_derive, qr_lookup
+from qforge.relations import (
+    DEFAULT_SEED,
+    ShiftVector,
+    ThreeTermRelation,
+    draw_admissible,
+    qr_derive,
+    qr_lookup,
+)
 
 Q12 = F(1, 2)
 Z3 = ExactScalar.zeta(3)
@@ -171,8 +186,6 @@ def test_check_family_propagates_lookup_bugs(monkeypatch):
 
 
 def test_check_family_rejects_generic():
-    from qforge.families import ParamFamily
-
     generic = ParamFamily("generic", ("a", "b", "c", "x"), {k: RF.var(k) for k in "abcx"})
     assert not check_family((0, 1, 1, 0), generic, n_max=1, trials=20)
 
@@ -318,8 +331,7 @@ def test_family_check_carries_the_locus_claim(monkeypatch):
 
 
 def test_degenerate_family_paths():
-    from qforge.errors import DegenerateFamily, SamplingExhausted
-    from qforge.families import ParamFamily
+    from qforge.errors import DegenerateFamily
 
     a, b, x = (RF.var(s) for s in "abx")
     # c identically equal to a puts every point on the a = c locus of the
@@ -331,23 +343,116 @@ def test_degenerate_family_paths():
         check_family((0, 1, 1, 0), collapsing, n_max=1, trials=5)
 
 
-class _Degenerate:
-    """A coefficient whose every evaluation hits a zero denominator."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def eval(self, point):
-        self.calls += 1
-        raise ZeroDenominator("denominator vanishes")
-
-
-def test_check_family_budget_is_10_per_trial():
-    q = _Degenerate()
-    rel = ThreeTermRelation(ShiftVector(0, 1, 1, 0), q, _Degenerate())
+def test_check_family_budget_is_10_per_trial(monkeypatch):
+    # Q's den of (0,1,1,0) vanishes on c = a, so every draw is skipped
+    drawn, real = [], forge._family_point
+    monkeypatch.setattr(forge, "_family_point", lambda fam, rng: drawn.append(fam) or real(fam, rng))
+    a, b, x = (RF.var(s) for s in "abx")
+    collapsing = ParamFamily("c=a", ("a", "b", "x"), {"a": a, "b": b, "c": a, "x": x})
     with pytest.raises(SamplingExhausted, match="admissible family points at N=1$"):
-        check_family((0, 1, 1, 0), family_qgauss(), n_max=2, trials=3, relation=rel)
-    assert q.calls == 10 * 3
+        check_family((0, 1, 1, 0), collapsing, n_max=2, trials=3)
+    assert len(drawn) == 10 * 3
+
+
+# -- the composed family check against the pointwise one it replaced ------------------
+
+
+def pointwise_check_family(shift, fam, n_max=4, trials=20, seed=DEFAULT_SEED, relation=None):
+    """check_family before Q was composed with the family map: Q at the
+    family's parameters, moved N - 1 steps, at each sampled point."""
+    rel = relation or forge._relation_for(ShiftVector(*shift), None)
+    rng = random.Random(seed)
+    for n in range(1, n_max + 1):
+        def draw():
+            p = forge._family_params(fam, forge._family_point(fam, rng)).shifted(shift, n - 1)
+            return rel.Q.eval(vars(p))
+
+        if any(v != 0 for v in draw_admissible(draw, trials, 10 * trials, f"family points at N={n}")):
+            return False
+    return True
+
+
+@cache
+def derived(shift) -> ThreeTermRelation:
+    return qr_derive(shift)
+
+
+def assert_routes_agree(monkeypatch, shift, fam, **kwargs):
+    """Both routes give the same boolean (or SamplingExhausted message)
+    after the same number of draws; returns that outcome."""
+    outcomes, real = [], forge._family_point
+
+    def counted(fam, rng):
+        outcomes[-1][1] += 1
+        return real(fam, rng)
+
+    monkeypatch.setattr(forge, "_family_point", counted)
+    for route in (check_family, pointwise_check_family):
+        outcomes.append([None, 0])
+        try:
+            outcomes[-1][0] = route(shift, fam, **kwargs)
+        except SamplingExhausted as exc:
+            outcomes[-1][0] = str(exc)
+    assert outcomes[0] == outcomes[1], (shift, fam.name)
+    return outcomes[0][0]
+
+
+CRITERION_8 = [((2, 2, 0, 2), family_qbinom2()), ((1, 1, 2, 0), family_qgauss()),
+               ((2, 4, 2, -2), family_qkummer()), ((0, 4, 4, 0), family_root_of_unity(4))]
+
+
+@pytest.mark.parametrize("shift, fam", CRITERION_8, ids=[str(s) for s, _ in CRITERION_8])
+def test_composed_check_matches_pointwise_on_criterion_8(monkeypatch, shift, fam):
+    assert assert_routes_agree(monkeypatch, shift, fam, n_max=4, trials=20, relation=derived(shift))
+
+
+@pytest.mark.parametrize("shift", [s for s, _ in CRITERION_8], ids=[str(s) for s, _ in CRITERION_8])
+def test_composed_check_matches_pointwise_on_the_families_workload(monkeypatch, shift):
+    # every family of the shift, 5 points per N, at several seeds
+    for fam in solution_families(shift):
+        for seed in (3, 1234, 2**31 - 1):
+            assert_routes_agree(monkeypatch, shift, fam, n_max=4, trials=5, seed=seed,
+                                relation=derived(shift))
+
+
+def test_composed_check_matches_pointwise_where_q_does_not_vanish(monkeypatch):
+    # the negative control: Kummer's family is not one of (0,3,3,0)
+    assert not assert_routes_agree(monkeypatch, (0, 3, 3, 0), family_qkummer(), n_max=4, trials=20)
+    # a table Q that does not vanish on sum_zero's locus x = c/(ab)
+    table = qr_lookup((0, 0, 0, 2))
+    rel = ThreeTermRelation(ShiftVector(1, 1, 2, 0), table.Q, table.R)
+    assert not assert_routes_agree(monkeypatch, (1, 1, 2, 0), family_qgauss(), n_max=1, trials=3, relation=rel)
+    # Q^(1) of (0,0,1,0) vanishes on x = c/(ab) and Q^(2) does not: the
+    # draw count pins the step t = q^(N-1)
+    assert not assert_routes_agree(monkeypatch, (0, 0, 1, 0), family_qgauss(), n_max=2, trials=3)
+    # a family on which Q's den vanishes: both routes exhaust their budget
+    a, b, x = (RF.var(s) for s in "abx")
+    collapsing = ParamFamily("c=a", ("a", "b", "x"), {"a": a, "b": b, "c": a, "x": x})
+    assert assert_routes_agree(monkeypatch, (0, 1, 1, 0), collapsing, n_max=1, trials=5) == \
+        "could not sample admissible family points at N=1"
+
+
+def test_composed_check_multiplies_no_polynomial_per_term(monkeypatch):
+    # the composition is one packed sum per coefficient of Q, not a
+    # MultiPoly product per term, and the draws multiply no polynomial
+    from qforge.poly import MultiPoly
+
+    shift, fam = CRITERION_8[3]
+    rel = derived(shift)
+    calls, real = [], MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    counts = []
+    for n_max, trials in ((1, 1), (4, 20)):
+        calls.clear()
+        assert check_family(shift, fam, n_max=n_max, trials=trials, relation=rel)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < len(rel.Q.num.nums) // 10
 
 
 def test_series_point_budget_is_500(monkeypatch):

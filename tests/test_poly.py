@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from qforge import poly
 from qforge.approx import ApproxScalar
 from qforge.errors import UnboundSymbol, ZeroDenominator
 from qforge.exact import ExactScalar
@@ -295,6 +296,42 @@ def test_subs_matches_term_by_term_substitution():
                             {"a": X, "b": C / A, "c": B * X, "x": A}):
                 got, want = f.subs(mapping), reference_subs(f, mapping)
                 assert got == want and str(got) == str(want), (shift, mapping)
+
+
+# -- the monomial branch: every value a constant times a Laurent monomial ----------------
+
+
+W = RF.var("w")
+MONOMIAL_POINTS = {
+    "negative-exponents": {"a": A, "b": B, "c": C, "q": Q, "x": C / (A * B)},
+    "kummer": {"a": A, "b": B, "c": B * Q / A, "q": Q, "x": -Q / A},
+    "constants": {"a": -A, "b": F(3, 2) * B, "c": RF.const(-1), "q": Q, "x": RF.const(F(3, 2))},
+    "x-one-symbolic-w": {"a": W * Q, "b": B, "c": W * B, "q": Q, "x": RF.const(1)},
+    "rational-among-them": {"a": A, "b": B, "c": C, "q": F(1, 3), "x": -Q / A},
+}
+
+
+@pytest.mark.parametrize("point", MONOMIAL_POINTS.values(), ids=MONOMIAL_POINTS)
+def test_monomial_eval_matches_rf_arithmetic(monkeypatch, point):
+    # num and den term for term: with a monomial den, the normalized pair
+    # of a rational function is unique
+    taken, real = [], poly._monomial_image
+    monkeypatch.setattr(poly, "_monomial_image", lambda *args: taken.append(1) or real(*args))
+    for shift in ((0, 1, 1, 0), (0, 0, 0, 2)):
+        rel = qr_lookup(shift)
+        for p in (rel.Q.num, rel.Q.den, rel.R.num, rel.R.den):
+            got, want = p.eval(point), reference_eval(p, point)
+            assert (got.num.to_text(), got.den.to_text()) == (want.num.to_text(), want.den.to_text())
+    assert len(taken) == 8
+
+
+def test_monomial_eval_widens_past_127():
+    # a^100 at a^2/q reaches a^200 and q^240 with b^2: fields of 16 bits
+    p = MultiPoly.from_text("a^100*b + (-3)*b^2 + (1)")
+    point = {"a": A * A / Q, "b": F(3, 2) * Q**70}
+    got, want = p.eval(point), reference_eval(p, point)
+    assert got.num.width == 16
+    assert (got.num.to_text(), got.den.to_text()) == (want.num.to_text(), want.den.to_text())
 
 
 def test_eval_rejects_other_rings():

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from qforge import symmetry
+from qforge.errors import GroupNotClosed
 from qforge.poly import RationalFunction as RF
 from qforge.relations import ShiftVector
 from qforge.symmetry import (
@@ -90,6 +92,15 @@ def test_lambda_bijection():
 
 def test_group_order():
     assert len(lambda_group()) == 96
+
+
+def test_lambda_group_refuses_an_infinite_closure(monkeypatch):
+    # a shear has infinite order: the closure stops once it passes 96
+    # matrices instead of growing until the process is killed
+    shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(symmetry, "_LAMBDA_GENS", (((0,), shear),))
+    with pytest.raises(GroupNotClosed, match="more than 96 matrices"):
+        lambda_group.__wrapped__()
 
 
 def test_canonical_representative_examples():
