@@ -72,6 +72,11 @@ class DegenerateParameter(QForgeError):
     """A concrete parameter value makes the requested identity undefined."""
 
 
+class UnsupportedBinding(QForgeError):
+    """A family's fixed bindings are not one root of unity, the only kind
+    the exact family check reduces by its cyclotomic polynomial."""
+
+
 class SamplingExhausted(QForgeError):
     """Random sampling kept hitting degenerate points."""
 

@@ -229,6 +229,13 @@ class ExactScalar:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.nums[0], self.den)
 
+    def root_order(self) -> int | None:
+        """The l for which this is a primitive l-th root of unity; None
+        when it is not a root of unity (those of Q(zeta_n) have orders
+        dividing lcm(2, n))."""
+        m = math.lcm(2, self.order)
+        return next((d for d in range(1, m + 1) if m % d == 0 and (self**d).is_one()), None)
+
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         r = _ratio(other)

@@ -249,6 +249,7 @@ commands = [
     ["verify", "--identity", "qgauss", "--points", "3", "--q", "1/2"],
     ["pipeline", "--shift", "0,1,1,0", *point, "--n-max", "3"],
     ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0", "--trials", "3"],
+    ["conjecture", "--pattern", "oll_root", "--instance", "0,4,4,0", "--trials", "3"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in commands]
@@ -257,7 +258,7 @@ print(codes, "sympy" in sys.modules)
     src = os.path.dirname(os.path.dirname(qforge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] False"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] False"
 
 
 @pytest.mark.parametrize("value", ["abc", "32"])

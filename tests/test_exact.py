@@ -52,6 +52,16 @@ def test_cyclotomic_product_over_divisors_is_xn_minus_1():
         assert prod == [-1] + [0] * (n - 1) + [1]
 
 
+def test_root_order():
+    # a root of unity of Q(zeta_n) has order dividing lcm(2, n); an order-6
+    # root lives in Q(zeta_3) as -zeta_3
+    z5 = ExactScalar.zeta(5)
+    cases = [(ExactScalar.from_rational(1), 1), (ExactScalar.from_rational(-1), 2), (Z3, 3),
+             (Z3 * Z3, 3), (-Z3, 6), (Z4, 4), (Z4 * Z4, 2), (z5**3, 5), (-z5, 10),
+             (ExactScalar.from_rational(2), None), (Z3 + 1 + Z3 * Z3, None), (Z3 * F(1, 2), None)]
+    assert [v.root_order() for v, _ in cases] == [order for _, order in cases]
+
+
 def test_normalize_zeta3_relation():
     # 1 + z + z^2 = 0
     assert ExactScalar(3, [1, 1, 1]).is_zero()

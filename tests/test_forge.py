@@ -17,8 +17,9 @@ from qforge.errors import (
     DegenerateParameter,
     SamplingExhausted,
     UnreachableTolerance,
+    UnsupportedBinding,
 )
-from qforge.exact import ExactScalar
+from qforge.exact import ExactScalar, cyclotomic_poly
 from qforge.families import (
     ParamFamily,
     family_qbinom2,
@@ -36,7 +37,7 @@ from qforge.forge import (
     telescoped_check,
     verify_identity,
 )
-from qforge.poly import RationalFunction as RF
+from qforge.poly import MultiPoly, RationalFunction as RF
 from qforge.qseries import Phi21Params, phi21_numeric, qpoch_finite, qpoch_infinite
 from qforge.relations import (
     DEFAULT_SEED,
@@ -379,22 +380,35 @@ def derived(shift) -> ThreeTermRelation:
 
 def assert_routes_agree(monkeypatch, shift, fam, **kwargs):
     """Both routes give the same boolean (or SamplingExhausted message)
-    after the same number of draws; returns that outcome."""
-    outcomes, real = [], forge._family_point
+    after sampling the same rounds N; the exact route draws one point per
+    round, or its whole budget of 10 * trials in a round that exhausts it.
+    Returns the outcome."""
+    outcomes, real_point, real_draws = [], forge._family_point, draw_admissible
 
-    def counted(fam, rng):
-        outcomes[-1][1] += 1
-        return real(fam, rng)
+    def counted_point(fam, rng):
+        outcomes[-1][1][-1][1] += 1
+        return real_point(fam, rng)
 
-    monkeypatch.setattr(forge, "_family_point", counted)
+    def counted_draws(draw, count, budget, what):
+        outcomes[-1][1].append([what, 0])
+        return real_draws(draw, count, budget, what)
+
+    monkeypatch.setattr(forge, "_family_point", counted_point)
+    monkeypatch.setattr(forge, "draw_admissible", counted_draws)
+    monkeypatch.setitem(globals(), "draw_admissible", counted_draws)  # the pointwise route's
     for route in (check_family, pointwise_check_family):
-        outcomes.append([None, 0])
+        outcomes.append([None, []])
         try:
             outcomes[-1][0] = route(shift, fam, **kwargs)
         except SamplingExhausted as exc:
             outcomes[-1][0] = str(exc)
-    assert outcomes[0] == outcomes[1], (shift, fam.name)
-    return outcomes[0][0]
+    (exact, exact_rounds), (pointwise, pointwise_rounds) = outcomes
+    assert exact == pointwise, (shift, fam.name)
+    assert [w for w, _ in exact_rounds] == [w for w, _ in pointwise_rounds], (shift, fam.name)
+    budget = 10 * kwargs["trials"]
+    assert [d for _, d in exact_rounds] == [1] * (len(exact_rounds) - 1) + \
+        [budget if isinstance(exact, str) else 1], (shift, fam.name)
+    return exact
 
 
 CRITERION_8 = [((2, 2, 0, 2), family_qbinom2()), ((1, 1, 2, 0), family_qgauss()),
@@ -430,6 +444,57 @@ def test_composed_check_matches_pointwise_where_q_does_not_vanish(monkeypatch):
     collapsing = ParamFamily("c=a", ("a", "b", "x"), {"a": a, "b": b, "c": a, "x": x})
     assert assert_routes_agree(monkeypatch, (0, 1, 1, 0), collapsing, n_max=1, trials=5) == \
         "could not sample admissible family points at N=1"
+
+
+@pytest.mark.parametrize("trials", [1, 20])
+def test_vanishing_family_draws_one_point_per_n(monkeypatch, trials):
+    # sampling only shows Q^(N) is defined, so trials sets no draw count
+    drawn, real = [], forge._family_point
+    monkeypatch.setattr(forge, "_family_point", lambda fam, rng: drawn.append(fam) or real(fam, rng))
+    shift, fam = CRITERION_8[3]
+    assert check_family(shift, fam, n_max=4, trials=trials, relation=derived(shift))
+    assert len(drawn) == 4
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_root_of_unity_composite_vanishes_only_modulo_phi(monkeypatch, order):
+    # Q's numerator on (zeta_l q, b, zeta_l b, 1) is not zero over Q, only
+    # modulo Phi_l(w): a check that skipped the reduction would answer False
+    shift, fam = ShiftVector(0, order, order, 0), family_root_of_unity(order)
+    rel = derived(shift)
+    moved = Phi21Params(q=RF.var("t"), **fam.assignment).shifted(shift)
+    composite = rel.Q.num.eval({**vars(moved), "q": RF.var("q")}).num
+    phi = MultiPoly(("w",), {(e,): c for e, c in enumerate(cyclotomic_poly(order))})
+    assert forge._root_modulus(fam) == phi
+    assert not composite.is_zero() and composite.divide(phi) is not None
+    monkeypatch.setattr(forge, "_root_modulus", lambda fam: None)
+    assert not check_family(shift, fam, n_max=1, trials=1, relation=rel)
+
+
+def _fixing(**fixed) -> ParamFamily:
+    """(0,3,3,0)'s root-of-unity family with w fixed to the given values."""
+    b, q, w = RF.var("b"), RF.var("q"), RF.var("w")
+    return ParamFamily("(w q, b, w b, 1)", ("b", "w"), {"a": w * q, "b": b, "c": w * b, "x": RF.const(1)},
+                       fixed)
+
+
+@pytest.mark.parametrize("fixed", [{"w": F(2, 3)}, {"w": 2 / 3}, {"w": F(2, 3) * Z3}, {"w": Z3, "v": Z4}],
+                         ids=["two_thirds", "float", "not_unit", "two_roots"])
+def test_check_family_refuses_bindings_it_cannot_reduce(fixed):
+    # Phi_l is the minimal polynomial of a primitive l-th root only
+    with pytest.raises(UnsupportedBinding):
+        check_family((0, 3, 3, 0), _fixing(**fixed), n_max=1, trials=1)
+
+
+def test_root_binding_reduces_by_its_own_order(monkeypatch):
+    # -1, -zeta_3 and zeta_3^2 are primitive roots of order 2, 6 and 3
+    cases = [(F(-1), {(0,): 1, (1,): 1}), (-Z3, {(0,): 1, (1,): -1, (2,): 1}),
+             (Z3**2, {(0,): 1, (1,): 1, (2,): 1})]
+    for value, phi in cases:
+        assert forge._root_modulus(_fixing(w=value)) == MultiPoly(("w",), phi)
+    # zeta_3^2 is conjugate to zeta_3, and zeta_4 is not a root of (0,3,3,0)'s family
+    assert assert_routes_agree(monkeypatch, (0, 3, 3, 0), _fixing(w=Z3**2), n_max=3, trials=3)
+    assert not assert_routes_agree(monkeypatch, (0, 3, 3, 0), _fixing(w=Z4), n_max=3, trials=3)
 
 
 def test_composed_check_multiplies_no_polynomial_per_term(monkeypatch):

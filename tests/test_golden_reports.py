@@ -44,6 +44,7 @@ COMMANDS = {
                                  "--mode", "exact"],
     "conjecture_sum_zero_1120": ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0"],
     "derive_242m2": ["derive", "--shift", "2,4,2,-2", "--check-against-table"],
+    "conjecture_oll_root_0440": ["conjecture", "--pattern", "oll_root", "--instance", "0,4,4,0"],
 }
 
 
