@@ -39,6 +39,7 @@ from .relations import (
 from .symmetry import apply_word_shift, canonical_representative
 
 USAGE_EXIT = 2
+_SHIFT_OPTIONS = ("--shift", "--instance")  # the K,L,M,N options
 
 
 @dataclass
@@ -352,8 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_shift_values(argv: list) -> list:
+    """argv with `--shift V` and `--instance V` written `--shift=V` when V
+    starts with a minus: argparse reads -1,-2,-2,1 on its own as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SHIFT_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _attach_shift_values(sys.argv[1:] if argv is None else argv)
     env_prec = os.environ.get("QFORGE_PRECISION")
     if env_prec:
         try:

@@ -31,7 +31,15 @@ the general sum.
 key first; it returns None at the first remainder term that the
 divisor's leading term does not divide (monomial or coefficient).  Over
 the divisor's primitive integer part the quotient of integer numerators
-is integral (Gauss's lemma), so it runs on ints.
+is integral (Gauss's lemma), so it runs on ints.  A divisor of three or
+more terms keeps the remainder keys in a heap (Monagan & Pearce); one of
+one or two terms needs none: each remainder key k generates at most the
+key k - kl + kr, below k, so the generated keys come out in descending
+order and a queue of them merges with the sorted dividend.
+
+`eval_by_power` evaluates the coefficients of the powers of one variable
+at a rational point, ints over one denominator, from one plan grouped by
+that power.
 
 RationalFunction equality is decided by cross-multiplication against the
 zero-polynomial test, never by forced reduction.  `cancel` divides out
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
@@ -218,20 +227,6 @@ class MultiPoly:
         shifts, mask, _ = _layout(len(self.vars), self.width)
         return _unpack(key, shifts, mask), Fraction(self.nums[key], self.den)
 
-    def coefficients(self, name: str) -> dict[int, "MultiPoly"]:
-        """{e: coefficient of name^e}, polynomials in the other variables."""
-        if name not in self.vars:
-            return {0: self}
-        i = self.vars.index(name)
-        shifts, mask, _ = _layout(len(self.vars), self.width)
-        s, w = shifts[i], self.width
-        low = (1 << s) - 1
-        groups: dict[int, dict] = {}
-        for k, c in self.nums.items():
-            groups.setdefault((k >> s) & mask, {})[(k >> (s + w) << s) | (k & low)] = c
-        rest = self.vars[:i] + self.vars[i + 1:]
-        return {e: _lowest(rest, w, nums, self.den) for e, nums in groups.items()}
-
     # -- ring operations -------------------------------------------------------
     def __add__(self, other):
         other = self._coerce(other)
@@ -360,12 +355,7 @@ class MultiPoly:
         # pows[k][e] = n^e m^(d - e) for the k-th rational value n / m of
         # degree d; vpows the same for the other values, as numerator
         # vectors or MultiPolys
-        den = self.den
-        pows = []
-        for d, n, m in rational:
-            dens = _powers(m, d)
-            pows.append([a * b for a, b in zip(_powers(n, d), reversed(dens))])
-            den *= dens[d]
+        pows, den = _rational_powers(rational, self.den)
         shape = tuple(i for i, _, _ in other)
         plan = self._cached(shape, lambda: self._plan(shape))
         if symbolic and all(len(v.num.nums) == len(v.den.nums) == 1 for _, _, v in other):
@@ -403,6 +393,28 @@ class MultiPoly:
         if symbolic:
             return RationalFunction(_combination(terms), den)
         return _exact(order, acc, den) if exact else Fraction(acc[0], den)
+
+    def eval_by_power(self, name: str, point: dict) -> tuple[dict, int]:
+        """({e: n_e}, d) with n_e / d the coefficient of name^e at `point`,
+        which binds every other variable that occurs to an int or a
+        Fraction: ints over one denominator d > 0 in lowest terms, zero
+        ones left out.  One plan, grouped by the power of name, serves
+        every point."""
+        p = self.extend((name,))
+        i, names = p.vars.index(name), p.vars
+        degs = [(j, d) for j, d in p._degrees() if j != i]
+        missing = [names[j] for j, _ in degs if names[j] not in point]
+        if missing:
+            raise UnboundSymbol(f"point does not bind {missing}")
+        rational = []
+        for j, d in degs:
+            v = Fraction(point[names[j]])
+            rational.append((d, v.numerator, v.denominator))
+        pows, den = _rational_powers(rational, p.den)
+        plan = p._cached((i,), lambda: p._plan((i,)))
+        nums = {e: s for (e,), s in _sums(plan, pows)}
+        g = math.gcd(den, *nums.values())
+        return {e: s // g for e, s in nums.items()}, den // g
 
     def _plan(self, shape: tuple) -> list:
         """The layout of the integer sum when the variables at the indices
@@ -582,8 +594,11 @@ def _combination(pairs: list) -> MultiPoly:
 def _quotient(nums: dict, fnums: dict, tops: int) -> dict | None:
     """The integer numerators of nums / fnums on one packed layout (`tops`
     the top bit of every field), or None when the division leaves a
-    remainder: sparse division, highest remainder key first."""
+    remainder: sparse division, highest remainder key first.  A divisor
+    of one or two terms takes the merge, any longer one the heap."""
     (kl, cl), *rest = sorted(fnums.items(), reverse=True)
+    if len(rest) < 2:
+        return _merge_quotient(nums, kl, cl, rest, tops)
     rem = dict(nums)
     heap = [-k for k in rem]
     heapify(heap)
@@ -614,6 +629,57 @@ def _quotient(nums: dict, fnums: dict, tops: int) -> dict | None:
             else:
                 rem[key] = s - t * c2
     return out
+
+
+def _merge_quotient(nums: dict, kl: int, cl: int, rest: list, tops: int) -> dict | None:
+    """_quotient by cl m_l, or by cl m_l + cr m_r when rest = [(kr, cr)]:
+    the dividend's keys in descending order merged with a queue of the
+    keys the division generates, k - kl + kr from remainder key k, which
+    come out descending too; the same tests as the heap."""
+    keys = sorted(nums, reverse=True)
+    keys.append(-1)  # below every key
+    (kr, cr), = rest or ((0, 0),)
+    queue = deque()
+    out = {}
+    i = 0
+    while True:
+        k = keys[i]
+        if queue and queue[0][0] >= k:
+            g, c = queue.popleft()
+            if g == k:
+                c += nums[k]
+                i += 1
+            k = g
+        elif k < 0:
+            return out
+        else:
+            c = nums[k]
+            i += 1
+        if not c:
+            continue
+        if ((k | tops) - kl) & tops != tops:
+            return None
+        t, r = divmod(c, cl)
+        if r:
+            return None
+        k -= kl
+        out[k] = t
+        if rest:
+            key = k + kr
+            if key & tops:
+                return None
+            queue.append((key, -t * cr))
+
+
+def _rational_powers(rational: list, den: int):
+    """(pows, den times every m^d): pows[k][e] = n^e m^(d - e) for the
+    k-th (d, n, m) of `rational`, a value n / m of degree d."""
+    pows = []
+    for d, n, m in rational:
+        dens = _powers(m, d)
+        pows.append([a * b for a, b in zip(_powers(n, d), reversed(dens))])
+        den *= dens[d]
+    return pows, den
 
 
 def _sums(plan: list, pows: list):

@@ -25,7 +25,12 @@ interleaved walk stays near the shift's diagonal (through the small
 (0,k,k,0) relations on the way to (0,4,4,0)), where the intermediate
 relations are smaller than those of an axis-by-axis walk.  The state's
 denominator is kept factored over the steps' own binomials, so cancelling
-is exact division by those factors only, with no general gcd.
+is exact division by those factors only, with no general gcd.  The walk
+tracks only the integer position (k, l, m, n): each of the eight moves is
+built and factored once per process, at (a, b, c, x), and a step moves
+that template to its position with the q-shift a -> aq^k, b -> bq^l,
+c -> cq^m, x -> xq^n, re-forming each factor from its shifted exponent
+vectors, so no step builds or factors a matrix.
 
 The (Q, R) pair of the normal-form relation is recovered at the end via
 phi(xq) = phi - x(1-a)(1-b)/(1-c) * phi(aq,bq;cq;x), and is verified both
@@ -34,7 +39,9 @@ residual invariant.  Both checks move the parameters with
 Phi21Params.shifted and sum the series with the term recurrence of
 qseries: for the series match at x = 1 (so the terms are the
 coefficients in x, and at x = q^n those of phi(xq^n)), with its factors
-cleared so that the match is a test of int sums against 0; through
+cleared so that the match is a test of int sums against 0 (each cleared
+polynomial evaluated once per point, grouped by the power of x, and each
+row scaled once to the lcm of the rows' denominators); through
 phi21_numeric for the residual.
 
 Every random point of qforge, in these checks, forge and cli, comes from
@@ -50,6 +57,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import lcm
 from operator import mul, or_
+from types import MappingProxyType
 from typing import NamedTuple
 
 import mpmath
@@ -167,7 +175,8 @@ def qr_lookup(shift) -> ThreeTermRelation:
 # -- the contiguous-step ladder ----------------------------------------------------
 #
 # _r2, _direct and contiguous_step work over any field: qr_derive runs them
-# on RationalFunctions, and they run as well on Fractions or ExactScalars.
+# on RationalFunctions, once per move at the base position (_template),
+# and they run as well on Fractions or ExactScalars.
 
 _AXES = "abcx"
 
@@ -223,8 +232,21 @@ def contiguous_step(axis: str, up: bool, p, q):
 # state is in lowest terms), so it divides det(L M), a product of this
 # step's factors.  A step therefore cancels, by exact division, only its
 # own factors; the final Q and R try every factor of their denominators.
+#
+# M at (A, B, C, y) = (aq^k, bq^l, cq^m, xq^n) is M at (a, b, c, x) under
+# the q-shift a -> aq^k, b -> bq^l, c -> cq^m, x -> xq^n, an automorphism
+# of the Laurent polynomials.  So each of the eight moves is built and
+# factored once, at the base position (its template), and a step moves
+# the template's entries: each numerator under the shift (a monomial map),
+# each factor re-formed from its shifted exponent vectors by _binomial.
+# A shifted binomial is sign * monomial * canonical binomial, still
+# coprime to the shifted numerator; the monomials of the numerator and of
+# the factors meet in one normalized RationalFunction, whose monomial
+# denominator gives the variable factors.  So a moved entry is the one
+# that building and factoring M at (k, l, m, n) would give.
 
 _VARS = tuple(MultiPoly.var(s).extend(RELATION_VARS) for s in RELATION_VARS)
+_BASE = (0, 0, 0, 0)
 
 
 @cache
@@ -292,19 +314,95 @@ def _divide_all(nums: list, f: MultiPoly):
     return out
 
 
-def _step(axis: str, up: bool, p, q, v, den: Counter):
-    """(p', v', den') one contiguous step from the ladder state (p, v,
-    den): v' = M v over den' = den * L, L the lcm of the denominators of
-    M's entries, in lowest terms."""
-    m, moved = contiguous_step(axis, up, p, q)
-    at = _position(p)
-    known = _VARS + tuple(_step_factors(at) | _step_factors(_position(moved)))
-    where = f"{axis} {'up' if up else 'down'} step from {','.join(map(str, at))}"
+def _moved_to(at: tuple, axis: str, up: bool) -> tuple:
+    """The position one step from `at` along `axis`."""
+    i = _AXES.index(axis)
+    return at[:i] + (at[i] + (1 if up else -1),) + at[i + 1:]
+
+
+def _factored(m, known, where: str) -> tuple:
+    """The entries of the 2x2 matrix m as (numerator, factor Counter)
+    pairs in lowest terms, each denominator split over `known`."""
     entries = []
     for e in (RationalFunction.const(e) for row in m for e in row):
         c, fs = _factor(e.den, known, where)
         (num,), fs = _cancel([e.num * (1 / c)], fs, fs)
         entries.append((num, fs))
+    return tuple(entries)
+
+
+@cache
+def _template(axis: str, up: bool) -> tuple:
+    """The factored entries of one move's matrix at the base position
+    (a, b, c, x), each factor Counter frozen into (factor, exponent)
+    pairs: built once per move and shared by every step."""
+    a, b, c, q, x = _rf_vars()
+    m, _ = contiguous_step(axis, up, (a, b, c, x), q)
+    known = _VARS + tuple(_step_factors(_BASE) | _step_factors(_moved_to(_BASE, axis, up)))
+    entries = _factored(m, known, f"{axis} {'up' if up else 'down'} step from 0,0,0,0")
+    return tuple((num, tuple(fs.items())) for num, fs in entries)
+
+
+@cache
+def _moved_factor(f: MultiPoly, at: tuple):
+    """(sign, monomial, binomial) with f under the q-shift to `at` equal
+    to sign * monomial * binomial: a variable moves to a monomial (and
+    binomial None), a canonical binomial to a canonical binomial."""
+    k, l, m, n = at
+    hi, *lo = ((ea, eb, ec, eq + k * ea + l * eb + m * ec + n * ex, ex)
+               for (ea, eb, ec, eq, ex), _ in sorted(f.terms.items(), key=lambda t: -t[1]))
+    if not lo:
+        return 1, hi, None
+    (lo,) = lo
+    return (1 if hi > lo else -1), tuple(map(min, hi, lo)), _binomial(hi, lo)
+
+
+def _moved(axis: str, up: bool, at: tuple) -> list:
+    """The factored entries of one move's matrix at `at`: the template's
+    entries under the q-shift, with no factoring."""
+    point = _shifted_point(at)
+    out = []
+    for num, fs in _template(axis, up):
+        sign, mono, den = 1, (0,) * len(RELATION_VARS), Counter()
+        for f, e in fs:
+            s, g, binomial = _moved_factor(f, at)
+            sign *= s ** e
+            mono = tuple(u + e * w for u, w in zip(mono, g))
+            if binomial is not None:
+                den[binomial] += e
+        # num under the shift over sign * mono: the monomials meet in one
+        # normalized quotient, whose denominator is a monomial
+        val = RationalFunction.const(num.eval(point))
+        if sign != 1 or any(mono):
+            val = RationalFunction(val.num * _monomial(tuple(max(-e, 0) for e in mono), sign),
+                                   val.den * _monomial(tuple(max(e, 0) for e in mono), 1))
+        exps, _ = val.den.leading()
+        for name, e in zip(val.den.vars, exps):
+            if e:
+                den[_VARS[RELATION_VARS.index(name)]] += e
+        out.append((val.num, den))
+    return out
+
+
+@cache
+def _shifted_point(at: tuple) -> dict:
+    """{a: aq^k, b: bq^l, c: cq^m, q: q, x: xq^n} as RationalFunctions."""
+    return MappingProxyType(vars(Phi21Params(*_rf_vars()).shifted(at)))
+
+
+@cache
+def _monomial(exps: tuple, coeff: int) -> MultiPoly:
+    """coeff times the monomial of exponent vector exps over RELATION_VARS."""
+    return MultiPoly(RELATION_VARS, {exps: coeff})
+
+
+def _step(axis: str, up: bool, at: tuple, v, den: Counter):
+    """(at', v', den') one contiguous step from the ladder state (at, v,
+    den) at position `at`: v' = M v over den' = den * L, L the lcm of the
+    denominators of M's entries, in lowest terms."""
+    moved = _moved_to(at, axis, up)
+    known = _VARS + tuple(_step_factors(at) | _step_factors(moved))
+    entries = _moved(axis, up, at)
     lcm = reduce(or_, (fs for _, fs in entries))
     b00, b01, b10, b11 = (num * _expand(lcm - fs) for num, fs in entries)
     v, den = _cancel([
@@ -312,11 +410,6 @@ def _step(axis: str, up: bool, p, q, v, den: Counter):
         b10 * v[0][0] + b11 * v[1][0], b10 * v[0][1] + b11 * v[1][1],
     ], den + lcm, known)
     return moved, [v[0:2], v[2:4]], den
-
-
-def _position(p) -> tuple:
-    """The shift (k, l, m, n) of the walked parameters p = (aq^k, bq^l, cq^m, xq^n)."""
-    return tuple(e.num.degree_in("q") - e.den.degree_in("q") for e in p)
 
 
 def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
@@ -329,19 +422,18 @@ def qr_derive(shift, degree_budget: int = DEFAULT_DEGREE_BUDGET,
     SamplingExhausted when the checks cannot draw admissible points.
     """
     shift = ShiftVector(*shift)
-    a, b, c, q, x = _rf_vars()
     if shift == (0, 0, 0, 0):
         return ThreeTermRelation(shift, RationalFunction.const(0), RationalFunction.const(1))
-    # (phi(y), phi(yq)) at the walked parameters p, in the basis
+    # (phi(y), phi(yq)) at the walked position `at`, in the basis
     # (phi(x), phi(xq)): the rows of v over the factored denominator den
     one, zero = MultiPoly.const(1), MultiPoly.const(0)
-    v, den = [[one, zero], [zero, one]], Counter()
-    p = (a, b, c, x)
+    at, v, den = _BASE, [[one, zero], [zero, one]], Counter()
     for axis, up in _walk(shift):
-        p, v, den = _step(axis, up, p, q, v, den)
+        at, v, den = _step(axis, up, at, v, den)
     # Q = -rep1 x (1-a)(1-b)/(1-c) = rep1 x (a-1)(b-1)/(c-1), R = rep0 + rep1
-    fa, fb, fc = ((t - 1).num for t in (a, b, c))
-    extra = Counter((x.num, fa, fb))
+    a, b, c, _, x = _VARS
+    fa, fb, fc = a - 1, b - 1, c - 1
+    extra = Counter((x, fa, fb))
     q_den = den + Counter((fc,))
     common = extra & q_den
     q_den -= common
@@ -381,27 +473,27 @@ def _series_verify(shift, cleared: tuple[MultiPoly, MultiPoly, MultiPoly],
     (P0, P1, P2) = `cleared`.  At x = 1 the terms t_0 .. t_(order-1) of a
     series are its coefficients in x (at x = q^n, those of phi(xq^n)), as
     ints nums over one denominator D (qseries._cleared_terms); each P's
-    x-coefficient values are ints over one denominator L.  Each series
-    row is multiplied once by the D L of the other two, so each
-    coefficient, times all six denominators, is an int sum."""
-    polys = [pp.coefficients("x") for pp in cleared]
+    x-coefficient values are ints over one denominator L, from one plan
+    of P grouped by the power of x (MultiPoly.eval_by_power).  With M the
+    lcm of the three D L, each row's coefficient of x^t, an int sum of
+    the unscaled ints, is multiplied by M / (D L), so each coefficient of
+    the difference, times M, is an int sum.  The three series share most
+    of the factors of their D, so M stays far below the product."""
+    cleared = [pp.extend(("x",)) for pp in cleared]  # one plan per P for every point
 
     def draw():
         # a, b, c, q drawn in that order; x = 1 gives the coefficients in x
         pt = Phi21Params(*(rand_fraction(rng) for _ in range(4)), Fraction(1))
         series = [_cleared_terms(p, order) for p in (pt.shifted(shift), pt.shifted(_UP), pt)]
-        return series, [{e: p.eval(vars(pt)) for e, p in ps.items()} for ps in polys]
+        return series, [pp.eval_by_power("x", vars(pt)) for pp in cleared]
 
     for series, values in draw_admissible(draw, points, 50 * points, "verification points"):
-        rows, dens = [], []
-        for (nums, den), vals in zip(series, values):
-            lden = lcm(*(v.denominator for v in vals.values()))
-            rows.append((nums, {e: v.numerator * (lden // v.denominator) for e, v in vals.items()}))
-            dens.append(den * lden)
-        scales = dens[1] * dens[2], -dens[0] * dens[2], -dens[0] * dens[1]
-        rows = [([n * scale for n in nums], cs) for (nums, cs), scale in zip(rows, scales)]
+        dens = [den * lden for (_, den), (_, lden) in zip(series, values)]
+        m = lcm(*dens)
+        rows = [(nums, cs, sign * (m // d))
+                for (nums, _), (cs, _), d, sign in zip(series, values, dens, (1, -1, -1))]
         for t in range(order):
-            if sum(v * nums[t - j] for nums, cs in rows for j, v in cs.items() if j <= t):
+            if sum(s * sum(v * nums[t - j] for j, v in cs.items() if j <= t) for nums, cs, s in rows):
                 return False
     return True
 

@@ -70,6 +70,23 @@ def test_conjecture(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["derive", "--shift", "-1,-2,-2,1"],
+    ["normalize", "--shift", "-1,-2,-2,1"],
+    ["pipeline", "--shift", "-1,-1,-2,0", "--point", "a=1/3", "--point", "b=1/5",
+     "--point", "c=1/30", "--point", "q=1/2", "--n-max", "3"],
+    ["conjecture", "--pattern", "kll", "--instance", "-1,2,3,1", "--trials", "5"],
+], ids=["derive", "normalize", "pipeline", "conjecture"])
+def test_shift_with_a_leading_minus(capsys, argv):
+    # argparse reads -1,... on its own as an option; the plain form used
+    # to exit 2 with "expected one argument"
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    i = argv.index("--shift" if "--shift" in argv else "--instance")
+    joined = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2:]
+    assert run_cli(capsys, *joined) == (code, out)
+
+
 def test_exit_code_on_failure(capsys):
     # a tolerance far below reachable accuracy makes every case an error
     code, out = run_cli(capsys, "verify", "--identity", "qbinom",

@@ -45,6 +45,9 @@ COMMANDS = {
     "conjecture_sum_zero_1120": ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0"],
     "derive_242m2": ["derive", "--shift", "2,4,2,-2", "--check-against-table"],
     "conjecture_oll_root_0440": ["conjecture", "--pattern", "oll_root", "--instance", "0,4,4,0"],
+    # a, b and c down steps, which the shifts above never take
+    "derive_m1m2m21": ["derive", "--shift", "-1,-2,-2,1"],
+    "derive_m2m1m32": ["derive", "--shift", "-2,-1,-3,2"],
 }
 
 

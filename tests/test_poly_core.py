@@ -2,6 +2,7 @@
 polynomials it replaced (tests/ref_poly.py): the same text, terms, hash,
 arithmetic, evaluation, substitution and cancellation."""
 
+import heapq
 import json
 import math
 import random
@@ -244,13 +245,96 @@ def test_exact_division_edges():
         a.divide(MultiPoly.const(0))
 
 
-def test_x_coefficients_split_packed_monomials():
+def test_x_coefficient_values_split_packed_monomials():
+    # sum n_e X^e / d is p at x = X for deg_x(p) + 1 distinct X, so the
+    # n_e / d are the values of p's x-coefficients
+    rng = random.Random(5)
     for rel in RELATIONS[:8]:
         p = rel.Q.num * rel.R.den
-        parts = p.coefficients("x")
-        x = MultiPoly.var("x")
-        assert sum((c * x ** e for e, c in parts.items()), MultiPoly.const(0)) == p
-        assert all("x" not in c.vars for c in parts.values())
+        point = {v: F(rng.randint(1, 30), rng.randint(1, 30)) for v in "abcq"}
+        vals, d = p.eval_by_power("x", point)
+        assert d > 0 and all(type(c) is int and c for c in vals.values())
+        assert math.gcd(d, *vals.values()) == 1
+        for X in range(1, p.degree_in("x") + 2):
+            assert sum(F(c, d) * X**e for e, c in vals.items()) == p.eval({**point, "x": F(X)})
+    # no x, and a zero coefficient left out
+    vals, d = MultiPoly.from_text("a*b + (-1)*a").eval_by_power("x", {"a": F(1, 2), "b": 1})
+    assert vals == {} and d > 0
+    vals, d = MultiPoly.from_text("(2)*a*x^3 + q").eval_by_power("x", {"a": F(1, 3), "q": 2})
+    assert {e: F(c, d) for e, c in vals.items()} == {3: F(2, 3), 0: 2}
+
+
+def _heap_quotient(nums: dict, fnums: dict, tops: int):
+    """The heap loop of poly._quotient, for any divisor: the oracle of
+    the merge path."""
+    (kl, cl), *rest = sorted(fnums.items(), reverse=True)
+    rem = dict(nums)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue
+        if ((k | tops) - kl) & tops != tops:
+            return None
+        t, r = divmod(c, cl)
+        if r:
+            return None
+        k -= kl
+        out[k] = t
+        for k2, c2 in rest:
+            key = k + k2
+            if key & tops:
+                return None
+            s = rem.get(key)
+            if s is None:
+                rem[key] = -t * c2
+                heapq.heappush(heap, -key)
+            elif s == t * c2:
+                del rem[key]
+            else:
+                rem[key] = s - t * c2
+    return out
+
+
+@st.composite
+def short_divisors(draw):
+    """A monomial or a binomial with small integer coefficients."""
+    names = tuple(sorted(draw(st.sets(st.sampled_from("abcqx"), min_size=1))))
+    exps = st.tuples(*[_near_top] * len(names))
+    coeffs = st.sampled_from([1, -1, 2, -3, 5])
+    return MultiPoly(names, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=2)))
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(packed_polys(), short_divisors(), packed_polys(), st.sampled_from(["product", "perturbed", "any"]))
+def test_merge_division_matches_the_heap(p, f, extra, mode):
+    # the dividend a multiple of f, a multiple plus another polynomial,
+    # or any polynomial: the merge returns what the heap returns
+    dividend = {"product": p * f, "perturbed": p * f + extra, "any": p}[mode]
+    dividend, f = poly._align(dividend, f)
+    tops = poly._layout(len(f.vars), f.width)[2]
+    fnums = {k: c // math.gcd(*f.nums.values()) for k, c in f.nums.items()}
+    got = poly._quotient(dividend.nums, fnums, tops)
+    assert got == _heap_quotient(dividend.nums, fnums, tops)
+    if mode == "product":
+        assert got is not None
+
+
+def test_merge_division_edges():
+    a, b, q, x = (MultiPoly.var(s) for s in "abqx")
+    # a monomial divisor that misses one term, and one that divides all
+    assert (a * b + a**2).divide(b) is None
+    assert_quotient((6 * a**2 * b + 4 * a * b**3).divide(2 * a * b), 3 * a + 2 * b**2)
+    # a coefficient remainder: 2a + 3 is primitive, 1 is not a multiple of 2
+    assert (a + 1).divide(2 * a + 3) is None
+    assert (4 * a**2 + 12 * a + 9 + 1).divide(2 * a + 3) is None
+    # generated keys that meet the dividend's keys and cancel them
+    assert_quotient((a**5 - b**5).divide(a - b), sum((a**i * b**(4 - i) for i in range(5)), 0 * a))
+    assert_quotient((q**2 * x - x**3).divide(q - x), q * x + x**2)
 
 
 # -- what the benchmark's tracer wraps ------------------------------------------------------

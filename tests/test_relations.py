@@ -320,11 +320,10 @@ def _sequential_derive(shift):
     each state checked to be in lowest terms, and the last cancellation
     done by sympy's gcd."""
     one, zero = MultiPoly.const(1), MultiPoly.const(0)
-    v, den = [[one, zero], [zero, one]], Counter()
-    p = (A, B, C, X)
+    at, v, den = (0, 0, 0, 0), [[one, zero], [zero, one]], Counter()
     for axis, count in zip("abcx", shift):
         for _ in range(abs(count)):
-            p, v, den = relations._step(axis, count > 0, p, Q, v, den)
+            at, v, den = relations._step(axis, count > 0, at, v, den)
             polys = [e.extend(RELATION_VARS)._to_sym() for e in (*v[0], *v[1], relations._expand(den))]
             assert reduce(lambda g, s: g.gcd(s), (s for s in polys if s)).is_ground
     rep0, rep1 = (RF(e, relations._expand(den)) for e in v[0])
@@ -351,9 +350,19 @@ def test_derived_relation_is_in_lowest_terms(shift):
         assert f.cancel().to_json() == f.to_json()
 
 
-def test_non_step_denominator_is_a_typed_failure(monkeypatch):
+@pytest.fixture
+def fresh_templates():
+    # the step templates are built once per process: build them again
+    # under the test's patches, and drop what the patches built
+    relations._template.cache_clear()
+    yield
+    relations._template.cache_clear()
+
+
+def test_non_step_denominator_is_a_typed_failure(monkeypatch, fresh_templates):
     # a matrix entry over 1 + a + b, which no step factor divides: the
-    # ladder names the step and never falls back to a general gcd
+    # ladder names the step its template was built at and never falls
+    # back to a general gcd
     def step(axis, up, p, q):
         m, moved = contiguous_step(axis, up, p, q)
         if axis == "b":
@@ -361,7 +370,7 @@ def test_non_step_denominator_is_a_typed_failure(monkeypatch):
         return m, moved
 
     monkeypatch.setattr(relations, "contiguous_step", step)
-    with pytest.raises(VerificationFailed, match="a \\+ b \\+ \\(1\\) of the b up step from 1,0,0,0"):
+    with pytest.raises(VerificationFailed, match="a \\+ b \\+ \\(1\\) of the b up step from 0,0,0,0"):
         qr_derive((1, 1, 0, 0))
 
 
@@ -401,14 +410,62 @@ def test_balanced_walk_shape(shift):
 
 def test_qr_derive_walks_balanced(monkeypatch):
     steps = []
+    real = relations._step
+
+    def step(axis, up, at, v, den):
+        steps.append((axis, up, at))
+        return real(axis, up, at, v, den)
+
+    monkeypatch.setattr(relations, "_step", step)
+    qr_derive((1, 2, 1, -1))
+    assert steps == [("a", True, (0, 0, 0, 0)), ("b", True, (1, 0, 0, 0)), ("c", True, (1, 1, 0, 0)),
+                     ("x", False, (1, 1, 1, 0)), ("b", True, (1, 1, 1, -1))]
+
+
+def test_contiguous_step_runs_once_per_move(monkeypatch, fresh_templates):
+    # the ladder builds each of the eight moves once, at the base position
+    calls = []
 
     def step(axis, up, p, q):
-        steps.append((axis, up))
+        calls.append((axis, up, p))
         return contiguous_step(axis, up, p, q)
 
     monkeypatch.setattr(relations, "contiguous_step", step)
-    qr_derive((1, 2, 1, -1))
-    assert steps == [("a", True), ("b", True), ("c", True), ("x", False), ("b", True)]
+    for shift in [(2, 4, 2, -2), (-2, -1, -3, 2), (1, 2, 1, -1)]:
+        qr_derive(shift)
+    assert Counter((axis, up) for axis, up, _ in calls) == Counter(itertools.product("abcx", (True, False)))
+    assert all(p == (A, B, C, X) for _, _, p in calls)
+
+
+def _direct_entries(axis, up, at):
+    """The factored entries of the step matrix built and factored at
+    position `at` itself: contiguous_step at (aq^k, bq^l, cq^m, xq^n)."""
+    p = Phi21Params(A, B, C, Q, X).shifted(at)
+    m, _ = contiguous_step(axis, up, (p.a, p.b, p.c, p.x), Q)
+    moved = relations._moved_to(at, axis, up)
+    known = relations._VARS + tuple(relations._step_factors(at) | relations._step_factors(moved))
+    return relations._factored(m, known, "direct step")
+
+
+def _bench_positions():
+    shifts = [ShiftVector.parse(key) for key in DERIVE_REFS["shifts"]]
+    return {(0, 0, 0, 0)} | {pos for s in shifts for pos in _walked_points(relations._walk(s))}
+
+
+_TEMPLATE_POSITIONS = sorted(set(itertools.product((-1, 0, 1), repeat=4)) | _bench_positions())
+
+
+@pytest.mark.parametrize("at", _TEMPLATE_POSITIONS, ids=lambda s: ",".join(map(str, s)))
+def test_moved_template_is_the_direct_step(at):
+    # oracle: each of the eight moves' templates, moved to `at` by the
+    # q-shift, has the entries that building and factoring there gives
+    for axis in "abcx":
+        for up in (True, False):
+            moved = relations._moved(axis, up, at)
+            direct = _direct_entries(axis, up, at)
+            for (num, fs), (want_num, want_fs) in zip(moved, direct, strict=True):
+                assert num == want_num
+                assert +fs == +want_fs
 
 
 def test_shift_vector_parse():
