@@ -15,6 +15,9 @@ the radius, rounded up, gains two units (_shift).  A modulus enters a
 radius rounded up and a divisor's rounded down.  An exact input that fits
 in prec bits carries err 0; otherwise each part floored to prec bits adds
 one unit, and a cyclotomic value adds a bound on its embedding's error.
+_floored is that floor on an exact ratio (n, d), returning the ball and
+exponent without building a value: coerce calls it, and so do the
+kernels of qforge.qseries for their exact rational parameters.
 The integer kernel of qforge.qseries spells out the formulas of these
 primitives on local ints at a fixed scale: three per ball, calling _div,
 when a parameter is complex, and two (midpoint, radius) with _div written
@@ -123,22 +126,28 @@ def _floor_scaled(n: int, d: int, s: int):
     return m, not r
 
 
-def _from_parts(re, im, prec: int, cplx: bool) -> "ApproxScalar":
-    """The value re + i im, its parts given as (n, d), floored to prec bits
-    at one exponent, plus one unit of radius for each part the floor
-    changed."""
-    (rn, rd), (imn, imd) = re, im
-    if not (rn or imn):
-        return _make((0, 0, 0), 0, prec, cplx)
+def _floored(n: int, d: int, prec: int, imn: int = 0, imd: int = 1):
+    """The value n / d + i imn / imd (d, imd > 0) as the (ball, exp) an
+    ApproxScalar at prec bits holds: both parts floored to prec bits at one
+    exponent, plus one unit of radius for each part the floor changed."""
+    if not (n or imn):
+        return (0, 0, 0), 0
     # |n / d| lies in [2**(t-1), 2**(t+1)) for t = bits(n) - bits(d)
-    top = max(rn.bit_length() - rd.bit_length() if rn else -math.inf,
+    top = max(n.bit_length() - d.bit_length() if n else -math.inf,
               imn.bit_length() - imd.bit_length() if imn else -math.inf)
     s = prec - top  # the larger part gets prec or prec + 1 bits
-    (mr, xr), (mi, xi) = _floor_scaled(rn, rd, s), _floor_scaled(imn, imd, s)
+    (mr, xr), (mi, xi) = _floor_scaled(n, d, s), _floor_scaled(imn, imd, s)
     if max(abs(mr), abs(mi)).bit_length() > prec:  # floor(floor(v) / 2) = floor(v / 2)
         xr, xi = xr and not mr & 1, xi and not mi & 1
         mr, mi, s = mr >> 1, mi >> 1, s - 1
-    return _make((mr, mi, (not xr) + (not xi)), -s, prec, cplx)
+    return _normalized((mr, mi, (not xr) + (not xi)), -s, prec)
+
+
+def _from_parts(re, im, prec: int, cplx: bool) -> "ApproxScalar":
+    """The value re + i im, its parts given as (n, d), as _floored rounds it."""
+    (rn, rd), (imn, imd) = re, im
+    b, exp = _floored(rn, rd, prec, imn, imd)
+    return _make(b, exp, prec, cplx)
 
 
 def _embedding_error(v: ExactScalar, prec: int, exp: int) -> int:

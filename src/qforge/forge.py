@@ -563,18 +563,22 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
     run = PipelineRun(shift, fam.name, n_max, point, mode)
     base = _family_params(fam, point)
 
-    def phi_at(steps: int):
+    def phi_at(steps: int, scale=1):
+        """phi at the step-`steps` parameters, summed numerically at
+        tol scale / 10: divided by a prod of modulus at least scale, its
+        error stays below tol / 10."""
         p = base.shifted(shift, steps)
         if mode == "exact":
             return phi21_exact(p).value
-        return phi21_numeric(p, tol / 10, prec).value
+        return phi21_numeric(p, tol * scale / 10, prec).value
 
     lhs = phi_at(0)
     prod = ExactScalar.from_rational(1) if mode == "exact" else ApproxScalar.coerce(1, prec)
     for i in range(1, n_max + 1):
         r_i = rel.R.eval(vars(base.shifted(shift, i - 1)))
         prod = prod * r_i
-        shifted = phi_at(i)
+        # a prod whose midpoint is 0 fails the division below at any tol
+        shifted = phi_at(i, 1 if mode == "exact" else min(1, prod.magnitude()) or 1)
         telescoped = shifted / prod
         if mode == "exact":
             ok = (lhs - telescoped).is_zero()

@@ -17,8 +17,12 @@ calls _div; when all are real it is two (re, rad), as Arb keeps real
 balls apart from complex ones, and the quotient is written out too.  The
 real formulas are the complex ones at im = 0, so the ints are the same.
 A differential test in tests/test_qseries.py checks them int for int
-against the same loops built from the primitives.  ApproxScalar appears
-only at their boundary: parameters in, one result out.
+against the same loops built from the primitives.  Exact rational
+parameters (ints, Fractions, order-1 ExactScalars) and a float tol enter
+as ints: approx._floored floors them to prec bits by the rounding of
+ApproxScalar.coerce, and the loops shift them to their own scale, so they
+are the balls coerce would give.  Other parameters enter through coerce,
+and one ApproxScalar result comes out.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from itertools import accumulate, count, islice
 from math import isqrt
 from operator import mul
 
-from .approx import ApproxScalar, _bound, _div, _make, _shift, _upper, default_precision
+from .approx import ApproxScalar, _bound, _div, _floored, _make, _shift, default_precision
 from .errors import (
     DivisionByZero,
     InvalidDomain,
@@ -114,33 +118,37 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
     gets."""
     prec = default_precision() if prec is None else prec
     tm, te = _rounded_tol(tol, prec)
-    b = ApproxScalar.coerce(base, prec)
-    qq = ApproxScalar.coerce(q, prec)
-    if _upper(qq) >= 1:
-        raise InvalidDomain("qpoch_infinite requires |q| < 1")
     wp = prec + _GUARD
     one = 1 << wp
-    bq, qb = _at(b, wp), _at(qq, wp)
+    (bq, b_cplx), (qb, q_cplx) = _entry(base, prec, wp), _entry(q, prec, wp)
     qa = _bound(qb)
+    if qa >= one:
+        raise InvalidDomain("qpoch_infinite requires |q| < 1")
     # u = un 2**ue, rounded up, with un kept at wp bits
     un, ue = -(-(_bound(bq) << wp) // (one - qa)), -wp
     (br, bi, brad), (qr, qi, qrad) = bq, qb  # b q^m and q
-    cplx = b.cplx or qq.cplx
+    cplx = b_cplx or q_cplx
     q_abs = isqrt(qr * qr + qi * qi) + 1 if qi else abs(qr)
     re, im, rad, exp = 1, 0, 0, 0  # P_m = (re, im, rad) 2**exp
+    tb = tm.bit_length() + te + 1  # the rounded tol tm 2**te is below 2**(tb - 1)
     for m in range(100 * prec + 1):
         if un:
             k = un.bit_length() - wp
             un, ue = (-(-un >> k) if k > 0 else un << -k), ue + k
         p_abs = isqrt(re * re + im * im) + 1 if im else abs(re)
         if ue <= 0 and un < 1 << -ue:  # u < 1
-            # the tail bound is top 2**exp / den, top = _bound(P_m) un
-            top = (p_abs + rad) * un
-            den = (1 << -ue) - un
-            shift = exp - te
-            if top << max(shift, 0) <= (tm * den) << max(-shift, 0):
-                return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, cplx),
-                                   m, False, (re, im, rad, exp))
+            # the tail bound is top 2**exp / den, top = _bound(P_m) un and
+            # den = 2**-ue - un.  For nonzero factors of L and U bits, top
+            # >= 2**(L + U - 2) and den < 2**-ue, so the exact test below
+            # fails when L + U + exp + ue > tb; a zero factor makes top 0
+            p_up = p_abs + rad
+            if not (un and p_up and p_up.bit_length() + un.bit_length() + exp + ue > tb):
+                top = p_up * un
+                den = (1 << -ue) - un
+                shift = exp - te
+                if top << max(shift, 0) <= (tm * den) << max(-shift, 0):
+                    return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, cplx),
+                                       m, False, (re, im, rad, exp))
         # P_(m+1) = P_m (1 - b q^m) as approx._mul, b q^(m+1) as
         # approx._mul(_, _, wp); real balls skip their zero imaginary parts
         fr = one - br
@@ -290,18 +298,16 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     rounded = tm, te = _rounded_tol(tol, prec)
     key = (p, prec)
     term_limit = _exact_termination(p)
-    p = p.as_numeric(prec)
-    if _upper(p.q) >= 1:
-        raise InvalidDomain("phi21_numeric requires |q| < 1")
-    if term_limit is None and _upper(p.x) >= 1:
-        raise InvalidDomain("phi21_numeric requires |x| < 1 for non-terminating series")
-
     wp = prec + _GUARD
     one = 1 << wp
-    params = (p.a, p.b, p.c, p.q, p.x)
-    cplx = any(v.cplx for v in params)
-    a, b, c, q, x = [_at(v, wp) for v in params]
+    (a, a_cplx), (b, b_cplx), (c, c_cplx), (q, q_cplx), (x, x_cplx) = [
+        _entry(v, prec, wp) for v in (p.a, p.b, p.c, p.q, p.x)]
+    cplx = a_cplx or b_cplx or c_cplx or q_cplx or x_cplx
     bounds = [_bound(v) for v in (q, a, b, c, x)]
+    if bounds[0] >= one:
+        raise InvalidDomain("phi21_numeric requires |q| < 1")
+    if term_limit is None and bounds[4] >= one:
+        raise InvalidDomain("phi21_numeric requires |x| < 1 for non-terminating series")
     # i, t_i, q^i, a q^i, b q^i, c q^i, the partial sum and the small-term
     # streak's (|t_j|, |S_j|)
     state = 0, (one, 0, 0), (one, 0, 0), a, b, c, (one, 0, 0), ()
@@ -335,21 +341,18 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
             break
         i += 1  # t_i from t_(i-1) by the recurrence of _terms
         # each product below is approx._mul(_, _, wp) written out, each |v|
-        # _abs_up; real balls skip their zero imaginary parts
+        # _abs_up; real balls skip their zero imaginary parts.  The
+        # denominator factors 1 - q^i and 1 - c q^(i-1) must exclude 0, then
+        # num = (1 - a q^(i-1)) (1 - b q^(i-1)) x, then
+        # t_i = t_(i-1) num / ((1 - q^i) (1 - c q^(i-1))), then a q^i, b q^i, c q^i
         if cplx:
             u_abs = isqrt(ur * ur + ui * ui) + 1 if ui else abs(ur)
             ur, ui, urad = ((ur * qr - ui * qi) >> wp, (ur * qi + ui * qr) >> wp,
                             2 - (-(u_abs * qrad + q_abs * urad + urad * qrad) >> wp))
-        else:
-            ur, urad = ur * qr >> wp, 2 - (-(abs(ur) * qrad + q_abs * urad + urad * qrad) >> wp)
-        # the denominator factors 1 - q^i and 1 - c q^(i-1) must exclude 0
-        dr, er = one - ur, one - cr
-        if dr * dr + ui * ui <= urad * urad or er * er + ci * ci <= crad * crad:
-            raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
-        # num = (1 - a q^(i-1)) (1 - b q^(i-1)) x, then
-        # t_i = t_(i-1) num / ((1 - q^i) (1 - c q^(i-1))), then a q^i, b q^i, c q^i
-        nr, mr = one - ar, one - br
-        if cplx:
+            dr, er = one - ur, one - cr
+            if dr * dr + ui * ui <= urad * urad or er * er + ci * ci <= crad * crad:
+                raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
+            nr, mr = one - ar, one - br
             n_abs = isqrt(nr * nr + ai * ai) + 1 if ai else abs(nr)
             m_abs = isqrt(mr * mr + bi * bi) + 1 if bi else abs(mr)
             nr, ni, nrad = ((nr * mr - ai * bi) >> wp, -(nr * bi + ai * mr) >> wp,
@@ -378,12 +381,21 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
             c_abs = isqrt(cr * cr + ci * ci) + 1 if ci else abs(cr)
             cr, ci, crad = ((cr * qr - ci * qi) >> wp, (cr * qi + ci * qr) >> wp,
                             2 - (-(c_abs * qrad + q_abs * crad + crad * qrad) >> wp))
+            re, im, rad = re + tr, im + ti, rad + trad
+            s_abs = isqrt(re * re + im * im) + 1 if im else abs(re)
         else:
+            ur, urad = ur * qr >> wp, 2 - (-(abs(ur) * qrad + q_abs * urad + urad * qrad) >> wp)
+            # on real balls a factor's ball holds 0 when its modulus is at most its radius
+            dr, er = one - ur, one - cr
+            d_abs, e_abs = abs(dr), abs(er)
+            if d_abs <= urad or e_abs <= crad:
+                raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
+            nr, mr = one - ar, one - br
             nr, nrad = nr * mr >> wp, 2 - (-(abs(nr) * brad + abs(mr) * arad + arad * brad) >> wp)
             nr, nrad = nr * xr >> wp, 2 - (-(abs(nr) * xrad + x_abs * nrad + nrad * xrad) >> wp)
             tr, trad = tr * nr >> wp, 2 - (-(t_abs * nrad + abs(nr) * trad + trad * nrad) >> wp)
             # the divisor's ball, then approx._div with a real quotient
-            yr, yrad = dr * er >> wp, 2 - (-(abs(dr) * crad + abs(er) * urad + urad * crad) >> wp)
+            yr, yrad = dr * er >> wp, 2 - (-(d_abs * crad + e_abs * urad + urad * crad) >> wp)
             low = abs(yr) - yrad
             if low <= 0:
                 raise ZeroDenominator("denominator not bounded away from zero")
@@ -393,8 +405,8 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
             ar, arad = ar * qr >> wp, 2 - (-(abs(ar) * qrad + q_abs * arad + arad * qrad) >> wp)
             br, brad = br * qr >> wp, 2 - (-(abs(br) * qrad + q_abs * brad + brad * qrad) >> wp)
             cr, crad = cr * qr >> wp, 2 - (-(abs(cr) * qrad + q_abs * crad + crad * qrad) >> wp)
-        re, im, rad = re + tr, im + ti, rad + trad
-        s_abs = isqrt(re * re + im * im) + 1 if im else abs(re)
+            re, rad = re + tr, rad + trad
+            s_abs = abs(re)
         if t_abs << left < tm * (s_abs + one):
             streak = streak[-2:] + ((t_abs, s_abs),)
         elif streak:
@@ -459,10 +471,26 @@ def _at(v: ApproxScalar, wp: int):
     return _shift(v.ball, -wp - v.exp)
 
 
+def _entry(v, prec: int, wp: int):
+    """(ball, cplx): the parameter v as _at(ApproxScalar.coerce(v, prec), wp)
+    holds it, and whether it is complex.  An int, a Fraction or an order-1
+    ExactScalar is floored by approx._floored, the rounding of coerce,
+    without building the ApproxScalar; other values go through coerce."""
+    r = _ratio(v)
+    if r is None:
+        v = ApproxScalar.coerce(v, prec)
+        return _at(v, wp), v.cplx
+    b, exp = _floored(*r, prec)
+    return _shift(b, -wp - exp), False
+
+
 def _rounded_tol(tol, prec: int):
     """(m, e) with m 2**e the tolerance tol rounded down to prec bits;
     UnreachableTolerance unless tol is a positive finite number."""
     if not 0 < tol < math.inf:
         raise UnreachableTolerance(f"tol {tol} is not a positive finite number")
+    if type(tol) is float:
+        (m, _, _), e = _floored(*tol.as_integer_ratio(), prec)
+        return m, e
     t = ApproxScalar.coerce(tol, prec)
     return t.ball[0], t.exp

@@ -70,6 +70,23 @@ def test_conjecture(capsys):
     assert code == 0
 
 
+def test_conjecture_telescopes_through_a_small_product(capsys):
+    # at this instance's point |prod R| < 1, so 1 / prod R enlarges each
+    # moved series' error unless it is summed at tol |prod R| / 10
+    code, out = run_cli(capsys, "conjecture", "--pattern", "sum_zero", "--instance", "-1,-1,-2,0")
+    steps = {case["name"]: case["status"] for case in json.loads(out)["cases"]}
+    assert code == 0
+    assert steps["telescoping"] == "pass"
+
+
+def test_python_m_qforge_runs_the_command():
+    src = os.path.dirname(os.path.dirname(qforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "qforge", "--help"], env=env, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: qforge")
+
+
 @pytest.mark.parametrize("argv", [
     ["derive", "--shift", "-1,-2,-2,1"],
     ["normalize", "--shift", "-1,-2,-2,1"],

@@ -28,6 +28,7 @@ from qforge.qseries import (
     SeriesValue,
     _at,
     _cleared_terms,
+    _entry,
     _exact_termination,
     _rounded_tol,
     _tail_bound,
@@ -659,9 +660,66 @@ def test_real_kernel_matches_the_primitive_loop_at_prec_128(point, tols):
     (Z3 / 3, F(1, 2), 1e-20, 113),
     (F(2, 3), Z4 * F(3, 4), 1e-20, 113),
     (F(-7, 3), F(-5, 6), 1e-55, 200),
-], ids=["qq", "slow", "complex-base", "complex-q", "real-prec-200"])
+    # edges of the bit-length reject of the tail test: base 0 makes u 0
+    # and P_m 1, base 1 makes P_m exactly 0 (top 0 either way), |base| = 3
+    # keeps u >= 1 for the first factors
+    (F(0), F(1, 2), 1e-45, 113),
+    (F(1), F(1, 2), 1e-90, 113),
+    (F(3), F(1, 2), 1e-20, 113),
+    (F(-3), F(2, 3), 1e-30, 128),
+    (F(1, 2**200), F(1, 3), 1e-12, 113),
+    (F(5, 7), F(-1, 3), 1e-40, 113),
+], ids=["qq", "slow", "complex-base", "complex-q", "real-prec-200",
+        "zero-base", "zero-factor", "base-3", "base-minus-3", "tiny-base", "negative-q"])
 def test_qpoch_infinite_matches_the_primitive_loop(base, q, tol, prec):
     assert _exact_fields(qpoch_infinite(base, q, tol, prec)) == _exact_fields(_primitive_qpoch(base, q, tol, prec))
+
+
+def test_qpoch_infinite_matches_the_primitive_loop_at_seeded_points():
+    # the reject is tight: at about one point in six a reject one bit
+    # bolder skips a tail test that passes
+    rng = random.Random(20261019)
+    for _ in range(120):
+        base = F(rng.randint(-60, 60), rng.randint(1, 40))
+        q = F(rng.choice([-1, 1]) * rng.randint(1, 35), 40)
+        tol, prec = 10.0 ** -rng.randint(5, 60), rng.choice([64, 113, 128])
+        got, want = qpoch_infinite(base, q, tol, prec), _primitive_qpoch(base, q, tol, prec)
+        assert _exact_fields(got) == _exact_fields(want), (base, q, tol, prec)
+
+
+# exact parameters the kernels floor themselves, and values that go through
+# ApproxScalar.coerce: each must enter as the ball coerce would give
+ENTRY_VALUES = [
+    0, 1, -3, 2**113 - 1, 2**200 + 1, -(2**300 - 1), -(2**150) - 3, True,
+    F(1, 3), F(-5, 7), F(2**130 + 1, 3), F(-1, 3 * 2**200), F(1, 2**200), F(1, 2**140),
+    ExactScalar.from_rational(F(-7, 9)), ExactScalar.from_rational(2**190 + 5), ExactScalar.from_rational(4),
+    Z3 / 3, 0.1, mpmath.mpf("-0.3"), ApproxScalar(F(1, 3), F(1, 2**90)),
+]
+
+
+@pytest.mark.parametrize("prec", [64, 113, 128, 200])
+def test_kernel_entry_is_the_coerced_ball(prec):
+    wp = prec + _GUARD
+    for v in ENTRY_VALUES:
+        x = ApproxScalar.coerce(v, prec)
+        assert _entry(v, prec, wp) == (_at(x, wp), x.cplx), v
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-45, 0.1, 3.0, 1e300, 1e-300, 5e-324])
+def test_rounded_tol_is_the_coerced_tol(tol):
+    for prec in (64, 113, 128):
+        t = ApproxScalar.coerce(tol, prec)
+        assert _rounded_tol(tol, prec) == (t.ball[0], t.exp)
+
+
+@pytest.mark.parametrize("c", [F(1), ApproxScalar(F(3, 4), F(1, 4))], ids=["exact-one", "radius-a-quarter"])
+def test_zero_test_includes_a_modulus_equal_to_the_radius(c):
+    # |1 - c| is exactly the radius of its ball (0 and 0, or 1/4 and 1/4):
+    # the ball holds 0, so the first term's factor vanishes
+    p = Phi21Params(F(1, 3), F(1, 5), c, Q, F(1, 3))
+    for call in (phi21_numeric, _primitive_phi21):
+        with pytest.raises(ZeroDenominator, match="vanishes at i=1 "):
+            call(p, 1e-12, 113)
 
 
 def test_kernel_loops_do_no_approx_arithmetic(monkeypatch):
