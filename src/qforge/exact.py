@@ -124,6 +124,26 @@ def _mul_nums(f: tuple, g: tuple, order: int) -> list[int]:
     return _fold(prod, order, deg)
 
 
+def _conjugates(nums, order: int) -> tuple[list[int], int]:
+    """(P, N) for the nonzero integer residue x = sum(nums[j] zeta^j): the
+    numerators of the product P of the Galois conjugates sigma_k(x),
+    zeta -> zeta^k, over the units k != 1 mod the order, and the norm
+    N = x P, a nonzero int.  Orders 1 and 2 have no such k: P = 1."""
+    prod = None
+    for k in range(2, order):
+        if math.gcd(k, order) == 1:
+            raw = [0] * order
+            for j, c in enumerate(nums):
+                raw[j * k % order] = c  # distinct exponents, k being a unit
+            conj = _fold(raw, order, len(nums))
+            prod = conj if prod is None else _mul_nums(prod, conj, order)
+    if prod is None:
+        return [1], nums[0]
+    norm = _mul_nums(nums, prod, order)
+    assert norm[0] and not any(norm[1:]), "the norm is a nonzero rational"
+    return prod, norm[0]
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, (float, complex)):
         raise TypeError(f"inexact coefficient {c!r}: ExactScalar takes ints and Fractions")
@@ -276,21 +296,9 @@ class ExactScalar:
         and the norm N(x) = x P is a nonzero rational."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        nums, n = self.nums, self.order
-        if len(nums) == 1:
-            return _make(n, (self.den,), nums[0])
         # on the numerators alone: 1/x = den / X with X = x den
-        prod = None
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                raw = [0] * n
-                for j, c in enumerate(nums):
-                    raw[j * k % n] = c  # distinct exponents, k being a unit
-                conj = _fold(raw, n, len(nums))
-                prod = conj if prod is None else _mul_nums(prod, conj, n)
-        norm = _mul_nums(nums, prod, n)
-        assert norm[0] and not any(norm[1:]), "the norm is a nonzero rational"
-        return _make(n, [c * self.den for c in prod], norm[0])
+        prod, norm = _conjugates(self.nums, self.order)
+        return _make(self.order, [c * self.den for c in prod], norm)
 
     def __truediv__(self, other):
         r = _ratio(other)

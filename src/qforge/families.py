@@ -3,15 +3,19 @@
 A family assigns each of a, b, c, x a rational function of its free
 symbols (and q); root-of-unity symbols carry a fixed exact binding that
 random sampling leaves untouched.  Construction rejects the excluded
-degenerate loci (a=1, b=1, a=c=0, b=c=0, c=x=0, x=0)."""
+degenerate loci (a=1, b=1, a=c=0, b=c=0, c=x=0, x=0).  `compose` is the
+one composition of a polynomial with the family map moved along a shift,
+reduced modulo Phi_l(w) for a fixed root of unity w."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import sub
 
-from .errors import DegenerateFamily
+from .errors import DegenerateFamily, UnsupportedBinding
 from .exact import ExactScalar
-from .poly import RationalFunction
+from .poly import MultiPoly, RationalFunction
 from .relations import ShiftVector
 
 PARAM_KEYS = ("a", "b", "c", "x")
@@ -48,6 +52,48 @@ class ParamFamily:
         full = dict(self.fixed_bindings)
         full.update(point)
         return {k: self.assignment[k].eval(full) for k in PARAM_KEYS}
+
+    def compose(self, poly: MultiPoly, shift, t: RationalFunction, steps: int = 1) -> MultiPoly:
+        """The numerator of poly at a t^(k steps), b t^(l steps), c t^(m
+        steps), x t^(n steps) and q, for shift = (k, l, m, n), reduced
+        modulo Phi_l(w) when the family fixes w to a primitive l-th root of
+        unity (UnsupportedBinding for any other fixed binding or more than
+        one): 0 exactly when poly vanishes on the moved family."""
+        root = _root_binding(self)
+        point = {key: _times_power(self.assignment[key], t, s * steps) for key, s in zip(PARAM_KEYS, shift)}
+        num = poly.eval({**point, "q": RationalFunction.var("q")}).num
+        return num if root is None else num.mod_cyclotomic(*root)
+
+
+def _root_binding(fam: ParamFamily) -> tuple[str, int] | None:
+    """(w, l) for the family's fixed binding w, a primitive l-th root of
+    unity; None when the family fixes nothing.  UnsupportedBinding for any
+    other fixed value and for more than one fixed binding."""
+    if not fam.fixed_bindings:
+        return None
+    (sym, v), *more = fam.fixed_bindings.items()
+    exact = not more and isinstance(v, (int, Fraction, ExactScalar))
+    order = ExactScalar.coerce(v).root_order() if exact else None
+    if order is None:
+        raise UnsupportedBinding(f"family {fam.name} fixes {fam.fixed_bindings}; "
+                                 "the exact check reduces one root of unity only")
+    return sym, order
+
+
+def _times_power(v: RationalFunction, t: RationalFunction, e: int) -> RationalFunction:
+    """v t^e for the variable t: built from v's coefficient and exponent
+    vector when v is a constant times a Laurent monomial, in the
+    normalized form (den a monic monomial prime to num's), else v * t**e."""
+    num, den = v.num.terms, v.den.terms
+    if len(num) != 1 or len(den) != 1:
+        return v * t**e
+    ((en, cn),), ((ed, cd),) = num.items(), den.items()
+    powers = dict(zip(v.vars, map(sub, en, ed)))
+    (name,) = t.vars
+    powers[name] = powers.get(name, 0) + e
+    names = tuple(sorted(s for s, k in powers.items() if k))
+    return RationalFunction(MultiPoly(names, {tuple(max(powers[s], 0) for s in names): cn / cd}),
+                            MultiPoly(names, {tuple(max(-powers[s], 0) for s in names): 1}), False)
 
 
 def _rf(sym: str) -> RationalFunction:

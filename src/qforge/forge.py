@@ -23,13 +23,13 @@ from .errors import (
     NotInTable,
     NotTerminating,
     QForgeError,
+    UnboundSymbol,
     UnreachableTolerance,
-    UnsupportedBinding,
     ZeroDenominator,
 )
-from .exact import ExactScalar, cyclotomic_poly, format_scalar
+from .exact import ExactScalar, format_scalar
 from .families import PARAM_KEYS, PATTERNS, ParamFamily
-from .poly import MultiPoly, RationalFunction
+from .poly import RationalFunction
 from .qseries import (
     Phi21Params,
     SeriesValue,
@@ -422,34 +422,25 @@ def _relation_for(shift: ShiftVector, relation: ThreeTermRelation | None) -> Thr
 def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
                  seed: int = DEFAULT_SEED, relation: ThreeTermRelation | None = None) -> bool:
     """True iff Q^(N) vanishes identically on the family for every
-    N = 1..n_max, decided exactly; ValueError unless both are >= 1.
+    N = 1..n_max; ValueError unless both are >= 1.
 
     Q^(N) is Q at the family's parameters moved N - 1 steps along the
-    shift.  Its numerator is composed with the family map, reduced modulo
-    Phi_l(w) when the family fixes w to a primitive l-th root of unity
-    (UnsupportedBinding for any other fixed binding), and tested for 0:
-    once with each of a, b, c, x times t^(its shift component), for a
-    step symbol t the family does not use, which proves every N at once;
-    failing that, once per N.  Sampling only shows that Q^(N) is defined:
-    each N draws points until Q's denominator is nonzero at one, within a
-    budget of 10 * trials (SamplingExhausted past it), which is all
-    `trials` sets; it stays a parameter because perfbench passes it."""
+    shift.  That it vanishes is proved: ParamFamily.compose gives Q's
+    numerator on the family, reduced modulo Phi_l(w) for a fixed root w,
+    and it is tested for 0 once with a, b, c, x moved by a step symbol t
+    the family does not use, which proves every N at once; failing that,
+    once per N.  That Q^(N) is defined is sampled: each N draws points
+    until Q's denominator is nonzero at one, within a budget of 10 *
+    trials (SamplingExhausted past it), which is all `trials` sets; it
+    stays a parameter because perfbench passes it."""
     if trials < 1 or n_max < 1:
         raise ValueError(f"check_family needs trials >= 1 and n_max >= 1, not {trials} and {n_max}")
     rel = _relation_for(shift, relation)
-    modulus = _root_modulus(fam)
-    q = RationalFunction.var("q")
-
-    def vanishes(t, steps) -> bool:  # Q's numerator at the family moved `steps` steps of t
-        moved = Phi21Params(q=t, **fam.assignment).shifted(shift, steps)
-        p = rel.Q.num.eval({**vars(moved), "q": q}).num
-        return p.is_zero() or modulus is not None and p.divide(modulus) is not None
-
     step = "t"
     while step in {"q", *fam.free_symbols, *fam.fixed_bindings,
                    *(s for v in fam.assignment.values() for s in v.vars)}:
         step += "_"
-    every_n = vanishes(RationalFunction.var(step), 1)
+    every_n = fam.compose(rel.Q.num, shift, RationalFunction.var(step)).is_zero()
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
         def draw():
@@ -457,25 +448,9 @@ def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
             return rel.Q.den.eval(vars(p)) != 0 or None
 
         next(draw_admissible(draw, 1, 10 * trials, f"family points at N={n}"))
-        if not (every_n or vanishes(q, n - 1)):
+        if not (every_n or fam.compose(rel.Q.num, shift, RationalFunction.var("q"), n - 1).is_zero()):
             return False
     return True
-
-
-def _root_modulus(fam: ParamFamily) -> MultiPoly | None:
-    """Phi_l(w), the minimal polynomial over Q of the family's fixed
-    binding w, a primitive l-th root of unity; None when the family fixes
-    nothing.  UnsupportedBinding for any other fixed value and for more
-    than one fixed binding."""
-    if not fam.fixed_bindings:
-        return None
-    (sym, v), *more = fam.fixed_bindings.items()
-    exact = not more and isinstance(v, (int, Fraction, ExactScalar))
-    order = ExactScalar.coerce(v).root_order() if exact else None
-    if order is None:
-        raise UnsupportedBinding(f"family {fam.name} fixes {fam.fixed_bindings}; "
-                                 "the exact check reduces one root of unity only")
-    return MultiPoly((sym,), {(e,): c for e, c in enumerate(cyclotomic_poly(order))})
 
 
 def _family_point(fam: ParamFamily, rng: random.Random) -> dict:
@@ -486,7 +461,10 @@ def _family_point(fam: ParamFamily, rng: random.Random) -> dict:
 
 
 def _family_params(fam: ParamFamily, point: dict) -> Phi21Params:
-    """The family's 2phi1 parameters at the point (which binds q)."""
+    """The family's 2phi1 parameters at the point, which must bind q
+    (UnboundSymbol otherwise)."""
+    if "q" not in point:
+        raise UnboundSymbol("point does not bind ['q']")
     return Phi21Params(q=point["q"], **fam.param_values(point))
 
 

@@ -24,8 +24,11 @@ MultiPolys; any other value is a TypeError.  When every RationalFunction
 value is a constant times a Laurent monomial, (n / m) y^A / y^B, a term's
 factor of degree e is the int n^e m^(D - e) on the packed key
 e key(A) + (D - e) key(B), so each term's image is one int on one key
-and no MultiPoly is multiplied; the normalized num and den are those of
-the general sum.
+and no MultiPoly is multiplied: from the plan of every variable, the
+keys are sums and the ints products of per-variable table entries,
+taken column by column; the normalized num and den are those of the
+general sum.  `mod_cyclotomic` reduces one variable modulo a cyclotomic
+polynomial by the power table of qforge.exact.
 
 `divide` is exact sparse division on the packed keys, highest remainder
 key first; it returns None at the first remainder term that the
@@ -56,11 +59,11 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from operator import mul, or_
+from operator import add, mul, or_
 from types import MappingProxyType
 
 from .errors import UnboundSymbol, ZeroDenominator
-from .exact import ExactScalar, _make as _exact, _mul_nums, euler_phi
+from .exact import ExactScalar, _make as _exact, _mul_nums, _power_table, euler_phi
 
 RELATION_VARS = ("a", "b", "c", "q", "x")
 _TERM = re.compile(r"^\((-?\d+(?:/\d+)?)\)(?:\*(.+))?$")  # (coefficient)*monomial
@@ -277,6 +280,25 @@ class MultiPoly:
         out = _raw(p.vars, p.width, nums, p.den)
         return out if f.den == g == 1 else out._scale(f.den, g)
 
+    def mod_cyclotomic(self, name: str, order: int) -> "MultiPoly":
+        """self modulo Phi_order(name): each name^e replaced by its residue,
+        row e % order of the power table of qforge.exact (name^order is 1
+        modulo Phi_order), so name's degree falls below phi(order) and the
+        result is 0 exactly when Phi_order(name) divides self."""
+        if name not in self.vars:
+            return self
+        shifts, mask, _ = _layout(len(self.vars), self.width)
+        s = shifts[self.vars.index(name)]
+        rows = _power_table(order)
+        nums: dict[int, int] = {}
+        get = nums.get
+        for k, c in self.nums.items():
+            e = (k >> s) & mask
+            for j, t in rows[e % order]:
+                key = k + ((j - e) << s)
+                nums[key] = get(key, 0) + c * t
+        return _lowest(self.vars, self.width, {k: c for k, c in nums.items() if c}, self.den)
+
     def _scale(self, p: int, q: int) -> "MultiPoly":
         """self * p / q for ints p and q != 0."""
         if q < 0:
@@ -356,10 +378,10 @@ class MultiPoly:
         # degree d; vpows the same for the other values, as numerator
         # vectors or MultiPolys
         pows, den = _rational_powers(rational, self.den)
+        if symbolic and all(len(v.num.nums) == len(v.den.nums) == 1 for _, _, v in other):
+            return _monomial_image(self._cached((), lambda: self._plan(())), degs, pows, other, den)
         shape = tuple(i for i, _, _ in other)
         plan = self._cached(shape, lambda: self._plan(shape))
-        if symbolic and all(len(v.num.nums) == len(v.den.nums) == 1 for _, _, v in other):
-            return _monomial_image(plan, pows, other, den)
         size = euler_phi(order)
         vpows = []
         if symbolic:  # every num and den in one layout, so products need no relayout
@@ -694,14 +716,17 @@ def _sums(plan: list, pows: list):
             yield exps, s
 
 
-def _monomial_image(plan: list, pows: list, monos: list, den: int) -> "RationalFunction":
+def _monomial_image(plan: list, degs: tuple, pows: list, monos: list, den: int) -> "RationalFunction":
     """The homogenized sum at RationalFunction values that are each a
     constant times a Laurent monomial (see the module docstring), over
-    m^D y^(D B) per value: one int per term on one packed key, in fields
-    wide enough for the largest exponent any key can reach."""
+    m^D y^(D B) per value, from the plan of every variable (`_plan(())`,
+    its columns in `degs` order): each term's packed key is the sum and
+    its int the product of its columns' entries in per-variable tables,
+    the keys in fields wide enough for the largest exponent any key can
+    reach."""
     names = tuple(sorted({s for _, _, v in monos for s in v.vars}))
     parts, top = [], dict.fromkeys(names, 0)
-    for _, d, v in monos:
+    for i, d, v in monos:
         ((kn, cn),), ((km, cm),) = v.num.nums.items(), v.den.nums.items()
         n, m = cn * v.den.den, cm * v.num.den
         if m < 0:
@@ -710,24 +735,29 @@ def _monomial_image(plan: list, pows: list, monos: list, den: int) -> "RationalF
                   for k, p in ((kn, v.num), (km, v.den)))
         for s in v.vars:
             top[s] += d * max(ea[s], eb[s])
-        parts.append((d, n, m, ea, eb))
+        parts.append((i, d, n, m, ea, eb))
     width = _width(max(top.values(), default=0))
     at = dict(zip(names, _layout(len(names), width)[0]))
-    tables, dkey = [], 0
-    for d, n, m, ea, eb in parts:
+    tables, dkey = {}, 0
+    for i, d, n, m, ea, eb in parts:
         ka, kb = (sum(e << at[s] for s, e in ex.items()) for ex in (ea, eb))
         dens = _powers(m, d)
-        tables.append(([e * ka + (d - e) * kb for e in range(d + 1)],
-                       [a * b for a, b in zip(_powers(n, d), reversed(dens))]))
+        tables[i] = ([e * ka + (d - e) * kb for e in range(d + 1)],
+                     [a * b for a, b in zip(_powers(n, d), reversed(dens))])
         den *= dens[d]
         dkey += d * kb
+    ((_, coeffs, cols),), rational = plan, iter(pows)
+    keys = None
+    for (i, _), col in zip(degs, cols):
+        ktab, ctab = tables.get(i) or (None, next(rational))
+        coeffs = map(mul, coeffs, map(ctab.__getitem__, col))
+        if ktab is not None:
+            ks = map(ktab.__getitem__, col)
+            keys = ks if keys is None else map(add, keys, ks)
     nums: dict[int, int] = {}
-    for exps, s in _sums(plan, pows):
-        key = 0
-        for (keys, coeffs), e in zip(tables, exps):
-            key += keys[e]
-            s *= coeffs[e]
-        nums[key] = nums.get(key, 0) + s
+    get = nums.get
+    for k, c in zip(keys, coeffs):
+        nums[k] = get(k, 0) + c
     nums = {k: c for k, c in nums.items() if c}
     return RationalFunction(_lowest(names, width, nums, den), _raw(names, width, {dkey: 1}, 1))
 

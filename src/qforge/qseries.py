@@ -4,9 +4,12 @@ Three evaluation routes: exact terminating summation (including the
 extended definition for the exceptional parameter case), truncated
 numerics with a proven error bound for non-terminating series, and
 finite products that work over any ring (scalars or rational functions).
-The term recurrence (_terms) also runs over Q with its factors cleared
-(_cleared_terms): ints over one denominator, for the exact series check
-of qforge.relations.
+The exact sum runs its term recurrence with the factors cleared: over Q
+as ints over one denominator (_cleared_terms, which the exact series
+check of qforge.relations shares), over Q(zeta_n) as numerator vectors
+over int denominators, each divisor factor replaced by its conjugate
+product over its rational norm (_cleared_sum); one ExactScalar is built
+at the end.
 
 The loops of phi21_numeric and qpoch_infinite spell out the formulas of
 the ball primitives of qforge.approx (_mul, _shift, _abs_up) on local
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import accumulate
 from math import isqrt
 from operator import mul
 
@@ -44,7 +47,7 @@ from .errors import (
     UnreachableTolerance,
     ZeroDenominator,
 )
-from .exact import ExactScalar, _ratio
+from .exact import ExactScalar, _conjugates, _make as _exact, _mul_nums, _ratio
 
 TERMINATION_BOUND = 64
 _MAX_TERMS = 20000  # terms of a non-terminating numeric series
@@ -204,43 +207,24 @@ def _termination_exponent(v, q):
     return None
 
 
-def _terms(p: Phi21Params, one):
-    """The terms t_1, t_2, ... of 2phi1 at p (t_0 = one), each from the last:
+def _cleared_terms(p: Phi21Params, count: int) -> tuple[list[int], int]:
+    """(nums, D) with nums[i] / D the term t_i of 2phi1 at the rational
+    point p, i < count (t_0 = 1), by its recurrence
 
         t_i = t_(i-1) (1 - a q^(i-1)) (1 - b q^(i-1)) x / ((1 - q^i) (1 - c q^(i-1)))
 
-    in the ring of p and `one`.  Raises ZeroDenominator before the first
-    term whose denominator factor vanishes."""
-    term = one
-    aq, bq, cq, qq = p.a, p.b, p.c, one
-    for i in count(1):
-        qq = qq * p.q  # q^i
-        den1 = one - qq
-        den2 = one - cq
-        if den1 == 0 or den2 == 0:
-            raise ZeroDenominator(
-                f"denominator factor vanishes at i={i} within the summation range"
-            )
-        term = term * (one - aq) * (one - bq) / (den1 * den2) * p.x
-        yield term
-        aq = aq * p.q
-        bq = bq * p.q
-        cq = cq * p.q
-
-
-def _cleared_terms(p: Phi21Params, count: int) -> tuple[list[int], int]:
-    """(nums, D) with nums[i] / D the term t_i of _terms over Q, i < count
-    (t_0 = 1), its factors cleared.  With each parameter v = vn / vd and
-    u = q^(i-1) = un / ud, t_i / t_(i-1) = f_i / g_i in ints:
+    with the factors cleared.  With each parameter v = vn / vd (an int, a
+    Fraction or an order-1 ExactScalar) and u = q^(i-1) = un / ud,
+    t_i / t_(i-1) = f_i / g_i in ints:
 
         f_i = (ad ud - an un) (bd ud - bn un) qd cd xn
         g_i = (qd ud - qn un) (cd ud - cn un) ad bd xd
 
     so D = g_1 ... g_(count-1) and nums[i] = (f_1 ... f_i) (g_(i+1) ...
     g_(count-1)), prefix and suffix products with no gcd.  Raises
-    ZeroDenominator at the i where _terms does."""
-    (an, ad), (bn, bd), (cn, cd), (qn, qd), (xn, xd) = (
-        (v.numerator, v.denominator) for v in (p.a, p.b, p.c, p.q, p.x))
+    ZeroDenominator at the first i whose factor 1 - q^i or 1 - c q^(i-1)
+    vanishes."""
+    (an, ad), (bn, bd), (cn, cd), (qn, qd), (xn, xd) = map(_ratio, (p.a, p.b, p.c, p.q, p.x))
     fc, gc = qd * cd * xn, ad * bd * xd
     fs, gs = [], []
     un = ud = 1
@@ -256,20 +240,72 @@ def _cleared_terms(p: Phi21Params, count: int) -> tuple[list[int], int]:
     return list(map(mul, prefix, suffix)), suffix[0]
 
 
+def _cleared_sum(p: Phi21Params, count: int, order: int) -> tuple[list[int], int]:
+    """(nums, D) with sum(nums[j] zeta^j) / D the sum of the terms t_i,
+    i < count, over Q(zeta_order), cleared as by _cleared_terms with each
+    parameter a numerator vector over an int.  g_i's vector part G_i =
+    (qd ud - Q U) (cd ud - C U) becomes its conjugate product P_i over the
+    int norm N_i = G_i P_i (exact._conjugates), so t_i / t_(i-1) = f_i P_i
+    / (N_i ad bd xd) has an int denominator.  Raises ZeroDenominator where
+    _cleared_terms does."""
+    (a, ad), (b, bd), (c, cd), (q, qd), (x, xd) = (
+        (w.nums, w.den) for w in (v.embed(order) for v in (p.a, p.b, p.c, p.q, p.x)))
+
+    def times(f, g):  # a rational-valued factor, (n, 0, ..., 0), scales the other
+        if not any(g[1:]):
+            return [e * g[0] for e in f]
+        return [e * f[0] for e in g] if not any(f[1:]) else _mul_nums(f, g, order)
+
+    def minus(k, vec):  # k - vec
+        out = [-e for e in vec]
+        out[0] += k
+        return out
+
+    x = [e * qd * cd for e in x]
+    gc = ad * bd * xd
+    fs, gs = [], []
+    ud = 1
+    au, bu, cu, qu = a, b, c, q  # the numerators of a u, b u, c u and q u
+    for i in range(1, count):
+        g1, g2 = minus(qd * ud, qu), minus(cd * ud, cu)
+        if not any(g1) or not any(g2):
+            raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
+        conj, norm = _conjugates(times(g1, g2), order)
+        fs.append(times(times(times(minus(ad * ud, au), minus(bd * ud, bu)), x), conj))
+        gs.append(norm * gc)
+        au, bu, cu, qu, ud = times(au, q), times(bu, q), times(cu, q), times(qu, q), ud * qd
+    suffix = list(accumulate(reversed(gs), mul, initial=1))[::-1]  # g_(i+1) ... g_(count-1)
+    total = [0] * len(q)
+    for vec, s in zip(accumulate(fs, times, initial=[1] + [0] * (len(q) - 1)), suffix):
+        for j, e in enumerate(vec):
+            total[j] += e * s
+    return total, suffix[0]
+
+
 def phi21_exact(p: Phi21Params) -> SeriesValue:
     """Exact evaluation of a terminating 2phi1 (standard or exceptional case).
 
     r is decided exactly, on a, b and q as ExactScalars.  Sums the terms
     i = 0..r; every denominator factor (1 - c*q^(i-1)) and (1 - q^i) is
     asserted nonzero before division, so the exceptional case c = q^(-s)
-    with r < s is covered and anything else raises ZeroDenominator.
+    with r < s is covered and anything else raises ZeroDenominator.  The
+    terms are summed on ints over one denominator, by _cleared_terms over
+    Q and by _cleared_sum over Q(zeta_n), n the lcm of the parameters'
+    orders; one ExactScalar of order n is built from them (1 when r = 0).
     """
     p = p.as_exact()
     r = _exact_termination(p)
     if r is None:
         raise NotTerminating(f"no terminating exponent r <= {TERMINATION_BOUND} detected")
-    one = ExactScalar.from_rational(1)
-    return SeriesValue(sum(islice(_terms(p, one), r), one), r + 1, True)
+    if r == 0:
+        return SeriesValue(ExactScalar.from_rational(1), 1, True)
+    order = math.lcm(*(v.order for v in (p.a, p.b, p.c, p.q, p.x)))
+    if order == 1:
+        nums, den = _cleared_terms(p, r + 1)
+        nums = [sum(nums)]
+    else:
+        nums, den = _cleared_sum(p, r + 1, order)
+    return SeriesValue(_exact(order, nums, den), r + 1, True)
 
 
 def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
@@ -339,7 +375,7 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
             if term_limit is None:
                 raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
             break
-        i += 1  # t_i from t_(i-1) by the recurrence of _terms
+        i += 1  # t_i from t_(i-1) by the recurrence of _cleared_terms
         # each product below is approx._mul(_, _, wp) written out, each |v|
         # _abs_up; real balls skip their zero imaginary parts.  The
         # denominator factors 1 - q^i and 1 - c q^(i-1) must exclude 0, then

@@ -1,18 +1,20 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from qforge.errors import DegenerateFamily
-from qforge.exact import ExactScalar
+from qforge.exact import ExactScalar, cyclotomic_poly
 from qforge.families import (
     ParamFamily,
+    _root_binding,
     family_qbinom2,
     family_qgauss,
     family_qkummer,
     family_root_of_unity,
     solution_families,
 )
-from qforge.poly import RationalFunction as RF
+from qforge.poly import MultiPoly, RationalFunction as RF
 from qforge.qseries import Phi21Params
 
 A, B, C, Q, X = (RF.var(s) for s in "abcqx")
@@ -96,3 +98,44 @@ def test_param_values_with_fixed_root():
 def test_qgauss_assignment():
     fam = family_qgauss()
     assert fam.assignment["x"] == C / (A * B)
+
+
+COMPOSED = [((2, 2, 0, 2), family_qbinom2()), ((2, 4, 2, -2), family_qkummer()),
+            ((0, 3, 3, 0), family_root_of_unity(3)),
+            # assignments that are not a constant times a Laurent monomial
+            ((1, 0, 2, -1), ParamFamily("(a, b, (1 - a) b, x/(1 + b))", ("a", "b", "x"),
+                                        {"a": A, "b": B, "c": (1 - A) * B, "x": X / (1 + B)}))]
+
+
+@pytest.mark.parametrize("shift, fam", COMPOSED, ids=[f.name for _, f in COMPOSED])
+def test_compose_is_the_family_map_by_rational_function_arithmetic(shift, fam):
+    # moved values from exponent vectors, reduced modulo Phi_l(w), against
+    # RationalFunction products and powers, reduced through divide
+    p = MultiPoly.from_text("a^2*b*q*x + (-3/2)*a*c^2 + (2)*b*q^3*x^2 + (1)")
+    root = _root_binding(fam)
+    for t in (RF.var("t"), Q):
+        for steps in (0, 1, 2):
+            got = fam.compose(p, shift, t, steps)
+            moved = Phi21Params(q=t, **fam.assignment).shifted(shift, steps)
+            want = p.eval({**vars(moved), "q": Q}).num
+            if root:
+                phi = MultiPoly((root[0],), {(e,): c for e, c in enumerate(cyclotomic_poly(root[1]))})
+                assert (want - got).divide(phi) is not None
+                assert got.degree_in(root[0]) < len(cyclotomic_poly(root[1])) - 1
+            else:
+                assert got == want
+
+
+def test_mod_cyclotomic_is_the_remainder():
+    # p - (p mod Phi_l) is a multiple of Phi_l, of degree below phi(l)
+    rng = random.Random(4)
+    for order in (1, 2, 3, 4, 5, 6, 8, 12):
+        phi = MultiPoly(("w",), {(e,): c for e, c in enumerate(cyclotomic_poly(order))})
+        for _ in range(10):
+            p = MultiPoly(("b", "w"), {(rng.randint(0, 3), rng.randint(0, 30)): F(rng.randint(-5, 5), rng.randint(1, 3))
+                                       for _ in range(rng.randint(1, 8))})
+            r = p.mod_cyclotomic("w", order)
+            assert (p - r).divide(phi) is not None
+            assert r.degree_in("w") < len(cyclotomic_poly(order)) - 1
+            assert r.is_zero() == (p.divide(phi) is not None)
+        assert (phi * p).mod_cyclotomic("w", order).is_zero()

@@ -9,13 +9,14 @@ from functools import cache
 import mpmath
 import pytest
 
-from qforge import forge, qseries
+from qforge import families, forge, qseries
 from qforge.approx import ApproxScalar
 from qforge.closedform import closed_form_eval
 from qforge.errors import (
     ConstraintViolated,
     DegenerateParameter,
     SamplingExhausted,
+    UnboundSymbol,
     UnreachableTolerance,
     UnsupportedBinding,
 )
@@ -234,6 +235,16 @@ def test_telescoped_n_max_zero():
     with pytest.raises(ValueError, match="n_max >= 1, not 0"):
         telescoped_check((0, 1, 1, 0), family_qgauss(), 0,
                          {"a": F(1, 3), "b": F(1, 5), "c": F(1, 30), "q": Q12})
+
+
+@pytest.mark.parametrize("point", [{"a": F(1, 3), "b": F(1, 5), "c": F(1, 30)}, {"b": F(1, 5)}],
+                         ids=["q-free-family", "q-in-the-family"])
+def test_telescoped_check_names_an_unbound_q(point):
+    # the same typed error as any other unbound symbol, whether or not the
+    # family's assignment uses q
+    shift, fam = ((0, 1, 1, 0), family_qgauss()) if "a" in point else ((0, 3, 3, 0), family_root_of_unity(3))
+    with pytest.raises(UnboundSymbol, match=r"point does not bind \['q'\]"):
+        telescoped_check(shift, fam, 1, point, mode="exact")
 
 
 @pytest.mark.parametrize("n_max, trials", [(0, 20), (4, 0), (-1, -1)])
@@ -465,9 +476,12 @@ def test_root_of_unity_composite_vanishes_only_modulo_phi(monkeypatch, order):
     moved = Phi21Params(q=RF.var("t"), **fam.assignment).shifted(shift)
     composite = rel.Q.num.eval({**vars(moved), "q": RF.var("q")}).num
     phi = MultiPoly(("w",), {(e,): c for e, c in enumerate(cyclotomic_poly(order))})
-    assert forge._root_modulus(fam) == phi
+    assert families._root_binding(fam) == ("w", order)
     assert not composite.is_zero() and composite.divide(phi) is not None
-    monkeypatch.setattr(forge, "_root_modulus", lambda fam: None)
+    # the reduction is the remainder modulo Phi_l(w), 0 exactly when phi divides
+    assert composite.mod_cyclotomic("w", order).is_zero()
+    assert fam.compose(rel.Q.num, shift, RF.var("t")).is_zero()
+    monkeypatch.setattr(families, "_root_binding", lambda fam: None)
     assert not check_family(shift, fam, n_max=1, trials=1, relation=rel)
 
 
@@ -491,7 +505,9 @@ def test_root_binding_reduces_by_its_own_order(monkeypatch):
     cases = [(F(-1), {(0,): 1, (1,): 1}), (-Z3, {(0,): 1, (1,): -1, (2,): 1}),
              (Z3**2, {(0,): 1, (1,): 1, (2,): 1})]
     for value, phi in cases:
-        assert forge._root_modulus(_fixing(w=value)) == MultiPoly(("w",), phi)
+        sym, order = families._root_binding(_fixing(w=value))
+        assert MultiPoly((sym,), {(e,): c for e, c in enumerate(cyclotomic_poly(order))}) == \
+            MultiPoly(("w",), phi)
     # zeta_3^2 is conjugate to zeta_3, and zeta_4 is not a root of (0,3,3,0)'s family
     assert assert_routes_agree(monkeypatch, (0, 3, 3, 0), _fixing(w=Z3**2), n_max=3, trials=3)
     assert not assert_routes_agree(monkeypatch, (0, 3, 3, 0), _fixing(w=Z4), n_max=3, trials=3)

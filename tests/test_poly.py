@@ -325,10 +325,44 @@ def test_monomial_eval_matches_rf_arithmetic(monkeypatch, point):
     assert len(taken) == 8
 
 
+# rational and monomial columns interleaved in variable order
+MIXED_POINTS = {
+    "rationals-interleaved": {"a": F(-2, 3), "b": B * B / Q, "c": 3, "q": Q, "x": -Q / (A * C)},
+    "negative-exponents": {"a": F(7, 5), "b": Q**-3 * B, "c": C / (Q * Q), "q": F(1, 3), "x": F(-2, 9) * A**-2},
+    "constants": {"a": RF.const(-1), "b": F(3, 2), "c": RF.const(F(3, 2)), "q": Q, "x": F(-5, 7)},
+    "zero-among-them": {"a": 0, "b": -B / Q, "c": F(0), "q": Q * Q, "x": RF.const(F(3, 2))},
+}
+
+
+@pytest.mark.parametrize("point", MIXED_POINTS.values(), ids=MIXED_POINTS)
+def test_monomial_eval_with_rational_values_matches_rf_arithmetic(monkeypatch, point):
+    # seeded polynomials in which every variable occurs
+    taken, real = [], poly._monomial_image
+    monkeypatch.setattr(poly, "_monomial_image", lambda *args: taken.append(1) or real(*args))
+    rng = random.Random(11)
+    for _ in range(12):
+        terms = {tuple(rng.randint(0, 6) for _ in range(5)): F(rng.randint(-9, 9), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 40))}
+        terms[(1, 1, 1, 1, 1)] = 1
+        p = MultiPoly(("a", "b", "c", "q", "x"), terms)
+        got, want = p.eval(point), RF.const(reference_eval(p, point))
+        assert (got.num.to_text(), got.den.to_text()) == (want.num.to_text(), want.den.to_text())
+    assert len(taken) == 12
+
+
 def test_monomial_eval_widens_past_127():
     # a^100 at a^2/q reaches a^200 and q^240 with b^2: fields of 16 bits
     p = MultiPoly.from_text("a^100*b + (-3)*b^2 + (1)")
     point = {"a": A * A / Q, "b": F(3, 2) * Q**70}
+    got, want = p.eval(point), reference_eval(p, point)
+    assert got.num.width == 16
+    assert (got.num.to_text(), got.den.to_text()) == (want.num.to_text(), want.den.to_text())
+
+
+def test_monomial_eval_widens_past_127_with_a_rational_value():
+    # the same 16-bit fields, with b at q^-70 and c rational
+    p = MultiPoly.from_text("a^100*b*c + (-3)*b^2*c^5 + (2/7)*c")
+    point = {"a": A * A / Q, "b": F(3, 2) * Q**-70, "c": F(-1, 3)}
     got, want = p.eval(point), reference_eval(p, point)
     assert got.num.width == 16
     assert (got.num.to_text(), got.den.to_text()) == (want.num.to_text(), want.den.to_text())

@@ -1,13 +1,13 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import islice
+from itertools import count, islice
 
 import mpmath
 import pytest
 from test_oracle import REGRESSIONS
 
-from qforge import approx
+from qforge import approx, exact
 from qforge.approx import ApproxScalar, _abs_up, _bound, _div, _make, _mul, _normalized, _upper
 from qforge.errors import (
     DivisionByZero,
@@ -17,7 +17,7 @@ from qforge.errors import (
     ResumeMismatch,
     ZeroDenominator,
 )
-from qforge.exact import ExactScalar
+from qforge.exact import ExactScalar, format_scalar
 from qforge.families import family_qbinom2, family_qgauss, family_qkummer, family_root_of_unity
 from qforge.poly import RationalFunction as RF
 from qforge.qseries import (
@@ -32,7 +32,6 @@ from qforge.qseries import (
     _exact_termination,
     _rounded_tol,
     _tail_bound,
-    _terms,
     detect_termination,
     phi21_exact,
     phi21_numeric,
@@ -43,6 +42,42 @@ from qforge.qseries import (
 Q = F(1, 2)
 Z3 = ExactScalar.zeta(3)
 Z4 = ExactScalar.zeta(4)
+
+
+def _terms(p: Phi21Params, one):
+    """The terms t_1, t_2, ... of 2phi1 at p (t_0 = one), each from the last:
+
+        t_i = t_(i-1) (1 - a q^(i-1)) (1 - b q^(i-1)) x / ((1 - q^i) (1 - c q^(i-1)))
+
+    in the ring of p and `one`.  Raises ZeroDenominator before the first
+    term whose denominator factor vanishes.  The ring-generic recurrence
+    the exact and numeric sums were built on, kept as their reference."""
+    term = one
+    aq, bq, cq, qq = p.a, p.b, p.c, one
+    for i in count(1):
+        qq = qq * p.q  # q^i
+        den1 = one - qq
+        den2 = one - cq
+        if den1 == 0 or den2 == 0:
+            raise ZeroDenominator(
+                f"denominator factor vanishes at i={i} within the summation range"
+            )
+        term = term * (one - aq) * (one - bq) / (den1 * den2) * p.x
+        yield term
+        aq = aq * p.q
+        bq = bq * p.q
+        cq = cq * p.q
+
+
+def _reference_phi21_exact(p: Phi21Params) -> SeriesValue:
+    """phi21_exact as it was before it summed cleared terms: the terms
+    t_1 .. t_r of _terms in ExactScalar arithmetic, added to 1."""
+    p = p.as_exact()
+    r = _exact_termination(p)
+    if r is None:
+        raise NotTerminating(f"no terminating exponent r <= {TERMINATION_BOUND} detected")
+    one = ExactScalar.from_rational(1)
+    return SeriesValue(sum(islice(_terms(p, one), r), one), r + 1, True)
 
 
 def test_qpoch_finite_oracles():
@@ -204,6 +239,71 @@ def test_phi21_exact_cyclotomic():
     p = Phi21Params(z * Q, Q**-1, z * Q**-1, Q, F(1))
     r = phi21_exact(p)
     assert r.value == ExactScalar(3, [F(-1, 7), F(-3, 7)])
+
+
+def _exact_cases():
+    """(id, Phi21Params) for the differential test of phi21_exact: seeded
+    points over Q, Q(zeta_n) for n = 3, 4, 5, 8, 12 and mixed orders, a
+    cyclotomic q, r = 0, the exceptional c = q^-s, and a denominator
+    factor that vanishes inside the summation range."""
+    rng = random.Random(28)
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def value(order):
+        if order == 1:
+            return rational()
+        z = ExactScalar.zeta(order)
+        return rational() + rational() * z + rational() * z**(order - 1)
+
+    cases = []
+    for orders in [(1,), (3,), (4,), (5,), (8,), (12,), (3, 4), (4, 5), (1, 3, 8)]:
+        for k in range(6):
+            q = F(rng.randint(1, 9), rng.randint(10, 19)) * rng.choice([1, -1])
+            r = rng.randint(0, 7)
+            a, c, x = (value(rng.choice(orders)) for _ in range(3))
+            cases.append((f"orders={orders}-{k}", Phi21Params(a, q**-r, c, q, x)))
+    q = Q + Z3  # a cyclotomic q, and a b that terminates on it
+    cases += [(f"cyclotomic-q-r={r}", Phi21Params(F(2, 3) + Z4, q**-r, F(1, 7) * Z3, q, Z4 - 2))
+              for r in (0, 1, 3)]
+    cases += [("r=0", Phi21Params(F(1), Z4, Z3, Q, Z4 + 1)),
+              ("r=0-rational-valued-order-4", Phi21Params(Z4**4, Z4 * 3, Z4**2, Q, Z4**2 * 5)),
+              ("rational-valued-order-4", Phi21Params(Q**-3 * Z4**4, Z4**2 * 3, Z4**2 * 2, Q, Z4**4)),
+              ("exceptional", Phi21Params(Q**2 * Z4, Q**-2, Q**-3, Q, Z3)),
+              ("exceptional-rational", Phi21Params(Q**2, Q**-3, Q**-4, Q, -(Q**-1))),
+              ("zero-denominator", Phi21Params(Q**-3, Z3, Q**-1, Q, Z4)),
+              ("zero-denominator-rational", Phi21Params(Q**-3, F(1, 3), Q**-1, Q, F(1, 5))),
+              ("root-of-unity-q", Phi21Params(Z4**-5, F(2, 7), F(3, 11), Z4, Z3)),
+              ("root-of-unity-q-zero-denominator", Phi21Params(Z3**-5, F(2, 7), Z3**-1, Z3, F(1, 5))),
+              ("not-terminating", Phi21Params(Z3, F(1, 5), F(1, 7), Q, F(1, 5)))]
+    return cases
+
+
+@pytest.mark.parametrize("p", [p for _, p in _exact_cases()], ids=[k for k, _ in _exact_cases()])
+def test_phi21_exact_matches_the_ring_generic_sum(p):
+    # value, order (so the text of format_scalar), terms_used, and the
+    # exception type and message
+    def outcome(f):
+        try:
+            v = f(p)
+        except (ZeroDenominator, NotTerminating) as exc:
+            return type(exc), str(exc)
+        return format_scalar(v.value), v.value.order, v.terms_used, v.terminated
+
+    assert outcome(phi21_exact) == outcome(_reference_phi21_exact)
+
+
+def test_phi21_exact_builds_no_scalar_per_term(monkeypatch):
+    # a cyclotomic sum builds the same number of ExactScalars at every r
+    built, real = [], exact._raw
+    monkeypatch.setattr(exact, "_raw", lambda *args: built.append(1) or real(*args))
+    counts = []
+    for r in (1, 4, 16):
+        built.clear()
+        phi21_exact(Phi21Params(F(2, 5) * Z4, Q**-r, Z4 * F(1, 3) + Z3, Q, Z4 + F(1, 2)))
+        counts.append(len(built))
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_phi21_symmetry_in_a_b():
