@@ -18,12 +18,11 @@ one unit, and a cyclotomic value adds a bound on its embedding's error.
 _floored is that floor on an exact ratio (n, d), returning the ball and
 exponent without building a value: coerce calls it, and so do the
 kernels of qforge.qseries for their exact rational parameters.
-The integer kernel of qforge.qseries spells out the formulas of these
-primitives on local ints at a fixed scale: three per ball, calling _div,
-when a parameter is complex, and two (midpoint, radius) with _div written
-out when all are real, the same formulas at im = 0.  mpmath
-appears only in the views `val` and `err` (built exactly from the ints)
-and in the embedding of a cyclotomic value.
+The integer kernel of qforge.qseries calls _mul, _div and _abs_up on
+three ints per ball when a parameter is complex, and spells them out on
+two (midpoint, radius) at im = 0 when all are real, as perfbench times
+that loop.  mpmath appears only in the views `val` and `err` (built
+exactly from the ints) and in the embedding of a cyclotomic value.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .errors import (
     ConstraintViolated,
     DegenerateFamily,
     DegenerateParameter,
-    NotInTable,
     NotTerminating,
     QForgeError,
     UnboundSymbol,
@@ -44,15 +43,17 @@ from .relations import (
     ThreeTermRelation,
     draw_admissible,
     qr_derive,
-    qr_lookup,
     rand_fraction,
 )
+
+
+_MODES = ("exact", "numeric")  # "exact" for terminating identities
 
 
 @dataclass(frozen=True)
 class IdentityRecord:
     id: str
-    mode: str  # "exact" (terminating) | "numeric"
+    mode: str  # one of _MODES
     free: tuple[str, ...]
     lhs: dict  # {"a"|"b"|"c"|"x": expression tree}
     rhs: dict
@@ -211,6 +212,8 @@ def build_default_registry() -> dict:
 def _parse_registry(doc: dict) -> dict[str, IdentityRecord]:
     out = {}
     for item in doc["identities"]:
+        if item["mode"] not in _MODES:
+            raise ValueError(f"identity {item['id']!r}: unknown mode {item['mode']!r}")
         for key in PARAM_KEYS:
             cf.validate(item["lhs"][key])
         cf.validate(item["rhs"])
@@ -411,12 +414,7 @@ def _verify_checked(record: IdentityRecord, bindings: dict, probed: SeriesValue 
 
 
 def _relation_for(shift: ShiftVector, relation: ThreeTermRelation | None) -> ThreeTermRelation:
-    if relation is not None:
-        return relation
-    try:
-        return qr_lookup(shift)
-    except NotInTable:
-        return qr_derive(shift)
+    return qr_derive(shift) if relation is None else relation
 
 
 def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
@@ -536,6 +534,8 @@ def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
     """
     if n_max < 1:
         raise ValueError(f"telescoped_check needs n_max >= 1, not {n_max}")
+    if mode not in _MODES:
+        raise ValueError(f"telescoped_check: unknown mode {mode!r}")
     shift = ShiftVector(*shift)
     rel = _relation_for(shift, relation)
     run = PipelineRun(shift, fam.name, n_max, point, mode)

@@ -11,21 +11,21 @@ over int denominators, each divisor factor replaced by its conjugate
 product over its rational norm (_cleared_sum); one ExactScalar is built
 at the end.
 
-The loops of phi21_numeric and qpoch_infinite spell out the formulas of
-the ball primitives of qforge.approx (_mul, _shift, _abs_up) on local
-Python ints: the series is summed in fixed point as in Johansson,
-"Computing hypergeometric functions rigorously" (ACM TOMS 2019).  When a
-parameter is complex a ball is three ints (re, im, rad) and the quotient
-calls _div; when all are real it is two (re, rad), as Arb keeps real
-balls apart from complex ones, and the quotient is written out too.  The
-real formulas are the complex ones at im = 0, so the ints are the same.
-A differential test in tests/test_qseries.py checks them int for int
-against the same loops built from the primitives.  Exact rational
-parameters (ints, Fractions, order-1 ExactScalars) and a float tol enter
-as ints: approx._floored floors them to prec bits by the rounding of
-ApproxScalar.coerce, and the loops shift them to their own scale, so they
-are the balls coerce would give.  Other parameters enter through coerce,
-and one ApproxScalar result comes out.
+The loops of phi21_numeric and qpoch_infinite sum in fixed point on the
+balls of qforge.approx as local Python ints, as in Johansson, "Computing
+hypergeometric functions rigorously" (ACM TOMS 2019).  With a complex
+parameter a ball is three ints (re, im, rad) and the loop calls the
+primitives _mul, _div and _abs_up, the one copy of the complex formulas.
+With real parameters only it is two (re, rad), as Arb keeps real balls
+apart from complex ones, and the loop spells the formulas out at im = 0,
+as the numeric-verify and derive workloads of perfbench time it; the ints
+are the same.  Differential tests in tests/test_qseries.py check both
+loops int for int against loops built from the primitives.  Exact
+rational parameters (ints, Fractions, order-1 ExactScalars) and a float
+tol enter as ints: approx._floored floors them to prec bits by the
+rounding of ApproxScalar.coerce, and the loops shift them to their own
+scale, so they are the balls coerce would give.  Other parameters enter
+through coerce, and one ApproxScalar result comes out.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import accumulate
 from math import isqrt
 from operator import mul
 
-from .approx import ApproxScalar, _bound, _div, _floored, _make, _shift, default_precision
+from .approx import ApproxScalar, _abs_up, _bound, _div, _floored, _make, _mul, _shift, default_precision
 from .errors import (
     DivisionByZero,
     InvalidDomain,
@@ -153,14 +153,11 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
                     return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, cplx),
                                        m, False, (re, im, rad, exp))
         # P_(m+1) = P_m (1 - b q^m) as approx._mul, b q^(m+1) as
-        # approx._mul(_, _, wp); real balls skip their zero imaginary parts
+        # approx._mul(_, _, wp); the real body writes them out on (re, rad)
         fr = one - br
         if cplx:
-            f_abs = isqrt(fr * fr + bi * bi) + 1 if bi else abs(fr)
-            re, im, rad = re * fr + im * bi, im * fr - re * bi, p_abs * brad + f_abs * rad + rad * brad
-            b_abs = isqrt(br * br + bi * bi) + 1 if bi else abs(br)
-            br, bi, brad = ((br * qr - bi * qi) >> wp, (br * qi + bi * qr) >> wp,
-                            2 - (-(b_abs * qrad + q_abs * brad + brad * qrad) >> wp))
+            re, im, rad = _mul((re, im, rad), (fr, -bi, brad))
+            br, bi, brad = _mul((br, bi, brad), qb, wp)
         else:
             re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad
             br, brad = br * qr >> wp, 2 - (-(abs(br) * qrad + q_abs * brad + brad * qrad) >> wp)
@@ -376,49 +373,27 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
                 raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
             break
         i += 1  # t_i from t_(i-1) by the recurrence of _cleared_terms
-        # each product below is approx._mul(_, _, wp) written out, each |v|
-        # _abs_up; real balls skip their zero imaginary parts.  The
+        # each product below is approx._mul(_, _, wp), each |v| _abs_up; the
+        # real body spells them out without the zero imaginary parts.  The
         # denominator factors 1 - q^i and 1 - c q^(i-1) must exclude 0, then
         # num = (1 - a q^(i-1)) (1 - b q^(i-1)) x, then
         # t_i = t_(i-1) num / ((1 - q^i) (1 - c q^(i-1))), then a q^i, b q^i, c q^i
         if cplx:
-            u_abs = isqrt(ur * ur + ui * ui) + 1 if ui else abs(ur)
-            ur, ui, urad = ((ur * qr - ui * qi) >> wp, (ur * qi + ui * qr) >> wp,
-                            2 - (-(u_abs * qrad + q_abs * urad + urad * qrad) >> wp))
+            ur, ui, urad = _mul((ur, ui, urad), q, wp)
             dr, er = one - ur, one - cr
             if dr * dr + ui * ui <= urad * urad or er * er + ci * ci <= crad * crad:
                 raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
-            nr, mr = one - ar, one - br
-            n_abs = isqrt(nr * nr + ai * ai) + 1 if ai else abs(nr)
-            m_abs = isqrt(mr * mr + bi * bi) + 1 if bi else abs(mr)
-            nr, ni, nrad = ((nr * mr - ai * bi) >> wp, -(nr * bi + ai * mr) >> wp,
-                            2 - (-(n_abs * brad + m_abs * arad + arad * brad) >> wp))
-            n_abs = isqrt(nr * nr + ni * ni) + 1 if ni else abs(nr)
-            nr, ni, nrad = ((nr * xr - ni * xi) >> wp, (nr * xi + ni * xr) >> wp,
-                            2 - (-(n_abs * xrad + x_abs * nrad + nrad * xrad) >> wp))
-            n_abs = isqrt(nr * nr + ni * ni) + 1 if ni else abs(nr)
-            tr, ti, trad = ((tr * nr - ti * ni) >> wp, (tr * ni + ti * nr) >> wp,
-                            2 - (-(t_abs * nrad + n_abs * trad + trad * nrad) >> wp))
-            d_abs = isqrt(dr * dr + ui * ui) + 1 if ui else abs(dr)
-            e_abs = isqrt(er * er + ci * ci) + 1 if ci else abs(er)
-            den = ((dr * er - ui * ci) >> wp, -(dr * ci + ui * er) >> wp,
-                   2 - (-(d_abs * crad + e_abs * urad + urad * crad) >> wp))
+            num = _mul(_mul((one - ar, -ai, arad), (one - br, -bi, brad), wp), x, wp)
+            den = _mul((dr, -ui, urad), (er, -ci, crad), wp)
             try:
-                tr, ti, trad = _div((tr, ti, trad), den, wp)
+                tr, ti, trad = _div(_mul((tr, ti, trad), num, wp), den, wp)
             except DivisionByZero:
                 raise ZeroDenominator("denominator not bounded away from zero") from None
-            t_abs = isqrt(tr * tr + ti * ti) + 1 if ti else abs(tr)
-            a_abs = isqrt(ar * ar + ai * ai) + 1 if ai else abs(ar)
-            ar, ai, arad = ((ar * qr - ai * qi) >> wp, (ar * qi + ai * qr) >> wp,
-                            2 - (-(a_abs * qrad + q_abs * arad + arad * qrad) >> wp))
-            b_abs = isqrt(br * br + bi * bi) + 1 if bi else abs(br)
-            br, bi, brad = ((br * qr - bi * qi) >> wp, (br * qi + bi * qr) >> wp,
-                            2 - (-(b_abs * qrad + q_abs * brad + brad * qrad) >> wp))
-            c_abs = isqrt(cr * cr + ci * ci) + 1 if ci else abs(cr)
-            cr, ci, crad = ((cr * qr - ci * qi) >> wp, (cr * qi + ci * qr) >> wp,
-                            2 - (-(c_abs * qrad + q_abs * crad + crad * qrad) >> wp))
+            ar, ai, arad = _mul((ar, ai, arad), q, wp)
+            br, bi, brad = _mul((br, bi, brad), q, wp)
+            cr, ci, crad = _mul((cr, ci, crad), q, wp)
             re, im, rad = re + tr, im + ti, rad + trad
-            s_abs = isqrt(re * re + im * im) + 1 if im else abs(re)
+            t_abs, s_abs = _abs_up(tr, ti), _abs_up(re, im)
         else:
             ur, urad = ur * qr >> wp, 2 - (-(abs(ur) * qrad + q_abs * urad + urad * qrad) >> wp)
             # on real balls a factor's ball holds 0 when its modulus is at most its radius

