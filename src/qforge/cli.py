@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -147,7 +148,8 @@ def _run_verify(opts: dict) -> ReportDocument:
     if extra := sorted((grid.keys() | fixed.keys()) - set(record.free)):
         raise ValueError(f"{extra} bound by --grid or --set: identity {identity!r} "
                          f"has the free symbols {list(record.free)}")
-    qs = [parse_scalar(t) for t in (opts.get("q") or "1/2").split(",")]
+    # split on the commas outside [...], so that cyclo(n)[c0, c1] is one value
+    qs = [parse_scalar(t) for t in re.split(r",(?![^\[]*\])", opts.get("q") or "1/2")]
     n_points = opts.get("points")
     if n_points is not None and n_points < 1:
         raise ValueError(f"--points must be at least 1, not {n_points}")
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify a registered identity over a grid or random points")
     p.add_argument("--identity", required=True)
     p.add_argument("--grid", help="integer ranges, e.g. M=0..6,N=0..6")
-    p.add_argument("--q", help="comma-separated q values, e.g. 1/2,2/3")
+    p.add_argument("--q", help="comma-separated q values, e.g. 1/2,2/3 or 1/2,cyclo(4)[0, 1/2]")
     p.add_argument("--set", action="append", metavar="SYM=VALUE",
                    help="fix a symbol to an exact scalar (repeatable)")
     p.add_argument("--points", type=int, help="random points per cell for unbound symbols")

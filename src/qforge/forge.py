@@ -679,7 +679,7 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
 
     def derive_step():
         rel_box["rel"] = qr_derive(shift)
-        return True, "derived and residual-verified"
+        return True, "derived and series-verified"
 
     run_step("derive_relation", derive_step)
     rel = rel_box.get("rel")

@@ -66,9 +66,6 @@ class Phi21Params:
     def as_exact(self) -> "Phi21Params":
         return Phi21Params(*(ExactScalar.coerce(v) for v in (self.a, self.b, self.c, self.q, self.x)))
 
-    def as_numeric(self, prec: int | None = None) -> "Phi21Params":
-        return Phi21Params(*(ApproxScalar.coerce(v, prec) for v in (self.a, self.b, self.c, self.q, self.x)))
-
     def shifted(self, shift, steps: int = 1) -> "Phi21Params":
         """The parameters moved `steps` times along shift = (k, l, m, n):
         (a q^(k steps), b q^(l steps); c q^(m steps); q, x q^(n steps)),
@@ -180,28 +177,46 @@ def _termination_exponent(v, q):
     """The r <= TERMINATION_BOUND with v q^r = 1, else None.
 
     For rationals v = vn / vd and q = qn / qd in lowest terms, v q^r = 1
-    means vn qn^r = vd qd^r, so |vn| = qd^r and vd = |qn|^r: unless
-    |q| is 0 or 1, one of qd, |qn| is at least 2 and gives the only
-    candidate r by its logarithm, which one exact power checks.  At a
-    rational q an irrational v has no r, as v = q^-r would be rational.
-    Other values (cyclotomic ones, q in {0, 1, -1}) walk r = 0, 1, ..."""
+    means vn qn^r = vd qd^r (_rational_exponent).  At a rational q an
+    irrational v has no r, as v = q^-r would be rational.  Over
+    Q(zeta_n), with v and q embedded in one field, v q^r = 1 implies
+    N(v) N(q)^r = 1 for the norm N to Q: unless |N(q)| is 0 or 1 the
+    rationals N(v), N(q) give the only candidate r, which one exact power
+    checks.  Other values (q in {0, 1, -1}, a cyclotomic q of norm +-1,
+    inexact ones) walk r = 0, 1, ..."""
     rv, rq = _ratio(v), _ratio(q)
     if isinstance(v, ExactScalar) and not v.is_rational() and (
             rq is not None or isinstance(q, ExactScalar) and q.is_rational()):
         return None
     if rv is not None and rq is not None and abs(rq[0]) not in (0, rq[1]):
-        (vn, vd), (qn, qd) = rv, rq
-        base, power = (qd, abs(vn)) if qd > 1 else (abs(qn), vd)
-        if power == 0:
-            return None
-        r = round(math.log(power) / math.log(base))
-        return r if 0 <= r <= TERMINATION_BOUND and vn * qn**r == vd * qd**r else None
+        return _rational_exponent(rv, rq)
+    exact = (int, Fraction, ExactScalar)
+    if isinstance(v, exact) and isinstance(q, exact) and v != 0 and q != 0:
+        ev, eq = ExactScalar._align(ExactScalar.coerce(v), ExactScalar.coerce(q))
+        nv, nq = (Fraction(_conjugates(e.nums, e.order)[1], e.den ** len(e.nums)) for e in (ev, eq))
+        if abs(nq) != 1:
+            r = _rational_exponent((nv.numerator, nv.denominator), (nq.numerator, nq.denominator))
+            return r if r is not None and ev * eq**r == 1 else None
     acc = v
     for r in range(TERMINATION_BOUND + 1):
         if acc == 1:
             return r
         acc = acc * q
     return None
+
+
+def _rational_exponent(rv, rq):
+    """The r <= TERMINATION_BOUND with (vn / vd) (qn / qd)^r = 1, else None,
+    for (vn, vd) = rv and (qn, qd) = rq in lowest terms, |qn| not 0 or qd.
+    vn qn^r = vd qd^r means |vn| = qd^r and vd = |qn|^r: one of qd, |qn|
+    is at least 2 and gives the only candidate r by its logarithm, which
+    one exact power checks."""
+    (vn, vd), (qn, qd) = rv, rq
+    base, power = (qd, abs(vn)) if qd > 1 else (abs(qn), vd)
+    if power == 0:
+        return None
+    r = round(math.log(power) / math.log(base))
+    return r if 0 <= r <= TERMINATION_BOUND and vn * qn**r == vd * qd**r else None
 
 
 def _cleared_terms(p: Phi21Params, count: int) -> tuple[list[int], int]:

@@ -33,6 +33,17 @@ def test_verify_multiple_q(capsys):
     assert doc["summary"]["total"] == 18
 
 
+@pytest.mark.parametrize("text, qs", [
+    ("cyclo(4)[0, 1/2]", ["cyclo(4)[0, 1/2]"]),
+    ("1/2,cyclo(4)[0, 1/2],2/3", ["1/2", "cyclo(4)[0, 1/2]", "2/3"]),
+    ("cyclo(3)[1/3,1/4], 1/2", ["cyclo(3)[1/3, 1/4]", "1/2"]),
+])
+def test_verify_q_splits_on_commas_outside_brackets(capsys, text, qs):
+    code, out = run_cli(capsys, "verify", "--identity", "qgauss", "--points", "1", "--q", text)
+    assert code == 0
+    assert [case["bindings"]["q"] for case in json.loads(out)["cases"]] == qs
+
+
 def test_verify_with_cyclotomic_set(capsys):
     code, out = run_cli(capsys, "verify", "--identity", "sv4",
                         "--grid", "N=0..3", "--q", "1/2", "--set", "w=cyclo(3)[0, 1]")

@@ -44,6 +44,11 @@ Z3 = ExactScalar.zeta(3)
 Z4 = ExactScalar.zeta(4)
 
 
+def _as_numeric(p: Phi21Params, prec: int | None = None) -> Phi21Params:
+    """p with every parameter an ApproxScalar at prec bits."""
+    return Phi21Params(*(ApproxScalar.coerce(v, prec) for v in (p.a, p.b, p.c, p.q, p.x)))
+
+
 def _terms(p: Phi21Params, one):
     """The terms t_1, t_2, ... of 2phi1 at p (t_0 = one), each from the last:
 
@@ -183,6 +188,31 @@ def test_detect_termination_matches_the_walk():
         for a in values:
             for b in (F(5, 7), powers[1], powers[-2]):
                 assert detect_termination(a, b, q) == _termination_walk(a, b, q), (a, b, q)
+
+
+def test_cyclotomic_termination_matches_the_walk():
+    # seeded q in Q(zeta_n), with v = q^-r (terminating at r), v = q^-r
+    # times a root of unity or 1 + 1/10^9 (equal norms, or nearly, but no
+    # r), rational v and v of another field; q = 2 zeta_3 has a rational
+    # cube, and 1 + zeta_5 and zeta_8 have norm 1, so those walk
+    rng = random.Random(32)
+    orders = (3, 4, 5, 6, 8, 12)
+
+    def draw(order):
+        return ExactScalar(order, [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(exact.euler_phi(order))])
+
+    qs = [q for q in (draw(rng.choice(orders)) for _ in range(24)) if not q.is_zero()]
+    qs += [2 * Z3, 1 + ExactScalar.zeta(5), ExactScalar.zeta(8)]
+    terminating = 0
+    for q in qs:
+        zeta = ExactScalar.zeta(q.order)
+        for r in (0, 1, 3, 64, 65):
+            power = q**-r
+            for v in (power, zeta * power, power * (1 + F(1, 10**9)), draw(rng.choice(orders)), F(1, 8)):
+                found = detect_termination(v, v, q)
+                assert found == _termination_walk(v, v, q), (v, q)
+                terminating += found is not None
+    assert terminating >= 4 * len(qs)
 
 
 def test_phi21_exact_b_one():
@@ -433,7 +463,7 @@ def _primitive_phi21(p: Phi21Params, tol, prec=113, resume=None):
     rounded = tm, te = _rounded_tol(tol, prec)
     key = (p, prec)
     term_limit = _exact_termination(p)
-    p = p.as_numeric(prec)
+    p = _as_numeric(p, prec)
     wp = prec + _GUARD
     one = 1 << wp
     params = (p.a, p.b, p.c, p.q, p.x)
@@ -684,7 +714,7 @@ def _reference_phi21(p: Phi21Params, tol, prec=113):
     def units(v):  # an upper bound on |v| in units of 2**-wp
         return math.ceil(_upper(v) * 2**wp)
 
-    p = p.as_numeric(prec)
+    p = _as_numeric(p, prec)
     total = one = ApproxScalar.coerce(1, prec)
     bounds = [units(v) for v in (p.q, p.a, p.b, p.c, p.x)]
     small_streak = 0
@@ -963,7 +993,7 @@ def test_divisor_not_bounded_away_from_zero(cplx):
     q = NEAR_UNIT_Q
     for c in (q, 1 - F(3, 2**69)):
         p = Phi21Params(F(1, 3), F(1, 5), c, q, Z4 / 3 if cplx else F(1, 3))
-        assert p.as_numeric().x.cplx == cplx
+        assert _as_numeric(p).x.cplx == cplx
         for call in (phi21_numeric, _primitive_phi21):
             with pytest.raises(ZeroDenominator, match="denominator not bounded away from zero"):
                 call(p, 1e-12, 113)

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import json
+import math
 import os
 import pickle
 import random
@@ -8,7 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction as F
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from qforge.errors import (
 )
 from qforge.exact import ExactScalar
 from qforge.poly import RELATION_VARS, MultiPoly, RationalFunction as RF
-from qforge.qseries import Phi21Params, phi21_exact
+from qforge.qseries import Phi21Params, phi21_exact, qpoch_finite
 from qforge.relations import (
     TABLE_SHIFTS,
     ShiftVector,
@@ -266,6 +267,122 @@ def test_series_check_budget_is_50_per_point(monkeypatch):
     with pytest.raises(SamplingExhausted, match="admissible verification points"):
         relations._series_verify(shift, cleared, order, random.Random(5), points=3)
     assert len(drawn) == 50 * 3
+
+
+# -- the degree bound of the series check ------------------------------------------
+#
+# The oracle builds each ratio T_(j-i) / t_j of _series_verify's argument
+# as a rational function of z = q^j, checks it against the terms
+# themselves, and lets sympy cancel each one and take the lcm L of their
+# denominators: D is the largest degree of a summand times L.
+
+# the cleared x-degree d of each shift's relation (qr_derive's d)
+_CLEARED_DEGREE = {
+    (0, 1, 1, 0): 1, (1, 2, 1, -1): 1, (0, 3, 3, 0): 3, (0, 4, 4, 0): 4, (2, 4, 2, -2): 4,
+    (0, 6, 6, 0): 6, (3, 3, 0, 3): 8, (4, 8, 6, -4): 10, (4, 4, 0, 4): 11, (2, 2, 0, 2): 5,
+    (1, 1, 2, 0): 1, (5, 5, 0, 5): 14,
+}
+
+
+def _ratio_parts(shift, i, a, b, c, q, z):
+    """(num, den) of (az; q)_(k-i) (bz; q)_(l-i) (z/q^(i-1); q)_i z^n / (cz; q)_(m-i),
+    T_(j-i) / t_j over a constant of the point, with (v; q)_N = 1 / (vq^N; q)_-N
+    at N < 0."""
+    k, l, m, n = shift
+
+    def poch(v, count):
+        if count >= 0:
+            return qpoch_finite(v, q, count), 1
+        return 1, qpoch_finite(v * q**count, q, -count)
+
+    parts = [poch(a * z, k - i), poch(b * z, l - i), poch(z / q**(i - 1), i),
+             poch(c * z, m - i)[::-1], (z**n, 1) if n >= 0 else (1, z**-n)]
+    return math.prod(p for p, _ in parts), math.prod(p for _, p in parts)
+
+
+def _term(shift, a, b, c, q, j):
+    """The j-th term of phi(aq^k, bq^l; cq^m; q, q^n), 0 at j < 0."""
+    k, l, m, n = shift
+    if j < 0:
+        return 0
+    return (qpoch_finite(a * q**k, q, j) * qpoch_finite(b * q**l, q, j) * q**(n * j)
+            / (qpoch_finite(q, q, j) * qpoch_finite(c * q**m, q, j)))
+
+
+@cache
+def _sympy_degree(shift, d):
+    import sympy
+
+    rng = random.Random(sum(shift) + 7 * d)
+    a, b, c, q = (rand_fraction(rng) for _ in range(4))
+    z = sympy.Symbol("z")
+    sym = [sympy.Rational(v.numerator, v.denominator) for v in (a, b, c, q)]
+    fracs = []
+    for series in (shift, (1, 1, 1, 0), (0, 0, 0, 0)):
+        for i in range(d + 1):
+            ratios = set()
+            for j in range(i + 4):
+                num, den = _ratio_parts(series, i, a, b, c, q, q**j)
+                term = _term(series, a, b, c, q, j - i)
+                if j < i:
+                    assert num == 0 and term == 0
+                else:
+                    ratios.add(num * _term((0, 0, 0, 0), a, b, c, q, j) / (den * term))
+            assert len(ratios) == 1  # the formula is T_(j-i) / t_j up to one constant
+            num, den = _ratio_parts(series, i, *sym, z)
+            fracs.append(sympy.Poly(num, z).cancel(sympy.Poly(den, z), include=True))
+    lcm = reduce(lambda u, v: u.lcm(v), (den for _, den in fracs))
+    return max(num.degree() + lcm.degree() - den.degree() for num, den in fracs)
+
+
+@pytest.mark.parametrize("shift", sorted(_CLEARED_DEGREE), ids=lambda s: ",".join(map(str, s)))
+def test_series_degree_bound_covers_the_sympy_degree(shift):
+    assert relations._gamma_degree(shift, _CLEARED_DEGREE[shift]) >= _sympy_degree(shift, _CLEARED_DEGREE[shift])
+
+
+@pytest.mark.parametrize("shift", [(0, 1, 1, 0), (1, 2, 1, -1), (2, 2, 0, 2), (1, 1, 2, 0)])
+def test_series_order_is_one_past_the_degree(shift):
+    # D + 1 coefficients prove the identity at a point, D do not: the
+    # order qr_derive passes must exceed the degree sympy finds
+    _, cleared, order = _series_check_args(shift)
+    d = max(pp.degree_in("x") for pp in cleared)
+    assert d == _CLEARED_DEGREE[shift]
+    assert order >= _sympy_degree(shift, d) + 1
+
+
+def test_series_check_skips_points_off_its_side_conditions(monkeypatch):
+    # at (0, 1, 1, 0), d = 1: a = q is a q^-1 = 1, so L(z) has the factor
+    # 1 - az/q, zero at z = 1; a = q^2 is a q^-2 = 1, below the range, kept
+    shift, cleared, order = _series_check_args((0, 1, 1, 0))
+    for a, skipped in ((F(1, 3), True), (F(1, 9), False)):
+        script = [a, F(1, 5), F(1, 7), F(1, 3)]
+        drawn = []
+
+        def draw(rng):
+            drawn.append(script.pop(0) if script else rand_fraction(rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(relations, "rand_fraction", draw)
+        assert relations._series_verify(shift, cleared, order, random.Random(5), points=1)
+        assert len(drawn) == (8 if skipped else 4)
+
+
+def test_q_log():
+    assert relations._q_log(F(1, 4), F(1, 2)) == -2
+    assert relations._q_log(F(-8), F(-1, 2)) == 3
+    assert relations._q_log(F(1), F(2, 3)) == 0
+    assert relations._q_log(F(-4), F(-1, 2)) is None
+    assert relations._q_log(F(1, 3), F(1, 2)) is None
+    assert relations._q_log(F(0), F(1, 2)) is None
+
+
+def test_qr_derive_never_runs_the_residual(monkeypatch):
+    def residual(*args, **kwargs):
+        raise AssertionError("qr_derive ran the numeric residual")
+
+    monkeypatch.setattr(relations, "relation_residual", residual)
+    for shift in ((0, 2, 2, 0), (2, 2, 0, 2), (-1, -2, -2, 1)):
+        qr_derive(shift)
 
 
 DERIVE_REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "derive.json").read_text())
