@@ -20,7 +20,9 @@ With real parameters only it is two (re, rad), as Arb keeps real balls
 apart from complex ones, and the loop spells the formulas out at im = 0,
 as the numeric-verify and derive workloads of perfbench time it; the ints
 are the same.  Differential tests in tests/test_qseries.py check both
-loops int for int against loops built from the primitives.  Exact
+loops int for int against loops built from the primitives.  The series
+stops by a ratio bound on its tail or by the tail's closed form t_i x /
+(1 - x) with a proven bound on its error, whichever holds first.  Exact
 rational parameters (ints, Fractions, order-1 ExactScalars) and a float
 tol enter as ints: approx._floored floors them to prec bits by the
 rounding of ApproxScalar.coerce, and the loops shift them to their own
@@ -50,7 +52,7 @@ from .errors import (
 from .exact import ExactScalar, _conjugates, _make as _exact, _mul_nums, _ratio
 
 TERMINATION_BOUND = 64
-_MAX_TERMS = 20000  # terms of a non-terminating numeric series
+_MAX_TERMS = 20000  # terms of a non-terminating series; about log(tol) / log(|x| |q|) near |x| = 1
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,9 @@ class Phi21Params:
 class SeriesValue:
     """Result of a series or infinite-product evaluation.
 
-    terms_used counts the whole sum from t_0, or the factors of a product:
-    a result resumed from an earlier one counts the earlier call's terms
-    too, not only the terms the resuming call added."""
+    terms_used counts the terms summed from t_0, not a tail added in closed
+    form, or the factors of a product: a result resumed from an earlier one
+    counts the earlier call's terms too, not only the terms it added."""
 
     value: object
     terms_used: int
@@ -153,8 +155,8 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
         # approx._mul(_, _, wp); the real body writes them out on (re, rad)
         fr = one - br
         if cplx:
-            re, im, rad = _mul((re, im, rad), (fr, -bi, brad))
-            br, bi, brad = _mul((br, bi, brad), qb, wp)
+            re, im, rad = _mul((re, im, rad), (fr, -bi, brad), 0, p_abs)
+            br, bi, brad = _mul((br, bi, brad), qb, wp, None, q_abs)
         else:
             re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad
             br, brad = br * qr >> wp, 2 - (-(abs(br) * qrad + q_abs * brad + brad * qrad) >> wp)
@@ -326,10 +328,19 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
 
     InvalidDomain unless |q| < 1, and |x| < 1 for a non-terminating
     series, hold for every value in their balls.  Stops at the first index
-    i where the last three terms are below tol relative to the running
-    partial sum and _tail_bound proves a bound on the rest, which joins
-    the err.  As |x| < 1 that holds for i large enough; _MAX_TERMS bounds
-    the search.
+    i where one of two certificates holds; the bound it proves joins the
+    err.  The ratio rule: the last three terms are below tol relative to
+    the partial sum S_i and _tail_bound bounds the rest (as |x| < 1 it
+    holds for i large enough; _MAX_TERMS bounds the search).  The closed
+    tail: the rest is t_i sum_(j>=1) x^j prod_(s<j) rho(q^(i+s)), rho(v) =
+    (1-av)(1-bv) / ((1-qv)(1-cv)) = 1 + ((q+c-a-b) v + (ab-qc) v^2) /
+    ((1-qv)(1-cv)).  For V >= |q^i|, A >= |q+c-a-b| and B >= |ab-qc|, the
+    |rho - 1| sum to at most sigma = (A V + B V^2) / ((1-|q|)(1-|q|V)(1-|c|V))
+    as sum_s |q^(i+s)| <= V / (1-|q|); if sigma < 1 each product is within
+    e^sigma - 1 <= sigma / (1-sigma) of 1, so the rest is the ball t_i x /
+    (1-x) within |t_i| |x| sigma / ((1-|x|)(1-sigma)) (_closed_tail).  Its
+    test, that bound below tol (|S_i| + 1), takes |t_i| and |q^i| at their
+    midpoints, to pass at a tol below their radii; the err takes the radii.
 
     A terminating series is summed to its last term.  Termination is
     decided exactly, by detect_termination on the a, b and q given, before
@@ -338,9 +349,9 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
 
     `resume` continues the loop from the `state` of an earlier phi21_numeric
     result at the same p and prec and a tol no looser (else ResumeMismatch).
-    Neither the scale nor _tail_bound depends on tol, and a smaller tol is
-    harder to meet, so the continued sum, its streak re-tested at the
-    earlier stop, stops where a fresh call does, with the same ints.
+    Neither the scale nor either bound depends on tol, and a smaller tol is
+    harder to meet, so the continued sum, both certificates re-tested at
+    the earlier stop, stops where a fresh call does, with the same ints.
     """
     prec = default_precision() if prec is None else prec
     rounded = tm, te = _rounded_tol(tol, prec)
@@ -377,12 +388,25 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     for pair in pairs:
         streak = streak + (pair,) if pair[0] << left < tm * (pair[1] + one) else ()
     limit = _MAX_TERMS - 1 if term_limit is None else term_limit
-    tail = 0
     (qr, qi, qrad), (xr, xi, xrad) = q, x
-    q_abs = isqrt(qr * qr + qi * qi) + 1 if qi else abs(qr)
-    x_abs = isqrt(xr * xr + xi * xi) + 1 if xi else abs(xr)
-    t_abs = isqrt(tr * tr + ti * ti) + 1 if ti else abs(tr)  # |t_i|, kept up to date
-    while len(streak) < 3 or (tail := _tail_bound(bounds, streak[2][0] + trad, i, wp)) is None:
+    q_abs, x_abs, u_abs = _abs_up(qr, qi), _abs_up(xr, xi), _abs_up(ur, ui)
+    t_abs, s_abs = _abs_up(tr, ti), _abs_up(re, im)  # |t_i|, |S_i| and |q^i|, kept up to date
+    closed = None
+    if term_limit is None:  # the closed tail's A >= |q + c - a - b| and B >= |ab - qc|
+        ab, qc = _mul(a, b, wp), _mul(q, c, wp)
+        closed = (_bound((qr + c[0] - a[0] - b[0], qi + c[1] - a[1] - b[1], qrad + c[2] + a[2] + b[2])),
+                  _bound((ab[0] - qc[0], ab[1] - qc[1], ab[2] + qc[2])), bounds[0], bounds[3], bounds[4])
+        # its test fails while |t_i| |q^i| |x| A 2**left >= tm (|S_i| + 1) 2**(3 wp): num >= A V 2**(2 wp)
+        gap = (closed[0].bit_length() + closed[4].bit_length() - 3 + left - tm.bit_length() - 3 * wp
+               if closed[0] and closed[4] else -math.inf)
+    tail, rest = 0, (0, 0, 0)
+    while not (len(streak) == 3 and (tail := _tail_bound(bounds, streak[2][0] + trad, i, wp)) is not None):
+        # the closed tail: skipped by the bit count, tested on midpoints, certified on bounds
+        if closed and (not (tv := t_abs * u_abs) or tv.bit_length() + gap < (s_abs + one).bit_length()) \
+                and (e := _closed_tail(t_abs, u_abs, closed, wp)) is not None and e << left < tm * (s_abs + one) \
+                and (tail := _closed_tail(t_abs + trad, u_abs + urad, closed, wp)) is not None:
+            rest = _div(_mul((tr, ti, trad), x, wp, t_abs, x_abs), (one - xr, -xi, xrad), wp)
+            break
         if i == limit:
             if term_limit is None:
                 raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
@@ -394,25 +418,25 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
         # num = (1 - a q^(i-1)) (1 - b q^(i-1)) x, then
         # t_i = t_(i-1) num / ((1 - q^i) (1 - c q^(i-1))), then a q^i, b q^i, c q^i
         if cplx:
-            ur, ui, urad = _mul((ur, ui, urad), q, wp)
+            ur, ui, urad = _mul((ur, ui, urad), q, wp, u_abs, q_abs)
             dr, er = one - ur, one - cr
             if dr * dr + ui * ui <= urad * urad or er * er + ci * ci <= crad * crad:
                 raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
-            num = _mul(_mul((one - ar, -ai, arad), (one - br, -bi, brad), wp), x, wp)
+            num = _mul(_mul((one - ar, -ai, arad), (one - br, -bi, brad), wp), x, wp, ya=x_abs)
             den = _mul((dr, -ui, urad), (er, -ci, crad), wp)
             try:
-                tr, ti, trad = _div(_mul((tr, ti, trad), num, wp), den, wp)
+                tr, ti, trad = _div(_mul((tr, ti, trad), num, wp, t_abs), den, wp)
             except DivisionByZero:
                 raise ZeroDenominator("denominator not bounded away from zero") from None
-            ar, ai, arad = _mul((ar, ai, arad), q, wp)
-            br, bi, brad = _mul((br, bi, brad), q, wp)
-            cr, ci, crad = _mul((cr, ci, crad), q, wp)
+            ar, ai, arad = _mul((ar, ai, arad), q, wp, ya=q_abs)
+            br, bi, brad = _mul((br, bi, brad), q, wp, ya=q_abs)
+            cr, ci, crad = _mul((cr, ci, crad), q, wp, ya=q_abs)
             re, im, rad = re + tr, im + ti, rad + trad
-            t_abs, s_abs = _abs_up(tr, ti), _abs_up(re, im)
+            t_abs, s_abs, u_abs = _abs_up(tr, ti), _abs_up(re, im), _abs_up(ur, ui)
         else:
-            ur, urad = ur * qr >> wp, 2 - (-(abs(ur) * qrad + q_abs * urad + urad * qrad) >> wp)
+            ur, urad = ur * qr >> wp, 2 - (-(u_abs * qrad + q_abs * urad + urad * qrad) >> wp)
             # on real balls a factor's ball holds 0 when its modulus is at most its radius
-            dr, er = one - ur, one - cr
+            dr, er, u_abs = one - ur, one - cr, abs(ur)
             d_abs, e_abs = abs(dr), abs(er)
             if d_abs <= urad or e_abs <= crad:
                 raise ZeroDenominator(f"denominator factor vanishes at i={i} within the summation range")
@@ -440,7 +464,8 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     done = term_limit is not None
     state = key, rounded, (i, (tr, ti, trad), (ur, ui, urad), (ar, ai, arad), (br, bi, brad),
                            (cr, ci, crad), (re, im, rad), streak)
-    return SeriesValue(_make((re, im, rad + tail), -wp, prec, cplx), i + 1 if done else i, done, state)
+    value = (re + rest[0], im + rest[1], rad + rest[2] + tail)
+    return SeriesValue(_make(value, -wp, prec, cplx), i + 1 if done else i, done, state)
 
 
 def _exact_termination(p: Phi21Params):
@@ -477,6 +502,20 @@ def _tail_bound(bounds, last: int, i: int, wp: int):
     if num >= den:
         return None
     return -(-last * num // (den - num))
+
+
+def _closed_tail(t: int, v: int, closed, wp: int):
+    """A bound on |t_(i+1) + t_(i+2) + ... - t_i x / (1 - x)|, or None unless
+    sigma < 1 (see phi21_numeric), for t >= |t_i|, v >= |q^i| and closed =
+    (A, B, |q|, |c|, |x|) as _tail_bound takes its bounds."""
+    a, b, q, c, x = closed
+    one = 1 << wp
+    # sigma = num / den in units of 2**(-3 wp), with 1 - |q| V and 1 - |c| V rounded down
+    num, d2, d3 = (a * one + b * v) * v, one + (-q * v >> wp), one + (-c * v >> wp)
+    den = (one - q) * d2 * d3
+    if d2 <= 0 or d3 <= 0 or num >= den:
+        return None
+    return -(-t * x * num // ((one - x) * (den - num)))
 
 
 # -- the integer ball kernel of phi21_numeric and qpoch_infinite --------------

@@ -115,8 +115,8 @@ def test_bad_tol_is_refused_before_the_first_term(tol, monkeypatch):
 
 
 def test_verify_identity_sums_each_lhs_term_once(monkeypatch):
-    # two rounds, of 451 and then 517 terms: the second continues the
-    # first, so the kernel computes 517 terms and not 451 + 517
+    # two rounds, of 38 and then 41 terms: the second continues the
+    # first, so the kernel computes 41 terms and not 38 + 41
     # a loop over real balls calls no function per term, so terms are
     # counted as runs of the kernel loop's `i += 1` line
     terms, rounds = [], []
@@ -141,8 +141,8 @@ def test_verify_identity_sums_each_lhs_term_once(monkeypatch):
         case = verify_identity("qbinom", {"a": F(64, 67), "x": F(17, 18), "q": Q12})
     finally:
         sys.settrace(before)
-    assert case.status == "pass" and case.terms_used == 517
-    assert rounds == [451, 517] and len(terms) == 517
+    assert case.status == "pass" and case.terms_used == 41
+    assert rounds == [38, 41] and len(terms) == 41
 
 
 def test_non_terminating_lhs_defined_rejects_unit_c_q_power():

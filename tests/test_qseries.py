@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from test_oracle import REGRESSIONS
 
-from qforge import approx, exact
+from qforge import approx, exact, qseries
 from qforge.approx import ApproxScalar, _abs_up, _bound, _div, _make, _mul, _normalized, _upper
 from qforge.errors import (
     DivisionByZero,
@@ -28,6 +28,7 @@ from qforge.qseries import (
     SeriesValue,
     _at,
     _cleared_terms,
+    _closed_tail,
     _entry,
     _exact_termination,
     _rounded_tol,
@@ -479,8 +480,22 @@ def _primitive_phi21(p: Phi21Params, tol, prec=113, resume=None):
     for pair in pairs:
         streak = streak + (pair,) if pair[0] << left < tm * (pair[1] + one) else ()
     limit = _MAX_TERMS - 1 if term_limit is None else term_limit
-    tail = 0
-    while len(streak) < 3 or (tail := _tail_bound(bounds, streak[2][0] + term[2], i, wp)) is None:
+    closed = None
+    if term_limit is None:
+        # A >= |q + c - a - b|, B >= |ab - qc| and bounds on |q|, |c|, |x|
+        ab, qc = _mul(a, b, wp), _mul(q, c, wp)
+        closed = (_bound((q[0] + c[0] - a[0] - b[0], q[1] + c[1] - a[1] - b[1], q[2] + c[2] + a[2] + b[2])),
+                  _bound((ab[0] - qc[0], ab[1] - qc[1], ab[2] + qc[2])), bounds[0], bounds[3], bounds[4])
+    tail, rest = 0, (0, 0, 0)
+    while True:
+        if len(streak) == 3 and (tail := _tail_bound(bounds, streak[2][0] + term[2], i, wp)) is not None:
+            break
+        t_abs, u_abs, s_abs = _abs_up(*term[:2]), _abs_up(*qi[:2]), _abs_up(re, im)
+        if closed and (e := _closed_tail(t_abs, u_abs, closed, wp)) is not None \
+                and e << left < tm * (s_abs + one) \
+                and (tail := _closed_tail(_bound(term), _bound(qi), closed, wp)) is not None:
+            rest = _div(_mul(term, x, wp), _one_minus(x, one), wp)
+            break
         if i == limit:
             if term_limit is None:
                 raise NoConvergence(f"no convergence after {_MAX_TERMS} terms")
@@ -505,7 +520,8 @@ def _primitive_phi21(p: Phi21Params, tol, prec=113, resume=None):
             streak = ()
     done = term_limit is not None
     state = key, rounded, (i, term, qi, aq, bq, cq, (re, im, rad), streak)
-    return SeriesValue(_make((re, im, rad + tail), -wp, prec, cplx), i + 1 if done else i, done, state)
+    value = (re + rest[0], im + rest[1], rad + rest[2] + tail)
+    return SeriesValue(_make(value, -wp, prec, cplx), i + 1 if done else i, done, state)
 
 
 def _primitive_qpoch(base, q, tol, prec=113):
@@ -542,7 +558,8 @@ def _exact_fields(r):
 # points with the summation tols of successive rounds
 RESUMED = {
     # the lhs of qbinom at a = 64/67, x = 17/18, q = 1/2, with the tols of
-    # verify_identity's two rounds there: 451, then 517 terms
+    # verify_identity's two rounds there under the ratio rule alone: 38,
+    # then 43 terms (451, then 517 without the closed tail)
     "near-unit-x": (Phi21Params(F(64, 67), F(0), F(0), Q, F(17, 18)), (1.25e-13, 2.79e-15)),
     "complex": (Phi21Params(Z3 / 3, F(1, 5), Z4 / 7, Q, Z3 * F(9, 10)), (1e-10, 1e-14, 1e-30)),
     "terminating": (Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q), (1e-12, 1e-20)),
@@ -706,23 +723,35 @@ def test_terms_raise_at_first_vanishing_denominator():
             next(terms)
 
 
-def _reference_phi21(p: Phi21Params, tol, prec=113):
+def _reference_phi21(p: Phi21Params, tol, prec=113, closed=True):
     """phi21_numeric's sum as it was before the integer kernel: the
-    ring-generic _terms in ApproxScalar, stopped by the same rules."""
+    ring-generic _terms in ApproxScalar, stopped by the same rules, or by
+    the ratio rule alone when not `closed`."""
     wp = prec + _GUARD
 
     def units(v):  # an upper bound on |v| in units of 2**-wp
         return math.ceil(_upper(v) * 2**wp)
 
+    def mid(v):  # |v|'s midpoint in units of 2**-wp, rounded up
+        return _abs_up(*_at(v, wp)[:2])
+
     p = _as_numeric(p, prec)
-    total = one = ApproxScalar.coerce(1, prec)
+    total = term = qpow = one = ApproxScalar.coerce(1, prec)
     bounds = [units(v) for v in (p.q, p.a, p.b, p.c, p.x)]
+    constants = (units(p.q + p.c - p.a - p.b), units(p.a * p.b - p.q * p.c), bounds[0], bounds[3], bounds[4])
     small_streak = 0
-    for i, term in enumerate(islice(_terms(p, one), _MAX_TERMS - 1), 1):
-        total = total + term
-        small_streak = small_streak + 1 if term.magnitude() < tol * (total.magnitude() + 1) else 0
-        if small_streak >= 3 and (tail := _tail_bound(bounds, units(term), i, wp)) is not None:
-            return ApproxScalar(total, F(tail, 2**wp)), i
+    terms = _terms(p, one)
+    for i in range(_MAX_TERMS):
+        if i:
+            term, qpow = next(terms), qpow * p.q
+            total = total + term
+            small_streak = small_streak + 1 if term.magnitude() < tol * (total.magnitude() + 1) else 0
+            if small_streak >= 3 and (tail := _tail_bound(bounds, units(term), i, wp)) is not None:
+                return ApproxScalar(total, F(tail, 2**wp)), i
+        if closed and (e := _closed_tail(mid(term), mid(qpow), constants, wp)) is not None \
+                and e < tol * (total.magnitude() + 1) * 2**wp \
+                and (tail := _closed_tail(units(term), units(qpow), constants, wp)) is not None:
+            return ApproxScalar(total + term * p.x / (1 - p.x), F(tail, 2**wp)), i
     raise AssertionError("reference did not converge")
 
 
@@ -761,6 +790,35 @@ def test_phi21_numeric_kernel_matches_approx_sum(point, tol):
     assert got.terms_used == terms
     with mpmath.workprec(400):
         assert abs(got.value.val - want.val) <= got.value.err + want.err
+
+
+def _terms_used(p, tol):
+    """phi21_numeric's terms at p, inf on NoConvergence, None where the series is undefined."""
+    try:
+        return phi21_numeric(p, tol).terms_used
+    except NoConvergence:
+        return math.inf
+    except ZeroDenominator:
+        return None
+
+
+def test_no_point_takes_more_terms_than_the_ratio_rule(monkeypatch):
+    # the closed tail only adds a way to stop: with _closed_tail never
+    # certifying, the kernel sums by the ratio rule alone, and no point of
+    # DIFFERENTIAL or 200 seeded ones (|x| up to 19/20) needs fewer terms so
+    rng = random.Random(20261023)
+    points = list(DIFFERENTIAL.values())
+    while len(points) < len(DIFFERENTIAL) + 200:
+        a, b, c = (F(rng.randint(-120, 120), 40) for _ in range(3))
+        q, x = (F(rng.choice([-1, 1]) * rng.randint(1, 38), 40) for _ in range(2))
+        if detect_termination(a, b, q) is None:
+            points.append((Phi21Params(a, b, c, q, x), rng.choice([1e-10, 1e-15, 1e-25, 1e-40])))
+    both = [_terms_used(p, tol) for p, tol in points]
+    monkeypatch.setattr(qseries, "_closed_tail", lambda *_: None)
+    ratio = [_terms_used(p, tol) for p, tol in points]
+    assert [n is None for n in both] == [n is None for n in ratio]
+    assert all(n <= m for n, m in zip(both, ratio) if n is not None)
+    assert math.inf not in both and sum(filter(None, both)) < sum(filter(None, ratio)) / 2
 
 
 # real points at prec 128, the precision of relations.verify_relation, each
