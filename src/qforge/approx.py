@@ -78,15 +78,15 @@ def _normalized(b, exp: int, bits: int):
 
 
 def _mul(x, y, k: int = 0, xa: int | None = None, ya: int | None = None):
-    """The ball x y, in units of 2**k (k >= 0, shifted as _shift does) times
-    the product of the operands' units; its radius |x| ry + |y| rx + rx ry,
-    |x| = xa and |y| = ya if the caller holds them (_abs_up of a midpoint)."""
+    """The ball x y, in units of 2**k times the product of the operands'
+    units; its radius |x| ry + |y| rx + rx ry, |x| = xa and |y| = ya if the
+    caller holds them (_abs_up of each midpoint)."""
     xr, xi, xe = x
     yr, yi, ye = y
-    xa = (math.isqrt(xr * xr + xi * xi) + 1 if xi else abs(xr)) if xa is None else xa  # _abs_up, written out
-    ya = (math.isqrt(yr * yr + yi * yi) + 1 if yi else abs(yr)) if ya is None else ya
-    re, im, rad = xr * yr - xi * yi, xr * yi + xi * yr, xa * ye + ya * xe + xe * ye
-    return (re >> k, im >> k, 2 - (-rad >> k)) if k else (re, im, rad)
+    xa = _abs_up(xr, xi) if xa is None else xa
+    ya = _abs_up(yr, yi) if ya is None else ya
+    b = (xr * yr - xi * yi, xr * yi + xi * yr, xa * ye + ya * xe + xe * ye)
+    return _shift(b, k) if k else b
 
 
 def _div(x, y, s: int):

@@ -155,8 +155,8 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
         # approx._mul(_, _, wp); the real body writes them out on (re, rad)
         fr = one - br
         if cplx:
-            re, im, rad = _mul((re, im, rad), (fr, -bi, brad), 0, p_abs)
-            br, bi, brad = _mul((br, bi, brad), qb, wp, None, q_abs)
+            re, im, rad = _mul((re, im, rad), (fr, -bi, brad), xa=p_abs)
+            br, bi, brad = _mul((br, bi, brad), qb, wp, ya=q_abs)
         else:
             re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad
             br, brad = br * qr >> wp, 2 - (-(abs(br) * qrad + q_abs * brad + brad * qrad) >> wp)
@@ -396,14 +396,10 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
         ab, qc = _mul(a, b, wp), _mul(q, c, wp)
         closed = (_bound((qr + c[0] - a[0] - b[0], qi + c[1] - a[1] - b[1], qrad + c[2] + a[2] + b[2])),
                   _bound((ab[0] - qc[0], ab[1] - qc[1], ab[2] + qc[2])), bounds[0], bounds[3], bounds[4])
-        # its test fails while |t_i| |q^i| |x| A 2**left >= tm (|S_i| + 1) 2**(3 wp): num >= A V 2**(2 wp)
-        gap = (closed[0].bit_length() + closed[4].bit_length() - 3 + left - tm.bit_length() - 3 * wp
-               if closed[0] and closed[4] else -math.inf)
     tail, rest = 0, (0, 0, 0)
     while not (len(streak) == 3 and (tail := _tail_bound(bounds, streak[2][0] + trad, i, wp)) is not None):
-        # the closed tail: skipped by the bit count, tested on midpoints, certified on bounds
-        if closed and (not (tv := t_abs * u_abs) or tv.bit_length() + gap < (s_abs + one).bit_length()) \
-                and (e := _closed_tail(t_abs, u_abs, closed, wp)) is not None and e << left < tm * (s_abs + one) \
+        # the closed tail: tested on midpoints, certified on bounds
+        if closed and (e := _closed_tail(t_abs, u_abs, closed, wp)) is not None and e << left < tm * (s_abs + one) \
                 and (tail := _closed_tail(t_abs + trad, u_abs + urad, closed, wp)) is not None:
             rest = _div(_mul((tr, ti, trad), x, wp, t_abs, x_abs), (one - xr, -xi, xrad), wp)
             break

@@ -557,9 +557,10 @@ def _exact_fields(r):
 
 # points with the summation tols of successive rounds
 RESUMED = {
-    # the lhs of qbinom at a = 64/67, x = 17/18, q = 1/2, with the tols of
-    # verify_identity's two rounds there under the ratio rule alone: 38,
-    # then 43 terms (451, then 517 without the closed tail)
+    # the lhs of qbinom at a = 64/67, x = 17/18, q = 1/2, with the tols
+    # verify_identity's two rounds used there when only the ratio rule
+    # stopped the sum: with the closed tail it stops after 38, then 43
+    # terms; the ratio rule alone takes 451, then 517
     "near-unit-x": (Phi21Params(F(64, 67), F(0), F(0), Q, F(17, 18)), (1.25e-13, 2.79e-15)),
     "complex": (Phi21Params(Z3 / 3, F(1, 5), Z4 / 7, Q, Z3 * F(9, 10)), (1e-10, 1e-14, 1e-30)),
     "terminating": (Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q), (1e-12, 1e-20)),
@@ -723,10 +724,9 @@ def test_terms_raise_at_first_vanishing_denominator():
             next(terms)
 
 
-def _reference_phi21(p: Phi21Params, tol, prec=113, closed=True):
+def _reference_phi21(p: Phi21Params, tol, prec=113):
     """phi21_numeric's sum as it was before the integer kernel: the
-    ring-generic _terms in ApproxScalar, stopped by the same rules, or by
-    the ratio rule alone when not `closed`."""
+    ring-generic _terms in ApproxScalar, stopped by the same rules."""
     wp = prec + _GUARD
 
     def units(v):  # an upper bound on |v| in units of 2**-wp
@@ -748,7 +748,7 @@ def _reference_phi21(p: Phi21Params, tol, prec=113, closed=True):
             small_streak = small_streak + 1 if term.magnitude() < tol * (total.magnitude() + 1) else 0
             if small_streak >= 3 and (tail := _tail_bound(bounds, units(term), i, wp)) is not None:
                 return ApproxScalar(total, F(tail, 2**wp)), i
-        if closed and (e := _closed_tail(mid(term), mid(qpow), constants, wp)) is not None \
+        if (e := _closed_tail(mid(term), mid(qpow), constants, wp)) is not None \
                 and e < tol * (total.magnitude() + 1) * 2**wp \
                 and (tail := _closed_tail(units(term), units(qpow), constants, wp)) is not None:
             return ApproxScalar(total + term * p.x / (1 - p.x), F(tail, 2**wp)), i
