@@ -234,7 +234,7 @@ def _run_normalize(opts: dict) -> ReportDocument:
 
 def _run_pipeline(opts: dict) -> ReportDocument:
     shift = ShiftVector.parse(opts["shift"])
-    report = ReportDocument("pipeline", _echo_options(opts), opts["seed"])
+    report = ReportDocument("pipeline", _echo_options(opts), None)
     fams = solution_families(shift)
     if not fams:
         raise ValueError(f"no solution family registered for shift {shift}")
@@ -267,10 +267,7 @@ def _run_pipeline(opts: dict) -> ReportDocument:
 
 def _run_conjecture(opts: dict) -> ReportDocument:
     report = ReportDocument("conjecture", _echo_options(opts), opts["seed"])
-    rep = conjecture_check(
-        opts["pattern"], ShiftVector.parse(opts["instance"]),
-        trials=opts["trials"], seed=opts["seed"],
-    )
+    rep = conjecture_check(opts["pattern"], ShiftVector.parse(opts["instance"]), seed=opts["seed"])
     for step in rep.steps:
         case = step.to_json()
         case["status"] = step.status
@@ -344,12 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", action="append", metavar="SYM=VALUE", required=True)
     p.add_argument("--mode", choices=("exact", "numeric"), default="numeric")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("conjecture", parents=[common], help="instance-level conjecture pattern checks")
     p.add_argument("--pattern", required=True)
     p.add_argument("--instance", required=True, metavar="K,L,M,N")
-    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser

@@ -61,7 +61,7 @@ class ParamFamily:
         one): 0 exactly when poly vanishes on the moved family."""
         root = _root_binding(self)
         point = {key: _times_power(self.assignment[key], t, s * steps) for key, s in zip(PARAM_KEYS, shift)}
-        num = poly.eval({**point, "q": RationalFunction.var("q")}).num
+        num = RationalFunction.const(poly.eval({**point, "q": RationalFunction.var("q")})).num
         return num if root is None else num.mod_cyclotomic(*root)
 
 

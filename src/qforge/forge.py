@@ -417,38 +417,43 @@ def _relation_for(shift: ShiftVector, relation: ThreeTermRelation | None) -> Thr
     return qr_derive(shift) if relation is None else relation
 
 
-def check_family(shift, fam: ParamFamily, n_max: int = 4, trials: int = 20,
-                 seed: int = DEFAULT_SEED, relation: ThreeTermRelation | None = None) -> bool:
-    """True iff Q^(N) vanishes identically on the family for every
-    N = 1..n_max; ValueError unless both are >= 1.
+def check_family(shift, fam: ParamFamily, n_max: int = 4, *, relation: ThreeTermRelation | None = None,
+                 trials: int | None = None, seed: int | None = None) -> bool:
+    """True iff Q^(N), Q at the family's parameters moved N - 1 steps along
+    the shift, vanishes identically for every N = 1..n_max; ValueError
+    unless n_max >= 1, DegenerateFamily at the first undefined Q^(N).
 
-    Q^(N) is Q at the family's parameters moved N - 1 steps along the
-    shift.  That it vanishes is proved: ParamFamily.compose gives Q's
-    numerator on the family, reduced modulo Phi_l(w) for a fixed root w,
-    and it is tested for 0 once with a, b, c, x moved by a step symbol t
-    the family does not use, which proves every N at once; failing that,
-    once per N.  That Q^(N) is defined is sampled: each N draws points
-    until Q's denominator is nonzero at one, within a budget of 10 *
-    trials (SamplingExhausted past it), which is all `trials` sets; it
-    stays a parameter because perfbench passes it."""
-    if trials < 1 or n_max < 1:
-        raise ValueError(f"check_family needs trials >= 1 and n_max >= 1, not {trials} and {n_max}")
+    Both are proved by ParamFamily.compose.  num(Q) is composed once with
+    a, b, c, x moved by a step symbol t the family does not use, which
+    proves every N at once; failing that, once per N at t = q^(N-1).  A
+    nonzero den(Q) at the fixed point _WITNESS proves Q^(N) defined; only a
+    0 there, or a pole of the family there, composes den(Q)."""
+    # trials and seed are unread; their last caller, perfbench/workloads.py, drops them in ROADMAP item 6
+    if n_max < 1:
+        raise ValueError(f"check_family needs n_max >= 1, not {n_max}")
     rel = _relation_for(shift, relation)
     step = "t"
     while step in {"q", *fam.free_symbols, *fam.fixed_bindings,
                    *(s for v in fam.assignment.values() for s in v.vars)}:
         step += "_"
     every_n = fam.compose(rel.Q.num, shift, RationalFunction.var(step)).is_zero()
-    rng = random.Random(seed)
-    for n in range(1, n_max + 1):
-        def draw():
-            p = _family_params(fam, _family_point(fam, rng)).shifted(shift, n - 1)
-            return rel.Q.den.eval(vars(p)) != 0 or None
-
-        next(draw_admissible(draw, 1, 10 * trials, f"family points at N={n}"))
-        if not (every_n or fam.compose(rel.Q.num, shift, RationalFunction.var("q"), n - 1).is_zero()):
+    point = {**dict.fromkeys(fam.free_symbols, Fraction(1, 19)), **_WITNESS, **fam.fixed_bindings}
+    try:
+        base = _family_params(fam, point)
+        witnessed = [rel.Q.den.eval(vars(base.shifted(shift, n))) != 0 for n in range(n_max)]
+    except ZeroDivisionError:
+        witnessed = [False] * n_max
+    q = RationalFunction.var("q")
+    for n, defined in enumerate(witnessed, 1):
+        if not defined and fam.compose(rel.Q.den, shift, q, n - 1).is_zero():
+            raise DegenerateFamily(f"Q^({n}) is undefined on family {fam.name}")
+        if not (every_n or fam.compose(rel.Q.num, shift, q, n - 1).is_zero()):
             return False
     return True
+
+
+# check_family's evaluation point of den(Q); a free symbol it does not name takes 1/19
+_WITNESS = dict(a=Fraction(2, 7), b=Fraction(3, 11), c=Fraction(5, 13), x=Fraction(7, 17), q=Fraction(1, 3))
 
 
 def _family_point(fam: ParamFamily, rng: random.Random) -> dict:
@@ -654,7 +659,7 @@ class ConjectureReport:
         }
 
 
-def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAULT_SEED,
+def conjecture_check(pattern: str, instance, seed: int = DEFAULT_SEED,
                      n_max: int = 4) -> ConjectureReport:
     """Instance-level evidence for a conjectured solution-family pattern:
     derives (Q, R), runs the family check, and exercises the identity the
@@ -689,8 +694,8 @@ def conjecture_check(pattern: str, instance, trials: int = 20, seed: int = DEFAU
     fam = make_family(shift)
 
     def family_step():
-        ok = check_family(shift, fam, n_max=n_max, trials=trials, seed=seed, relation=rel)
-        return ok, f"checked {[fam.name]} with N_max={n_max}, trials={trials}"
+        ok = check_family(shift, fam, n_max=n_max, relation=rel)
+        return ok, f"{'proved' if ok else 'disproved'} Q^(N) = 0 on {[fam.name]} for N <= {n_max}"
 
     run_step("family_check", family_step)
 

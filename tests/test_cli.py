@@ -77,8 +77,18 @@ def test_pipeline(capsys):
 
 def test_conjecture(capsys):
     code, out = run_cli(capsys, "conjecture", "--pattern", "sum_zero",
-                        "--instance", "1,1,2,0", "--trials", "5")
+                        "--instance", "1,1,2,0")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0", "--trials", "20"],
+    ["pipeline", "--shift", "0,1,1,0", "--point", "q=1/2", "--seed", "1"],
+], ids=["conjecture-trials", "pipeline-seed"])
+def test_options_that_set_nothing_are_usage_errors(capsys, argv):
+    # the family check proves admissibility and telescoping draws no point
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_conjecture_telescopes_through_a_small_product(capsys):
@@ -103,7 +113,7 @@ def test_python_m_qforge_runs_the_command():
     ["normalize", "--shift", "-1,-2,-2,1"],
     ["pipeline", "--shift", "-1,-1,-2,0", "--point", "a=1/3", "--point", "b=1/5",
      "--point", "c=1/30", "--point", "q=1/2", "--n-max", "3"],
-    ["conjecture", "--pattern", "kll", "--instance", "-1,2,3,1", "--trials", "5"],
+    ["conjecture", "--pattern", "kll", "--instance", "-1,2,3,1"],
 ], ids=["derive", "normalize", "pipeline", "conjecture"])
 def test_shift_with_a_leading_minus(capsys, argv):
     # argparse reads -1,... on its own as an option; the plain form used
@@ -236,11 +246,9 @@ def test_verify_points_checks_each_binding_once(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--identity", "qkummer", "--points", "-3", "--q", "1/2"], "--points must be at least 1, not -3"),
     (["verify", "--identity", "qkummer", "--points", "0", "--q", "1/2"], "--points must be at least 1, not 0"),
-    (["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0", "--trials", "0"],
-     "check_family needs trials >= 1 and n_max >= 1, not 0 and 4"),
     (["pipeline", "--shift", "0,1,1,0", "--point", "a=1/3", "--point", "b=1/5", "--point", "c=1/30",
       "--point", "q=1/2", "--n-max", "0"], "telescoped_check needs n_max >= 1, not 0"),
-], ids=["verify-points-negative", "verify-points-zero", "conjecture-trials-zero", "pipeline-n-max-zero"])
+], ids=["verify-points-negative", "verify-points-zero", "pipeline-n-max-zero"])
 def test_counts_below_one_exit_2(capsys, argv, message):
     # each used to pass with nothing checked
     assert main(argv) == 2
@@ -293,8 +301,8 @@ commands = [
     ["verify", "--identity", "sv1", "--grid", "M=0..2,N=0..2", "--q", "1/2"],
     ["verify", "--identity", "qgauss", "--points", "3", "--q", "1/2"],
     ["pipeline", "--shift", "0,1,1,0", *point, "--n-max", "3"],
-    ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0", "--trials", "3"],
-    ["conjecture", "--pattern", "oll_root", "--instance", "0,4,4,0", "--trials", "3"],
+    ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0"],
+    ["conjecture", "--pattern", "oll_root", "--instance", "0,4,4,0"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in commands]

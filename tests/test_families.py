@@ -126,6 +126,14 @@ def test_compose_is_the_family_map_by_rational_function_arithmetic(shift, fam):
                 assert got == want
 
 
+@pytest.mark.parametrize("fam", [family_qgauss(), family_root_of_unity(3)], ids=["rational", "root"])
+def test_compose_takes_a_constant_polynomial(fam):
+    # the zero shift's Q is 0 / 1; a constant's value is a Fraction, whose
+    # numerator compose used to read as .num (AttributeError)
+    for value in (0, F(3, 2)):
+        assert fam.compose(MultiPoly.const(value), (0, 0, 0, 0), Q) == MultiPoly.const(value)
+
+
 def test_mod_cyclotomic_is_the_remainder():
     # p - (p mod Phi_l) is a multiple of Phi_l, of degree below phi(l)
     rng = random.Random(4)

@@ -32,8 +32,7 @@ COMMANDS = {
     "normalize_0002": ["normalize", "--shift", "0,0,0,2"],
     "pipeline_0110": ["pipeline", "--shift", "0,1,1,0", "--point", "a=1/3", "--point", "b=1/5",
                       "--point", "c=1/30", "--point", "q=1/2", "--n-max", "5", "--tol", "1e-12"],
-    "conjecture_kll_242m2": ["conjecture", "--pattern", "kll", "--instance", "2,4,2,-2",
-                             "--trials", "20"],
+    "conjecture_kll_242m2": ["conjecture", "--pattern", "kll", "--instance", "2,4,2,-2"],
     "verify_sv5_singular": ["verify", "--identity", "sv5", "--grid", "N=0..3", "--set", "a=1/2",
                             "--q", "1/2"],
     "pipeline_121m1_exact": ["pipeline", "--shift", "1,2,1,-1", "--family-index", "0",
