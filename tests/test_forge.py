@@ -452,11 +452,19 @@ def test_composed_check_matches_pointwise_where_q_does_not_vanish():
     assert assert_routes_agree((0, 1, 1, 0), _collapsing(), trials=5, n_max=1) is DegenerateFamily
 
 
-def test_vanishing_family_draws_no_point(monkeypatch):
+@pytest.mark.parametrize("trials", [1, 20])
+def test_vanishing_family_draws_one_point_per_n(monkeypatch, trials):
+    # den(Q) is evaluated once per N, at the fixed witness point: no draw,
+    # and trials sets no count
     monkeypatch.setattr(forge, "_family_point", _no_draw)
     monkeypatch.setattr(forge, "draw_admissible", _no_draw)
     shift, fam = CRITERION_8[3]
-    assert check_family(shift, fam, n_max=4, relation=derived(shift))
+    rel = derived(shift)
+    evaluated, real = [], MultiPoly.eval
+    monkeypatch.setattr(MultiPoly, "eval",
+                        lambda self, *a, **k: (self is rel.Q.den and evaluated.append(a)) or real(self, *a, **k))
+    assert check_family(shift, fam, n_max=4, trials=trials, relation=rel)
+    assert len(evaluated) == 4
 
 
 @pytest.mark.parametrize("order", [3, 4])
