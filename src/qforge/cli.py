@@ -201,10 +201,10 @@ def _verify_one(bindings: dict, verify, *args) -> dict:
 
 def _run_derive(opts: dict) -> ReportDocument:
     shift = ShiftVector.parse(opts["shift"])
-    report = ReportDocument("derive", _echo_options(opts), opts["seed"])
+    report = ReportDocument("derive", _echo_options(opts), None)
     case = {"status": "pass", "shift": str(shift)}
     try:
-        rel = qr_derive(shift, degree_budget=opts["degree_budget"], seed=opts["seed"])
+        rel = qr_derive(shift, degree_budget=opts["degree_budget"])
         case.update(Q=rel.Q.to_json(), R=rel.R.to_json())
         if opts["check_against_table"]:
             table = qr_lookup(shift)
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", required=True, metavar="K,L,M,N")
     p.add_argument("--degree-budget", dest="degree_budget", type=int, default=DEFAULT_DEGREE_BUDGET)
     p.add_argument("--check-against-table", dest="check_against_table", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("normalize", parents=[common], help="canonical orbit representative of a shift vector")
     p.add_argument("--shift", required=True, metavar="K,L,M,N")

@@ -39,6 +39,7 @@ from .qseries import (
 )
 from .relations import (
     DEFAULT_SEED,
+    WITNESS_POINTS,
     ShiftVector,
     ThreeTermRelation,
     draw_admissible,
@@ -452,8 +453,9 @@ def check_family(shift, fam: ParamFamily, n_max: int = 4, *, relation: ThreeTerm
     return True
 
 
-# check_family's evaluation point of den(Q); a free symbol it does not name takes 1/19
-_WITNESS = dict(a=Fraction(2, 7), b=Fraction(3, 11), c=Fraction(5, 13), x=Fraction(7, 17), q=Fraction(1, 3))
+# check_family's evaluation point of den(Q): the series check's first witness
+# point with x = 7/17; a free symbol it does not name takes 1/19
+_WITNESS = {**dict(zip("abcq", WITNESS_POINTS[0])), "x": Fraction(7, 17)}
 
 
 def _family_point(fam: ParamFamily, rng: random.Random) -> dict:

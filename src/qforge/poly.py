@@ -780,7 +780,8 @@ class RationalFunction:
     Stored without forced GCD reduction; `normalize` fixes the canonical
     sign (positive leading denominator coefficient) and strips rational
     content and common monomial factors.  `cancel` additionally divides
-    out the multivariate gcd.  Equality is exact via cross-multiplication.
+    out the multivariate gcd.  Equality is exact via cross-multiplication,
+    and a quotient is unhashable.
     """
 
     __slots__ = ("num", "den")
@@ -899,9 +900,7 @@ class RationalFunction:
             return NotImplemented
         return (self.num * o.den - o.num * self.den).is_zero()
 
-    def __hash__(self):
-        c = self.cancel()
-        return hash(c.num) if c.den == 1 else hash((c.num, c.den))
+    __hash__ = None  # a hash agreeing with == would need the gcd-reduced form of cancel
 
     # -- reduction --------------------------------------------------------------------------
     def cancel(self) -> "RationalFunction":

@@ -144,7 +144,7 @@ def test_criterion_5_relation_table_reproduction():
     """qr_derive reproduces all five printed (Q,R) pairs under
     cross-multiplication equality, with residual < 1e-10 at 20 points."""
     for shift in TABLE_SHIFTS:
-        derived = qr_derive(shift, seed=SEED)
+        derived = qr_derive(shift)
         table = qr_lookup(shift)
         assert derived.Q == table.Q, shift
         assert derived.R == table.R, shift

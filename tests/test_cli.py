@@ -84,9 +84,11 @@ def test_conjecture(capsys):
 @pytest.mark.parametrize("argv", [
     ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0", "--trials", "20"],
     ["pipeline", "--shift", "0,1,1,0", "--point", "q=1/2", "--seed", "1"],
-], ids=["conjecture-trials", "pipeline-seed"])
+    ["derive", "--shift", "0,1,1,0", "--seed", "1"],
+], ids=["conjecture-trials", "pipeline-seed", "derive-seed"])
 def test_options_that_set_nothing_are_usage_errors(capsys, argv):
-    # the family check proves admissibility and telescoping draws no point
+    # the family check proves admissibility, telescoping draws no point and
+    # the series check of a derivation reads fixed witness points
     assert main(argv) == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 

@@ -118,7 +118,9 @@ def test_rational_function_ops_match_reference(shift):
     unreduced = RF(Q.num * g.num, Q.den * g.num, normalize=False)
     assert_rf_same(unreduced.cancel(), ref_poly.RationalFunction(
         rQ.num * rg.num, rQ.den * rg.num, normalize=False).cancel())
-    assert hash(unreduced) == hash(Q) and unreduced == Q
+    assert unreduced == Q
+    with pytest.raises(TypeError):
+        hash(unreduced)
     a, b, c, q = (RF.var(s) for s in "abcq")
     ra, rb, rc, rq = (ref_poly.RationalFunction.var(s) for s in "abcq")
     for mapping, rmapping in (({"x": c / (a * b)}, {"x": rc / (ra * rb)}),

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import qforge
-from qforge import relations
+from qforge import forge, relations
 from qforge.errors import (
     BudgetExceeded,
     NotInTable,
@@ -25,7 +25,7 @@ from qforge.errors import (
 )
 from qforge.exact import ExactScalar
 from qforge.poly import RELATION_VARS, MultiPoly, RationalFunction as RF
-from qforge.qseries import Phi21Params, phi21_exact, qpoch_finite
+from qforge.qseries import Phi21Params, _cleared_terms, phi21_exact, qpoch_finite
 from qforge.relations import (
     TABLE_SHIFTS,
     ShiftVector,
@@ -191,10 +191,10 @@ def test_derived_relation_residuals():
 
 def test_failed_series_check_is_final(monkeypatch):
     # the series check is exact: one failure disproves the relation, so
-    # qr_derive raises without checking again on fresh points
+    # qr_derive raises without checking again
     calls = []
 
-    def series_verify(shift, cleared, order, rng, points):
+    def series_verify(shift, cleared, order):
         calls.append(order)
         return len(calls) > 1
 
@@ -209,9 +209,9 @@ def _series_check_args(shift):
     seen = []
     real = relations._series_verify
 
-    def capture(shift, cleared, order, rng, points):
+    def capture(shift, cleared, order):
         seen.append((shift, cleared, order))
-        return real(shift, cleared, order, rng, points)
+        return real(shift, cleared, order)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relations, "_series_verify", capture)
@@ -227,46 +227,36 @@ def test_series_check_rejects_a_wrong_relation(power):
     shift, (p0, p1, p2), order = _series_check_args((0, 2, 2, 0))
     tiny = MultiPoly.var("a") * MultiPoly.var("x") ** (order - 1 if power == "last" else power) * F(1, 10**12)
     for cleared, ok in (((p0, p1, p2), True), ((p0, p1, p2 + tiny), False)):
-        rng = random.Random(relations.DEFAULT_SEED)
-        assert relations._series_verify(shift, cleared, order, rng, points=5) is ok
+        assert relations._series_verify(shift, cleared, order) is ok
 
 
-# The draws of a series check at (0, 0, -1, 0) whose second point has c = q,
-# so that the shifted c is 1 and the point is skipped: six points for five
-# checks.  Recorded with the Fraction-term check the int one replaced.
-PINNED_DRAWS = [
-    "1/3", "1/5", "1/7", "1/11", "2/9", "1/4", "1/7", "1/7",  # scripted
-    "17/82", "23/97", "6/13", "1/35", "25/62", "1/17", "2/23", "8/25",
-    "13/34", "7/72", "4/19", "1/4", "9/55", "7/26", "2/23", "2/5",
-]
+def _primes(v: F) -> set:
+    """The primes dividing v's numerator or denominator."""
+    n, out, p = abs(v.numerator) * v.denominator, set(), 2
+    while n > 1:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out
 
 
-def test_series_check_draws_and_skips_as_pinned(monkeypatch):
-    shift, cleared, order = _series_check_args((0, 0, -1, 0))
-    script = [F(v) for v in PINNED_DRAWS[:8]]
-    drawn = []
-
-    def draw(rng):
-        drawn.append(script.pop(0) if script else rand_fraction(rng))
-        return drawn[-1]
-
-    monkeypatch.setattr(relations, "rand_fraction", draw)
-    assert relations._series_verify(shift, cleared, order, random.Random(5), points=5)
-    assert [str(v) for v in drawn] == PINNED_DRAWS
-
-
-def test_series_check_budget_is_50_per_point(monkeypatch):
-    shift, cleared, order = _series_check_args((0, 1, 1, 0))
-    drawn = []
-
-    def degenerate(p, count):
-        drawn.append(p)
-        raise ZeroDenominator("denominator factor vanishes")
-
-    monkeypatch.setattr(relations, "_cleared_terms", degenerate)
-    with pytest.raises(SamplingExhausted, match="admissible verification points"):
-        relations._series_verify(shift, cleared, order, random.Random(5), points=3)
-    assert len(drawn) == 50 * 3
+def test_witness_points_meet_the_side_conditions():
+    # a prime of v in {a, b, c} that q lacks rules out v q^s = 1 at every
+    # integer s, so the series check meets its side conditions at every
+    # shift and degree, and no term's denominator vanishes
+    assert relations.WITNESS_POINTS[0] == (F(2, 7), F(3, 11), F(5, 13), F(1, 3))
+    assert {s: forge._WITNESS[s] for s in "abcq"} == dict(zip("abcq", relations.WITNESS_POINTS[0]))
+    args = [_series_check_args(ShiftVector.parse(key)) for key in sorted(DERIVE_REFS["shifts"])]
+    for a, b, c, q in relations.WITNESS_POINTS:
+        assert q not in (0, 1, -1)
+        assert all(_primes(v) - _primes(q) for v in (a, b, c)), (a, b, c, q)
+        assert max(v.denominator for v in (a, b, c, q)) <= relations._MAX_DEN  # as small as a draw
+        pt = Phi21Params(a, b, c, q, F(1))
+        for shift, _, order in args:
+            for moved in (pt.shifted(shift), pt.shifted((1, 1, 1, 0)), pt):
+                nums, den = _cleared_terms(moved, order)
+                assert len(nums) == order and den
 
 
 # -- the degree bound of the series check ------------------------------------------
@@ -350,38 +340,25 @@ def test_series_order_is_one_past_the_degree(shift):
     assert order >= _sympy_degree(shift, d) + 1
 
 
-def test_series_check_skips_points_off_its_side_conditions(monkeypatch):
-    # at (0, 1, 1, 0), d = 1: a = q is a q^-1 = 1, so L(z) has the factor
-    # 1 - az/q, zero at z = 1; a = q^2 is a q^-2 = 1, below the range, kept
-    shift, cleared, order = _series_check_args((0, 1, 1, 0))
-    for a, skipped in ((F(1, 3), True), (F(1, 9), False)):
-        script = [a, F(1, 5), F(1, 7), F(1, 3)]
-        drawn = []
-
-        def draw(rng):
-            drawn.append(script.pop(0) if script else rand_fraction(rng))
-            return drawn[-1]
-
-        monkeypatch.setattr(relations, "rand_fraction", draw)
-        assert relations._series_verify(shift, cleared, order, random.Random(5), points=1)
-        assert len(drawn) == (8 if skipped else 4)
-
-
-def test_q_log():
-    assert relations._q_log(F(1, 4), F(1, 2)) == -2
-    assert relations._q_log(F(-8), F(-1, 2)) == 3
-    assert relations._q_log(F(1), F(2, 3)) == 0
-    assert relations._q_log(F(-4), F(-1, 2)) is None
-    assert relations._q_log(F(1, 3), F(1, 2)) is None
-    assert relations._q_log(F(0), F(1, 2)) is None
-
-
 def test_qr_derive_never_runs_the_residual(monkeypatch):
     def residual(*args, **kwargs):
         raise AssertionError("qr_derive ran the numeric residual")
 
     monkeypatch.setattr(relations, "relation_residual", residual)
     for shift in ((0, 2, 2, 0), (2, 2, 0, 2), (-1, -2, -2, 1)):
+        qr_derive(shift)
+
+
+def test_qr_derive_draws_nothing(monkeypatch):
+    # the series check reads WITNESS_POINTS: no sampler runs in a derivation
+    def sampler(*args, **kwargs):
+        raise AssertionError("qr_derive sampled")
+
+    for name in ("draw_admissible", "rand_fraction"):
+        monkeypatch.setattr(relations, name, sampler)
+    monkeypatch.setattr(relations.random, "Random", sampler)
+    assert list(inspect.signature(qr_derive).parameters) == ["shift", "degree_budget"]
+    for shift in ((0, 1, 1, 0), (-1, -2, -2, 1), (2, 4, 2, -2)):
         qr_derive(shift)
 
 
