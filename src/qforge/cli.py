@@ -134,8 +134,6 @@ def _run_verify(opts: dict) -> ReportDocument:
     if opts.get("mode") and opts["mode"] != record.mode:
         raise ValueError(f"--mode {opts['mode']} disagrees with the registry: "
                          f"identity {identity!r} is verified in {record.mode} mode")
-    seed = opts["seed"]
-    rng = random.Random(seed)
     tol = opts["tol"]
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -153,6 +151,8 @@ def _run_verify(opts: dict) -> ReportDocument:
     n_points = opts.get("points")
     if n_points is not None and n_points < 1:
         raise ValueError(f"--points must be at least 1, not {n_points}")
+    if opts["seed"] is not None and not n_points:
+        raise ValueError("--seed draws nothing without --points")
 
     free_rest = [s for s in record.free if s not in grid and s not in fixed]
     if free_rest and not n_points:
@@ -162,7 +162,10 @@ def _run_verify(opts: dict) -> ReportDocument:
         raise ValueError(f"--points samples nothing: --grid and --set bind every free "
                          f"symbol of identity {identity!r}")
 
-    report = ReportDocument("verify", _echo_options(opts), seed)
+    if n_points:  # the seed is reported only where something is drawn
+        opts = {**opts, "seed": DEFAULT_SEED if opts["seed"] is None else opts["seed"]}
+    rng = random.Random(opts["seed"])
+    report = ReportDocument("verify", _echo_options(opts), opts["seed"])
     grid_syms = sorted(grid)
     cells = list(itertools.product(*(grid[s] for s in grid_syms))) or [()]
     for qv in qs:
@@ -266,8 +269,8 @@ def _run_pipeline(opts: dict) -> ReportDocument:
 
 
 def _run_conjecture(opts: dict) -> ReportDocument:
-    report = ReportDocument("conjecture", _echo_options(opts), opts["seed"])
-    rep = conjecture_check(opts["pattern"], ShiftVector.parse(opts["instance"]), seed=opts["seed"])
+    report = ReportDocument("conjecture", _echo_options(opts), None)
+    rep = conjecture_check(opts["pattern"], ShiftVector.parse(opts["instance"]))
     for step in rep.steps:
         case = step.to_json()
         case["status"] = step.status
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "numeric"),
                    help="the identity's registry mode; a different mode is a usage error")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help=f"seed of the --points draws (default {DEFAULT_SEED})")
     p.add_argument("--registry", help="path to an identity registry JSON file")
 
     p = sub.add_parser("derive", parents=[common], help="derive the (Q, R) pair for a shift vector")
@@ -344,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conjecture", parents=[common], help="instance-level conjecture pattern checks")
     p.add_argument("--pattern", required=True)
     p.add_argument("--instance", required=True, metavar="K,L,M,N")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
 

@@ -2,7 +2,7 @@
 
 A family assigns each of a, b, c, x a rational function of its free
 symbols (and q); root-of-unity symbols carry a fixed exact binding that
-random sampling leaves untouched.  Construction rejects the excluded
+every evaluation point keeps.  Construction rejects the excluded
 degenerate loci (a=1, b=1, a=c=0, b=c=0, c=x=0, x=0).  `compose` is the
 one composition of a polynomial with the family map moved along a shift,
 reduced modulo Phi_l(w) for a fixed root of unity w."""

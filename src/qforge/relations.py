@@ -48,8 +48,8 @@ verify_relation, through phi21_numeric) is not part of the derivation:
 it stays the independent oracle of the relation table's reproduction and
 of the tests.
 
-Every random point of qforge, in verify_relation, forge and cli, comes
-from draw_admissible: one bounded loop that skips degenerate draws.
+Every random point of qforge, in verify_relation and cli, comes from
+draw_admissible: one bounded loop that skips degenerate draws.
 """
 
 from __future__ import annotations

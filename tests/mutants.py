@@ -65,4 +65,55 @@ MUTANTS = (
         ("tests/test_relations.py::test_witness_points_meet_the_side_conditions",),
         "a witness point's a equals its q, so a q^-1 = 1 breaks the series check's side conditions",
     ),
+    Mutant(
+        "complex-qpoch-factor-sign", "qseries.py",
+        "re, im, rad = _mul((re, im, rad), (fr, -bi, brad), xa=p_abs)",
+        "re, im, rad = _mul((re, im, rad), (fr, bi, brad), xa=p_abs)",
+        ("tests/test_qseries.py::test_complex_qpoch_infinite_matches_the_primitive_loop_at_seeded_points",),
+        "the complex q-Pochhammer factor 1 - b q^m takes +Im(b q^m) for its imaginary part",
+    ),
+    Mutant(
+        "complex-phi21-divisor-sign", "qseries.py",
+        "den = _mul((dr, -ui, urad), (er, -ci, crad), wp)",
+        "den = _mul((dr, -ui, urad), (er, ci, crad), wp)",
+        ("tests/test_qseries.py::test_complex_kernel_matches_the_primitive_loop",),
+        "the complex 2phi1 divisor's factor 1 - c q^(i-1) takes +Im(c q^(i-1)) for its imaginary part",
+    ),
+    Mutant(
+        "complex-qpoch-product-shift", "qseries.py",
+        "br, bi, brad = _mul((br, bi, brad), qb, wp, ya=q_abs)",
+        "br, bi, brad = _mul((br, bi, brad), qb, wp - 1, ya=q_abs)",
+        ("tests/test_qseries.py::test_complex_qpoch_infinite_matches_the_primitive_loop_at_seeded_points",),
+        "the complex q-Pochhammer's b q^(m+1) is shifted by one bit too few, doubling it",
+    ),
+    Mutant(
+        "complex-phi21-partial-sum-modulus", "qseries.py",
+        "t_abs, s_abs, u_abs = _abs_up(tr, ti), _abs_up(re, im), _abs_up(ur, ui)",
+        "t_abs, s_abs, u_abs = _abs_up(tr, ti), abs(re), _abs_up(ur, ui)",
+        ("tests/test_qseries.py::test_complex_kernel_matches_the_primitive_loop",),
+        "the complex 2phi1 body takes |Re S_i| for the partial sum's modulus |S_i|",
+    ),
+    Mutant(
+        "real-phi21-quotient-ceiling", "qseries.py",
+        "tr = (tr << wp) // yr",
+        "tr = -(-(tr << wp) // yr)",
+        ("tests/test_qseries.py::test_real_kernel_matches_the_primitive_loop_at_prec_128",),
+        "the real 2phi1 term's quotient rounds up where approx._div floors",
+    ),
+    Mutant(
+        "terminating-exponent-below-one", "forge.py",
+        'r = 3 * max(shift.l if v == "b" else shift.k, 0) + 1',
+        'r = 3 * max(shift.l if v == "b" else shift.k, 0) - 1',
+        ("tests/test_forge.py::test_conjecture_telescopes_exactly_on_every_instance_of_the_box",),
+        "the telescoping point's b = q^-r with r = 3 max(l, 0) - 1, which at l = 0 is q itself: "
+        "no series terminates",
+    ),
+    Mutant(
+        "telescoping-small-product-unscaled", "forge.py",
+        'shifted = phi_at(i, 1 if mode == "exact" else min(1, prod.magnitude()) or 1)',
+        "shifted = phi_at(i, 1)",
+        ("tests/test_cli.py::test_conjecture_telescopes_through_a_small_product",),
+        "numeric telescoping sums each moved series to tol / 10 whatever |prod R|, "
+        "so 1 / prod R enlarges its error past tol",
+    ),
 )

@@ -83,23 +83,28 @@ def test_conjecture(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0", "--trials", "20"],
+    ["conjecture", "--pattern", "sum_zero", "--instance", "1,1,2,0", "--seed", "1"],
     ["pipeline", "--shift", "0,1,1,0", "--point", "q=1/2", "--seed", "1"],
     ["derive", "--shift", "0,1,1,0", "--seed", "1"],
-], ids=["conjecture-trials", "pipeline-seed", "derive-seed"])
+], ids=["conjecture-trials", "conjecture-seed", "pipeline-seed", "derive-seed"])
 def test_options_that_set_nothing_are_usage_errors(capsys, argv):
-    # the family check proves admissibility, telescoping draws no point and
-    # the series check of a derivation reads fixed witness points
+    # the family check proves admissibility, telescoping reads a fixed
+    # terminating point and the series check of a derivation reads fixed
+    # witness points
     assert main(argv) == 2
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_conjecture_telescopes_through_a_small_product(capsys):
-    # at this instance's point |prod R| < 1, so 1 / prod R enlarges each
-    # moved series' error unless it is summed at tol |prod R| / 10
-    code, out = run_cli(capsys, "conjecture", "--pattern", "sum_zero", "--instance", "-1,-1,-2,0")
-    steps = {case["name"]: case["status"] for case in json.loads(out)["cases"]}
+    # sum_zero's numeric telescoping of (-1,-1,-2,0) at this point: |prod R|
+    # falls to 5.7e-4 at N = 3, so 1 / prod R enlarges each moved series'
+    # error unless it is summed at tol |prod R| / 10
+    code, out = run_cli(capsys, "pipeline", "--shift=-1,-1,-2,0", "--point", "a=13/33", "--point", "b=3/10",
+                        "--point", "c=1/19", "--point", "q=10/41", "--n-max", "3", "--tol", "1e-10")
+    cases = json.loads(out)["cases"]
     assert code == 0
-    assert steps["telescoping"] == "pass"
+    assert [case["status"] for case in cases] == ["pass"] * 3
+    assert float(cases[-1]["product"]) < 6e-4
 
 
 def test_python_m_qforge_runs_the_command():
@@ -188,6 +193,19 @@ def test_verify_points_avoid_vanishing_c_factor(capsys, identity, seed):
                         "--q", "1/2", "--seed", str(seed))
     assert code == 0
     assert json.loads(out)["summary"]["passed"] == 25
+
+
+def test_verify_reports_a_seed_only_when_it_draws(capsys):
+    grid = ["verify", "--identity", "sv1", "--grid", "M=0..1,N=0..1", "--q", "1/2"]
+    doc = json.loads(run_cli(capsys, *grid)[1])
+    assert doc["seed"] is None and "seed" not in doc["options"]
+    # a seed with nothing to draw is a usage error, like --points that samples nothing
+    assert main([*grid, "--seed", "3"]) == 2
+    assert "ValueError: --seed draws nothing without --points" in capsys.readouterr().err
+    points = ["verify", "--identity", "qgauss", "--points", "2", "--q", "1/2"]
+    doc = json.loads(run_cli(capsys, *points)[1])
+    assert doc["seed"] == doc["options"]["seed"] == 20250808
+    assert run_cli(capsys, *points, "--seed", "20250808")[1] == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_verify_unbound_free_symbol_exits_2(capsys):

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import math
 import random
@@ -6,11 +7,9 @@ import sys
 from fractions import Fraction as F
 from functools import cache
 
-import mpmath
 import pytest
 
-from qforge import families, forge, qseries
-from qforge.approx import ApproxScalar
+from qforge import families, forge, qseries, relations
 from qforge.closedform import closed_form_eval
 from qforge.errors import (
     ConstraintViolated,
@@ -48,6 +47,7 @@ from qforge.relations import (
     draw_admissible,
     qr_derive,
     qr_lookup,
+    rand_fraction,
 )
 
 Q12 = F(1, 2)
@@ -290,14 +290,11 @@ def test_conjecture_lln_even():
 
 
 @pytest.mark.parametrize("value, trivial", [
-    (ApproxScalar(1), True),
-    (ApproxScalar(mpmath.mpf(1) + mpmath.mpf("5e-16")), True),
-    (ApproxScalar(mpmath.mpf(1) + mpmath.mpf("2e-15")), False),
     (ExactScalar.from_rational(1), True),
     (ExactScalar.from_rational(F(3, 2)), False),
-])
+], ids=["value3-True", "value4-False"])
 def test_conjecture_trivial_reads_telescoped_values(monkeypatch, value, trivial):
-    # the flag is set when every telescoped value is 1 (within 1e-15 numerically)
+    # the flag is set when every telescoped value is exactly 1
     real = forge.telescoped_check
 
     def with_value(*args, **kwargs):
@@ -325,6 +322,29 @@ def test_conjecture_sum_zero():
     rep = conjecture_check("sum_zero", (1, 1, 2, 0))
     assert rep.passed
     assert [s.name for s in rep.steps] == ["derive_relation", "family_check", "telescoping"]
+
+
+def test_conjecture_telescopes_exactly_on_every_instance_of_the_box():
+    # every lln_even, sum_zero and kll instance of [-2,2]^4, n < 0 among
+    # them, where no point makes |x q^(n i)| small: the terminating point
+    # needs no convergence disk
+    instances = [(pattern, shift) for shift in itertools.product(range(-2, 3), repeat=4)
+                 for pattern in ("lln_even", "sum_zero", "kll") if families.PATTERNS[pattern][0](*shift)]
+    assert len(instances) == 91 and sum(shift[3] < 0 for _, shift in instances) > 30
+    for pattern, shift in instances:
+        rep = conjecture_check(pattern, shift)
+        steps = {s.name: s.status for s in rep.steps}
+        assert rep.passed and steps["telescoping"] == "pass" and not rep.trivial, (pattern, shift, steps)
+
+
+def test_terminating_point_moves_b_else_a():
+    # b = q^-r with r = 3 max(l, 0) + 1; lln_even's b = -a moves a by k
+    q = forge._WITNESS["q"]
+    point, v, r = forge._terminating_point(family_qgauss(), ShiftVector(1, 2, 3, 0))
+    assert (v, r) == ("b", 7)
+    assert point == {"a": F(2, 7), "b": q**-7, "c": F(5, 13), "q": F(1, 3)}
+    assert forge._terminating_point(family_qkummer(), ShiftVector(1, -2, -3, -1))[1:] == ("b", 1)
+    assert forge._terminating_point(family_qbinom2(), ShiftVector(2, 2, 0, 2))[1:] == ("a", 7)
 
 
 def test_family_check_carries_the_locus_claim(monkeypatch):
@@ -360,8 +380,8 @@ def _no_draw(*args):
 
 
 def test_check_family_proves_a_degenerate_family_without_a_draw(monkeypatch):
-    monkeypatch.setattr(forge, "_family_point", _no_draw)
-    monkeypatch.setattr(forge, "draw_admissible", _no_draw)
+    monkeypatch.setattr(relations, "rand_fraction", _no_draw)
+    monkeypatch.setattr(relations, "draw_admissible", _no_draw)
     with pytest.raises(DegenerateFamily, match=r"^Q\^\(1\) is undefined on family c=a$"):
         check_family((0, 1, 1, 0), _collapsing(), n_max=2)
 
@@ -383,6 +403,13 @@ def test_a_zero_at_the_witness_falls_back_to_the_composition(monkeypatch, moved,
 # -- the composed family check against the pointwise one it replaced ------------------
 
 
+def _family_point(fam: ParamFamily, rng: random.Random) -> dict:
+    """Random bindings of the family's sampled symbols, then of q."""
+    point = {s: rand_fraction(rng) for s in fam.free_symbols if s not in fam.fixed_bindings}
+    point["q"] = rand_fraction(rng)
+    return point
+
+
 def pointwise_check_family(shift, fam, n_max=4, trials=20, seed=DEFAULT_SEED, relation=None):
     """check_family before Q was composed with the family map: Q at the
     family's parameters, moved N - 1 steps, at each sampled point."""
@@ -390,7 +417,7 @@ def pointwise_check_family(shift, fam, n_max=4, trials=20, seed=DEFAULT_SEED, re
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
         def draw():
-            p = forge._family_params(fam, forge._family_point(fam, rng)).shifted(shift, n - 1)
+            p = forge._family_params(fam, _family_point(fam, rng)).shifted(shift, n - 1)
             return rel.Q.eval(vars(p))
 
         if any(v != 0 for v in draw_admissible(draw, trials, 10 * trials, f"family points at N={n}")):
@@ -456,8 +483,8 @@ def test_composed_check_matches_pointwise_where_q_does_not_vanish():
 def test_vanishing_family_draws_one_point_per_n(monkeypatch, trials):
     # den(Q) is evaluated once per N, at the fixed witness point: no draw,
     # and trials sets no count
-    monkeypatch.setattr(forge, "_family_point", _no_draw)
-    monkeypatch.setattr(forge, "draw_admissible", _no_draw)
+    monkeypatch.setattr(relations, "rand_fraction", _no_draw)
+    monkeypatch.setattr(relations, "draw_admissible", _no_draw)
     shift, fam = CRITERION_8[3]
     rel = derived(shift)
     evaluated, real = [], MultiPoly.eval
@@ -534,20 +561,6 @@ def test_composed_check_multiplies_no_polynomial_per_term(monkeypatch):
         assert check_family(shift, fam, n_max=n_max, relation=rel)
         counts.append(len(calls))
     assert counts[0] == counts[1] < len(rel.Q.num.nums) // 10
-
-
-def test_series_point_budget_is_500(monkeypatch):
-    # x = 1 is never inside the disk |x| < 9/10
-    drawn = []
-
-    def family_point(fam, rng):
-        drawn.append(fam)
-        return {"b": F(1, 3), "q": Q12}
-
-    monkeypatch.setattr(forge, "_family_point", family_point)
-    with pytest.raises(SamplingExhausted, match="admissible series points"):
-        forge._sample_series_point(family_root_of_unity(3), ShiftVector(0, 3, 3, 0), None, n_tele=3)
-    assert len(drawn) == 500
 
 
 def test_eval_rational_function_examples():
