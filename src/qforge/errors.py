@@ -51,7 +51,7 @@ class BudgetExceeded(QForgeError):
 class VerificationFailed(QForgeError):
     """A derived relation failed a check: in qr_derive, the factoring of
     its ladder or the exact series match (the proof of the relation at
-    each sampled point); or verify_relation's numeric residual, the
+    each fixed witness point); or verify_relation's numeric residual, the
     oracle of the relation table's reproduction and of the tests."""
 
 

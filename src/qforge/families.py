@@ -1,11 +1,10 @@
 """Parameter families that collapse the three-term relation to two terms.
 
-A family assigns each of a, b, c, x a rational function of its free
-symbols (and q); root-of-unity symbols carry a fixed exact binding that
-every evaluation point keeps.  Construction rejects the excluded
-degenerate loci (a=1, b=1, a=c=0, b=c=0, c=x=0, x=0).  `compose` is the
-one composition of a polynomial with the family map moved along a shift,
-reduced modulo Phi_l(w) for a fixed root of unity w."""
+A family assigns each of a, b, c, x 0 or a constant times a Laurent
+monomial in its free symbols and q; a root-of-unity symbol carries a fixed
+exact binding.  Construction rejects any other value and the degenerate
+loci (a=1, b=1, a=c=0, b=c=0, c=x=0, x=0).  `compose`, the one family
+substitution for Q and R, moves the map along a shift."""
 
 from __future__ import annotations
 
@@ -32,7 +31,10 @@ class ParamFamily:
         missing = [k for k in PARAM_KEYS if k not in self.assignment]
         if missing:
             raise ValueError(f"family must assign {missing}")
-        a, b, c, x = (self.assignment[k] for k in PARAM_KEYS)
+        a, b, c, x = values = [self.assignment[k] for k in PARAM_KEYS]
+        for k, v in zip(PARAM_KEYS, values):
+            if not v.is_zero() and (len(v.num.nums) != 1 or len(v.den.nums) != 1):
+                raise ValueError(f"family assigns {k} = {v}, not a constant times a Laurent monomial")
         if a == 1:
             raise DegenerateFamily("excluded locus a = 1")
         if b == 1:
@@ -53,16 +55,17 @@ class ParamFamily:
         full.update(point)
         return {k: self.assignment[k].eval(full) for k in PARAM_KEYS}
 
-    def compose(self, poly: MultiPoly, shift, t: RationalFunction, steps: int = 1) -> MultiPoly:
-        """The numerator of poly at a t^(k steps), b t^(l steps), c t^(m
-        steps), x t^(n steps) and q, for shift = (k, l, m, n), reduced
-        modulo Phi_l(w) when the family fixes w to a primitive l-th root of
-        unity (UnsupportedBinding for any other fixed binding or more than
-        one): 0 exactly when poly vanishes on the moved family."""
+    def compose(self, poly: MultiPoly, shift, t: RationalFunction, steps: int = 1) -> RationalFunction:
+        """poly at a t^(k steps), b t^(l steps), c t^(m steps), x t^(n
+        steps) and q, for shift = (k, l, m, n): a numerator over the
+        monomial the map gives, the numerator reduced modulo Phi_l(w) when
+        the family fixes w to a primitive l-th root of unity
+        (UnsupportedBinding for any other fixed binding or more than one).
+        0 exactly when poly vanishes on the moved family."""
         root = _root_binding(self)
         point = {key: _times_power(self.assignment[key], t, s * steps) for key, s in zip(PARAM_KEYS, shift)}
-        num = RationalFunction.const(poly.eval({**point, "q": RationalFunction.var("q")})).num
-        return num if root is None else num.mod_cyclotomic(*root)
+        out = RationalFunction.const(poly.eval({**point, "q": RationalFunction.var("q")}))
+        return out if root is None else RationalFunction(out.num.mod_cyclotomic(*root), out.den, False)
 
 
 def _root_binding(fam: ParamFamily) -> tuple[str, int] | None:
@@ -81,12 +84,12 @@ def _root_binding(fam: ParamFamily) -> tuple[str, int] | None:
 
 
 def _times_power(v: RationalFunction, t: RationalFunction, e: int) -> RationalFunction:
-    """v t^e for the variable t: built from v's coefficient and exponent
-    vector when v is a constant times a Laurent monomial, in the
-    normalized form (den a monic monomial prime to num's), else v * t**e."""
+    """v t^e for the variable t and v zero or a constant times a Laurent
+    monomial, built from v's coefficient and exponent vector in the
+    normalized form (den a monic monomial prime to num's)."""
+    if v.is_zero():
+        return v
     num, den = v.num.terms, v.den.terms
-    if len(num) != 1 or len(den) != 1:
-        return v * t**e
     ((en, cn),), ((ed, cd),) = num.items(), den.items()
     powers = dict(zip(v.vars, map(sub, en, ed)))
     (name,) = t.vars

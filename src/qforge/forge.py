@@ -201,20 +201,53 @@ def build_default_registry() -> dict:
     return {"version": 1, "identities": identities}
 
 
+# a record's fields and each constraint type's, with their JSON types ("expr": an expression tree)
+_RECORD = {"id": str, "mode": str, "free": list, "lhs": dict, "rhs": "expr", "constraints": list}
+_CONSTRAINTS = {"nonneg_int": {"sym": str}, "abs_lt": {"expr": "expr", "bound": str}, "nonzero": {"expr": "expr"},
+                "ne": {"expr": "expr", "value": str}, "primitive_root": {"sym": str, "order": int}, "lhs_defined": {}}
+
+
 def _parse_registry(doc: dict) -> dict[str, IdentityRecord]:
+    """The records by id; ValueError naming the record and the field for
+    a malformed record or a repeated id."""
+    items = doc.get("identities") if isinstance(doc, dict) else None
+    if not isinstance(items, list):
+        raise ValueError("registry: 'identities' must be a list of records")
     out = {}
-    for item in doc["identities"]:
+    for n, item in enumerate(items):
+        rid = item.get("id") if isinstance(item, dict) else None
+        where = f"identity {rid!r}" if isinstance(rid, str) else f"record {n}"
+        _check_fields(where, item, _RECORD)
         if item["mode"] not in _MODES:
-            raise ValueError(f"identity {item['id']!r}: unknown mode {item['mode']!r}")
-        for key in PARAM_KEYS:
-            cf.validate(item["lhs"][key])
-        cf.validate(item["rhs"])
-        rec = IdentityRecord(
-            id=item["id"], mode=item["mode"], free=tuple(item["free"]),
-            lhs=item["lhs"], rhs=item["rhs"], constraints=tuple(item["constraints"]),
-        )
-        out[rec.id] = rec
+            raise ValueError(f"{where}: unknown mode {item['mode']!r}")
+        if not all(isinstance(s, str) for s in item["free"]):
+            raise ValueError(f"{where}: 'free' must be a list of strings")
+        _check_fields(f"{where} lhs", item["lhs"], dict.fromkeys(PARAM_KEYS, "expr"))
+        for con in item["constraints"]:
+            kind = con.get("type") if isinstance(con, dict) else None
+            if kind not in _CONSTRAINTS:
+                raise ValueError(f"{where}: unknown constraint type {kind!r}")
+            _check_fields(f"{where} constraint {kind}", con, _CONSTRAINTS[kind])
+        if rid in out:
+            raise ValueError(f"{where}: duplicate id")
+        out[rid] = IdentityRecord(rid, item["mode"], tuple(item["free"]), item["lhs"], item["rhs"],
+                                  tuple(item["constraints"]))
     return out
+
+
+def _check_fields(where: str, obj, fields: dict) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be an object, not {type(obj).__name__}")
+    for key, kind in fields.items():
+        if key not in obj:
+            raise ValueError(f"{where}: missing {key!r}")
+        if kind == "expr":
+            try:
+                cf.validate(obj[key])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: bad expression in {key!r}: {type(exc).__name__}: {exc}") from exc
+        elif not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+            raise ValueError(f"{where}: {key!r} must be {kind.__name__}, not {type(obj[key]).__name__}")
 
 
 def load_registry(path: str | None = None) -> dict[str, IdentityRecord]:
@@ -463,15 +496,18 @@ def _family_params(fam: ParamFamily, point: dict) -> Phi21Params:
 def product_R(shift, fam: ParamFamily, n: int,
               relation: ThreeTermRelation | None = None) -> RationalFunction:
     """prod_{i=1}^{n} R^(i) as a rational function of the family's free
-    symbols and q; the empty product is 1."""
+    symbols and q, num(R) and den(R) each composed by ParamFamily.compose
+    (so reduced modulo Phi_l(w) on a root-of-unity family); not in lowest
+    terms, it equals a closed form by cross-multiplication.  The empty
+    product is 1; DegenerateFamily names an i whose den(R) composes to 0."""
     rel = _relation_for(shift, relation)
-    base = Phi21Params(q=RationalFunction.var("q"), **fam.assignment)
+    q = RationalFunction.var("q")
     out = RationalFunction.const(1)
     for i in range(1, n + 1):
-        try:
-            out = (out * rel.R.subs(vars(base.shifted(shift, i - 1)))).cancel()
-        except ZeroDenominator as exc:
-            raise DegenerateFamily(f"R^({i}) undefined for family {fam.name}") from exc
+        den = fam.compose(rel.R.den, shift, q, i - 1)
+        if den.is_zero():
+            raise DegenerateFamily(f"R^({i}) undefined for family {fam.name}")
+        out = out * fam.compose(rel.R.num, shift, q, i - 1) / den
     return out
 
 

@@ -19,26 +19,25 @@ so that mixed-variable arithmetic aligns deterministically.
 D_i the degree in v_i, sum c_e prod n_i^e_i d_i^(D_i - e_i) over den prod
 d_i^D_i, the value built once at the end.  int, Fraction and order-1
 ExactScalar values enter as ints, cyclotomic ExactScalar values as
-numerator vectors and RationalFunction values as their num and den
-MultiPolys; any other value is a TypeError.  When every RationalFunction
-value is a constant times a Laurent monomial, (n / m) y^A / y^B, a term's
-factor of degree e is the int n^e m^(D - e) on the packed key
-e key(A) + (D - e) key(B), so each term's image is one int on one key
-and no MultiPoly is multiplied: from the plan of every variable, the
-keys are sums and the ints products of per-variable table entries,
-taken column by column; the normalized num and den are those of the
-general sum.  `mod_cyclotomic` reduces one variable modulo a cyclotomic
-polynomial by the power table of qforge.exact.
+numerator vectors and a zero RationalFunction as the int 0.  Any other
+RationalFunction value must be a constant times a Laurent monomial,
+(n / m) y^A / y^B, as under a family map (TypeError otherwise, as for any
+other value): a term's factor of degree e is then the int n^e m^(D - e)
+on the packed key e key(A) + (D - e) key(B), so each term's image is one
+int on one key and no MultiPoly is multiplied: from the plan of every
+variable, the keys are sums and the ints products of per-variable table
+entries, taken column by column.  `mod_cyclotomic` reduces one variable
+modulo a cyclotomic polynomial by the power table of qforge.exact.
 
-`divide` is exact sparse division on the packed keys, highest remainder
-key first; it returns None at the first remainder term that the
-divisor's leading term does not divide (monomial or coefficient).  Over
-the divisor's primitive integer part the quotient of integer numerators
-is integral (Gauss's lemma), so it runs on ints.  A divisor of three or
-more terms keeps the remainder keys in a heap (Monagan & Pearce); one of
-one or two terms needs none: each remainder key k generates at most the
-key k - kl + kr, below k, so the generated keys come out in descending
-order and a queue of them merges with the sorted dividend.
+`divide` is exact sparse division on the packed keys by a monomial or a
+binomial, the divisors of the ladder of qforge.relations, highest
+remainder key first; it returns None at the first remainder term that
+the divisor's leading term does not divide (monomial or coefficient).
+Over the divisor's primitive integer part the quotient of integer
+numerators is integral (Gauss's lemma), so it runs on ints.  Each
+remainder key k generates at most the key k - kl + kr, below k, so the
+generated keys come out in descending order and a queue of them merges
+with the sorted dividend.
 
 `eval_by_power` evaluates the coefficients of the powers of one variable
 at a rational point, ints over one denominator, from one plan grouped by
@@ -58,7 +57,6 @@ import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache, reduce
-from heapq import heapify, heappop, heappush
 from operator import add, mul, or_
 from types import MappingProxyType
 
@@ -263,9 +261,11 @@ class MultiPoly:
 
     def divide(self, other: "MultiPoly") -> "MultiPoly | None":
         """The exact quotient self / other, or None when other does not
-        divide self."""
+        divide self; ValueError unless other is a monomial or a binomial."""
         if other.is_zero():
             raise ZeroDenominator("division by the zero polynomial")
+        if len(other.nums) > 2:
+            raise ValueError(f"divide takes a monomial or a binomial, not {other}")
         p, f = _align(self, other)
         if not p.nums:
             return p
@@ -346,16 +346,18 @@ class MultiPoly:
     def eval(self, point: dict):
         """Value at `point` by the homogenized sum: a Fraction, an
         ExactScalar when a variable that occurs is bound to one, or a
-        RationalFunction when one is bound to a RationalFunction.  Any other
-        value, or RationalFunction values mixed with ExactScalar ones, raises
-        TypeError."""
+        RationalFunction when one is bound to a nonzero RationalFunction (see
+        the module docstring).  TypeError for any other value, or for
+        RationalFunction values mixed with ExactScalar ones."""
         degs, names = self._degrees(), self.vars
         missing = [names[i] for i, _ in degs if names[i] not in point]
         if missing:
             raise UnboundSymbol(f"point does not bind {missing}")
-        rational, other, order, exact, symbolic = [], [], 1, False, False
+        rational, cyclo, monos, order, exact = [], [], [], 1, False
         for i, d in degs:
             v = point[names[i]]
+            if isinstance(v, RationalFunction) and v.is_zero():
+                v = 0
             if isinstance(v, int):
                 rational.append((d, v, 1))
             elif isinstance(v, Fraction):
@@ -365,55 +367,45 @@ class MultiPoly:
                 if v.order == 1:
                     rational.append((d, v.nums[0], v.den))
                 else:
-                    other.append((i, d, v))
+                    cyclo.append((i, d, v))
                     order = math.lcm(order, v.order)
             elif isinstance(v, RationalFunction):
-                symbolic = True
-                other.append((i, d, v))
+                if len(v.num.nums) != 1 or len(v.den.nums) != 1:
+                    raise TypeError(f"cannot evaluate at {names[i]} = {v}, "
+                                    "not a constant times a Laurent monomial")
+                monos.append((i, d, v))
             else:
                 raise TypeError(f"cannot evaluate at a {type(v).__name__} value of {names[i]}")
-        if exact and symbolic:
+        if exact and monos:
             raise TypeError("cannot evaluate at a point mixing RationalFunction and ExactScalar values")
         # pows[k][e] = n^e m^(d - e) for the k-th rational value n / m of
-        # degree d; vpows the same for the other values, as numerator
-        # vectors or MultiPolys
+        # degree d; vpows the same for the cyclotomic values, as numerator
+        # vectors
         pows, den = _rational_powers(rational, self.den)
-        if symbolic and all(len(v.num.nums) == len(v.den.nums) == 1 for _, _, v in other):
-            return _monomial_image(self._cached((), lambda: self._plan(())), degs, pows, other, den)
-        shape = tuple(i for i, _, _ in other)
+        if monos:
+            return _monomial_image(self._cached((), lambda: self._plan(())), degs, pows, monos, den)
+        shape = tuple(i for i, _, _ in cyclo)
         plan = self._cached(shape, lambda: self._plan(shape))
         size = euler_phi(order)
         vpows = []
-        if symbolic:  # every num and den in one layout, so products need no relayout
-            polys = _align(*(p for _, _, v in other for p in (v.num, v.den)))
-            for (_, d, _), n, m in zip(other, polys[::2], polys[1::2]):
-                dens = _powers(m, d)
-                vpows.append(list(map(mul, _powers(n, d), reversed(dens))))
-                den *= dens[d]
-        else:
-            for _, d, v in other:
-                v = v.embed(order)
-                dens = _powers(v.den, d)
-                vp = [(1,) + (0,) * (size - 1)]
-                for _ in range(d):
-                    vp.append(_mul_nums(vp[-1], v.nums, order))
-                vpows.append([[c * m for c in vec] for vec, m in zip(vp, reversed(dens))])
-                den *= dens[d]
-        times = mul if symbolic else lambda f, g: _mul_nums(f, g, order)
-        acc, terms = [0] * size, []
+        for _, d, v in cyclo:
+            v = v.embed(order)
+            dens = _powers(v.den, d)
+            vp = [(1,) + (0,) * (size - 1)]
+            for _ in range(d):
+                vp.append(_mul_nums(vp[-1], v.nums, order))
+            vpows.append([[c * m for c in vec] for vec, m in zip(vp, reversed(dens))])
+            den *= dens[d]
+        acc = [0] * size
         for exps, s in _sums(plan, pows):
             vec = None
             for vp, e in zip(vpows, exps):
-                vec = vp[e] if vec is None else times(vec, vp[e])
+                vec = vp[e] if vec is None else _mul_nums(vec, vp[e], order)
             if vec is None:
                 acc[0] += s
-            elif symbolic:
-                terms.append((s, vec))
             else:
                 for j, c in enumerate(vec):
                     acc[j] += s * c
-        if symbolic:
-            return RationalFunction(_combination(terms), den)
         return _exact(order, acc, den) if exact else Fraction(acc[0], den)
 
     def eval_by_power(self, name: str, point: dict) -> tuple[dict, int]:
@@ -440,10 +432,10 @@ class MultiPoly:
 
     def _plan(self, shape: tuple) -> list:
         """The layout of the integer sum when the variables at the indices
-        `shape` are bound to cyclotomic or RationalFunction values: one
-        (exponents of those variables, numerators, exponent column of each
-        other variable that occurs) per distinct exponents of those
-        variables."""
+        `shape` are bound to cyclotomic values (or split off as powers, in
+        eval_by_power): one (exponents of those variables, numerators,
+        exponent column of each other variable that occurs) per distinct
+        exponents of those variables."""
         shifts, mask, _ = _layout(len(self.vars), self.width)
         other = [shifts[i] for i in shape]
         rational = [shifts[i] for i, _ in self._degrees() if i not in shape]
@@ -601,63 +593,15 @@ def _product(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return out
 
 
-def _combination(pairs: list) -> MultiPoly:
-    """sum s p over the (int s, MultiPoly p) pairs, merged once; 0 for none."""
-    polys = _align(MultiPoly.const(0), *(p for _, p in pairs))
-    den = math.lcm(*(p.den for p in polys))
-    nums: dict[int, int] = {}
-    for (s, _), p in zip(pairs, polys[1:]):
-        f = s * (den // p.den)
-        for k, c in p.nums.items():
-            nums[k] = nums.get(k, 0) + c * f
-    return _lowest(polys[0].vars, polys[0].width, {k: c for k, c in nums.items() if c}, den)
-
-
 def _quotient(nums: dict, fnums: dict, tops: int) -> dict | None:
-    """The integer numerators of nums / fnums on one packed layout (`tops`
-    the top bit of every field), or None when the division leaves a
-    remainder: sparse division, highest remainder key first.  A divisor
-    of one or two terms takes the merge, any longer one the heap."""
+    """The integer numerators of nums / fnums, a monomial cl m_l or a
+    binomial cl m_l + cr m_r, on one packed layout (`tops` the top bit of
+    every field), or None when the division leaves a remainder: sparse
+    division, highest remainder key first.  The dividend's keys in
+    descending order merge with a queue of the keys the division
+    generates, k - kl + kr from remainder key k, which come out descending
+    too."""
     (kl, cl), *rest = sorted(fnums.items(), reverse=True)
-    if len(rest) < 2:
-        return _merge_quotient(nums, kl, cl, rest, tops)
-    rem = dict(nums)
-    heap = [-k for k in rem]
-    heapify(heap)
-    out = {}
-    while heap:
-        k = -heappop(heap)
-        c = rem.pop(k, 0)
-        if not c:
-            continue
-        # kl divides k when subtracting it borrows from no field's top bit
-        if ((k | tops) - kl) & tops != tops:
-            return None
-        t, r = divmod(c, cl)
-        if r:
-            return None
-        k -= kl
-        out[k] = t
-        for k2, c2 in rest:
-            key = k + k2
-            if key & tops:  # a field past any exponent of a true quotient times f
-                return None
-            s = rem.get(key)
-            if s is None:
-                rem[key] = -t * c2
-                heappush(heap, -key)
-            elif s == t * c2:
-                del rem[key]
-            else:
-                rem[key] = s - t * c2
-    return out
-
-
-def _merge_quotient(nums: dict, kl: int, cl: int, rest: list, tops: int) -> dict | None:
-    """_quotient by cl m_l, or by cl m_l + cr m_r when rest = [(kr, cr)]:
-    the dividend's keys in descending order merged with a queue of the
-    keys the division generates, k - kl + kr from remainder key k, which
-    come out descending too; the same tests as the heap."""
     keys = sorted(nums, reverse=True)
     keys.append(-1)  # below every key
     (kr, cr), = rest or ((0, 0),)
@@ -679,6 +623,7 @@ def _merge_quotient(nums: dict, kl: int, cl: int, rest: list, tops: int) -> dict
             i += 1
         if not c:
             continue
+        # kl divides k when subtracting it borrows from no field's top bit
         if ((k | tops) - kl) & tops != tops:
             return None
         t, r = divmod(c, cl)
@@ -688,7 +633,7 @@ def _merge_quotient(nums: dict, kl: int, cl: int, rest: list, tops: int) -> dict
         out[k] = t
         if rest:
             key = k + kr
-            if key & tops:
+            if key & tops:  # a field past any exponent of a true quotient times f
                 return None
             queue.append((key, -t * cr))
 
@@ -922,13 +867,6 @@ class RationalFunction:
         if den == 0:
             raise ZeroDenominator("denominator vanishes at evaluation point")
         return self.num.eval(point) / den
-
-    def subs(self, mapping: dict) -> "RationalFunction":
-        """Evaluation at RationalFunction (or rational) arguments, where
-        unmapped symbols stand for themselves, then cancel."""
-        point = {v: RationalFunction.var(v) for v in self.vars}
-        point.update(mapping)
-        return RationalFunction.const(self.eval(point)).cancel()
 
     # -- serialization ------------------------------------------------------------------------------
     def to_json(self) -> dict:

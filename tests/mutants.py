@@ -116,4 +116,28 @@ MUTANTS = (
         "numeric telescoping sums each moved series to tol / 10 whatever |prod R|, "
         "so 1 / prod R enlarges its error past tol",
     ),
+    Mutant(
+        "compose-without-phi-reduction", "families.py",
+        "return out if root is None else RationalFunction(out.num.mod_cyclotomic(*root), out.den, False)",
+        "return out",
+        ("tests/test_families.py::test_compose_is_the_family_map_by_rational_function_arithmetic",
+         "tests/test_forge.py::test_root_of_unity_composite_vanishes_only_modulo_phi"),
+        "compose leaves the numerator unreduced on a root-of-unity family, where it vanishes "
+        "only modulo Phi_l(w)",
+    ),
+    Mutant(
+        "product-r-without-zero-den-guard", "forge.py",
+        "if den.is_zero():",
+        "if False:",
+        ("tests/test_forge.py::test_product_r_names_the_step_whose_r_is_undefined",),
+        "product_R divides by a den(R) that composes to 0, a ZeroDenominator that names no step",
+    ),
+    Mutant(
+        "eval-zero-value-not-coerced", "poly.py",
+        "if isinstance(v, RationalFunction) and v.is_zero():",
+        "if False:",
+        ("tests/test_poly.py::test_eval_takes_a_zero_rational_function_as_the_int_zero",
+         "tests/test_families.py::test_compose_takes_a_zero_value"),
+        "a zero RationalFunction value is no constant times a monomial, so eval refuses it",
+    ),
 )

@@ -425,6 +425,48 @@ def test_registry_file_with_unknown_mode_is_refused(tmp_path, capsys, mode):
     assert f"unknown mode '{mode}'" in capsys.readouterr().err
 
 
+def _sv1(doc: dict) -> dict:
+    return next(rec for rec in doc["identities"] if rec["id"] == "sv1")
+
+
+# a malformed registry file: how to break the built-in document, and the
+# record and field the refusal names
+MALFORMED_REGISTRIES = {
+    "no-free": (lambda doc: _sv1(doc).pop("free"), "identity 'sv1': missing 'free'"),
+    "no-lhs-x": (lambda doc: _sv1(doc)["lhs"].pop("x"), "identity 'sv1' lhs: missing 'x'"),
+    "identities-an-object": (lambda doc: doc.update(identities={"sv1": _sv1(doc)}),
+                             "registry: 'identities' must be a list of records"),
+    "duplicate-id": (lambda doc: doc["identities"].append(dict(_sv1(doc), mode="exact")),
+                     "identity 'sv1': duplicate id"),
+    "free-not-strings": (lambda doc: _sv1(doc).update(free=["M", 3]),
+                         "identity 'sv1': 'free' must be a list of strings"),
+    "unknown-constraint": (lambda doc: _sv1(doc)["constraints"].append({"type": "positive", "sym": "M"}),
+                           "identity 'sv1': unknown constraint type 'positive'"),
+    "constraint-without-field": (lambda doc: _sv1(doc)["constraints"][0].pop("sym"),
+                                 "identity 'sv1' constraint nonneg_int: missing 'sym'"),
+    "constraint-field-type": (lambda doc: next(r for r in doc["identities"] if r["id"] == "sv4")
+                              ["constraints"][1].update(order="3"),
+                              "identity 'sv4' constraint primitive_root: 'order' must be int, not str"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_REGISTRIES.values(), ids=MALFORMED_REGISTRIES)
+def test_malformed_registry_file_is_a_usage_error(tmp_path, capsys, case):
+    # at the parse, not as a KeyError or TypeError traceback (exit 1), a
+    # silently replaced record or a constraint that always fails
+    breaks, message = case
+    doc = build_default_registry()
+    breaks(doc)
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_registry(str(path))
+    assert str(exc.value) == message
+    assert main(["verify", "--identity", "sv1", "--grid", "M=0..0,N=0..0",
+                 "--registry", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_registry_file_with_unknown_node_exits_2(tmp_path, capsys):
     doc = build_default_registry()
     sv1 = next(rec for rec in doc["identities"] if rec["id"] == "sv1")

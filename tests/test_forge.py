@@ -8,6 +8,7 @@ from fractions import Fraction as F
 from functools import cache
 
 import pytest
+from heap_division import heap_divide
 
 from qforge import families, forge, qseries, relations
 from qforge.closedform import closed_form_eval
@@ -351,8 +352,7 @@ def test_family_check_carries_the_locus_claim(monkeypatch):
     # sum_zero's family is the locus x = c/(ab); the Q of (0,0,0,2) does
     # not vanish on it, and its N = 1 round is the claim that Q does
     table = qr_lookup((0, 0, 0, 2))
-    a, b, c = (RF.var(s) for s in "abc")
-    assert not table.Q.subs({"x": c / (a * b)}).is_zero()
+    assert not family_qgauss().compose(table.Q.num, (0, 0, 0, 0), RF.var("q"), 0).is_zero()
     rel = ThreeTermRelation(ShiftVector(1, 1, 2, 0), table.Q, table.R)
     assert not check_family((1, 1, 2, 0), family_qgauss(), n_max=1, relation=rel)
     monkeypatch.setattr(forge, "qr_derive", lambda shift: rel)
@@ -373,6 +373,17 @@ def test_degenerate_family_paths():
         product_R((0, 1, 1, 0), _collapsing(), 2)
     with pytest.raises(DegenerateFamily):
         check_family((0, 1, 1, 0), _collapsing(), n_max=1)
+
+
+def test_product_r_names_the_step_whose_r_is_undefined():
+    # (0,1,1,0)'s den(R) = a - c on c = a/q moved along c: a(1 - 1/q) at
+    # i = 1, then a - a = 0 at i = 2
+    a, b, q, x = (RF.var(s) for s in "abqx")
+    fam = ParamFamily("(a, b, a/q, x)", ("a", "b", "x"), {"a": a, "b": b, "c": a / q, "x": x})
+    rel = qr_lookup((0, 1, 1, 0))
+    assert product_R((0, 1, 1, 0), fam, 1) == rel.R.eval({"a": a, "b": b, "c": a / q, "q": q, "x": x})
+    with pytest.raises(DegenerateFamily, match=r"^R\^\(2\) undefined for family \(a, b, a/q, x\)$"):
+        product_R((0, 1, 1, 0), fam, 2)
 
 
 def _no_draw(*args):
@@ -504,7 +515,7 @@ def test_root_of_unity_composite_vanishes_only_modulo_phi(monkeypatch, order):
     composite = rel.Q.num.eval({**vars(moved), "q": RF.var("q")}).num
     phi = MultiPoly(("w",), {(e,): c for e, c in enumerate(cyclotomic_poly(order))})
     assert families._root_binding(fam) == ("w", order)
-    assert not composite.is_zero() and composite.divide(phi) is not None
+    assert not composite.is_zero() and heap_divide(composite, phi) is not None
     # the reduction is the remainder modulo Phi_l(w), 0 exactly when phi divides
     assert composite.mod_cyclotomic("w", order).is_zero()
     assert fam.compose(rel.Q.num, shift, RF.var("t")).is_zero()

@@ -24,6 +24,7 @@ from qforge.errors import (
     ZeroDenominator,
 )
 from qforge.exact import ExactScalar
+from qforge.families import family_qgauss
 from qforge.poly import RELATION_VARS, MultiPoly, RationalFunction as RF
 from qforge.qseries import Phi21Params, _cleared_terms, phi21_exact, qpoch_finite
 from qforge.relations import (
@@ -382,8 +383,7 @@ def test_sum_zero_shifts_have_locus_factor():
     rng = random.Random(4)
     for shift in [(0, 1, 1, 0), (1, 1, 2, 0)]:
         rel = qr_derive(shift)
-        on_locus = rel.Q.subs({"x": C / (A * B)})
-        assert on_locus.is_zero()
+        assert family_qgauss().compose(rel.Q.num, shift, Q, 0).is_zero()
         count = 0
         while count < 20:
             pt = {s: F(rng.randint(1, 40), rng.randint(41, 97)) for s in ("a", "b", "c", "q")}
@@ -636,8 +636,8 @@ def test_evaluating_loaded_relations_never_imports_sympy():
     code = """
 import sys
 from fractions import Fraction as F
-from qforge.families import solution_families
-from qforge.forge import check_family, telescoped_check
+from qforge.families import family_root_of_unity, solution_families
+from qforge.forge import check_family, product_R, telescoped_check
 from qforge.relations import ThreeTermRelation, qr_lookup
 
 shift = (1, 2, 1, -1)
@@ -647,6 +647,7 @@ assert check_family(shift, fam, relation=rel)
 run = telescoped_check(shift, fam, 3, {"a": F(3), "b": F(64), "q": F(1, 2)},
                        mode="exact", relation=rel)
 assert run.passed
+product_R((0, 4, 4, 0), family_root_of_unity(4), 4)
 print("sympy" in sys.modules)
 """
     assert _fresh_stdout(code) == "False"
