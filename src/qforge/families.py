@@ -33,6 +33,8 @@ class ParamFamily:
             raise ValueError(f"family must assign {missing}")
         a, b, c, x = values = [self.assignment[k] for k in PARAM_KEYS]
         for k, v in zip(PARAM_KEYS, values):
+            if not isinstance(v, RationalFunction):
+                raise ValueError(f"family assigns {k} a {type(v).__name__}, not a RationalFunction")
             if not v.is_zero() and (len(v.num.nums) != 1 or len(v.den.nums) != 1):
                 raise ValueError(f"family assigns {k} = {v}, not a constant times a Laurent monomial")
         if a == 1:

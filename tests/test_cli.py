@@ -444,6 +444,8 @@ MALFORMED_REGISTRIES = {
                            "identity 'sv1': unknown constraint type 'positive'"),
     "constraint-without-field": (lambda doc: _sv1(doc)["constraints"][0].pop("sym"),
                                  "identity 'sv1' constraint nonneg_int: missing 'sym'"),
+    "expression-without-field": (lambda doc: _sv1(doc).update(rhs={"kind": "qpow"}),
+                                 "identity 'sv1': bad expression in 'rhs': KeyError: 'exp'"),
     "constraint-field-type": (lambda doc: next(r for r in doc["identities"] if r["id"] == "sv4")
                               ["constraints"][1].update(order="3"),
                               "identity 'sv4' constraint primitive_root: 'order' must be int, not str"),

@@ -109,6 +109,10 @@ def test_family_values_must_be_monomials():
     for value in (1 - A, X / (1 + B), (A + B) / Q):
         with pytest.raises(ValueError, match="c = .*not a constant times a Laurent monomial"):
             ParamFamily("bad", ("a", "b", "x"), {"a": A, "b": B, "c": value, "x": X})
+    # a value of another type used to end in AttributeError
+    for value in (2, F(1, 2), MultiPoly.var("b")):
+        with pytest.raises(ValueError, match="family assigns c a .*, not a RationalFunction"):
+            ParamFamily("bad", ("a", "b", "x"), {"a": A, "b": B, "c": value, "x": X})
     ParamFamily("fine", ("a", "b", "x"), {"a": A, "b": B, "c": RF.const(0), "x": F(-2, 3) * X / (A * Q**2)})
 
 
