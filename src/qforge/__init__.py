@@ -4,7 +4,7 @@ identity verification."""
 
 __version__ = "0.1.0"
 
-from .approx import ApproxScalar, default_precision, set_default_precision
+from .approx import ApproxScalar
 from .closedform import closed_form_eval
 from .exact import ExactScalar, format_scalar, parse_scalar
 from .families import ParamFamily, solution_families
@@ -50,10 +50,9 @@ __all__ = [
     "MultiPoly", "ParamFamily", "Phi21Params", "PipelineRun", "RationalFunction",
     "SeriesValue", "ShiftVector", "ThreeTermRelation",
     "apply_generator", "canonical_representative", "check_family", "closed_form_eval",
-    "conjecture_check", "default_precision", "default_registry",
-    "format_scalar", "from_lambda",
+    "conjecture_check", "default_registry", "format_scalar", "from_lambda",
     "load_registry", "orbit_enumerate", "parse_scalar", "phi21_exact", "phi21_numeric",
     "product_R", "qpoch_finite", "qpoch_infinite", "qr_derive", "qr_lookup",
-    "relation_residual", "set_default_precision", "solution_families",
+    "relation_residual", "solution_families",
     "sv5_cauchy_check", "telescoped_check", "to_lambda", "verify_identity",
 ]

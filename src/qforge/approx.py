@@ -5,8 +5,8 @@ efficient arbitrary-precision midpoint-radius interval arithmetic", IEEE
 TC 2017): Python ints re, im and rad and a binary exponent exp stand for
 every complex number within rad 2**exp of (re + i im) 2**exp.  A real
 value keeps im = 0, and a result is complex only if an operand is.
-Default precision: 113 bits, set per value or by set_default_precision
-(QFORGE_PRECISION).
+A ball is built at the precision its caller passes, DEFAULT_PREC (113
+bits) unless given, and an operation keeps the larger of its operands'.
 
 Every `err` is a rigorous bound, by one rounding rule.  An operation is
 done exactly on the ints, then shifted right until its largest part has
@@ -35,19 +35,8 @@ import mpmath
 from .errors import DivisionByZero
 from .exact import ExactScalar
 
-_DEFAULT_PREC = 113
+DEFAULT_PREC = 113
 _new = object.__new__
-
-
-def set_default_precision(bits: int) -> None:
-    global _DEFAULT_PREC
-    if bits < 64:
-        raise ValueError("precision must be at least 64 bits")
-    _DEFAULT_PREC = int(bits)
-
-
-def default_precision() -> int:
-    return _DEFAULT_PREC
 
 
 # -- balls: (re, im, rad), three ints in one unit ------------------------------
@@ -172,7 +161,7 @@ class ApproxScalar:
 
     __slots__ = ("ball", "exp", "prec", "cplx")
 
-    def __new__(cls, value, err=0, prec: int | None = None):
+    def __new__(cls, value, err=0, prec: int = DEFAULT_PREC):
         x = ApproxScalar.coerce(value, prec)
         n, d = _ratio(err)
         if n < 0:
@@ -190,10 +179,9 @@ class ApproxScalar:
         return _make, (self.ball, self.exp, self.prec, self.cplx)
 
     @staticmethod
-    def coerce(v, prec: int | None = None) -> "ApproxScalar":
+    def coerce(v, prec: int = DEFAULT_PREC) -> "ApproxScalar":
         if isinstance(v, ApproxScalar):
             return v
-        prec = _DEFAULT_PREC if prec is None else prec
         if type(v) is int and v.bit_length() <= prec:
             return _make((v, 0, 0), 0, prec, False)
         if isinstance(v, ExactScalar):

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .approx import set_default_precision
+from .approx import DEFAULT_PREC
 from .errors import ConstraintViolated, QForgeError, UnboundSymbol
 from .exact import parse_scalar
 from .families import solution_families
@@ -125,7 +125,7 @@ def _case_from_exception(exc: Exception, bindings: dict) -> dict:
     }
 
 
-def _run_verify(opts: dict) -> ReportDocument:
+def _run_verify(opts: dict, prec: int) -> ReportDocument:
     registry = load_registry(opts.get("registry")) if opts.get("registry") else default_registry()
     identity = opts["identity"]
     if identity not in registry:
@@ -175,19 +175,19 @@ def _run_verify(opts: dict) -> ReportDocument:
             base["q"] = qv.as_rational() if qv.is_rational() else qv
             if free_rest:
                 for _ in range(n_points):
-                    bindings, probed = _sample_bindings(record, base, free_rest, rng)
-                    report.cases.append(_verify_one(bindings, _verify_checked, record, bindings, probed, tol))
+                    bindings, probed = _sample_bindings(record, base, free_rest, rng, prec)
+                    report.cases.append(_verify_one(bindings, _verify_checked, record, bindings, probed, tol, prec))
             else:
-                report.cases.append(_verify_one(base, verify_identity, identity, base, tol, registry))
+                report.cases.append(_verify_one(base, verify_identity, identity, base, tol, registry, prec))
     return report
 
 
-def _sample_bindings(record, base: dict, free_rest, rng) -> tuple:
-    """Bindings that pass check_constraints, and what it returned."""
+def _sample_bindings(record, base: dict, free_rest, rng, prec: int) -> tuple:
+    """Bindings that pass check_constraints at prec bits, and what it returned."""
     def draw():
         bindings = {**base, **{s: rand_fraction_wide(rng) for s in free_rest}}
         try:
-            return bindings, check_constraints(record, bindings)
+            return bindings, check_constraints(record, bindings, prec)
         except ConstraintViolated:
             return None
 
@@ -235,7 +235,7 @@ def _run_normalize(opts: dict) -> ReportDocument:
     return report
 
 
-def _run_pipeline(opts: dict) -> ReportDocument:
+def _run_pipeline(opts: dict, prec: int) -> ReportDocument:
     shift = ShiftVector.parse(opts["shift"])
     report = ReportDocument("pipeline", _echo_options(opts), None)
     fams = solution_families(shift)
@@ -257,7 +257,7 @@ def _run_pipeline(opts: dict) -> ReportDocument:
         raise UnboundSymbol(f"--point leaves {missing} unbound: family {fam.name} "
                             f"(--family-index {idx}) of shift {shift} needs {needed}")
     try:
-        run = telescoped_check(shift, fam, opts["n_max"], point, tol=opts["tol"], mode=opts["mode"])
+        run = telescoped_check(shift, fam, opts["n_max"], point, tol=opts["tol"], mode=opts["mode"], prec=prec)
     except QForgeError as exc:
         report.cases.append(_case_from_exception(exc, point))
         return report
@@ -285,21 +285,23 @@ def _echo_options(opts: dict) -> dict:
     return {k: v for k, v in sorted(opts.items()) if v is not None}
 
 
+# each runner takes (opts, prec); derive, normalize and conjecture are exact
 _RUNNERS = {
     "verify": _run_verify,
-    "derive": _run_derive,
-    "normalize": _run_normalize,
+    "derive": lambda opts, prec: _run_derive(opts),
+    "normalize": lambda opts, prec: _run_normalize(opts),
     "pipeline": _run_pipeline,
-    "conjecture": _run_conjecture,
+    "conjecture": lambda opts, prec: _run_conjecture(opts),
 }
 
 
-def execute(command: str, options: dict) -> tuple[ReportDocument, int]:
-    """Run one command on its parsed options; exit code 0 iff every case passes."""
+def execute(command: str, options: dict, prec: int) -> tuple[ReportDocument, int]:
+    """Run one command on its parsed options, its numerics at prec bits;
+    exit code 0 iff every case passes."""
     runner = _RUNNERS.get(command)
     if runner is None:
         raise ValueError(f"unknown command {command!r}")
-    report = runner(options)
+    report = runner(options, prec)
     return report, report.exit_code()
 
 
@@ -365,13 +367,13 @@ def _attach_shift_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = _attach_shift_values(sys.argv[1:] if argv is None else argv)
-    env_prec = os.environ.get("QFORGE_PRECISION")
-    if env_prec:
-        try:
-            set_default_precision(int(env_prec))
-        except ValueError as exc:
-            print(f"qforge: bad QFORGE_PRECISION: {exc}", file=sys.stderr)
-            return USAGE_EXIT
+    try:  # the run's precision, read once; an unset or empty variable means DEFAULT_PREC
+        prec = int(os.environ.get("QFORGE_PRECISION") or DEFAULT_PREC)
+        if prec < 64:
+            raise ValueError("precision must be at least 64 bits")
+    except ValueError as exc:
+        print(f"qforge: bad QFORGE_PRECISION: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -379,7 +381,7 @@ def main(argv=None) -> int:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     opts = {k: v for k, v in vars(ns).items() if k not in ("command", "format", "output")}
     try:
-        report, code = execute(ns.command, opts)
+        report, code = execute(ns.command, opts, prec)
     except (QForgeError, ValueError) as exc:
         print(f"qforge: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_EXIT

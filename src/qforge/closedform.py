@@ -10,7 +10,7 @@ nodes that round.
 
 from __future__ import annotations
 
-from .approx import ApproxScalar, default_precision
+from .approx import DEFAULT_PREC, ApproxScalar
 from .errors import InvalidDomain, UnboundSymbol, ZeroDenominator
 from .exact import ExactScalar, format_scalar, parse_scalar
 from .qseries import qpoch_finite, qpoch_infinite
@@ -126,7 +126,7 @@ def free_symbols(tree: dict) -> set[str]:
 
 # -- evaluation ---------------------------------------------------------------------
 def closed_form_eval(tree: dict, bindings: dict, mode: str = "exact",
-                     tol: float = 1e-12, prec: int | None = None):
+                     tol: float = 1e-12, prec: int = DEFAULT_PREC):
     """Bottom-up evaluation, exact until the first infinite product.
 
     Every node evaluates to an ExactScalar except a qpoch(..., "inf")
@@ -140,7 +140,6 @@ def closed_form_eval(tree: dict, bindings: dict, mode: str = "exact",
     n_inf = _count_inf(tree)
     if mode == "exact" and n_inf:
         raise InvalidDomain("infinite q-Pochhammer factor requires numeric mode")
-    prec = default_precision() if prec is None else prec
     v = _eval(tree, bindings, tol / (8 * max(1, n_inf)), prec)
     return v if mode == "exact" else ApproxScalar.coerce(v, prec)
 
@@ -149,7 +148,7 @@ def eval_int(tree: dict, bindings: dict) -> int:
     """The value of an integer-valued sub-expression (an exponent or a length)."""
     if _count_inf(tree):
         raise InvalidDomain("infinite q-Pochhammer factor in an integer expression")
-    v = _eval(tree, bindings, 0, default_precision())
+    v = _eval(tree, bindings, 0, DEFAULT_PREC)
     if not v.is_rational() or v.den != 1:
         raise InvalidDomain(f"expression is not integer-valued: {v}")
     return v.nums[0]

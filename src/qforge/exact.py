@@ -361,7 +361,7 @@ class ExactScalar:
         return format_scalar(self)
 
     # -- numeric embedding -------------------------------------------------
-    def to_complex(self, prec: int = 113):
+    def to_complex(self, prec: int):
         """Evaluate at zeta_order = exp(2*pi*i/order) in mpmath floats."""
         import mpmath
 

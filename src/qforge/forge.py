@@ -13,7 +13,7 @@ from functools import cache
 import mpmath
 
 from . import closedform as cf
-from .approx import ApproxScalar, _upper, default_precision
+from .approx import DEFAULT_PREC, ApproxScalar, _upper
 from .closedform import closed_form_eval
 from .errors import (
     ConstraintViolated,
@@ -267,10 +267,12 @@ def default_registry() -> dict[str, IdentityRecord]:
 # -- constraints ---------------------------------------------------------------------
 
 
-def check_constraints(record: IdentityRecord, bindings: dict) -> SeriesValue | None:
-    """Raises ConstraintViolated with the failed predicate's description.
-    Returns the exact lhs series a terminating record's `lhs_defined`
-    probe summed (None if there was none), for the caller to reuse."""
+def check_constraints(record: IdentityRecord, bindings: dict,
+                      prec: int = DEFAULT_PREC) -> SeriesValue | None:
+    """Raises ConstraintViolated with the failed predicate's description;
+    an abs_lt bound is shown on a ball of prec bits.  Returns the exact
+    lhs series a terminating record's `lhs_defined` probe summed (None if
+    there was none), for the caller to reuse."""
     lhs = None
     for con in record.constraints:
         kind = con["type"]
@@ -280,7 +282,7 @@ def check_constraints(record: IdentityRecord, bindings: dict) -> SeriesValue | N
             if iv is None or iv < 0:
                 raise ConstraintViolated(f"{con['sym']} must be a non-negative integer")
         elif kind == "abs_lt":
-            val = closed_form_eval(con["expr"], bindings, "numeric", 1e-12)
+            val = closed_form_eval(con["expr"], bindings, "numeric", 1e-12, prec)
             bound = Fraction(con["bound"])
             if not _upper(val) < bound:  # for every value in the ball
                 re, im, rad = val.ball  # |v| >= low for every v in the ball
@@ -374,7 +376,7 @@ def _scalar_text(v) -> str:
 
 
 def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
-                    registry: dict | None = None, prec: int | None = None) -> VerifyCase:
+                    registry: dict | None = None, prec: int = DEFAULT_PREC) -> VerifyCase:
     """Evaluate both sides of a registered identity at concrete bindings.
 
     Exact-terminating records demand exact equality; numeric records
@@ -386,11 +388,11 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
     rounding error at prec bits; evaluation errors propagate.
     """
     record = (registry or default_registry())[identity_id]
-    return _verify_checked(record, bindings, check_constraints(record, bindings), tol, prec)
+    return _verify_checked(record, bindings, check_constraints(record, bindings, prec), tol, prec)
 
 
 def _verify_checked(record: IdentityRecord, bindings: dict, probed: SeriesValue | None,
-                    tol: float, prec: int | None = None) -> VerifyCase:
+                    tol: float, prec: int) -> VerifyCase:
     """verify_identity at bindings that passed check_constraints, which
     returned `probed`."""
     mode = record.mode
@@ -404,7 +406,6 @@ def _verify_checked(record: IdentityRecord, bindings: dict, probed: SeriesValue 
             lhs=format_scalar(series.value), rhs=format_scalar(rhs),
             abs_err=0.0 if ok else None, terms_used=series.terms_used,
         )
-    prec = default_precision() if prec is None else prec
     inner = tol / 8
     series = rhs = diff = budget = None
     # slowly converging points (|x| near 1) need a tighter summation
@@ -554,7 +555,7 @@ class PipelineRun:
 def telescoped_check(shift, fam: ParamFamily, n_max: int, point: dict,
                      tol: float = 1e-12, mode: str = "numeric",
                      relation: ThreeTermRelation | None = None,
-                     prec: int | None = None) -> PipelineRun:
+                     prec: int = DEFAULT_PREC) -> PipelineRun:
     """Check phi(base) = (1 / prod R^(i)) * phi(step-N params) for each
     N <= n_max; exact equality in exact mode, residual <= tol numerically.
     ValueError unless n_max >= 1.

@@ -39,7 +39,7 @@ from itertools import accumulate
 from math import isqrt
 from operator import mul
 
-from .approx import ApproxScalar, _abs_up, _bound, _div, _floored, _make, _mul, _shift, default_precision
+from .approx import DEFAULT_PREC, ApproxScalar, _abs_up, _bound, _div, _floored, _make, _mul, _shift
 from .errors import (
     DivisionByZero,
     InvalidDomain,
@@ -110,7 +110,7 @@ def qpoch_finite(base, q, count: int):
     return out
 
 
-def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
+def qpoch_infinite(base, q, tol: float, prec: int = DEFAULT_PREC) -> SeriesValue:
     """(base; q)_infinity as a partial product P_M, stopped at the first M
     where the tail bound (|P_M| + err) u / (1 - u) is at most tol: with
     u = |base| |q|^M / (1 - |q|) < 1 the factors past M multiply to within
@@ -118,7 +118,6 @@ def qpoch_infinite(base, q, tol: float, prec: int | None = None) -> SeriesValue:
     u rounds up.  P_M is a ball with its own exponent, shifted back to wp
     bits after each factor, so its error stays relative however small it
     gets."""
-    prec = default_precision() if prec is None else prec
     tm, te = _rounded_tol(tol, prec)
     wp = prec + _GUARD
     one = 1 << wp
@@ -322,7 +321,7 @@ def phi21_exact(p: Phi21Params) -> SeriesValue:
     return SeriesValue(_exact(order, nums, den), r + 1, True)
 
 
-def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
+def phi21_numeric(p: Phi21Params, tol: float, prec: int = DEFAULT_PREC,
                   resume: SeriesValue | None = None) -> SeriesValue:
     """Truncated 2phi1 for |q| < 1 with a proven error bound.
 
@@ -353,7 +352,6 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int | None = None,
     harder to meet, so the continued sum, both certificates re-tested at
     the earlier stop, stops where a fresh call does, with the same ints.
     """
-    prec = default_precision() if prec is None else prec
     rounded = tm, te = _rounded_tol(tol, prec)
     key = (p, prec)
     term_limit = _exact_termination(p)

@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import mpmath
 
-from .approx import ApproxScalar
+from .approx import DEFAULT_PREC, ApproxScalar
 from .errors import (
     BudgetExceeded,
     NotInTable,
@@ -560,7 +560,7 @@ def _series_verify(shift, cleared: tuple[MultiPoly, MultiPoly, MultiPoly], order
 
 
 def relation_residual(rel: ThreeTermRelation, point: dict, tol: float,
-                      prec: int | None = None) -> mpmath.mpf:
+                      prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """|phi_shifted - Q*phi_up - R*phi_base| plus the error bound of that
     difference.  Each series is summed at tol / (10 max(1, |Q|, |R|)), so
     that Q and R do not scale the series' errors above tol."""

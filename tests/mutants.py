@@ -140,4 +140,160 @@ MUTANTS = (
          "tests/test_families.py::test_compose_takes_a_zero_value"),
         "a zero RationalFunction value is no constant times a monomial, so eval refuses it",
     ),
+    Mutant(
+        "cli-ignores-precision-variable", "cli.py",
+        "report, code = execute(ns.command, opts, prec)",
+        "report, code = execute(ns.command, opts, DEFAULT_PREC)",
+        ("tests/test_cli.py::test_precision_variable_sets_the_default",),
+        "the CLI validates QFORGE_PRECISION but runs at DEFAULT_PREC whatever it says",
+    ),
+    Mutant(
+        "constraint-ignores-prec", "forge.py",
+        'val = closed_form_eval(con["expr"], bindings, "numeric", 1e-12, prec)',
+        'val = closed_form_eval(con["expr"], bindings, "numeric", 1e-12)',
+        ("tests/test_forge.py::test_abs_lt_constraint_is_shown_at_the_callers_precision",),
+        "check_constraints shows an abs_lt bound at DEFAULT_PREC, not at the caller's prec",
+    ),
+    Mutant(
+        "ball-shift-adds-no-units", "approx.py",
+        "        return re >> k, im >> k, 2 - (-rad >> k)",
+        "        return re >> k, im >> k, -(-rad >> k)",
+        ("tests/test_approx.py::test_operators_contain_exact_result",),
+        "a ball shifted right keeps its radius, rounded up, but not the two units its floored parts lose",
+    ),
+    Mutant(
+        "ball-product-drops-radius-product", "approx.py",
+        "xa * ye + ya * xe + xe * ye)",
+        "xa * ye + ya * xe)",
+        ("tests/test_approx.py::test_operators_contain_exact_result",),
+        "the radius of a product x y drops its term rx ry",
+    ),
+    Mutant(
+        "coerce-floor-adds-no-unit", "approx.py",
+        "return _normalized((mr, mi, (not xr) + (not xi)), -s, prec)",
+        "return _normalized((mr, mi, 0), -s, prec)",
+        ("tests/test_approx.py::test_constructor_err_covers_rounding",),
+        "an exact value floored to prec bits carries radius 0, not a unit per part the floor changed",
+    ),
+    Mutant(
+        "embedding-error-zero", "approx.py",
+        "    return units + (not exact)",
+        "    return 0",
+        ("tests/test_approx.py::test_coerce_cyclotomic_unit_power_holds_err",),
+        "a cyclotomic value's embedding into C counts no error for Horner's rule",
+    ),
+    Mutant(
+        "ball-quotient-floor-slack-one", "approx.py",
+        "rad = (xe << s) + (_abs_up(re, im) + 2) * ye",
+        "rad = (xe << s) + (_abs_up(re, im) + 1) * ye",
+        ("tests/test_approx.py::test_div_radius_near_a_vanishing_divisor",),
+        "a quotient's radius bounds |x / y| by |re + i im| + 1, which the two floored parts can exceed",
+    ),
+    Mutant(
+        "real-phi21-divisor-zero-admitted", "qseries.py",
+        "            if low <= 0:",
+        "            if low < 0:",
+        ("tests/test_qseries.py::test_divisor_not_bounded_away_from_zero",),
+        "the real 2phi1 term divides by a ball whose modulus equals its radius, one that holds 0",
+    ),
+    Mutant(
+        "real-q-power-radius-one-unit", "qseries.py",
+        "ur, urad = ur * qr >> wp, 2 - (-(u_abs * qrad",
+        "ur, urad = ur * qr >> wp, 1 - (-(u_abs * qrad",
+        ("tests/test_qseries.py::test_real_kernel_matches_the_primitive_loop_at_prec_128",),
+        "the real q^i radius gains one unit for its floored product where approx._mul adds two",
+    ),
+    Mutant(
+        "cleared-terms-without-f-constant", "qseries.py",
+        "fc, gc = qd * cd * xn, ad * bd * xd",
+        "fc, gc = 1, ad * bd * xd",
+        ("tests/test_qseries.py::test_cleared_terms_are_the_exact_terms",),
+        "the cleared term ratio f_i drops its constant factor qd cd xn",
+    ),
+    Mutant(
+        "resume-keeps-stale-streak", "qseries.py",
+        "        streak = streak + (pair,) if pair[0] << left < tm * (pair[1] + one) else ()",
+        "        streak = streak + (pair,)",
+        ("tests/test_qseries.py::test_resumed_sum_equals_a_fresh_one",),
+        "a resumed sum keeps the small-term streak of the looser tol, so the ratio rule stops it at once",
+    ),
+    Mutant(
+        "shifted-moves-x-by-m", "qseries.py",
+        "self.x * q**n)",
+        "self.x * q**m)",
+        ("tests/test_qseries.py::test_shifted_composes",),
+        "Phi21Params.shifted moves x by the shift's m in place of its n",
+    ),
+    Mutant(
+        "c-down-step-at-c", "relations.py",
+        't = C / q if axis == "c" else p[_AXES.index(axis)]',
+        't = C if axis == "c" else p[_AXES.index(axis)]',
+        ("tests/test_relations.py::test_contiguous_step_moves_exact_series_pair",),
+        "the direct c-down matrix is built at t = C where the a-up matrix at t = C / q is",
+    ),
+    Mutant(
+        "step-inverse-transposed", "relations.py",
+        "return ((m11 / det, -m01 / det), (-m10 / det, m00 / det)), moved",
+        "return ((m11 / det, -m10 / det), (-m01 / det, m00 / det)), moved",
+        ("tests/test_relations.py::test_contiguous_step_moves_exact_series_pair",),
+        "an opposite move takes the transpose of the direct matrix's inverse",
+    ),
+    Mutant(
+        "norm-drops-last-conjugate", "exact.py",
+        "    for k in range(2, order):",
+        "    for k in range(2, order - 1):",
+        ("tests/test_exact.py::test_field_div_examples",),
+        "the conjugate product behind inverse leaves out the unit k = order - 1",
+    ),
+    Mutant(
+        "power-table-reduction-sign", "exact.py",
+        "row = [c - top * p for c, p in zip(row, phi)]",
+        "row = [c + top * p for c, p in zip(row, phi)]",
+        ("tests/test_exact.py::test_normalize_zeta3_relation",),
+        "zeta^phi(n) is reduced by adding Phi_n where it must subtract it",
+    ),
+    Mutant(
+        "embed-at-stride-one", "exact.py",
+        "        raw[::k] = self.nums",
+        "        raw[:len(self.nums)] = self.nums",
+        ("tests/test_exact.py::test_mixed_order_embedding",),
+        "embedding into Q(zeta_(kn)) keeps zeta_n^j as zeta_(kn)^j, not zeta_(kn)^(kj)",
+    ),
+    Mutant(
+        "real-qpoch-product-radius-signed", "qseries.py",
+        "re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad",
+        "re, rad = re * fr, p_abs * brad + fr * rad + rad * brad",
+        ("tests/test_qseries.py::test_qpoch_infinite_matches_the_primitive_loop",),
+        "the real q-Pochhammer product's radius takes the factor 1 - b q^m for its modulus",
+    ),
+    Mutant(
+        "real-qpoch-power-radius-one-unit", "qseries.py",
+        "            re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad\n"
+        "            br, brad = br * qr >> wp, 2 - (",
+        "            re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad\n"
+        "            br, brad = br * qr >> wp, 1 - (",
+        ("tests/test_qseries.py::test_qpoch_infinite_matches_the_primitive_loop",),
+        "the real q-Pochhammer's b q^(m+1) radius gains one unit for its floored product where approx._mul adds two",
+    ),
+    Mutant(
+        "real-phi21-quotient-slack-one", "qseries.py",
+        "trad = 2 - (-((trad << wp) + (t_abs + 2) * yrad) // low)",
+        "trad = 2 - (-((trad << wp) + (t_abs + 1) * yrad) // low)",
+        ("tests/test_qseries.py::test_quotient_radius_near_a_vanishing_divisor",),
+        "the real 2phi1 term's radius bounds |t_i| by its floored midpoint + 1, where approx._div takes + 2",
+    ),
+    Mutant(
+        "ratio-tail-without-term-radius", "qseries.py",
+        "_tail_bound(bounds, streak[2][0] + trad, i, wp)",
+        "_tail_bound(bounds, streak[2][0], i, wp)",
+        ("tests/test_qseries.py::test_phi21_numeric_kernel_matches_approx_sum",),
+        "the ratio rule bounds the tail by the last term's midpoint, not by its ball",
+    ),
+    Mutant(
+        "lambda-matrices-from-shift-units", "symmetry.py",
+        "cols = (to_lambda(apply_word_shift(word, from_lambda(e))) for e in _IDENTITY)",
+        "cols = (to_lambda(apply_word_shift(word, e)) for e in _IDENTITY)",
+        ("tests/test_symmetry.py::test_conjugation_table",),
+        "the lambda matrices are built from the shift-space unit vectors, not the lambda-space ones",
+    ),
 )

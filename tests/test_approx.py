@@ -9,6 +9,7 @@ the independence from mpmath's global context, and copying.
 """
 
 import copy
+import inspect
 import math
 import operator
 import pickle
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from qforge import approx, closedform, forge, qseries, relations
 from qforge.approx import ApproxScalar, _div
 from qforge.errors import DivisionByZero
 from qforge.exact import ExactScalar
@@ -366,3 +368,16 @@ def test_constructor_values_copy_bit_identical(copier):
     for x in (ApproxScalar(F(1, 3), 0, 64), ApproxScalar(F(2, 7), mpmath.ldexp(1, -70), 200),
               ApproxScalar(ExactScalar.zeta(4) + F(1, 3)), ApproxScalar(F(1, 2))):
         assert fields(copier(x)) == fields(x)
+
+
+def test_every_precision_defaults_to_the_one_constant():
+    """Precision is an argument with one default, approx.DEFAULT_PREC; an
+    exact value's embedding takes its precision from the caller."""
+    entry_points = (ApproxScalar.coerce, qseries.qpoch_infinite, qseries.phi21_numeric,
+                    closedform.closed_form_eval, forge.check_constraints, forge.verify_identity,
+                    forge.telescoped_check, relations.relation_residual)
+    for fn in entry_points:
+        assert inspect.signature(fn).parameters["prec"].default == approx.DEFAULT_PREC, fn.__name__
+    assert approx.DEFAULT_PREC == 113
+    assert inspect.signature(ExactScalar.to_complex).parameters["prec"].default is inspect.Parameter.empty
+    assert not hasattr(approx, "set_default_precision") and not hasattr(approx, "default_precision")

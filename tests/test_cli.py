@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
 import qforge
-from qforge import approx, cli, forge
+from qforge import cli, forge
 from qforge.cli import ReportDocument, build_parser, main
+from qforge.errors import UnreachableTolerance
 from qforge.forge import build_default_registry, default_registry, load_registry
 
 
@@ -229,9 +231,9 @@ def test_verify_exhausted_sampling_exits_2(capsys):
 def test_verify_sampling_budget_is_500_per_point(capsys, monkeypatch):
     checked, real = [], cli.check_constraints
 
-    def check_constraints(record, bindings):
+    def check_constraints(record, bindings, prec):
         checked.append(bindings)
-        return real(record, bindings)
+        return real(record, bindings, prec)
 
     monkeypatch.setattr(cli, "check_constraints", check_constraints)
     assert main(["verify", "--identity", "qkummer", "--points", "2", "--q", "1/2",
@@ -246,9 +248,9 @@ def test_verify_points_checks_each_binding_once(capsys, monkeypatch):
     checked, sums, draws = [], [], []
     real_check, real_exact, real_draw = forge.check_constraints, forge.phi21_exact, cli.rand_fraction_wide
 
-    def check_constraints(record, bindings):
+    def check_constraints(record, bindings, prec):
         checked.append(tuple(sorted(bindings.items())))
-        return real_check(record, bindings)
+        return real_check(record, bindings, prec)
 
     monkeypatch.setattr(cli, "check_constraints", check_constraints)
     monkeypatch.setattr(forge, "check_constraints", check_constraints)
@@ -334,20 +336,36 @@ print(codes, "sympy" in sys.modules)
     assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0] False"
 
 
+# tol 1e-40 is below the rounding error of 113-bit arithmetic at this
+# point (UnreachableTolerance, an error case), and above that of 200-bit
+QGAUSS_1E40 = ["verify", "--identity", "qgauss", "--set", "a=1/2", "--set", "b=1/3",
+               "--set", "c=1/10", "--q", "1/3", "--tol", "1e-40"]
+
+
 @pytest.mark.parametrize("value", ["abc", "32"])
 def test_bad_precision_variable_exits_2(capsys, monkeypatch, value):
-    monkeypatch.setattr(approx, "_DEFAULT_PREC", approx._DEFAULT_PREC)
     monkeypatch.setenv("QFORGE_PRECISION", value)
-    assert main(["normalize", "--shift", "0,0,0,2"]) == 2
-    assert "bad QFORGE_PRECISION" in capsys.readouterr().err
-    assert approx.default_precision() == 113
+    assert main(QGAUSS_1E40) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad QFORGE_PRECISION" in captured.err
 
 
 def test_precision_variable_sets_the_default(capsys, monkeypatch):
-    monkeypatch.setattr(approx, "_DEFAULT_PREC", approx._DEFAULT_PREC)
+    monkeypatch.delenv("QFORGE_PRECISION", raising=False)
+    code, out = run_cli(capsys, *QGAUSS_1E40)
+    assert code == 1 and "UnreachableTolerance" in json.loads(out)["cases"][0]["detail"]
     monkeypatch.setenv("QFORGE_PRECISION", "200")
-    assert main(["normalize", "--shift", "0,0,0,2"]) == 0
-    assert approx.default_precision() == 200
+    code, out = run_cli(capsys, *QGAUSS_1E40)
+    assert code == 0 and json.loads(out)["summary"]["passed"] == 1
+
+
+def test_precision_variable_does_not_outlive_the_run(capsys, monkeypatch):
+    # the variable sets the precision of one CLI run, not of later library calls
+    monkeypatch.setenv("QFORGE_PRECISION", "200")
+    assert main(QGAUSS_1E40) == 0
+    capsys.readouterr()
+    with pytest.raises(UnreachableTolerance, match="of 113-bit arithmetic"):
+        forge.verify_identity("qgauss", {"a": F(1, 2), "b": F(1, 3), "c": F(1, 10), "q": F(1, 3)}, tol=1e-40)
 
 
 def test_usage_error_exit_2(capsys):

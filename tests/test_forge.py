@@ -20,6 +20,7 @@ from qforge.errors import (
     UnboundSymbol,
     UnreachableTolerance,
     UnsupportedBinding,
+    ZeroDenominator,
 )
 from qforge.exact import ExactScalar, cyclotomic_poly
 from qforge.families import (
@@ -31,6 +32,7 @@ from qforge.families import (
     solution_families,
 )
 from qforge.forge import (
+    check_constraints,
     check_family,
     conjecture_check,
     default_registry,
@@ -97,6 +99,20 @@ def test_abs_lt_constraint_checks_the_whole_ball():
     # the whole ball lies beyond the bound: shown violated
     with pytest.raises(ConstraintViolated, match="\\|expr\\| < 1 violated"):
         verify_identity("qbinom", {"a": F(1, 3), "x": F(3, 2), "q": Q12})
+
+
+def test_abs_lt_constraint_is_shown_at_the_callers_precision():
+    # c/(ab) = 1 - 2**-150: |c/(ab)| < 1 holds, but its ball reaches 1 at
+    # 113 bits and not at 200, so the check reads the precision it is given
+    record = default_registry()["qgauss"]
+    bindings = {"a": F(1, 2), "b": F(1, 2), "c": (1 - F(1, 2**150)) / 4, "q": F(1, 3)}
+    assert check_constraints(record, bindings, prec=200) is None
+    with pytest.raises(ConstraintViolated, match="\\|expr\\| < 1 not shown at 113 bits"):
+        check_constraints(record, bindings, prec=113)
+    # verify_identity checks at its own prec; past the check the rhs, near
+    # 2**150, keeps no absolute error below tol, which is another failure
+    with pytest.raises(ZeroDenominator, match="divisor not bounded away from zero"):
+        verify_identity("qgauss", bindings, prec=200)
 
 
 @pytest.mark.parametrize("tol", [0, -1e-12, math.nan, math.inf])

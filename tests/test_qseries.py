@@ -45,7 +45,7 @@ Z3 = ExactScalar.zeta(3)
 Z4 = ExactScalar.zeta(4)
 
 
-def _as_numeric(p: Phi21Params, prec: int | None = None) -> Phi21Params:
+def _as_numeric(p: Phi21Params, prec: int = approx.DEFAULT_PREC) -> Phi21Params:
     """p with every parameter an ApproxScalar at prec bits."""
     return Phi21Params(*(ApproxScalar.coerce(v, prec) for v in (p.a, p.b, p.c, p.q, p.x)))
 
@@ -563,6 +563,9 @@ RESUMED = {
     # terms; the ratio rule alone takes 451, then 517
     "near-unit-x": (Phi21Params(F(64, 67), F(0), F(0), Q, F(17, 18)), (1.25e-13, 2.79e-15)),
     "complex": (Phi21Params(Z3 / 3, F(1, 5), Z4 / 7, Q, Z3 * F(9, 10)), (1e-10, 1e-14, 1e-30)),
+    # small x and q near 1: the ratio rule stops the first round after 15
+    # terms, and its streak must be re-tested at the second round's tol
+    "ratio-rule": (Phi21Params(F(1, 3), F(1, 5), F(1, 7), F(9, 10), F(1, 10)), (1e-10, 1e-30)),
     "terminating": (Phi21Params(F(4), F(3, 10), F(1, 5), Q, Q), (1e-12, 1e-20)),
 }
 
