@@ -5,15 +5,19 @@ mul, div, add, sub, pow.  A qpow node is q**e with an integer-valued
 exponent expression (e.g. N*(N+1)/2); a qpoch node is (base; q^step)_len
 where len is an integer-valued expression or "inf" (numeric mode only).
 Evaluation is exact (ExactScalar) up to the infinite products, the only
-nodes that round.
+nodes that round.  split_ratio splits an identity's rhs into an exact
+prefactor and a ratio of infinite products, which ratio_eval sums in one loop.
 """
 
 from __future__ import annotations
 
-from .approx import DEFAULT_PREC, ApproxScalar
+import math
+from dataclasses import replace
+
+from .approx import DEFAULT_PREC, ApproxScalar, _upper
 from .errors import InvalidDomain, UnboundSymbol, ZeroDenominator
 from .exact import ExactScalar, format_scalar, parse_scalar
-from .qseries import qpoch_finite, qpoch_infinite
+from .qseries import SeriesValue, qpoch_finite, qpoch_infinite
 
 NODE_KINDS = ("lit", "sym", "qpow", "qpoch", "mul", "div", "add", "sub", "pow")
 
@@ -130,17 +134,17 @@ def closed_form_eval(tree: dict, bindings: dict, mode: str = "exact",
     """Bottom-up evaluation, exact until the first infinite product.
 
     Every node evaluates to an ExactScalar except a qpoch(..., "inf")
-    node, an ApproxScalar within tol / (8 * the number of infinite
-    factors); the operators promote mixed operands.  `mode` names the
-    result: "exact" an ExactScalar (InvalidDomain if the tree has an
-    infinite factor), "numeric" an ApproxScalar at prec bits."""
+    node, an ApproxScalar within tol of its value (qpoch_infinite); the
+    operators promote mixed operands and carry the error bounds, so the
+    result's err is proven but not held to tol.  `mode` names the result:
+    "exact" an ExactScalar (InvalidDomain if the tree has an infinite
+    factor), "numeric" an ApproxScalar at prec bits."""
     if mode not in ("exact", "numeric"):
         raise ValueError("mode must be 'exact' or 'numeric'")
     _binding(bindings, "q")
-    n_inf = _count_inf(tree)
-    if mode == "exact" and n_inf:
+    if mode == "exact" and _count_inf(tree):
         raise InvalidDomain("infinite q-Pochhammer factor requires numeric mode")
-    v = _eval(tree, bindings, tol / (8 * max(1, n_inf)), prec)
+    v = _eval(tree, bindings, tol, prec)
     return v if mode == "exact" else ApproxScalar.coerce(v, prec)
 
 
@@ -152,6 +156,48 @@ def eval_int(tree: dict, bindings: dict) -> int:
     if not v.is_rational() or v.den != 1:
         raise InvalidDomain(f"expression is not integer-valued: {v}")
     return v.nums[0]
+
+
+def split_ratio(tree: dict):
+    """(prefactor, ((base, step, s), ...)) with tree = prefactor * prod
+    (base; q^step)_inf^s, s = +1 or -1, and no infinite product in the
+    prefactor (None for 1); None unless each infinite product of tree has
+    a finite base and sits under mul and div nodes alone."""
+    kind = tree["kind"]
+    if not _count_inf(tree):
+        return tree, ()
+    if kind == "qpoch" and tree["len"] == "inf" and not _count_inf(tree["base"]):
+        return None, ((tree["base"], tree["step"], 1),)
+    parts = [split_ratio(tree[k]) for k in ("left", "right")] if kind in ("mul", "div") else [None]
+    if None in parts:
+        return None
+    (pre, left), (right_pre, right) = parts
+    if kind == "div":
+        right = tuple((base, step, -s) for base, step, s in right)
+    if right_pre:
+        pre = (mul(pre, right_pre) if pre else right_pre) if kind == "mul" else div(pre or lit(1), right_pre)
+    return pre, left + right
+
+
+def ratio_eval(ratio, bindings: dict, tol: float, prec: int = DEFAULT_PREC,
+               resume: SeriesValue | None = None) -> SeriesValue:
+    """A split tree (split_ratio) at the bindings: the SeriesValue of its
+    infinite factors, moved to the lcm L of their steps by (u; q^s)_inf =
+    prod_(r < L/s) (u q^(s r); q^L)_inf and summed as one ratio by
+    qpoch_infinite to tol / max(1, |prefactor|), resuming `resume`; its
+    value times the prefactor."""
+    pre, factors = ratio
+    q = ExactScalar.coerce(_binding(bindings, "q"))
+    step = math.lcm(*(s for _, s, _ in factors))
+    pairs = []
+    for base, s, sign in factors:
+        u = _eval(base, bindings, tol, prec)
+        pairs += [(u * q**(s * r) if r else u, sign) for r in range(step // s)]
+    if pre is None:
+        return qpoch_infinite(pairs, q**step, tol, prec, resume)
+    pre = ApproxScalar.coerce(_eval(pre, bindings, tol, prec), prec)
+    out = qpoch_infinite(pairs, q**step, tol / max(1, _upper(pre)), prec, resume)
+    return replace(out, value=out.value * pre)
 
 
 def _binding(bindings: dict, name: str):

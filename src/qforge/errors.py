@@ -26,7 +26,7 @@ class NoConvergence(QForgeError):
 
 
 class ResumeMismatch(QForgeError):
-    """A numeric series was resumed at other parameters or precision, or at a looser tolerance."""
+    """A numeric series or ratio was resumed at other parameters or precision, or at a looser tolerance."""
 
 
 class NotInTable(QForgeError, KeyError):

@@ -50,6 +50,7 @@ class IdentityRecord:
     lhs: dict  # {"a"|"b"|"c"|"x": expression tree}
     rhs: dict
     constraints: tuple[dict, ...]
+    ratio: tuple | None = None  # the rhs split by closedform.split_ratio, numeric records only
 
 
 # -- registry ------------------------------------------------------------------
@@ -230,8 +231,9 @@ def _parse_registry(doc: dict) -> dict[str, IdentityRecord]:
             _check_fields(f"{where} constraint {kind}", con, _CONSTRAINTS[kind])
         if rid in out:
             raise ValueError(f"{where}: duplicate id")
+        ratio = cf.split_ratio(item["rhs"]) if item["mode"] == "numeric" else None
         out[rid] = IdentityRecord(rid, item["mode"], tuple(item["free"]), item["lhs"], item["rhs"],
-                                  tuple(item["constraints"]))
+                                  tuple(item["constraints"]), ratio)
     return out
 
 
@@ -381,9 +383,10 @@ def verify_identity(identity_id: str, bindings: dict, tol: float = 1e-12,
 
     Exact-terminating records demand exact equality; numeric records
     demand |lhs - rhs| <= tol with both propagated error bounds included.
-    Each of up to four rounds sums at a smaller tol, continuing the last
-    round's lhs sum (phi21_numeric's `resume`) and evaluating the rhs
-    afresh.  Raises ConstraintViolated for out-of-domain bindings,
+    Each of up to four rounds sums at a smaller tol, resuming the last
+    round's lhs sum (phi21_numeric) and rhs ratio (closedform.ratio_eval;
+    closed_form_eval evaluates an rhs that is not one ratio afresh).
+    Raises ConstraintViolated for out-of-domain bindings,
     UnreachableTolerance for a tol not positive and finite or below the
     rounding error at prec bits; evaluation errors propagate.
     """
@@ -407,12 +410,16 @@ def _verify_checked(record: IdentityRecord, bindings: dict, probed: SeriesValue 
             abs_err=0.0 if ok else None, terms_used=series.terms_used,
         )
     inner = tol / 8
-    series = rhs = diff = budget = None
+    series = ratio = rhs = diff = budget = None
     # slowly converging points (|x| near 1) need a tighter summation
     # tolerance than tol/8; the propagated error bounds tell us how much
     for _ in range(4):
         series = phi21_numeric(lhs, inner, prec, series)
-        rhs = closed_form_eval(record.rhs, bindings, "numeric", inner, prec)
+        if record.ratio is None:
+            rhs = closed_form_eval(record.rhs, bindings, "numeric", inner, prec)
+        else:
+            ratio = cf.ratio_eval(record.ratio, bindings, inner, prec, ratio)
+            rhs = ratio.value
         diff = abs((series.value - rhs).val)
         budget = diff + series.value.err + rhs.err
         if budget <= tol:

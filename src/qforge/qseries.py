@@ -11,23 +11,20 @@ over int denominators, each divisor factor replaced by its conjugate
 product over its rational norm (_cleared_sum); one ExactScalar is built
 at the end.
 
-The loops of phi21_numeric and qpoch_infinite sum in fixed point on the
-balls of qforge.approx as local Python ints, as in Johansson, "Computing
+The loops of phi21_numeric and qpoch_infinite, which sums a ratio of
+infinite products at one q, run in fixed point on the balls of
+qforge.approx as local Python ints, as in Johansson, "Computing
 hypergeometric functions rigorously" (ACM TOMS 2019).  With a complex
 parameter a ball is three ints (re, im, rad) and the loop calls the
 primitives _mul, _div and _abs_up, the one copy of the complex formulas.
-With real parameters only it is two (re, rad), as Arb keeps real balls
-apart from complex ones, and the loop spells the formulas out at im = 0,
-as the numeric-verify and derive workloads of perfbench time it; the ints
-are the same.  Differential tests in tests/test_qseries.py check both
-loops int for int against loops built from the primitives.  The series
-stops by a ratio bound on its tail or by the tail's closed form t_i x /
-(1 - x) with a proven bound on its error, whichever holds first.  Exact
-rational parameters (ints, Fractions, order-1 ExactScalars) and a float
-tol enter as ints: approx._floored floors them to prec bits by the
-rounding of ApproxScalar.coerce, and the loops shift them to their own
-scale, so they are the balls coerce would give.  Other parameters enter
-through coerce, and one ApproxScalar result comes out.
+With real parameters only the loop spells them out at im = 0, as Arb
+keeps real balls apart, with the same ints; differential tests in
+tests/test_qseries.py check both int for int against loops built from
+the primitives.  Each loop stops where its tail in closed form, t_i x /
+(1 - x) or 1 - S q^M / (1 - q), is within a proven second-order bound
+(the series also by a ratio bound), and resumes from its state at a
+tighter tol.  Parameters enter as the balls ApproxScalar.coerce would
+give (_entry), and one ApproxScalar result comes out.
 """
 
 from __future__ import annotations
@@ -88,8 +85,7 @@ class SeriesValue:
     value: object
     terms_used: int
     terminated: bool
-    # the loop's final ints: what phi21_numeric resumes from, and the
-    # (re, im, rad, exp) of qpoch_infinite's P_M
+    # the loop's key, tol and final ints, which a call resumes from
     state: tuple | None = field(default=None, repr=False)
     certified = True  # every err is proven; perfbench's certified_ratio reads this
 
@@ -110,62 +106,113 @@ def qpoch_finite(base, q, count: int):
     return out
 
 
-def qpoch_infinite(base, q, tol: float, prec: int = DEFAULT_PREC) -> SeriesValue:
-    """(base; q)_infinity as a partial product P_M, stopped at the first M
-    where the tail bound (|P_M| + err) u / (1 - u) is at most tol: with
-    u = |base| |q|^M / (1 - |q|) < 1 the factors past M multiply to within
-    exp(u) - 1 <= u / (1 - u) of 1.  Moduli are upper bounds |v| + err;
-    u rounds up.  P_M is a ball with its own exponent, shifted back to wp
-    bits after each factor, so its error stays relative however small it
-    gets."""
-    tm, te = _rounded_tol(tol, prec)
+def qpoch_infinite(base, q, tol: float, prec: int = DEFAULT_PREC,
+                   resume: SeriesValue | None = None) -> SeriesValue:
+    """The ratio R = prod_j (b_j; q)_inf^(s_j) for `base` a sequence of
+    pairs (b_j, s_j), s_j = +1 or -1; any other `base` is the one pair
+    (base, +1), the product (base; q)_inf.
+
+    Stops at the first M where |R - R_M C| <= tol is shown, for R_M = N_M /
+    D_M over the factors m < M and C the tail's closed form.  Past M, R =
+    R_M prod (1 + z): z = -w in the numerator and w / (1 - w) in the
+    denominator, w = b_j q^m.  For sum |z| <= U < 1, |prod (1 + z) - 1 -
+    sum z| <= e^U - 1 - U <= U^2 / (2 (1 - U)), and the parts -s_j w sum to
+    C - 1 = -S q^M / (1 - q), S = sum_j s_j b_j.  For A = sum_j |b_j| |q|^M
+    / (1 - |q|), a product has U = A and the bound A^2 / (2 (1 - A)); a
+    denominator has U = A / (1 - A) and parts w^2 / (1 - w) that C omits,
+    at most A^2 / (1 - A) in all: the bound 3 A^2 / (2 (1 - 2 A)).  The test
+    takes it times |N_M| / |D_M| over the balls, once a test on bit lengths
+    no longer rejects M; moduli and A round up, divisors down, and a
+    denominator factor or D_M whose ball holds 0 raises ZeroDenominator.
+    N_M and D_M keep their own exponents, shifted back to wp bits once per
+    m, so their errors stay relative; N_M C / D_M is formed at the stop.
+
+    `resume` continues from an earlier result's `state` at the same pairs,
+    q and prec (_resumed): the state does not depend on tol and the test is
+    monotone in it, so the loop stops where a fresh call does, with the
+    same ints."""
+    pairs = tuple(base) if isinstance(base, (list, tuple)) else ((base, 1),)
+    rounded = tm, te = _rounded_tol(tol, prec)
+    key = (pairs, q, prec)
     wp = prec + _GUARD
     one = 1 << wp
-    (bq, b_cplx), (qb, q_cplx) = _entry(base, prec, wp), _entry(q, prec, wp)
+    qb, cplx = _entry(q, prec, wp)
     qa = _bound(qb)
     if qa >= one:
         raise InvalidDomain("qpoch_infinite requires |q| < 1")
-    # u = un 2**ue, rounded up, with un kept at wp bits
-    un, ue = -(-(_bound(bq) << wp) // (one - qa)), -wp
-    (br, bi, brad), (qr, qi, qrad) = bq, qb  # b q^m and q
-    cplx = b_cplx or q_cplx
-    q_abs = isqrt(qr * qr + qi * qi) + 1 if qi else abs(qr)
-    re, im, rad, exp = 1, 0, 0, 0  # P_m = (re, im, rad) 2**exp
-    tb = tm.bit_length() + te + 1  # the rounded tol tm 2**te is below 2**(tb - 1)
-    for m in range(100 * prec + 1):
+    sides = [], []  # the balls b_j q^m of the numerator and of the denominator
+    for b, s in pairs:
+        ball, b_cplx = _entry(b, prec, wp)
+        sides[s < 0].append(ball)
+        cplx = cplx or b_cplx
+    # m, N_m and D_m as (re, im, rad, exp), the sides, and A = un 2**ue
+    # rounded up, with un kept at wp bits
+    un = -(-(sum(map(_bound, sides[0] + sides[1])) << wp) // (one - qa))
+    state = 0, (1, 0, 0, 0), (1, 0, 0, 0), *sides, un, -wp
+    m, n, d, num, dens, un, ue = state if resume is None else _resumed(resume, key, rounded)
+    kk, j = (3, 2) if dens else (1, 1)  # the bound kk A^2 / (2 (1 - j A))
+    (qr, qi, qrad), q_abs = qb, _abs_up(qb[0], qb[1])
+    tb = tm.bit_length() + te + 3  # the rounded tol tm 2**te is below 2**(tb - 3)
+
+    def times(prod, balls, over):
+        # prod times the factors 1 - b q^m as approx._mul, shifted back as
+        # approx._normalized, and b q^(m+1) as approx._mul(_, _, wp); the
+        # real body writes them out on (re, rad)
+        re, im, rad, exp = prod
+        out = []
+        for br, bi, brad in balls:
+            fr = one - br
+            if over and fr * fr + bi * bi <= brad * brad:
+                raise ZeroDenominator(f"denominator factor vanishes at m={m}")
+            if cplx:
+                re, im, rad = _mul((re, im, rad), (fr, -bi, brad))
+                out.append(_mul((br, bi, brad), qb, wp, ya=q_abs))
+            else:
+                re, rad = re * fr, abs(re) * brad + abs(fr) * rad + rad * brad
+                out.append((br * qr >> wp, 0, 2 - (-(abs(br) * qrad + q_abs * brad + brad * qrad) >> wp)))
+            exp -= wp
+        k = max(abs(re), abs(im), rad).bit_length() - wp
+        if k > 0:
+            re, im, rad, exp = re >> k, im >> k, 2 - (-rad >> k), exp + k
+        return (re, im, rad, exp), out
+
+    while True:
+        (nr, ni, nrad, ne), (dr, di, drad, de) = n, d
         if un:
             k = un.bit_length() - wp
             un, ue = (-(-un >> k) if k > 0 else un << -k), ue + k
-        p_abs = isqrt(re * re + im * im) + 1 if im else abs(re)
-        if ue <= 0 and un < 1 << -ue:  # u < 1
-            # the tail bound is top 2**exp / den, top = _bound(P_m) un and
-            # den = 2**-ue - un.  For nonzero factors of L and U bits, top
-            # >= 2**(L + U - 2) and den < 2**-ue, so the exact test below
-            # fails when L + U + exp + ue > tb; a zero factor makes top 0
-            p_up = p_abs + rad
-            if not (un and p_up and p_up.bit_length() + un.bit_length() + exp + ue > tb):
-                top = p_up * un
-                den = (1 << -ue) - un
-                shift = exp - te
+        if ue <= 0 and j * un < 1 << -ue:  # j A < 1
+            # the bound is top 2**(ne - de + ue) / den, top = kk |N_M| un**2
+            # >= 2**(Ln + 2 Lu - 3) for |N_M|, un of Ln, Lu bits (or 0) and
+            # den = 2 |D_M| (2**-ue - j un) < 2**(Ld + 1 - ue) for |D_M| < 2**Ld
+            n_up = _abs_up(nr, ni) + nrad
+            if not (un and n_up and n_up.bit_length() + 2 * (un.bit_length() + ue) + ne - de
+                    - (abs(dr) + abs(di)).bit_length() > tb):
+                d_low = (isqrt(dr * dr + di * di) if di else abs(dr)) - drad
+                if d_low <= 0:
+                    raise ZeroDenominator("denominator not bounded away from zero")
+                top = kk * n_up * un * un
+                den = d_low * ((1 << -ue) - j * un) << 1
+                shift = ne - de + ue - te
                 if top << max(shift, 0) <= (tm * den) << max(-shift, 0):
-                    return SeriesValue(_make((re, im, rad - (-top // den)), exp, prec, cplx),
-                                       m, False, (re, im, rad, exp))
-        # P_(m+1) = P_m (1 - b q^m) as approx._mul, b q^(m+1) as
-        # approx._mul(_, _, wp); the real body writes them out on (re, rad)
-        fr = one - br
-        if cplx:
-            re, im, rad = _mul((re, im, rad), (fr, -bi, brad), xa=p_abs)
-            br, bi, brad = _mul((br, bi, brad), qb, wp, ya=q_abs)
-        else:
-            re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad
-            br, brad = br * qr >> wp, 2 - (-(abs(br) * qrad + q_abs * brad + brad * qrad) >> wp)
-        # P_(m+1) shifted back to wp bits as approx._normalized
-        k = max(abs(re), abs(im), rad).bit_length() - wp
-        exp -= wp
-        if k > 0:
-            re, im, rad, exp = re >> k, im >> k, 2 - (-rad >> k), exp + k
+                    break
+        if m == 100 * prec:
+            raise NoConvergence("qpoch_infinite failed to meet tolerance")
+        n, num = times(n, num, False)
+        if dens:
+            d, dens = times(d, dens, True)
         un = -(-un * qa >> wp)
-    raise NoConvergence("qpoch_infinite failed to meet tolerance")
+        m += 1
+    # N_M C / D_M, C = 1 - S q^M / (1 - q), and the bound in its units
+    sr, si = (sum(b[i] for b in num) - sum(b[i] for b in dens) for i in (0, 1))
+    xr, xi, xrad = _div((sr, si, sum(b[2] for b in num + dens)), (one - qr, -qi, qrad), wp)
+    value, exp = _mul((nr, ni, nrad), (one - xr, -xi, xrad)), ne - wp
+    if dens:
+        value, exp = _div(value, (dr, di, drad), 0), exp - de
+    re, im, rad = value
+    tail = -(-top // (den << -(ue + wp))) if top else 0
+    return SeriesValue(_make((re, im, rad + tail), exp, prec, cplx), m * len(pairs), False,
+                       (key, rounded, (m, n, d, num, dens, un, ue)))
 
 
 def detect_termination(a, b, q):
@@ -368,13 +415,7 @@ def phi21_numeric(p: Phi21Params, tol: float, prec: int = DEFAULT_PREC,
     # i, t_i, q^i, a q^i, b q^i, c q^i, the partial sum and the small-term
     # streak's (|t_j|, |S_j|)
     state = 0, (one, 0, 0), (one, 0, 0), a, b, c, (one, 0, 0), ()
-    if resume is not None:
-        # qpoch_infinite's four ints or no state at all: not this loop's
-        if not (isinstance(resume.state, tuple) and len(resume.state) == 3 and resume.state[0] == key):
-            raise ResumeMismatch("resumed from another series, parameters or precision")
-        _, (rm, rte), state = resume.state
-        if tm << max(te - rte, 0) > rm << max(rte - te, 0):
-            raise ResumeMismatch("resumed at a looser tol")
+    state = state if resume is None else _resumed(resume, key, rounded)
     # u = q^i; each ball is three ints (real part, imaginary part, radius),
     # the imaginary parts 0 throughout unless cplx
     i, (tr, ti, trad), (ur, ui, urad), (ar, ai, arad), (br, bi, brad), (cr, ci, crad), \
@@ -517,10 +558,8 @@ def _closed_tail(t: int, v: int, closed, wp: int):
 # The loops work on balls (re, im, rad) of qforge.approx at wp = prec +
 # _GUARD bits, with the rounding rule of its operators.  The series is
 # summed in units of 2**-wp, an absolute scale, as its sum starts at 1.
-# The running product of qpoch_infinite, which can be tiny
-# ((9/10; 99/100)_inf is about 2.2e-57), keeps its own exponent, as an
-# ApproxScalar does, shifted back after each factor so that its largest
-# part has wp bits.
+# The products of qpoch_infinite, which can be tiny ((9/10; 99/100)_inf
+# is about 2.2e-57), keep their own exponents, as an ApproxScalar does.
 
 _GUARD = 24  # bits the kernel works at beyond prec
 
@@ -541,6 +580,19 @@ def _entry(v, prec: int, wp: int):
         return _at(v, wp), v.cplx
     b, exp = _floored(*r, prec)
     return _shift(b, -wp - exp), False
+
+
+def _resumed(resume: SeriesValue, key, rounded):
+    """The loop state of `resume` if it was summed at `key`, (p, prec) for
+    phi21_numeric and (pairs, q, prec) for qpoch_infinite, to a tol no
+    looser than `rounded`, (m, e) as _rounded_tol gives it; else
+    ResumeMismatch."""
+    if not (isinstance(resume.state, tuple) and len(resume.state) == 3 and resume.state[0] == key):
+        raise ResumeMismatch("resumed from another loop, parameters or precision")
+    (tm, te), (rm, rte) = rounded, resume.state[1]
+    if tm << max(te - rte, 0) > rm << max(rte - te, 0):
+        raise ResumeMismatch("resumed at a looser tol")
+    return resume.state[2]
 
 
 def _rounded_tol(tol, prec: int):

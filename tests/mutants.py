@@ -67,8 +67,8 @@ MUTANTS = (
     ),
     Mutant(
         "complex-qpoch-factor-sign", "qseries.py",
-        "re, im, rad = _mul((re, im, rad), (fr, -bi, brad), xa=p_abs)",
-        "re, im, rad = _mul((re, im, rad), (fr, bi, brad), xa=p_abs)",
+        "re, im, rad = _mul((re, im, rad), (fr, -bi, brad))",
+        "re, im, rad = _mul((re, im, rad), (fr, bi, brad))",
         ("tests/test_qseries.py::test_complex_qpoch_infinite_matches_the_primitive_loop_at_seeded_points",),
         "the complex q-Pochhammer factor 1 - b q^m takes +Im(b q^m) for its imaginary part",
     ),
@@ -81,8 +81,8 @@ MUTANTS = (
     ),
     Mutant(
         "complex-qpoch-product-shift", "qseries.py",
-        "br, bi, brad = _mul((br, bi, brad), qb, wp, ya=q_abs)",
-        "br, bi, brad = _mul((br, bi, brad), qb, wp - 1, ya=q_abs)",
+        "out.append(_mul((br, bi, brad), qb, wp, ya=q_abs))",
+        "out.append(_mul((br, bi, brad), qb, wp - 1, ya=q_abs))",
         ("tests/test_qseries.py::test_complex_qpoch_infinite_matches_the_primitive_loop_at_seeded_points",),
         "the complex q-Pochhammer's b q^(m+1) is shifted by one bit too few, doubling it",
     ),
@@ -261,17 +261,15 @@ MUTANTS = (
     ),
     Mutant(
         "real-qpoch-product-radius-signed", "qseries.py",
-        "re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad",
-        "re, rad = re * fr, p_abs * brad + fr * rad + rad * brad",
+        "re, rad = re * fr, abs(re) * brad + abs(fr) * rad + rad * brad",
+        "re, rad = re * fr, abs(re) * brad + fr * rad + rad * brad",
         ("tests/test_qseries.py::test_qpoch_infinite_matches_the_primitive_loop",),
         "the real q-Pochhammer product's radius takes the factor 1 - b q^m for its modulus",
     ),
     Mutant(
         "real-qpoch-power-radius-one-unit", "qseries.py",
-        "            re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad\n"
-        "            br, brad = br * qr >> wp, 2 - (",
-        "            re, rad = re * fr, p_abs * brad + abs(fr) * rad + rad * brad\n"
-        "            br, brad = br * qr >> wp, 1 - (",
+        "out.append((br * qr >> wp, 0, 2 - (",
+        "out.append((br * qr >> wp, 0, 1 - (",
         ("tests/test_qseries.py::test_qpoch_infinite_matches_the_primitive_loop",),
         "the real q-Pochhammer's b q^(m+1) radius gains one unit for its floored product where approx._mul adds two",
     ),
@@ -288,6 +286,34 @@ MUTANTS = (
         "_tail_bound(bounds, streak[2][0], i, wp)",
         ("tests/test_qseries.py::test_phi21_numeric_kernel_matches_approx_sum",),
         "the ratio rule bounds the tail by the last term's midpoint, not by its ball",
+    ),
+    Mutant(
+        "qpoch-tail-bound-zero", "qseries.py",
+        "top = kk * n_up * un * un",
+        "top = 0",
+        ("tests/test_oracle.py::test_rhs_ratio_against_qp",),
+        "the closed tail 1 - S q^M / (1 - q) of a ratio of infinite products is certified with no error bound",
+    ),
+    Mutant(
+        "qpoch-tail-without-geometric-sum", "qseries.py",
+        "un = -(-(sum(map(_bound, sides[0] + sides[1])) << wp) // (one - qa))",
+        "un = sum(map(_bound, sides[0] + sides[1]))",
+        ("tests/test_oracle.py::test_rhs_ratio_against_qp",),
+        "the tail's A = sum |b_j| |q|^M / (1 - |q|) drops its factor 1 / (1 - |q|)",
+    ),
+    Mutant(
+        "qpoch-ratio-bound-of-a-product", "qseries.py",
+        "kk, j = (3, 2) if dens else (1, 1)",
+        "kk, j = 1, 1",
+        ("tests/test_oracle.py::test_rhs_ratio_against_qp",),
+        "a ratio with a denominator takes a product's tail bound A^2 / (2 (1 - A)), which leaves out the parts w^2 / (1 - w)",
+    ),
+    Mutant(
+        "qpoch-reject-two-bits-bolder", "qseries.py",
+        "- (abs(dr) + abs(di)).bit_length() > tb):",
+        "- (abs(dr) + abs(di)).bit_length() > tb - 2):",
+        ("tests/test_qseries.py::test_qpoch_infinite_matches_the_primitive_loop_at_seeded_points",),
+        "the bit-length reject of the ratio's tail test rejects M whose exact test passes",
     ),
     Mutant(
         "lambda-matrices-from-shift-units", "symmetry.py",

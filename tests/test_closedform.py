@@ -94,3 +94,37 @@ def test_validate_rejects_bad_nodes():
 def test_unbound_symbol():
     with pytest.raises(KeyError):
         cf.closed_form_eval(cf.sym("z"), {"q": F(1, 2)}, "exact")
+
+
+def test_split_ratio_finds_the_prefactor_and_the_factors():
+    a, x = cf.sym("a"), cf.sym("x")
+    ax, xq = cf.qpoch(cf.mul(a, x), 1, "inf"), cf.qpoch(x, 2, "inf")
+    # (1 - a) (ax; q)_inf / (a^2 (x; q^2)_inf)
+    tree = cf.div(cf.mul(cf.sub(1, a), ax), cf.mul(cf.pow_(a, 2), xq))
+    pre, factors = cf.split_ratio(tree)
+    assert factors == ((cf.mul(a, x), 1, 1), (x, 2, -1))
+    assert pre == cf.div(cf.sub(1, a), cf.pow_(a, 2))
+    # no prefactor, and a tree with no infinite product at all
+    assert cf.split_ratio(cf.div(ax, xq)) == (None, ((cf.mul(a, x), 1, 1), (x, 2, -1)))
+    assert cf.split_ratio(cf.sub(1, a)) == (cf.sub(1, a), ())
+    # an infinite product under add, pow or a base is not one ratio
+    for tree in (cf.add(ax, 1), cf.pow_(ax, 2), cf.qpoch(ax, 1, "inf"), cf.div(1, cf.qpoch(ax, 1, 3))):
+        assert cf.split_ratio(tree) is None
+
+
+def test_ratio_eval_against_closed_form_eval():
+    # the split tree, its factors at q and q^2 moved to q^2 and its
+    # prefactor 6 scaling the ratio's tol, holds the value closed_form_eval
+    # and mpmath give; every ball within tol
+    a, x = cf.sym("a"), cf.sym("x")
+    tree = cf.div(cf.mul(cf.sub(1, a), cf.qpoch(cf.mul(a, x), 1, "inf")),
+                  cf.mul(cf.pow_(a, 2), cf.qpoch(x, 2, "inf")))
+    bindings = {"a": F(-1, 2), "x": F(2, 3), "q": F(3, 5)}
+    got = cf.ratio_eval(cf.split_ratio(tree), bindings, 1e-20, 128)
+    assert got.terms_used % 3 == 0 and got.value.prec == 128  # (-x/3; q^2), (-x q/3; q^2), (x; q^2)
+    oracle = cf.closed_form_eval(tree, bindings, "numeric", 1e-20, 128)
+    with mpmath.workprec(300):
+        q = mpmath.mpf(3) / 5
+        ref = 6 * mpmath.qp(-mpmath.mpf(1) / 3, q) / mpmath.qp(mpmath.mpf(2) / 3, q**2)
+        assert abs(got.value.val - ref) <= got.value.err <= 1e-20
+        assert abs(oracle.val - ref) <= oracle.err

@@ -20,7 +20,6 @@ from qforge.errors import (
     UnboundSymbol,
     UnreachableTolerance,
     UnsupportedBinding,
-    ZeroDenominator,
 )
 from qforge.exact import ExactScalar, cyclotomic_poly
 from qforge.families import (
@@ -109,10 +108,11 @@ def test_abs_lt_constraint_is_shown_at_the_callers_precision():
     assert check_constraints(record, bindings, prec=200) is None
     with pytest.raises(ConstraintViolated, match="\\|expr\\| < 1 not shown at 113 bits"):
         check_constraints(record, bindings, prec=113)
-    # verify_identity checks at its own prec; past the check the rhs, near
-    # 2**150, keeps no absolute error below tol, which is another failure
-    with pytest.raises(ZeroDenominator, match="divisor not bounded away from zero"):
-        verify_identity("qgauss", bindings, prec=200)
+    # verify_identity checks at its own prec; the rhs, near 2**150, divides
+    # by (c/(ab); q)_inf, about 2**-150, which its ratio keeps to a relative
+    # error, so the point verifies at tol 1e-12
+    case = verify_identity("qgauss", bindings, prec=200)
+    assert case.status == "pass" and case.abs_err <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [0, -1e-12, math.nan, math.inf])
@@ -133,8 +133,8 @@ def test_bad_tol_is_refused_before_the_first_term(tol, monkeypatch):
 
 
 def test_verify_identity_sums_each_lhs_term_once(monkeypatch):
-    # two rounds, of 38 and then 41 terms: the second continues the
-    # first, so the kernel computes 41 terms and not 38 + 41
+    # two rounds, of 39 and then 42 terms: the second continues the
+    # first, so the kernel computes 42 terms and not 39 + 42
     # a loop over real balls calls no function per term, so terms are
     # counted as runs of the kernel loop's `i += 1` line
     terms, rounds = [], []
@@ -156,12 +156,31 @@ def test_verify_identity_sums_each_lhs_term_once(monkeypatch):
     before = sys.gettrace()
     sys.settrace(lambda frame, event, arg: counted if frame.f_code is code else None)
     try:
-        case = verify_identity("qbinom", {"a": F(64, 67), "x": F(17, 18), "q": Q12})
+        case = verify_identity("qbinom", {"a": F(1, 3), "x": F(17, 18), "q": Q12})
     finally:
         sys.settrace(before)
-    assert case.status == "pass" and case.terms_used == 41
-    assert rounds == [38, 41] and len(terms) == 41
+    assert case.status == "pass" and case.terms_used == 42
+    assert rounds == [39, 42] and len(terms) == 42
 
+
+def test_an_rhs_that_is_not_one_ratio_is_evaluated_by_its_tree(monkeypatch):
+    # qbinom's rhs plus 0 does not split into one ratio: each round
+    # evaluates the tree afresh, and both routes verify the point
+    doc = forge.build_default_registry()
+    record = next(r for r in doc["identities"] if r["id"] == "qbinom")
+    record["rhs"] = {"kind": "add", "left": record["rhs"], "right": {"kind": "lit", "value": "0"}}
+    registry = forge._parse_registry(doc)
+    assert registry["qbinom"].ratio is None and default_registry()["qbinom"].ratio is not None
+    bindings = {"a": F(1, 3), "x": F(17, 18), "q": Q12}
+    trees = []  # the trees closed_form_eval evaluates in numeric mode
+    monkeypatch.setattr(forge, "closed_form_eval", lambda tree, *args: (
+        trees.append(tree) if args[1:2] == ("numeric",) else None) or closed_form_eval(tree, *args))
+    by_tree = verify_identity("qbinom", bindings, registry=registry)
+    assert trees.count(record["rhs"]) == 2  # two rounds, the tree afresh in each
+    trees.clear()
+    by_ratio = verify_identity("qbinom", bindings)
+    assert all(tree["kind"] != "div" for tree in trees)  # the constraint |x| < 1, not the rhs
+    assert by_tree.status == by_ratio.status == "pass"
 
 def test_non_terminating_lhs_defined_rejects_unit_c_q_power():
     # c*q^j = 1 zeroes (c;q)_i for i > j and the rhs divisor (c;q)_inf

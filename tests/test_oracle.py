@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, reject, seed, settings
 from hypothesis import strategies as st
 
-from qforge.errors import ZeroDenominator
+from qforge.closedform import ratio_eval
+from qforge.errors import QForgeError, ZeroDenominator
 from qforge.exact import ExactScalar
+from qforge.forge import check_constraints, default_registry
 from qforge.qseries import Phi21Params, detect_termination, phi21_exact, phi21_numeric, qpoch_infinite
 
 REF_PREC = 300
@@ -152,6 +154,89 @@ def test_qpoch_infinite_relative_accuracy():
     assert_within_err(r, ref)
 
 
+
+# -- the rhs of the numeric identities: one ratio of infinite products ---------------
+
+RHS_PREC = 192
+
+
+def _mp_tree(tree, bindings):
+    """A closed-form tree at the bindings in mpmath, each infinite product
+    by mpmath.qp: the rhs by a route that shares no code with qforge's."""
+    kind = tree["kind"]
+    if kind == "lit":
+        return _mp(F(tree["value"]))
+    if kind == "sym":
+        return _mp(bindings[tree["name"]])
+    if kind == "qpow":
+        return _mp(bindings["q"]) ** int(_mp_tree(tree["exp"], bindings).real)
+    if kind == "qpoch":
+        assert tree["len"] == "inf"
+        return mpmath.qp(_mp_tree(tree["base"], bindings), _mp(bindings["q"]) ** tree["step"])
+    if kind == "pow":
+        return _mp_tree(tree["base"], bindings) ** int(_mp_tree(tree["exp"], bindings).real)
+    left, right = _mp_tree(tree["left"], bindings), _mp_tree(tree["right"], bindings)
+    return {"mul": left * right, "div": left / right, "add": left + right, "sub": left - right}[kind]
+
+
+def _rhs_points():
+    """Seeded bindings inside the domain of each numeric identity: six
+    rational ones, q from the pool of perfbench and 19/20, and three in
+    Q(zeta_3), one of them at q = zeta_3 / 2."""
+    rng = random.Random(20261022)
+    registry = default_registry()
+
+    def rational():
+        return F(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 30))
+
+    def cyclotomic_value():
+        return F(rng.randint(-30, 30), 10) + F(rng.randint(1, 30), 10) * Z3
+
+    points = {}
+    for ident in ("qbinom", "qbinom2", "qgauss", "qkummer"):
+        record = registry[ident]
+        draws = [(rational, F(q)) for q in ("1/2", "2/5", "3/5", "1/3", "4/7", "19/20")]
+        draws += [(cyclotomic_value, F(1, 3)), (cyclotomic_value, F(-3, 5)), (cyclotomic_value, Z3 / 2)]
+        for n, (draw, q) in enumerate(draws):
+            while True:
+                bindings = {**{s: draw() for s in record.free}, "q": q}
+                try:
+                    check_constraints(record, bindings)
+                    break
+                except QForgeError:
+                    pass
+            points[f"{ident}-{n}"] = ident, bindings
+    return points
+
+
+RHS_POINTS = _rhs_points()
+
+
+@pytest.mark.parametrize("ident, bindings", RHS_POINTS.values(), ids=list(RHS_POINTS))
+def test_rhs_ratio_against_qp(ident, bindings):
+    # every round's ball, each resumed from the last, holds the rhs as
+    # mpmath.qp gives it at 192 bits, and is the ball a fresh call gives
+    ratio = default_registry()[ident].ratio
+    with mpmath.workprec(RHS_PREC):
+        ref = _mp_tree(default_registry()[ident].rhs, bindings)
+    rhs = None
+    for tol in (1e-10, 1e-16, 1e-30):
+        rhs = ratio_eval(ratio, bindings, tol, 113, rhs)
+        fresh = ratio_eval(ratio, bindings, tol, 113)
+        assert (rhs.value.ball, rhs.value.exp, rhs.terms_used, rhs.state) == (
+            fresh.value.ball, fresh.value.exp, fresh.terms_used, fresh.state)
+        with mpmath.workprec(RHS_PREC):
+            assert abs(rhs.value.val - ref) <= rhs.value.err
+
+
+def test_rhs_ratio_near_a_vanishing_divisor():
+    # (c / (ab); q)_inf is about 2**-150: the ratio keeps its error relative
+    bindings = {"a": F(1, 2), "b": F(1, 2), "c": (1 - F(1, 2**150)) / 4, "q": F(1, 3)}
+    rhs = ratio_eval(default_registry()["qgauss"].ratio, bindings, 1e-12, 200)
+    with mpmath.workprec(RHS_PREC + 150):
+        ref = _mp_tree(default_registry()["qgauss"].rhs, bindings)
+        assert abs(rhs.value.val - ref) <= rhs.value.err <= 1e-12
+    assert rhs.value.val > 2**148
 
 # -- near |x| = 1, where phi21_numeric stops by its closed tail -----------------------
 
